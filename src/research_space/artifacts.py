@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .corpus import EntityKind, MatchStats, ResolvedCorpus, ResolvedRecord
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 from .freq_model import ProximityMatrix
 from .presence import TimeWindow
 
@@ -108,27 +108,45 @@ def save_proximity(phi: ProximityMatrix, path, mhash=""):
 def load_proximity(path) -> ProximityMatrix:
     meta = {}
     with open(path, encoding="utf-8") as fh:
-        pos = fh.tell()
-        line = fh.readline()
+        lines = enumerate(fh, start=1)
+        line_no, line = next(lines, (1, ""))
         while line.startswith("#"):
             key, _, val = line[1:].partition(":")
             meta[key.strip()] = val.strip()
-            pos = fh.tell()
-            line = fh.readline()
+            line_no, line = next(lines, (line_no + 1, ""))
         if meta.get("schema") != SCHEMA_PROXIMITY:
             raise ParseError(
                 f"unsupported proximity schema {meta.get('schema')!r}", path=path
             )
-        header = line.rstrip("\n").split("\t")
-        field_ids = header[1:]
-        values = np.zeros((len(field_ids), len(field_ids)))
-        for i, row_line in enumerate(fh):
+        missing = [key for key in ("model", "window") if key not in meta]
+        if missing:
+            raise ParseError(
+                f"missing header {', '.join(missing)}", path=path, line=line_no
+            )
+        field_ids = line.rstrip("\n").split("\t")[1:]
+        n = len(field_ids)
+        values = np.zeros((n, n))
+        i = 0
+        for line_no, row_line in lines:
             parts = row_line.rstrip("\n").split("\t")
+            if i == n:
+                raise ParseError(f"more than {n} rows", path=path, line=line_no)
             if parts[0] != field_ids[i]:
                 raise ParseError(
-                    f"row order mismatch at {parts[0]!r}", path=path
+                    f"row order mismatch at {parts[0]!r}", path=path, line=line_no
                 )
-            values[i] = [float(v) for v in parts[1:]]
+            if len(parts) != n + 1:
+                raise ParseError(f"expected {n} values, got {len(parts) - 1}",
+                                 path=path, line=line_no)
+            try:
+                values[i] = [float(v) for v in parts[1:]]
+            except ValueError as e:
+                raise ParseError(f"invalid value: {e}", path=path, line=line_no)
+            if not np.isfinite(values[i]).all():
+                raise ParseError("non-finite value", path=path, line=line_no)
+            i += 1
+    if i < n:
+        raise ParseError(f"{n - i} of {n} rows missing", path=path, line=line_no + 1)
     return ProximityMatrix(
         values=values,
         field_ids=field_ids,
@@ -143,18 +161,3 @@ def save_embeddings(vectors, field_ids, path, mhash=""):
         fh.write(f"# manifest_hash: {mhash}\n")
         for fid, vec in zip(field_ids, vectors):
             fh.write(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec) + "\n")
-
-
-def load_embeddings(path):
-    field_ids = []
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            field_ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
-        raise ConfigError(f"no embedding rows in {path}")
-    return np.array(rows), field_ids

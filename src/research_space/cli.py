@@ -44,7 +44,10 @@ def pipeline_command(fn):
 
 
 def _window(_ctx, _param, value):
-    return TimeWindow.parse(value) if value is not None else None
+    try:
+        return TimeWindow.parse(value) if value is not None else None
+    except ConfigError as e:
+        raise click.BadParameter(str(e))
 
 
 @click.group()
@@ -159,9 +162,8 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
 def _density_inputs(resolved, taxonomy, phi, rca_window, kind):
     x = contribution_matrix(resolved, taxonomy, rca_window)
     r = spec_mod.rca(x)
-    u = spec_mod.indicator(r, kind)
-    omega = spec_mod.density(u, phi)
-    return r, u, omega
+    omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
+    return r, omega
 
 
 @main.command()
@@ -183,8 +185,8 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     if phi.field_ids != taxonomy.field_ids:
         raise ConfigError("proximity artifact and taxonomy field sets differ")
     kind = TRANSITIONS[transition]
-    r, u, omega = _density_inputs(resolved, taxonomy, phi, rca_window, kind)
-    ranked = pe.rank_candidates(omega, u, r, kind)
+    r, omega = _density_inputs(resolved, taxonomy, phi, rca_window, kind)
+    ranked = pe.rank_candidates(omega, r, kind)
     by_entity = {rp.entity_id: rp for rp in ranked}
     wanted = list(entities) if entities else [rp.entity_id for rp in ranked]
     lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
@@ -227,6 +229,18 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
              seed, out_dir):
     """Score predicted transitions against the test window with AUROC."""
     windows = WindowConfig(fit_window, rca_window, test_window)  # validates
+    phis = [artifacts.load_proximity(path) for path in (phi_a_path, phi_b_path) if path]
+    for phi in phis:
+        if str(phi.window) != str(windows.fit_window):
+            raise ConfigError(
+                f"proximity artifact window {phi.window} differs from --fit "
+                f"{windows.fit_window}"
+            )
+    if len(phis) == 2 and phis[0].model_tag == phis[1].model_tag:
+        raise ConfigError(
+            f"--phi-a {phi_a_path} and --phi-b {phi_b_path} are both "
+            f"{phis[0].model_tag} models; their results would share one label"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
@@ -236,28 +250,16 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     x_after = contribution_matrix(resolved, taxonomy, windows.test_window)
     r_after = spec_mod.rca(x_after)
 
-    def run(phi_path):
-        phi = artifacts.load_proximity(phi_path)
-        if str(phi.window) != str(windows.fit_window):
-            raise ConfigError(
-                f"proximity artifact window {phi.window} differs from --fit "
-                f"{windows.fit_window}"
-            )
-        r, u, omega = _density_inputs(
-            resolved, taxonomy, phi, windows.rca_window, kind
-        )
+    groups = []
+    for phi in phis:
+        r, omega = _density_inputs(resolved, taxonomy, phi, windows.rca_window, kind)
         results, excluded = pe.evaluate_transition(
-            omega, u, r, r_after, kind, full_u_zero=full_candidates
+            omega, r, r_after, kind, full_u_zero=full_candidates
         )
-        return phi.model_tag, results, excluded
-
-    tag_a, results_a, excl_a = run(phi_a_path)
-    groups = [(tag_a, results_a, excl_a)]
+        groups.append((phi.model_tag, results, excluded))
     p_value = None
-    if phi_b_path:
-        tag_b, results_b, excl_b = run(phi_b_path)
-        groups.append((tag_b, results_b, excl_b))
-        p_value = pe.compare_models(results_a, results_b,
+    if len(groups) == 2:
+        p_value = pe.compare_models(groups[0][1], groups[1][1],
                                     n_permutations=permutations, seed=seed)
 
     lines = ["entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"]

@@ -42,12 +42,12 @@ class EmbeddingConfig:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive")
         if self.negatives_per_example <= 0:
             raise ConfigError("negatives_per_example must be positive")
-        if self.margin <= 0:
-            raise ConfigError("margin must be positive")
+        if not (np.isfinite(self.margin) and self.margin > 0):
+            raise ConfigError("margin must be finite and positive")
 
 
 @dataclass

@@ -91,6 +91,8 @@ def aggregate_to_intermediate(phi: ProximityMatrix,
 
 def mst_plus_threshold(g: nx.Graph, p: float) -> nx.Graph:
     """Maximum spanning forest plus all edges with weight > p."""
+    if np.isnan(p):
+        raise ConfigError("threshold p must not be NaN")
     kept = nx.Graph()
     kept.add_nodes_from(g.nodes(data=True))
     for u, v, data in nx.maximum_spanning_edges(g, data=True):

@@ -11,11 +11,10 @@ from scipy.stats import rankdata
 from .errors import ConfigError
 from .specialization import (
     DensityMatrix,
-    IndicatorMatrix,
     RcaMatrix,
-    Stage,
     TransitionKind,
-    classify_stage,
+    indicator,
+    stage_codes,
 )
 
 
@@ -53,12 +52,38 @@ class EvalSummary:
     p_value: float | None = None
 
 
-def _source_stage(kind: TransitionKind) -> Stage:
-    return (
-        Stage.NASCENT
-        if kind is TransitionKind.NASCENT_TO_DEVELOPED
-        else Stage.INTERMEDIATE
-    )
+# Source stage code and lowest realized stage code per transition kind.
+_TRANSITION_CODES = {
+    TransitionKind.ZERO_TO_ACTIVE: (0, 1),
+    TransitionKind.NASCENT_TO_DEVELOPED: (1, 3),
+    TransitionKind.INTERMEDIATE_TO_DEVELOPED: (2, 3),
+}
+
+
+def _candidates(r_before: RcaMatrix, kind: TransitionKind, full_u_zero: bool):
+    """Entity x field mask of the fields ranked for one transition kind."""
+    if full_u_zero:
+        return indicator(r_before, kind).values == 0
+    return stage_codes(r_before.values) == _TRANSITION_CODES[kind][0]
+
+
+def _masks(r_before: RcaMatrix, r_after: RcaMatrix, kind: TransitionKind,
+           full_u_zero: bool = False):
+    """Candidate and realized-transition masks on r_before's entity axis;
+    every realized transition is a candidate.
+
+    Entities missing from r_after count as all-zero rows there.
+    """
+    if r_before.field_ids != r_after.field_ids:
+        raise ConfigError("RCA matrices use different field sets")
+    _, rows, after_rows = np.intersect1d(r_before.entity_ids, r_after.entity_ids,
+                                         assume_unique=True, return_indices=True)
+    after = np.zeros_like(r_before.values)
+    after[rows] = r_after.values[after_rows]
+    source, target = _TRANSITION_CODES[kind]
+    realized = ((stage_codes(r_before.values) == source)
+                & (stage_codes(after) >= target))
+    return _candidates(r_before, kind, full_u_zero), realized
 
 
 def detect_transitions(r_before: RcaMatrix, r_after: RcaMatrix,
@@ -67,64 +92,51 @@ def detect_transitions(r_before: RcaMatrix, r_after: RcaMatrix,
 
     Entities absent from one matrix are treated as all-zero rows in it.
     """
-    if r_before.field_ids != r_after.field_ids:
-        raise ConfigError("RCA matrices use different field sets")
-    before_idx = r_before.entity_index
-    after_idx = r_after.entity_index
-    entities = list(r_before.entity_ids)
-    entities += [e for e in r_after.entity_ids if e not in before_idx]
-    n_fields = len(r_before.field_ids)
-    zeros = np.zeros(n_fields)
-    events = []
-    for eid in entities:
-        before = r_before.values[before_idx[eid]] if eid in before_idx else zeros
-        after = r_after.values[after_idx[eid]] if eid in after_idx else zeros
-        if kind is TransitionKind.ZERO_TO_ACTIVE:
-            mask = (before == 0) & (after > 0)
-        else:
-            src = _source_stage(kind)
-            if src is Stage.NASCENT:
-                in_src = (before > 0) & (before < 0.5)
-            else:
-                in_src = (before >= 0.5) & (before < 1.0)
-            mask = in_src & (after >= 1.0)
-        for fi in np.flatnonzero(mask):
-            events.append(TransitionEvent(eid, r_before.field_ids[fi], kind))
-    return events
+    known = set(r_before.entity_ids)
+    extra = [e for e in r_after.entity_ids if e not in known]
+    union = RcaMatrix(np.pad(r_before.values, ((0, len(extra)), (0, 0))),
+                      r_before.entity_ids + extra, r_before.field_ids, r_before.window)
+    _, realized = _masks(union, r_after, kind)
+    return [TransitionEvent(union.entity_ids[i], union.field_ids[j], kind)
+            for i, j in zip(*np.nonzero(realized))]
 
 
-def _candidate_mask(before_row, kind: TransitionKind, full_u_zero: bool):
-    if full_u_zero:
-        if kind is TransitionKind.ZERO_TO_ACTIVE:
-            return before_row == 0
-        return before_row <= 1.0  # U = 1[RCA > 1] for ->Developed
-    if kind is TransitionKind.ZERO_TO_ACTIVE:
-        return before_row == 0
-    if kind is TransitionKind.NASCENT_TO_DEVELOPED:
-        return (before_row > 0) & (before_row < 0.5)
-    return (before_row >= 0.5) & (before_row < 1.0)
+def _check_aligned(omega: DensityMatrix, r_before: RcaMatrix):
+    if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
+        raise ConfigError("density and RCA matrices are not aligned")
 
 
-def rank_candidates(omega: DensityMatrix, u: IndicatorMatrix, r_before: RcaMatrix,
-                    kind: TransitionKind,
+def rank_candidates(omega: DensityMatrix, r_before: RcaMatrix, kind: TransitionKind,
                     full_u_zero: bool = False) -> list[RankedPrediction]:
     """Per-entity ranking of candidate fields by density.
 
-    By default candidates for ->Developed transitions are restricted to the
-    source stage; full_u_zero ranks the whole U = 0 set instead.
+    By default candidates are the fields in the transition's source stage;
+    full_u_zero ranks every field with U = 0 instead.
     """
-    if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
-        raise ConfigError("density and RCA matrices are not aligned")
+    _check_aligned(omega, r_before)
     out = []
-    for i, eid in enumerate(omega.entity_ids):
-        mask = _candidate_mask(r_before.values[i], kind, full_u_zero)
-        items = [
-            (omega.field_ids[fi], float(omega.values[i, fi]))
-            for fi in np.flatnonzero(mask)
-        ]
+    cand = _candidates(r_before, kind, full_u_zero)
+    for eid, scores, keep in zip(omega.entity_ids, omega.values, cand):
+        items = [(omega.field_ids[j], float(scores[j])) for j in np.flatnonzero(keep)]
         items.sort(key=lambda kv: (-kv[1], kv[0]))
         out.append(RankedPrediction(entity_id=eid, items=items))
     return out
+
+
+def _auroc_rows(scores, cand, pos):
+    """Row-wise Mann-Whitney AUROC of the positive candidates against the
+    other candidates, from midranks (ties count 0.5 per pair).
+
+    Returns (auroc, n_pos, n_neg); auroc is NaN where a row lacks a positive
+    or a negative candidate.
+    """
+    ranks = rankdata(np.where(cand, scores, np.nan), axis=1, nan_policy="omit")
+    n_pos = pos.sum(axis=1)
+    n_neg = cand.sum(axis=1) - n_pos
+    u_stat = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    pairs = n_pos * n_neg
+    auc = np.divide(u_stat, pairs, out=np.full(len(pairs), np.nan), where=pairs > 0)
+    return auc, n_pos, n_neg
 
 
 def auroc(ranked: RankedPrediction, positives: set[str]) -> AurocResult | None:
@@ -132,45 +144,33 @@ def auroc(ranked: RankedPrediction, positives: set[str]) -> AurocResult | None:
 
     Returns None when there is no positive or no negative candidate.
     """
-    if not positives <= {f for f, _ in ranked.items}:
+    fields = [f for f, _ in ranked.items]
+    if not positives <= set(fields):
         raise ConfigError("positives are not a subset of the candidate set")
-    scores = np.array([s for _, s in ranked.items])
-    is_pos = np.array([f in positives for f, _ in ranked.items])
-    n_pos = int(is_pos.sum())
-    n_neg = len(scores) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    scores = np.array([[s for _, s in ranked.items]], dtype=np.float64)
+    pos = np.array([[f in positives for f in fields]], dtype=bool)
+    auc, n_pos, n_neg = _auroc_rows(scores, np.ones_like(pos), pos)
+    if np.isnan(auc[0]):
         return None
-    ranks = rankdata(scores)  # midranks
-    u_stat = ranks[is_pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return AurocResult(
-        entity_id=ranked.entity_id,
-        auroc=float(u_stat / (n_pos * n_neg)),
-        n_pos=n_pos,
-        n_neg=n_neg,
-    )
+    return AurocResult(ranked.entity_id, float(auc[0]), int(n_pos[0]), int(n_neg[0]))
 
 
-def evaluate_transition(omega, u, r_before, r_after, kind,
-                        full_u_zero=False) -> tuple[list[AurocResult], int]:
+def evaluate_transition(omega: DensityMatrix, r_before: RcaMatrix, r_after: RcaMatrix,
+                        kind: TransitionKind,
+                        full_u_zero: bool = False) -> tuple[list[AurocResult], int]:
     """Per-entity AUROC for one transition kind.
 
-    Entities without both a positive and a negative candidate are excluded;
-    the second return value counts them.
+    Entities of r_before without both a positive and a negative candidate are
+    excluded; the second return value counts them.
     """
-    events = detect_transitions(r_before, r_after, kind)
-    positives: dict[str, set[str]] = {}
-    for ev in events:
-        positives.setdefault(ev.entity_id, set()).add(ev.field_id)
-    results = []
-    excluded = 0
-    for ranked in rank_candidates(omega, u, r_before, kind, full_u_zero):
-        pos = positives.get(ranked.entity_id, set())
-        res = auroc(ranked, pos) if pos else None
-        if res is None:
-            excluded += 1
-        else:
-            results.append(res)
-    return results, excluded
+    _check_aligned(omega, r_before)
+    cand, realized = _masks(r_before, r_after, kind, full_u_zero)
+    auc, n_pos, n_neg = _auroc_rows(omega.values, cand, realized)
+    results = [
+        AurocResult(omega.entity_ids[i], float(auc[i]), int(n_pos[i]), int(n_neg[i]))
+        for i in np.flatnonzero(~np.isnan(auc))
+    ]
+    return results, len(omega.entity_ids) - len(results)
 
 
 def summarize(results: list[AurocResult],

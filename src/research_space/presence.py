@@ -81,10 +81,6 @@ class ContributionMatrix:
     window: TimeWindow
     kind: EntityKind
 
-    @property
-    def entity_index(self):
-        return {e: i for i, e in enumerate(self.entity_ids)}
-
 
 @dataclass
 class PresenceMatrix:
@@ -133,8 +129,8 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
 
 
 def presence_matrix(x: ContributionMatrix, theta: float) -> PresenceMatrix:
-    if theta <= 0:
-        raise ConfigError(f"theta must be > 0, got {theta}")
+    if not (np.isfinite(theta) and theta > 0):
+        raise ConfigError(f"theta must be finite and > 0, got {theta}")
     mask = x.values > theta  # strict
     vals = sparse.csr_matrix(mask, dtype=np.int8)
     vals.eliminate_zeros()

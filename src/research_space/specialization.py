@@ -20,9 +20,6 @@ class Stage(enum.Enum):
     DEVELOPED = "D"
 
 
-ACTIVE_STAGES = frozenset({Stage.NASCENT, Stage.INTERMEDIATE, Stage.DEVELOPED})
-
-
 class TransitionKind(enum.Enum):
     ZERO_TO_ACTIVE = "0A"
     NASCENT_TO_DEVELOPED = "ND"
@@ -35,10 +32,6 @@ class RcaMatrix:
     entity_ids: list[str]
     field_ids: list[str]
     window: TimeWindow
-
-    @property
-    def entity_index(self):
-        return {e: i for i, e in enumerate(self.entity_ids)}
 
 
 @dataclass
@@ -79,26 +72,26 @@ def rca(x: ContributionMatrix) -> RcaMatrix:
     )
 
 
+def stage_codes(values) -> np.ndarray:
+    """int8 stage codes of RCA values, in Stage order: 0 Inactive (RCA 0),
+    1 Nascent (0 < RCA < 0.5), 2 Intermediate (0.5 <= RCA < 1), 3 Developed
+    (RCA >= 1)."""
+    v = np.asarray(values)
+    return (v > 0).astype(np.int8) + (v >= 0.5) + (v >= 1.0)
+
+
+_STAGE_LETTERS = np.array([s.value for s in Stage])
+
+
 def classify_stage(rca_value: float) -> Stage:
     if rca_value < 0:
         raise ValueError(f"RCA must be non-negative, got {rca_value}")
-    if rca_value == 0:
-        return Stage.INACTIVE
-    if rca_value < 0.5:
-        return Stage.NASCENT
-    if rca_value < 1.0:
-        return Stage.INTERMEDIATE
-    return Stage.DEVELOPED
+    return list(Stage)[int(stage_codes(rca_value))]
 
 
 def stage_matrix(r: RcaMatrix) -> np.ndarray:
     """Entity x field array of single-letter stage codes."""
-    v = r.values
-    out = np.full(v.shape, Stage.INACTIVE.value, dtype="U1")
-    out[(v > 0) & (v < 0.5)] = Stage.NASCENT.value
-    out[(v >= 0.5) & (v < 1.0)] = Stage.INTERMEDIATE.value
-    out[v >= 1.0] = Stage.DEVELOPED.value
-    return out
+    return _STAGE_LETTERS[stage_codes(r.values)]
 
 
 def indicator(r: RcaMatrix, kind: TransitionKind) -> IndicatorMatrix:

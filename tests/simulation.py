@@ -70,19 +70,18 @@ def evaluate_zero_to_active(corpus, taxonomy, phi):
     x_after = contribution_matrix(corpus, taxonomy, TEST_WINDOW)
     r_before = spec_mod.rca(x_before)
     r_after = spec_mod.rca(x_after)
-    u = spec_mod.indicator(r_before, kind)
-    omega = spec_mod.density(u, phi)
-    results, _ = pe.evaluate_transition(omega, u, r_before, r_after, kind)
-    return results, (omega, u, r_before)
+    omega = spec_mod.density(spec_mod.indicator(r_before, kind), phi)
+    results, _ = pe.evaluate_transition(omega, r_before, r_after, kind)
+    return results, (omega, r_before)
 
 
-def shuffled_baseline(omega, u, r_before, positives, seed=1):
+def shuffled_baseline(omega, r_before, positives, seed=1):
     """Mean AUROC when each entity's positive labels are re-drawn uniformly
     among its candidates, keeping the model's scores."""
     rng = np.random.default_rng(seed)
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
     vals = []
-    for ranked in pe.rank_candidates(omega, u, r_before, kind):
+    for ranked in pe.rank_candidates(omega, r_before, kind):
         true_pos = positives.get(ranked.entity_id, set())
         n_pos = len(true_pos & {f for f, _ in ranked.items})
         if n_pos == 0 or n_pos == len(ranked.items):

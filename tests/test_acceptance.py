@@ -233,10 +233,10 @@ def test_acceptance_8_planted_relatedness_end_to_end():
             assert results, f"{tag}: no scored entities"
             means[tag] = float(np.mean([r.auroc for r in results]))
 
-        _, (omega, u, r_before) = simulation.evaluate_zero_to_active(
+        _, (omega, r_before) = simulation.evaluate_zero_to_active(
             corpus, taxonomy, phi_freq
         )
-        baseline = simulation.shuffled_baseline(omega, u, r_before, positives,
+        baseline = simulation.shuffled_baseline(omega, r_before, positives,
                                                 seed=809)
         assert abs(baseline - 0.5) <= 0.03, f"shuffled baseline {baseline:.3f}"
         for tag, mean in means.items():
@@ -281,7 +281,7 @@ def test_acceptance_9_full_dataset_first_setup():
         kind = sm.TransitionKind.ZERO_TO_ACTIVE
         u = sm.indicator(r_before, kind)
         omega = sm.density(u, phi)
-        results, _ = evaluate_transition(omega, u, r_before, r_after, kind)
+        results, _ = evaluate_transition(omega, r_before, r_after, kind)
         mean = summarize(results).mean
         assert abs(mean - 0.879) <= 0.02, f"frequentist scientists 0A mean {mean}"
 

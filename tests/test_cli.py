@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -6,6 +7,21 @@ from click.testing import CliRunner
 import simulation
 from research_space.artifacts import load_proximity
 from research_space.cli import main
+from research_space.errors import ParseError
+
+# Corruptions of a saved phi.tsv, and the line the error must name given the
+# intact file's line count n (4 comment lines, the field header, one row per field).
+PHI_CORRUPTIONS = {
+    "truncated": (lambda lines: lines[:-2], lambda n: n - 1),
+    "extra_row": (lambda lines: lines + [lines[-1]], lambda n: n + 1),
+    "non_numeric": (lambda lines: lines[:-1] + [lines[-1] + "x"], lambda n: n),
+    "short_row": (lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]],
+                  lambda n: n),
+    "nan_value": (lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tnan"],
+                  lambda n: n),
+    "missing_model": (lambda lines: [l for l in lines if not l.startswith("# model")],
+                      lambda n: 4),
+}
 
 
 def write_taxonomy_file(taxonomy, path):
@@ -134,13 +150,32 @@ class TestFit:
                (tmp_path / "b" / "embeddings.tsv").read_bytes()
 
     def test_negative_theta_exits_2(self, pipeline, tmp_path):
+        for theta in ("-1", "nan", "inf"):
+            res = pipeline["runner"].invoke(main, [
+                "fit", "--corpus", str(pipeline["corpus"]),
+                "--taxonomy", str(pipeline["taxonomy"]),
+                "--window", "2000:2004", "--model", "freq", "--theta", theta,
+                "--out", str(tmp_path / "out"),
+            ])
+            assert res.exit_code == 2, theta
+
+    @pytest.mark.parametrize("corruption", sorted(PHI_CORRUPTIONS))
+    def test_corrupt_phi_artifact_rejected(self, pipeline, tmp_path, corruption):
+        corrupt, error_line = PHI_CORRUPTIONS[corruption]
+        lines = pipeline["phi_freq"].read_text().splitlines()
+        line = error_line(len(lines))
+        bad = tmp_path / "phi.tsv"
+        bad.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_proximity(bad)
+        assert (err.value.path, err.value.line) == (bad, line)
         res = pipeline["runner"].invoke(main, [
-            "fit", "--corpus", str(pipeline["corpus"]),
+            "predict", "--phi", str(bad), "--corpus", str(pipeline["corpus"]),
             "--taxonomy", str(pipeline["taxonomy"]),
-            "--window", "2000:2004", "--model", "freq", "--theta", "-1",
-            "--out", str(tmp_path / "out"),
+            "--rca-window", "2002:2004", "--transition", "0A",
         ])
-        assert res.exit_code == 2
+        assert res.exit_code == 1
+        assert f"{bad}:{line}" in res.output
 
 
 class TestPredict:
@@ -200,6 +235,21 @@ class TestEvaluate:
         ])
         assert res.exit_code == 2
 
+    def test_two_phi_of_one_model_rejected(self, pipeline, tmp_path):
+        other = tmp_path / "other_phi.tsv"
+        shutil.copy(pipeline["phi_freq"], other)
+        out = tmp_path / "eval"
+        res = pipeline["runner"].invoke(main, [
+            "evaluate", "--phi-a", str(pipeline["phi_freq"]), "--phi-b", str(other),
+            "--corpus", str(pipeline["corpus"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+            "--transition", "0A", "--permutations", "200", "--out", str(out),
+        ])
+        assert res.exit_code == 2
+        assert str(pipeline["phi_freq"]) in res.output and str(other) in res.output
+        assert not out.exists()
+
     def test_window_mismatch_with_artifact_rejected(self, pipeline, tmp_path):
         res = pipeline["runner"].invoke(main, [
             "evaluate", "--phi-a", str(pipeline["phi_freq"]),
@@ -256,3 +306,33 @@ class TestExportStats:
             lines = (tmp_path / "stats" / name).read_text().strip().splitlines()
             assert lines[0] == "value\tccdf"
             assert len(lines) > 1
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("fit", "--window", "abc"),
+    ("fit", "--window", "2004:2000"),
+    ("predict", "--rca-window", "2002-2004"),
+    ("evaluate", "--fit", "2000:2004:2006"),
+    ("evaluate", "--rca", "2004:2002"),
+    ("evaluate", "--test", "x:y"),
+])
+def test_bad_window_exits_2_without_traceback(pipeline, tmp_path, command, option,
+                                              value):
+    files = ["--corpus", str(pipeline["corpus"]),
+             "--taxonomy", str(pipeline["taxonomy"])]
+    phi = str(pipeline["phi_freq"])
+    args = {
+        "fit": [*files, "--window", "2000:2004", "--model", "freq",
+                "--out", str(tmp_path / "out")],
+        "predict": ["--phi", phi, *files, "--rca-window", "2002:2004",
+                    "--transition", "0A"],
+        "evaluate": ["--phi-a", phi, *files, "--fit", "2000:2004", "--rca", "2002:2004",
+                     "--test", "2005:2007", "--transition", "0A",
+                     "--out", str(tmp_path / "eval")],
+    }[command]
+    args[args.index(option) + 1] = value
+    res = pipeline["runner"].invoke(main, [command, *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "START:END" in res.output or "after end" in res.output

@@ -61,6 +61,11 @@ class TestTraining:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             EmbeddingConfig(dim=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                EmbeddingConfig(learning_rate=bad)
+            with pytest.raises(ConfigError):
+                EmbeddingConfig(margin=bad)
 
     def test_no_trainable_bags(self):
         bags = [FieldBag("a", frozenset({"F000"}))]

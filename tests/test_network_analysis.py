@@ -94,6 +94,10 @@ class TestMstPlusThreshold:
         assert nx.number_connected_components(kept) == nx.number_connected_components(g)
         assert kept.has_edge("x", "y")
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigError):
+            mst_plus_threshold(triangle(), p=float("nan"))
+
 
 class TestDisparityFilter:
     def test_degree_two_equal_weights(self):

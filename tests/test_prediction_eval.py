@@ -20,13 +20,14 @@ from research_space.prediction_eval import (
 from research_space.presence import TimeWindow
 from research_space.specialization import (
     DensityMatrix,
-    IndicatorMatrix,
     RcaMatrix,
     TransitionKind,
 )
 
 W1 = TimeWindow(2011, 2013)
 W2 = TimeWindow(2014, 2016)
+# RCA values on and between the stage bounds 0, 0.5 and 1.
+RCA_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
 
 
 def rca_matrix(vals, window=W1, entity_ids=None):
@@ -75,27 +76,25 @@ class TestDetectTransitions:
 class TestRankCandidates:
     def _setup(self, rca_row, omega_row):
         r = rca_matrix([rca_row])
-        u = IndicatorMatrix((r.values > 0).astype(np.int8), r.entity_ids,
-                            r.field_ids, TransitionKind.ZERO_TO_ACTIVE)
         omega = DensityMatrix(np.array([omega_row], dtype=float), r.entity_ids,
                               r.field_ids)
-        return omega, u, r
+        return omega, r
 
     def test_no_candidates(self):
-        omega, u, r = self._setup([1.0, 2.0], [0.5, 0.5])
-        ranked = rank_candidates(omega, u, r, TransitionKind.ZERO_TO_ACTIVE)
+        omega, r = self._setup([1.0, 2.0], [0.5, 0.5])
+        ranked = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
         assert ranked[0].items == []
 
     def test_tie_breaks_on_field_id(self):
-        omega, u, r = self._setup([0.0, 0.0, 0.0, 1.5], [0.7, 0.2, 0.7, 0.9])
-        ranked = rank_candidates(omega, u, r, TransitionKind.ZERO_TO_ACTIVE)
+        omega, r = self._setup([0.0, 0.0, 0.0, 1.5], [0.7, 0.2, 0.7, 0.9])
+        ranked = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
         assert [f for f, _ in ranked[0].items] == ["F0", "F2", "F1"]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
         scores = rng.random(5).round(1)  # rounding forces some ties
-        omega, u, r = self._setup([0.0] * 5, scores.tolist())
-        ranked = rank_candidates(omega, u, r, TransitionKind.ZERO_TO_ACTIVE)
+        omega, r = self._setup([0.0] * 5, scores.tolist())
+        ranked = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
         expected = sorted(
             [(f"F{j}", float(scores[j])) for j in range(5)],
             key=lambda kv: (-kv[1], kv[0]),
@@ -103,16 +102,16 @@ class TestRankCandidates:
         assert ranked[0].items == expected
 
     def test_source_stage_restriction(self):
-        omega, u, r = self._setup([0.0, 0.3, 0.7, 1.5], [0.1, 0.2, 0.3, 0.4])
-        nd = rank_candidates(omega, u, r, TransitionKind.NASCENT_TO_DEVELOPED)
+        omega, r = self._setup([0.0, 0.3, 0.7, 1.5], [0.1, 0.2, 0.3, 0.4])
+        nd = rank_candidates(omega, r, TransitionKind.NASCENT_TO_DEVELOPED)
         assert [f for f, _ in nd[0].items] == ["F1"]
-        id_ = rank_candidates(omega, u, r,
+        id_ = rank_candidates(omega, r,
                               TransitionKind.INTERMEDIATE_TO_DEVELOPED)
         assert [f for f, _ in id_[0].items] == ["F2"]
 
     def test_full_u_zero_flag(self):
-        omega, u, r = self._setup([0.0, 0.3, 0.7, 1.5], [0.1, 0.2, 0.3, 0.4])
-        nd = rank_candidates(omega, u, r, TransitionKind.NASCENT_TO_DEVELOPED,
+        omega, r = self._setup([0.0, 0.3, 0.7, 1.5], [0.1, 0.2, 0.3, 0.4])
+        nd = rank_candidates(omega, r, TransitionKind.NASCENT_TO_DEVELOPED,
                              full_u_zero=True)
         # whole U=0 set: everything with RCA <= 1
         assert {f for f, _ in nd[0].items} == {"F0", "F1", "F2"}
@@ -295,14 +294,11 @@ class TestEvaluateTransition:
                              [0.0, 0.0, 0.0, 1.2]])
         after = rca_matrix([[2.0, 0.0, 0.0, 1.2],
                             [0.0, 2.0, 0.0, 1.2]], W2)
-        u = IndicatorMatrix((before.values > 0).astype(np.int8),
-                            before.entity_ids, before.field_ids,
-                            TransitionKind.ZERO_TO_ACTIVE)
         omega = DensityMatrix(np.array([[0.9, 0.1, 0.1, 0.0],
                                         [0.1, 0.9, 0.1, 0.0]]),
                               before.entity_ids, before.field_ids)
         results, excluded = evaluate_transition(
-            omega, u, before, after, TransitionKind.ZERO_TO_ACTIVE
+            omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
         assert excluded == 0
         assert [r.auroc for r in results] == [1.0, 1.0]
@@ -310,16 +306,63 @@ class TestEvaluateTransition:
     def test_entities_without_events_counted(self):
         before = rca_matrix([[0.0, 1.2]])
         after = rca_matrix([[0.0, 1.2]], W2)
-        u = IndicatorMatrix((before.values > 0).astype(np.int8),
-                            before.entity_ids, before.field_ids,
-                            TransitionKind.ZERO_TO_ACTIVE)
         omega = DensityMatrix(np.array([[0.5, 0.5]]),
                               before.entity_ids, before.field_ids)
         results, excluded = evaluate_transition(
-            omega, u, before, after, TransitionKind.ZERO_TO_ACTIVE
+            omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
         assert results == []
         assert excluded == 1
+
+    @staticmethod
+    def _is_candidate(before, kind, full_u_zero):
+        if kind is TransitionKind.ZERO_TO_ACTIVE:
+            return before == 0
+        if full_u_zero:
+            return before <= 1
+        if kind is TransitionKind.NASCENT_TO_DEVELOPED:
+            return 0 < before < 0.5
+        return 0.5 <= before < 1
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_oracle_per_entity(self, seed, kind, full_u_zero):
+        rng = np.random.default_rng(seed)
+        n_fields = int(rng.integers(1, 9))
+        ids = [f"s{i}" for i in range(int(rng.integers(1, 12)))]
+        before_ids = [e for e in ids if rng.random() < 0.8]
+        after_ids = [str(e) for e in rng.permutation(ids) if rng.random() < 0.8]
+        before = rca_matrix(rng.choice(RCA_GRID, (len(before_ids), n_fields)),
+                            entity_ids=before_ids)
+        after = rca_matrix(rng.choice(RCA_GRID, (len(after_ids), n_fields)), W2,
+                           entity_ids=after_ids)
+        omega = DensityMatrix(rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0,
+                              before.entity_ids, before.field_ids)
+        results, excluded = evaluate_transition(omega, before, after, kind,
+                                                full_u_zero=full_u_zero)
+
+        after_rows = dict(zip(after_ids, after.values))
+        scored = []
+        for i, eid in enumerate(before_ids):
+            b = before.values[i]
+            a = after_rows.get(eid, np.zeros(n_fields))
+            cand = [j for j in range(n_fields)
+                    if self._is_candidate(b[j], kind, full_u_zero)]
+            if kind is TransitionKind.ZERO_TO_ACTIVE:
+                pos = [j for j in cand if a[j] > 0]
+            else:
+                pos = [j for j in cand
+                       if self._is_candidate(b[j], kind, False) and a[j] >= 1]
+            neg = [j for j in cand if j not in pos]
+            if pos and neg:
+                scored.append((eid, len(pos), len(neg), oracles.auroc_pairwise(
+                    omega.values[i, pos], omega.values[i, neg])))
+        assert excluded == len(before_ids) - len(scored)
+        assert [(r.entity_id, r.n_pos, r.n_neg) for r in results] == \
+            [s[:3] for s in scored]
+        for res, (*_, expected) in zip(results, scored):
+            assert res.auroc == pytest.approx(expected, abs=1e-12)
 
 
 def test_ccdf_basic():

@@ -122,8 +122,9 @@ class TestPresenceMatrix:
         assert p.values.toarray()[0, 0] == 0
 
     def test_invalid_theta(self, taxonomy6):
-        with pytest.raises(ConfigError):
-            presence_matrix(self._x(taxonomy6, 1.0), theta=0.0)
+        for theta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                presence_matrix(self._x(taxonomy6, 1.0), theta=theta)
 
     def test_theta_sweep_monotone(self, taxonomy6):
         rng = np.random.default_rng(3)
