@@ -66,10 +66,16 @@ def load_corpus(path) -> ResolvedCorpus:
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
-        if header.get("schema") != SCHEMA_CORPUS:
-            raise ParseError(
-                f"unsupported corpus schema {header.get('schema')!r}", path=path
-            )
+        schema = header.get("schema") if isinstance(header, dict) else None
+        if schema != SCHEMA_CORPUS:
+            raise ParseError(f"unsupported corpus schema {schema!r}", path=path, line=1)
+        try:
+            kind = EntityKind(header["kind"])
+            stats = MatchStats(**header.get("match_stats", {}))
+        except KeyError as e:
+            raise ParseError(f"corpus header lacks {e}", path=path, line=1)
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
         records = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
@@ -87,10 +93,7 @@ def load_corpus(path) -> ResolvedCorpus:
                 )
             except (json.JSONDecodeError, KeyError, ValueError) as e:
                 raise ParseError(f"invalid corpus record: {e}", path=path, line=line_no)
-    stats = MatchStats(**header.get("match_stats", {}))
-    return ResolvedCorpus(
-        records=records, kind=EntityKind(header["kind"]), match_stats=stats
-    )
+    return ResolvedCorpus(records=records, kind=kind, match_stats=stats)
 
 
 def save_proximity(phi: ProximityMatrix, path, mhash=""):

@@ -257,6 +257,8 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             omega, r, r_after, kind, full_u_zero=full_candidates
         )
         groups.append((phi.model_tag, results, excluded))
+    # entities with records in the test window only have no RCA to rank from
+    test_window_only = len(set(r_after.entity_ids) - set(r.entity_ids))
     p_value = None
     if len(groups) == 2:
         p_value = pe.compare_models(groups[0][1], groups[1][1],
@@ -271,7 +273,7 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             )
     (out / "auroc.tsv").write_text("\n".join(lines) + "\n")
 
-    summary = {}
+    summary = {"test_window_only": test_window_only}
     for tag, results, excluded in groups:
         if results:
             s = pe.summarize(results)

@@ -227,6 +227,11 @@ def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
     for key in _MANDATORY:
         if raw.get(key) in (None, ""):
             raise ValueError(f"missing mandatory field {key!r}")
+    for key in ("year", "n_authors"):
+        value = raw[key]
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     year = int(raw["year"])
     n_authors = int(raw["n_authors"])
     if n_authors < 1:

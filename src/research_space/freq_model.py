@@ -11,15 +11,6 @@ from .presence import PresenceMatrix, TimeWindow
 
 
 @dataclass
-class CoPresenceMatrix:
-    """M_ff' = number of entities present in both f and f' (symmetric,
-    M_ff = number of entities present in f)."""
-
-    values: np.ndarray  # field x field, integer
-    field_ids: list[str]
-
-
-@dataclass
 class ProximityMatrix:
     """Field x field relatedness weights in [0, 1].
 
@@ -37,22 +28,23 @@ class ProximityMatrix:
         return self.model_tag == "embedding"
 
 
-def copresence(p: PresenceMatrix) -> CoPresenceMatrix:
+def copresence(p: PresenceMatrix) -> np.ndarray:
+    """M_ff' = number of entities present in both f and f' (int64, symmetric,
+    M_ff = number of entities present in f), in ``p.field_ids`` order."""
     pb = p.values.astype(np.int64)
-    m = (pb.T @ pb).toarray()
-    return CoPresenceMatrix(values=m, field_ids=list(p.field_ids))
+    return (pb.T @ pb).toarray()
 
 
-def proximity_freq(m: CoPresenceMatrix, p: PresenceMatrix) -> ProximityMatrix:
+def proximity_freq(m: np.ndarray, p: PresenceMatrix) -> ProximityMatrix:
     """phi_ff' = M_ff' / (number of entities present in f'); columns with no
     present entity are 0 by convention."""
     counts = np.asarray(p.values.sum(axis=0)).ravel().astype(np.float64)
-    phi = np.zeros_like(m.values, dtype=np.float64)
+    phi = np.zeros_like(m, dtype=np.float64)
     nonzero = counts > 0
-    phi[:, nonzero] = m.values[:, nonzero] / counts[nonzero]
+    phi[:, nonzero] = m[:, nonzero] / counts[nonzero]
     return ProximityMatrix(
         values=phi,
-        field_ids=list(m.field_ids),
+        field_ids=list(p.field_ids),
         model_tag="frequentist",
         window=p.window,
     )

@@ -53,12 +53,9 @@ def proximity_graph(phi: ProximityMatrix, taxonomy: FieldTaxonomy | None = None,
                 im = taxonomy.intermediates[fid]
                 attrs = {"label": im.acronym, "color": colors[im.macro_id]}
         g.add_node(fid, **attrs)
-    n = len(phi.field_ids)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = phi.values[i, j]
-            if w > 0:
-                g.add_edge(phi.field_ids[i], phi.field_ids[j], weight=float(w))
+    ids = phi.field_ids
+    for i, j in zip(*np.nonzero(np.triu(phi.values, 1) > 0)):
+        g.add_edge(ids[i], ids[j], weight=float(phi.values[i, j]))
     return g
 
 
@@ -70,20 +67,15 @@ def aggregate_to_intermediate(phi: ProximityMatrix,
         raise ConfigError("intermediate aggregation needs a symmetric proximity matrix")
     inter_ids = sorted(taxonomy.intermediates)
     iindex = {im: k for k, im in enumerate(inter_ids)}
-    groups = [[] for _ in inter_ids]
-    for k, fid in enumerate(phi.field_ids):
-        groups[iindex[taxonomy.intermediate_of(fid)]].append(k)
-    n = len(inter_ids)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            pairs = [
-                phi.values[i, j]
-                for i in groups[a]
-                for j in groups[b]
-                if i != j
-            ]
-            out[a, b] = out[b, a] = float(np.mean(pairs)) if pairs else 0.0
+    member = np.zeros((len(phi.field_ids), len(inter_ids)))
+    cols = [iindex[taxonomy.intermediate_of(fid)] for fid in phi.field_ids]
+    member[np.arange(len(cols)), cols] = 1.0
+    off_diagonal = phi.values - np.diag(np.diag(phi.values))
+    sums = member.T @ off_diagonal @ member
+    sums = (sums + sums.T) / 2  # BLAS sums the two triangles in different orders
+    sizes = member.sum(axis=0)
+    pairs = np.outer(sizes, sizes) - np.diag(sizes)
+    out = np.divide(sums, pairs, out=np.zeros_like(sums), where=pairs > 0)
     return ProximityMatrix(
         values=out, field_ids=inter_ids, model_tag="embedding", window=phi.window
     )
@@ -115,7 +107,7 @@ def disparity_filter(g: nx.Graph, alpha: float) -> nx.Graph:
     """Keep edges significant at level alpha from at least one endpoint."""
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    strength = {u: sum(d["weight"] for _, _, d in g.edges(u, data=True)) for u in g}
+    strength = dict(g.degree(weight="weight"))
     degree = dict(g.degree())
     kept = nx.Graph()
     kept.add_nodes_from(g.nodes(data=True))
@@ -129,80 +121,30 @@ def disparity_filter(g: nx.Graph, alpha: float) -> nx.Graph:
 
 
 def weighted_modularity(g: nx.Graph, communities: dict) -> float:
-    """Q = sum_c (e_c/m - (a_c/2m)^2) with e_c the intra-community weight and
-    a_c the total strength of the community's nodes."""
-    m = g.size(weight="weight")
-    if m == 0:
+    """Weighted Newman modularity of the partition ``communities`` (node ->
+    community id) via networkx; 0 on a graph without weight."""
+    if g.size(weight="weight") == 0:
         return 0.0
-    intra: dict = {}
-    strength_sum: dict = {}
+    blocks: dict = {}
     for u in g:
-        c = communities[u]
-        strength_sum[c] = strength_sum.get(c, 0.0) + sum(
-            d["weight"] for _, _, d in g.edges(u, data=True)
-        )
-    for u, v, d in g.edges(data=True):
-        if communities[u] == communities[v]:
-            c = communities[u]
-            intra[c] = intra.get(c, 0.0) + d["weight"]
-    q = 0.0
-    for c in strength_sum:
-        q += intra.get(c, 0.0) / m - (strength_sum[c] / (2 * m)) ** 2
-    return q
+        blocks.setdefault(communities[u], set()).add(u)
+    return nx.community.modularity(g, blocks.values(), weight="weight")
 
 
 def greedy_communities(g: nx.Graph) -> Partition:
-    """Agglomerative modularity maximization: merge the community pair with
-    the largest positive modularity gain until none remains. Ties break on
-    the smallest (community id, community id) pair."""
+    """Clauset-Newman-Moore greedy modularity maximization (networkx
+    ``greedy_modularity_communities``). A community's id is the position of
+    its smallest node in sorted node order; exact ties between candidate
+    merges break in networkx's order."""
     if g.number_of_nodes() == 0:
         raise ConfigError("cannot detect communities on an empty graph")
-    nodes = sorted(g.nodes())
-    comm_of = {u: i for i, u in enumerate(nodes)}
-    members = {i: {u} for i, u in enumerate(nodes)}
-    m = g.size(weight="weight")
-    if m == 0:
-        return Partition(communities=dict(comm_of), modularity=0.0)
-    strength = {
-        i: sum(d["weight"] for _, _, d in g.edges(u, data=True))
-        for i, u in enumerate(nodes)
-    }
-    # weight between communities, keyed by sorted id pair
-    between: dict = {}
-    for u, v, d in g.edges(data=True):
-        key = tuple(sorted((comm_of[u], comm_of[v])))
-        if key[0] != key[1]:
-            between[key] = between.get(key, 0.0) + d["weight"]
-
-    while between:
-        best_gain = 0.0
-        best_key = None
-        # sorted iteration makes the smallest id pair win exact ties
-        for key in sorted(between):
-            i, j = key
-            gain = between[key] / m - strength[i] * strength[j] / (2 * m * m)
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best_key = key
-        if best_key is None:
-            break
-        i, j = best_key  # absorb j into i
-        members[i] |= members.pop(j)
-        strength[i] += strength.pop(j)
-        merged: dict = {}
-        for (a, b), w in between.items():
-            a = i if a == j else a
-            b = i if b == j else b
-            if a == b:
-                continue
-            key = tuple(sorted((a, b)))
-            merged[key] = merged.get(key, 0.0) + w
-        between = merged
-
+    index = {u: i for i, u in enumerate(sorted(g.nodes()))}
+    if g.size(weight="weight") == 0:
+        return Partition(communities=index, modularity=0.0)
     communities = {}
-    for cid, mem in members.items():
-        for u in mem:
-            communities[u] = cid
+    for block in nx.community.greedy_modularity_communities(g, weight="weight"):
+        cid = min(index[u] for u in block)
+        communities.update(dict.fromkeys(block, cid))
     return Partition(
         communities=communities, modularity=weighted_modularity(g, communities)
     )

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance suites.
 
 These deliberately avoid the implementation's code paths: pairwise
-enumeration for AUROC, entity-pair counting for co-presence, exhaustive
-partition search for modularity, finite differences for gradients.
+enumeration for AUROC, entity-pair counting for co-presence, node-pair sums
+and exhaustive partition search for modularity, finite differences for
+gradients.
 """
 
 import numpy as np
@@ -56,6 +57,27 @@ def all_partitions(items):
         for i in range(len(smaller)):
             yield smaller[:i] + [smaller[i] + [first]] + smaller[i + 1:]
         yield smaller + [[first]]
+
+
+def modularity_pairwise(g, communities):
+    """Q = (1/2m) sum_ij [A_ij - k_i k_j / 2m] delta(c_i, c_j) over all node
+    pairs, with the weighted adjacency A filled in from the edge list."""
+    nodes = list(g.nodes())
+    index = {u: i for i, u in enumerate(nodes)}
+    a = np.zeros((len(nodes), len(nodes)))
+    for u, v, d in g.edges(data=True):
+        a[index[u], index[v]] += d["weight"]
+        a[index[v], index[u]] += d["weight"]
+    k = a.sum(axis=1)
+    two_m = k.sum()
+    if two_m == 0:
+        return 0.0
+    q = 0.0
+    for i, u in enumerate(nodes):
+        for j, v in enumerate(nodes):
+            if communities[u] == communities[v]:
+                q += a[i, j] - k[i] * k[j] / two_m
+    return q / two_m
 
 
 def max_modularity_exhaustive(g, modularity_fn):

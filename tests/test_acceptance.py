@@ -22,7 +22,6 @@ from research_space.network_analysis import (
     disparity_filter,
     disparity_pvalue,
     greedy_communities,
-    weighted_modularity,
 )
 from research_space.prediction_eval import RankedPrediction, auroc
 from research_space.presence import TimeWindow, contribution_matrix
@@ -218,7 +217,7 @@ def test_acceptance_7_community_detection():
             for u, v in g.edges():
                 g[u][v].setdefault("weight", 1.0)
             got = greedy_communities(g).modularity
-            best = oracles.max_modularity_exhaustive(g, weighted_modularity)
+            best = oracles.max_modularity_exhaustive(g, oracles.modularity_pairwise)
             assert got >= best - 0.05, f"Q {got} too far below optimum {best}"
 
 

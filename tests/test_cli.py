@@ -23,6 +23,15 @@ PHI_CORRUPTIONS = {
                       lambda n: 4),
 }
 
+# Corruptions of the header line of a saved corpus.jsonl.
+CORPUS_HEADER_CORRUPTIONS = {
+    "missing_kind": lambda h: {k: v for k, v in h.items() if k != "kind"},
+    "unknown_kind": lambda h: {**h, "kind": "galaxy"},
+    "unknown_match_stats_key": lambda h: {
+        **h, "match_stats": {**h["match_stats"], "fuzzy": 3}},
+    "not_an_object": lambda h: [h],
+}
+
 
 def write_taxonomy_file(taxonomy, path):
     lines = ["field_id\tfield_name\tintermediate_id\tintermediate_acronym"
@@ -250,6 +259,33 @@ class TestEvaluate:
         assert str(pipeline["phi_freq"]) in res.output and str(other) in res.output
         assert not out.exists()
 
+    def test_test_window_only_entities_counted(self, pipeline, tmp_path):
+        extended = tmp_path / "extended.jsonl"
+        new_entities = [
+            json.dumps({"entity_id": eid, "field_ids": ["F001"], "n_authors": 1,
+                        "year": 2006}, sort_keys=True)
+            for eid in ("NEW1", "NEW2")
+        ]
+        extended.write_text(
+            pipeline["corpus"].read_text() + "\n".join(new_entities) + "\n"
+        )
+        summaries = []
+        for corpus in (pipeline["corpus"], extended):
+            out = tmp_path / corpus.stem
+            res = pipeline["runner"].invoke(main, [
+                "evaluate", "--phi-a", str(pipeline["phi_freq"]),
+                "--corpus", str(corpus), "--taxonomy", str(pipeline["taxonomy"]),
+                "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+                "--transition", "0A", "--out", str(out),
+            ])
+            assert res.exit_code == 0, res.output
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        base, with_new = summaries
+        assert base["test_window_only"] == 0
+        assert with_new["test_window_only"] == 2
+        # they are neither scored nor excluded
+        assert with_new["frequentist"] == base["frequentist"]
+
     def test_window_mismatch_with_artifact_rejected(self, pipeline, tmp_path):
         res = pipeline["runner"].invoke(main, [
             "evaluate", "--phi-a", str(pipeline["phi_freq"]),
@@ -306,6 +342,21 @@ class TestExportStats:
             lines = (tmp_path / "stats" / name).read_text().strip().splitlines()
             assert lines[0] == "value\tccdf"
             assert len(lines) > 1
+
+    @pytest.mark.parametrize("corruption", sorted(CORPUS_HEADER_CORRUPTIONS))
+    def test_corrupt_corpus_header_exits_1(self, pipeline, tmp_path, corruption):
+        header, records = pipeline["corpus"].read_text().split("\n", 1)
+        bad = tmp_path / "corpus.jsonl"
+        header = CORPUS_HEADER_CORRUPTIONS[corruption](json.loads(header))
+        bad.write_text(json.dumps(header) + "\n" + records)
+        res = pipeline["runner"].invoke(main, [
+            "export-stats", "--corpus", str(bad),
+            "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "stats"),
+        ])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert f"({bad}:1)" in res.output
 
 
 @pytest.mark.parametrize("command,option,value", [

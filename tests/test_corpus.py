@@ -108,8 +108,12 @@ class TestLoadRecords:
 
     def test_year_out_of_range(self, tmp_path):
         rows = [{"researcher_id": "r1", "venue": "V", "year": 1500, "n_authors": 1}]
+        # non-integral or boolean numbers are invalid rows too, never truncated
+        rows += [{"researcher_id": "r1", "venue": "V", "year": y, "n_authors": n}
+                 for y, n in ((2001.7, 2), (2001, 2.9), (True, 1), (2001, True))]
         report = load_records(self._write(tmp_path, rows))
         assert report.records == []
+        assert [line for line, _ in report.issues] == [1, 2, 3, 4, 5]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):

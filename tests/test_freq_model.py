@@ -22,21 +22,21 @@ def presence_from_array(arr):
 
 def test_copresence_direct_count():
     p = presence_from_array([[1, 1], [1, 1]])
-    m = copresence(p).values
+    m = copresence(p)
     assert m[0, 1] == 2
     assert m[0, 0] == 2
 
 
 def test_copresence_disjoint():
     p = presence_from_array([[1, 0], [0, 1]])
-    m = copresence(p).values
+    m = copresence(p)
     assert m[0, 1] == 0
 
 
 def test_copresence_matches_bruteforce():
     rng = np.random.default_rng(11)
     arr = (rng.random((20, 6)) < 0.4).astype(int)
-    m = copresence(presence_from_array(arr)).values
+    m = copresence(presence_from_array(arr))
     np.testing.assert_array_equal(m, oracles.copresence_bruteforce(arr))
 
 

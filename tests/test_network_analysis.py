@@ -1,6 +1,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_taxonomy
@@ -168,6 +170,8 @@ class TestGreedyCommunities:
         comms = {frozenset(n for n, c in part.communities.items() if c == cid)
                  for cid in set(part.communities.values())}
         assert comms == {frozenset(range(4)), frozenset(range(4, 8))}
+        # a community's id is the position of its smallest node in sorted order
+        assert part.communities == {n: 0 if n < 4 else 4 for n in range(8)}
 
     def test_single_clique_one_community(self):
         g = nx.complete_graph(5)
@@ -202,12 +206,27 @@ class TestGreedyCommunities:
             if g.number_of_edges() == 0:
                 continue
             part = greedy_communities(g)
-            best = oracles.max_modularity_exhaustive(g, weighted_modularity)
+            best = oracles.max_modularity_exhaustive(g, oracles.modularity_pairwise)
             assert part.modularity >= best - 0.05
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ConfigError):
             greedy_communities(nx.Graph())
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_modularity_matches_pairwise_oracle(self, seed, n, n_communities):
+        rng = np.random.default_rng(seed)
+        g = nx.Graph()
+        g.add_nodes_from(range(n))  # nodes left without edges stay isolated
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    g.add_edge(i, j, weight=float(rng.uniform(0.01, 5.0)))
+        communities = {u: int(rng.integers(n_communities)) for u in g}
+        assert weighted_modularity(g, communities) == pytest.approx(
+            oracles.modularity_pairwise(g, communities), abs=1e-12
+        )
 
     def test_deterministic(self):
         g = two_cliques()
