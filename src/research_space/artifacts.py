@@ -9,7 +9,8 @@ import json
 
 import numpy as np
 
-from .corpus import EntityKind, MatchStats, ResolvedCorpus, ResolvedRecord
+from .corpus import (EntityKind, MatchStats, ResolvedCorpus, ResolvedRecord,
+                     _year_and_authors)
 from .errors import ParseError
 from .freq_model import ProximityMatrix
 from .presence import TimeWindow
@@ -83,15 +84,19 @@ def load_corpus(path) -> ResolvedCorpus:
                 continue
             try:
                 raw = json.loads(line)
-                records.append(
-                    ResolvedRecord(
-                        entity_id=raw["entity_id"],
-                        field_ids=tuple(raw["field_ids"]),
-                        n_authors=int(raw["n_authors"]),
-                        year=int(raw["year"]),
+                if not isinstance(raw, dict):
+                    raise ValueError("record is not a JSON object")
+                eid, fids = raw["entity_id"], raw["field_ids"]
+                if not isinstance(eid, str):
+                    raise ValueError(f"entity_id must be a string, got {eid!r}")
+                if not (isinstance(fids, list) and fids
+                        and all(isinstance(f, str) for f in fids)):
+                    raise ValueError(
+                        f"field_ids must be a non-empty list of strings, got {fids!r}"
                     )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as e:
+                year, n_authors = _year_and_authors(raw)
+                records.append(ResolvedRecord(eid, tuple(fids), n_authors, year))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"invalid corpus record: {e}", path=path, line=line_no)
     return ResolvedCorpus(records=records, kind=kind, match_stats=stats)
 

@@ -159,20 +159,13 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
     click.echo(f"wrote {out / 'phi.tsv'} ({phi.model_tag}, window {window})")
 
 
-def _density_inputs(resolved, taxonomy, phi, rca_window, kind):
-    x = contribution_matrix(resolved, taxonomy, rca_window)
-    r = spec_mod.rca(x)
-    omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
-    return r, omega
-
-
 @main.command()
 @click.option("--phi", "phi_path", required=True, type=click.Path())
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
 @click.option("--rca-window", "rca_window", required=True, callback=_window)
 @click.option("--transition", required=True, type=click.Choice(sorted(TRANSITIONS)))
-@click.option("--top", default=10, show_default=True)
+@click.option("--top", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--entity", "entities", multiple=True)
 @click.option("--out", "out_path", type=click.Path())
 @pipeline_command
@@ -185,7 +178,8 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     if phi.field_ids != taxonomy.field_ids:
         raise ConfigError("proximity artifact and taxonomy field sets differ")
     kind = TRANSITIONS[transition]
-    r, omega = _density_inputs(resolved, taxonomy, phi, rca_window, kind)
+    r = spec_mod.rca(contribution_matrix(resolved, taxonomy, rca_window))
+    omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
     ranked = pe.rank_candidates(omega, r, kind)
     by_entity = {rp.entity_id: rp for rp in ranked}
     wanted = list(entities) if entities else [rp.entity_id for rp in ranked]
@@ -247,12 +241,13 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     resolved = artifacts.load_corpus(corpus_path)
     kind = TRANSITIONS[transition]
 
-    x_after = contribution_matrix(resolved, taxonomy, windows.test_window)
-    r_after = spec_mod.rca(x_after)
+    r = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.rca_window))
+    u = spec_mod.indicator(r, kind)
+    r_after = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.test_window))
 
     groups = []
     for phi in phis:
-        r, omega = _density_inputs(resolved, taxonomy, phi, windows.rca_window, kind)
+        omega = spec_mod.density(u, phi)
         results, excluded = pe.evaluate_transition(
             omega, r, r_after, kind, full_u_zero=full_candidates
         )

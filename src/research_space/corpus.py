@@ -223,10 +223,10 @@ class LoadReport:
     issues: list[tuple[int, str]] = field(default_factory=list)  # (line, message)
 
 
-def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
-    for key in _MANDATORY:
-        if raw.get(key) in (None, ""):
-            raise ValueError(f"missing mandatory field {key!r}")
+def _year_and_authors(raw: dict) -> tuple[int, int]:
+    """A record's integral ``year`` and ``n_authors`` (>= 1); booleans and
+    non-integral floats are rejected, integral floats and numeric strings
+    are converted."""
     for key in ("year", "n_authors"):
         value = raw[key]
         if isinstance(value, bool) or (isinstance(value, float)
@@ -236,6 +236,14 @@ def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
     n_authors = int(raw["n_authors"])
     if n_authors < 1:
         raise ValueError(f"n_authors must be >= 1, got {n_authors}")
+    return year, n_authors
+
+
+def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
+    for key in _MANDATORY:
+        if raw.get(key) in (None, ""):
+            raise ValueError(f"missing mandatory field {key!r}")
+    year, n_authors = _year_and_authors(raw)
     lo, hi = year_range
     if not lo <= year <= hi:
         raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")

@@ -10,22 +10,9 @@ import numpy as np
 
 from .errors import ConfigError, TrainingError
 from .freq_model import ProximityMatrix
-from .presence import PresenceMatrix, TimeWindow
+from .presence import EntityFieldMatrix, TimeWindow
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class FieldBag:
-    """The set of fields an entity is present in."""
-
-    entity_id: str
-    fields: frozenset[str]
-
-    @property
-    def trainable(self) -> bool:
-        # a positive pair needs at least one target and one context field
-        return len(self.fields) >= 2
 
 
 @dataclass(frozen=True)
@@ -59,17 +46,11 @@ class FieldEmbedding:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def build_bags(p: PresenceMatrix) -> list[FieldBag]:
-    """One bag per entity with at least one present field."""
-    bags = []
-    csr = p.values.tocsr()
-    for i, eid in enumerate(p.entity_ids):
-        cols = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
-        if len(cols):
-            bags.append(
-                FieldBag(entity_id=eid, fields=frozenset(p.field_ids[c] for c in cols))
-            )
-    return bags
+def build_bags(p: EntityFieldMatrix) -> list[np.ndarray]:
+    """The sorted field indices of each entity with at least one present
+    field, in entity order: the non-empty CSR rows of P."""
+    csr = p.values.sorted_indices()
+    return [b for b in np.split(csr.indices, csr.indptr[1:-1]) if len(b)]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -123,17 +104,17 @@ def _project_max_norm(vectors, indices):
 
 def train_embeddings(bags, config: EmbeddingConfig, field_ids,
                      window: TimeWindow) -> FieldEmbedding:
-    """Single-threaded SGD over trainable bags; the seed fully determines the
-    trajectory. Fields absent from all bags keep their initialization."""
-    trainable = [b for b in bags if b.trainable]
+    """Single-threaded SGD over the bags (sorted field-index arrays) of at
+    least two fields, so that a positive has a context; the seed fully
+    determines the trajectory. Fields absent from all bags keep their
+    initialization."""
+    trainable = [b for b in bags if len(b) >= 2]
     if not trainable:
         raise TrainingError("no trainable bags (all bags have < 2 fields)")
     rng = np.random.default_rng(config.seed)
     n_fields = len(field_ids)
-    findex = {fid: i for i, fid in enumerate(field_ids)}
     vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
                           size=(n_fields, config.dim))
-    bag_idx = [np.array(sorted(findex[f] for f in b.fields)) for b in trainable]
     all_fields = np.arange(n_fields)
 
     total_steps = config.epochs * len(trainable)
@@ -145,7 +126,7 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
         for bi in order:
             lr = config.learning_rate * (1.0 - step / total_steps)
             step += 1
-            fields = bag_idx[bi]
+            fields = trainable[bi]
             pos_i = int(rng.choice(fields))
             context = fields[fields != pos_i]
             outside = np.setdiff1d(all_fields, fields, assume_unique=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .presence import PresenceMatrix, TimeWindow
+from .presence import EntityFieldMatrix, TimeWindow
 
 
 @dataclass
@@ -28,14 +28,14 @@ class ProximityMatrix:
         return self.model_tag == "embedding"
 
 
-def copresence(p: PresenceMatrix) -> np.ndarray:
+def copresence(p: EntityFieldMatrix) -> np.ndarray:
     """M_ff' = number of entities present in both f and f' (int64, symmetric,
     M_ff = number of entities present in f), in ``p.field_ids`` order."""
     pb = p.values.astype(np.int64)
     return (pb.T @ pb).toarray()
 
 
-def proximity_freq(m: np.ndarray, p: PresenceMatrix) -> ProximityMatrix:
+def proximity_freq(m: np.ndarray, p: EntityFieldMatrix) -> ProximityMatrix:
     """phi_ff' = M_ff' / (number of entities present in f'); columns with no
     present entity are 0 by convention."""
     counts = np.asarray(p.values.sum(axis=0)).ravel().astype(np.float64)

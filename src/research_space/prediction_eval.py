@@ -9,13 +9,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import ConfigError
-from .specialization import (
-    DensityMatrix,
-    RcaMatrix,
-    TransitionKind,
-    indicator,
-    stage_codes,
-)
+from .presence import EntityFieldMatrix
+from .specialization import TransitionKind, indicator, stage_codes
 
 
 @dataclass(frozen=True)
@@ -60,15 +55,15 @@ _TRANSITION_CODES = {
 }
 
 
-def _candidates(r_before: RcaMatrix, kind: TransitionKind, full_u_zero: bool):
+def _candidates(r_before: EntityFieldMatrix, kind: TransitionKind, full_u_zero: bool):
     """Entity x field mask of the fields ranked for one transition kind."""
     if full_u_zero:
         return indicator(r_before, kind).values == 0
     return stage_codes(r_before.values) == _TRANSITION_CODES[kind][0]
 
 
-def _masks(r_before: RcaMatrix, r_after: RcaMatrix, kind: TransitionKind,
-           full_u_zero: bool = False):
+def _masks(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
+           kind: TransitionKind, full_u_zero: bool = False):
     """Candidate and realized-transition masks on r_before's entity axis;
     every realized transition is a candidate.
 
@@ -86,7 +81,7 @@ def _masks(r_before: RcaMatrix, r_after: RcaMatrix, kind: TransitionKind,
     return _candidates(r_before, kind, full_u_zero), realized
 
 
-def detect_transitions(r_before: RcaMatrix, r_after: RcaMatrix,
+def detect_transitions(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
                        kind: TransitionKind) -> list[TransitionEvent]:
     """Realized transitions between the RCA window and the test window.
 
@@ -94,19 +89,21 @@ def detect_transitions(r_before: RcaMatrix, r_after: RcaMatrix,
     """
     known = set(r_before.entity_ids)
     extra = [e for e in r_after.entity_ids if e not in known]
-    union = RcaMatrix(np.pad(r_before.values, ((0, len(extra)), (0, 0))),
-                      r_before.entity_ids + extra, r_before.field_ids, r_before.window)
+    union = EntityFieldMatrix(np.pad(r_before.values, ((0, len(extra)), (0, 0))),
+                              r_before.entity_ids + extra, r_before.field_ids,
+                              r_before.window)
     _, realized = _masks(union, r_after, kind)
     return [TransitionEvent(union.entity_ids[i], union.field_ids[j], kind)
             for i, j in zip(*np.nonzero(realized))]
 
 
-def _check_aligned(omega: DensityMatrix, r_before: RcaMatrix):
+def _check_aligned(omega: EntityFieldMatrix, r_before: EntityFieldMatrix):
     if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
         raise ConfigError("density and RCA matrices are not aligned")
 
 
-def rank_candidates(omega: DensityMatrix, r_before: RcaMatrix, kind: TransitionKind,
+def rank_candidates(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
+                    kind: TransitionKind,
                     full_u_zero: bool = False) -> list[RankedPrediction]:
     """Per-entity ranking of candidate fields by density.
 
@@ -155,8 +152,8 @@ def auroc(ranked: RankedPrediction, positives: set[str]) -> AurocResult | None:
     return AurocResult(ranked.entity_id, float(auc[0]), int(n_pos[0]), int(n_neg[0]))
 
 
-def evaluate_transition(omega: DensityMatrix, r_before: RcaMatrix, r_after: RcaMatrix,
-                        kind: TransitionKind,
+def evaluate_transition(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
+                        r_after: EntityFieldMatrix, kind: TransitionKind,
                         full_u_zero: bool = False) -> tuple[list[AurocResult], int]:
     """Per-entity AUROC for one transition kind.
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .corpus import EntityKind, FieldTaxonomy, ResolvedCorpus
+from .corpus import FieldTaxonomy, ResolvedCorpus
 from .errors import ConfigError
 
 
@@ -72,32 +72,20 @@ class WindowConfig:
 
 
 @dataclass
-class ContributionMatrix:
-    """X(t): entity x field, each record contributing 1/(n_p * m_p)."""
+class EntityFieldMatrix:
+    """One entity x field array of the pipeline: X and P (sparse), RCA, U and
+    omega (dense). Layers derived from one X share its id lists."""
 
-    values: sparse.csr_matrix
+    values: sparse.csr_matrix | np.ndarray
     entity_ids: list[str]
     field_ids: list[str]
     window: TimeWindow
-    kind: EntityKind
-
-
-@dataclass
-class PresenceMatrix:
-    """P(t): binary entity x field, P = 1 iff X > theta (strict)."""
-
-    values: sparse.csr_matrix
-    entity_ids: list[str]
-    field_ids: list[str]
-    theta: float
-    window: TimeWindow
-    kind: EntityKind
 
 
 def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
-                        window: TimeWindow) -> ContributionMatrix:
-    """Fold records inside the window into X; entities appear in first-seen
-    order, fields in taxonomy order."""
+                        window: TimeWindow) -> EntityFieldMatrix:
+    """X(t), each record contributing 1/(n_p * m_p): records inside the
+    window, entities in first-seen order, fields in taxonomy order."""
     entity_index: dict[str, int] = {}
     rows, cols, vals = [], [], []
     findex = taxonomy.field_index
@@ -119,29 +107,17 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
         (vals, (rows, cols)), shape=(n_entities, len(taxonomy)), dtype=np.float64
     )
     mat.sum_duplicates()
-    return ContributionMatrix(
-        values=mat,
-        entity_ids=list(entity_index),
-        field_ids=list(taxonomy.field_ids),
-        window=window,
-        kind=corpus.kind,
-    )
+    return EntityFieldMatrix(mat, list(entity_index), list(taxonomy.field_ids), window)
 
 
-def presence_matrix(x: ContributionMatrix, theta: float) -> PresenceMatrix:
+def presence_matrix(x: EntityFieldMatrix, theta: float) -> EntityFieldMatrix:
+    """P(t): binary int8, P = 1 iff X > theta (strict)."""
     if not (np.isfinite(theta) and theta > 0):
         raise ConfigError(f"theta must be finite and > 0, got {theta}")
     mask = x.values > theta  # strict
     vals = sparse.csr_matrix(mask, dtype=np.int8)
     vals.eliminate_zeros()
-    return PresenceMatrix(
-        values=vals,
-        entity_ids=list(x.entity_ids),
-        field_ids=list(x.field_ids),
-        theta=theta,
-        window=x.window,
-        kind=x.kind,
-    )
+    return EntityFieldMatrix(vals, x.entity_ids, x.field_ids, x.window)
 
 
 def export_sparse_triples(entity_ids, field_ids, matrix) -> list[tuple[str, str, float]]:

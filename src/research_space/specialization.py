@@ -4,13 +4,12 @@ matrices, and relatedness densities."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .freq_model import ProximityMatrix
-from .presence import ContributionMatrix, TimeWindow
+from .presence import EntityFieldMatrix
 
 
 class Stage(enum.Enum):
@@ -26,30 +25,7 @@ class TransitionKind(enum.Enum):
     INTERMEDIATE_TO_DEVELOPED = "ID"
 
 
-@dataclass
-class RcaMatrix:
-    values: np.ndarray  # entity x field, dense
-    entity_ids: list[str]
-    field_ids: list[str]
-    window: TimeWindow
-
-
-@dataclass
-class IndicatorMatrix:
-    values: np.ndarray  # entity x field, binary
-    entity_ids: list[str]
-    field_ids: list[str]
-    kind: TransitionKind
-
-
-@dataclass
-class DensityMatrix:
-    values: np.ndarray  # entity x field, in [0, 1]
-    entity_ids: list[str]
-    field_ids: list[str]
-
-
-def rca(x: ContributionMatrix) -> RcaMatrix:
+def rca(x: EntityFieldMatrix) -> EntityFieldMatrix:
     """Balassa index: the entity's share of its own output in f over the
     global share of f. Zero-mass entities yield all-zero rows."""
     dense = np.asarray(x.values.todense(), dtype=np.float64)
@@ -64,12 +40,7 @@ def rca(x: ContributionMatrix) -> RcaMatrix:
     out[np.ix_(nz_rows, nz_fields)] = (
         dense[np.ix_(nz_rows, nz_fields)] / row_sums[nz_rows]
     ) / field_share[nz_fields]
-    return RcaMatrix(
-        values=out,
-        entity_ids=list(x.entity_ids),
-        field_ids=list(x.field_ids),
-        window=x.window,
-    )
+    return EntityFieldMatrix(out, x.entity_ids, x.field_ids, x.window)
 
 
 def stage_codes(values) -> np.ndarray:
@@ -89,23 +60,21 @@ def classify_stage(rca_value: float) -> Stage:
     return list(Stage)[int(stage_codes(rca_value))]
 
 
-def stage_matrix(r: RcaMatrix) -> np.ndarray:
+def stage_matrix(r: EntityFieldMatrix) -> np.ndarray:
     """Entity x field array of single-letter stage codes."""
     return _STAGE_LETTERS[stage_codes(r.values)]
 
 
-def indicator(r: RcaMatrix, kind: TransitionKind) -> IndicatorMatrix:
+def indicator(r: EntityFieldMatrix, kind: TransitionKind) -> EntityFieldMatrix:
     """U_sf = 1[RCA > 0] for 0->A, 1[RCA > 1] for transitions to Developed."""
     if kind is TransitionKind.ZERO_TO_ACTIVE:
         u = (r.values > 0).astype(np.int8)
     else:
         u = (r.values > 1).astype(np.int8)
-    return IndicatorMatrix(
-        values=u, entity_ids=list(r.entity_ids), field_ids=list(r.field_ids), kind=kind
-    )
+    return EntityFieldMatrix(u, r.entity_ids, r.field_ids, r.window)
 
 
-def density(u: IndicatorMatrix, phi: ProximityMatrix) -> DensityMatrix:
+def density(u: EntityFieldMatrix, phi: ProximityMatrix) -> EntityFieldMatrix:
     """omega_sf = sum_f' U_sf' phi_ff' / sum_f' phi_ff'.
 
     The sum over f' includes f' = f, per the definition; rows of phi with
@@ -118,6 +87,4 @@ def density(u: IndicatorMatrix, phi: ProximityMatrix) -> DensityMatrix:
     omega = np.zeros_like(numer)
     nz = row_sums > 0
     omega[:, nz] = numer[:, nz] / row_sums[nz]
-    return DensityMatrix(
-        values=omega, entity_ids=list(u.entity_ids), field_ids=list(u.field_ids)
-    )
+    return EntityFieldMatrix(omega, u.entity_ids, u.field_ids, u.window)

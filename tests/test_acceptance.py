@@ -104,9 +104,9 @@ def test_acceptance_3_embedding_gradient_and_planted_cooccurrence():
             bags = []
             for i in range(30):
                 if bag_rng.random() < 0.5:
-                    bags.append(emb_model.FieldBag(f"a{i}", frozenset({"F000", "F001"})))
+                    bags.append(np.array([0, 1]))
                 else:
-                    bags.append(emb_model.FieldBag(f"b{i}", frozenset({"F002", "F003"})))
+                    bags.append(np.array([2, 3]))
             config = EmbeddingConfig(dim=8, epochs=5, seed=seed)
             emb = train_embeddings(bags, config, fields, TimeWindow(2000, 2004))
             v = emb.vectors

@@ -32,6 +32,19 @@ CORPUS_HEADER_CORRUPTIONS = {
     "not_an_object": lambda h: [h],
 }
 
+# Corruptions of the first record (line 2) of a saved corpus.jsonl.
+CORPUS_RECORD_CORRUPTIONS = {
+    "zero_authors": lambda r: {**r, "n_authors": 0},
+    "negative_authors": lambda r: {**r, "n_authors": -2},
+    "boolean_authors": lambda r: {**r, "n_authors": True},
+    "fractional_year": lambda r: {**r, "year": r["year"] + 0.7},
+    "null_year": lambda r: {**r, "year": None},
+    "empty_field_ids": lambda r: {**r, "field_ids": []},
+    "field_ids_string": lambda r: {**r, "field_ids": r["field_ids"][0]},
+    "numeric_entity_id": lambda r: {**r, "entity_id": 7},
+    "not_an_object": lambda r: [r],
+}
+
 
 def write_taxonomy_file(taxonomy, path):
     lines = ["field_id\tfield_name\tintermediate_id\tintermediate_acronym"
@@ -215,6 +228,21 @@ class TestPredict:
         assert res.exit_code == 0
         assert "not found" in res.output
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_2(self, pipeline, tmp_path, top):
+        out = tmp_path / "pred.tsv"
+        res = pipeline["runner"].invoke(main, [
+            "predict", "--phi", str(pipeline["phi_freq"]),
+            "--corpus", str(pipeline["corpus"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--rca-window", "2002:2004", "--transition", "0A",
+            "--top", top, "--out", str(out),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "--top" in res.output
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_two_model_run_emits_p_value(self, pipeline, tmp_path):
@@ -357,6 +385,21 @@ class TestExportStats:
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert f"({bad}:1)" in res.output
+
+    @pytest.mark.parametrize("corruption", sorted(CORPUS_RECORD_CORRUPTIONS))
+    def test_corrupt_corpus_record_exits_1(self, pipeline, tmp_path, corruption):
+        header, record, rest = pipeline["corpus"].read_text().split("\n", 2)
+        bad = tmp_path / "corpus.jsonl"
+        record = CORPUS_RECORD_CORRUPTIONS[corruption](json.loads(record))
+        bad.write_text(header + "\n" + json.dumps(record) + "\n" + rest)
+        res = pipeline["runner"].invoke(main, [
+            "export-stats", "--corpus", str(bad),
+            "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "stats"),
+        ])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert f"({bad}:2)" in res.output
 
 
 @pytest.mark.parametrize("command,option,value", [

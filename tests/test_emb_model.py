@@ -4,7 +4,6 @@ import pytest
 import oracles
 from research_space.emb_model import (
     EmbeddingConfig,
-    FieldBag,
     build_bags,
     cosine,
     hinge_loss_and_grads,
@@ -25,9 +24,9 @@ def cooccurrence_bags(n=30, seed=0):
     bags = []
     for i in range(n):
         if rng.random() < 0.5:
-            bags.append(FieldBag(f"a{i}", frozenset({"F000", "F001"})))
+            bags.append(np.array([0, 1]))
         else:
-            bags.append(FieldBag(f"b{i}", frozenset({"F002", "F003"})))
+            bags.append(np.array([2, 3]))
     return bags
 
 
@@ -36,9 +35,23 @@ class TestBags:
         p = presence_from_array([[1, 1, 1], [1, 0, 0], [0, 0, 0]])
         bags = build_bags(p)
         assert len(bags) == 2  # empty row emits no bag
-        assert bags[0].fields == frozenset({"F000", "F001", "F002"})
-        assert bags[0].trainable
-        assert not bags[1].trainable
+        assert bags[0].tolist() == [0, 1, 2]
+        assert bags[1].tolist() == [0]
+
+        # on a random P: the per-row nonzero columns, empty rows skipped,
+        # sorted even when P's CSR rows are not
+        rng = np.random.default_rng(4)
+        arr = (rng.random((40, 9)) < 0.25).astype(np.int8)
+        expected = [np.flatnonzero(row) for row in arr if row.any()]
+        p = presence_from_array(arr)
+        csr = p.values
+        for i in range(arr.shape[0]):
+            rng.shuffle(csr.indices[csr.indptr[i]:csr.indptr[i + 1]])
+        csr.has_sorted_indices = False
+        bags = build_bags(p)
+        assert len(bags) == len(expected)
+        for got, want in zip(bags, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCosine:
@@ -68,7 +81,7 @@ class TestTraining:
                 EmbeddingConfig(margin=bad)
 
     def test_no_trainable_bags(self):
-        bags = [FieldBag("a", frozenset({"F000"}))]
+        bags = [np.array([0])]
         with pytest.raises(TrainingError):
             train_embeddings(bags, EmbeddingConfig(dim=4, seed=1), FIELD_IDS, WINDOW)
 
@@ -117,7 +130,7 @@ class TestTraining:
         assert np.all(norms <= 1.0 + 1e-12)
 
     def test_untouched_fields_keep_init(self):
-        bags = [FieldBag("a", frozenset({"F000", "F001"}))] * 10
+        bags = [np.array([0, 1])] * 10
         fields = FIELD_IDS + ["F003", "F004"]
         config = EmbeddingConfig(dim=4, epochs=2, seed=2,
                                  negatives_per_example=1)

@@ -3,20 +3,17 @@ import pytest
 from scipy import sparse
 
 import oracles
-from research_space.corpus import EntityKind
 from research_space.freq_model import copresence, proximity_freq
-from research_space.presence import PresenceMatrix, TimeWindow
+from research_space.presence import EntityFieldMatrix, TimeWindow
 
 
 def presence_from_array(arr):
     arr = np.asarray(arr, dtype=np.int8)
-    return PresenceMatrix(
+    return EntityFieldMatrix(
         values=sparse.csr_matrix(arr),
         entity_ids=[f"s{i}" for i in range(arr.shape[0])],
         field_ids=[f"F{j:03d}" for j in range(arr.shape[1])],
-        theta=0.05,
         window=TimeWindow(2000, 2010),
-        kind=EntityKind.SCIENTIST,
     )
 
 

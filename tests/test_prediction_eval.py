@@ -17,12 +17,8 @@ from research_space.prediction_eval import (
     rank_candidates,
     summarize,
 )
-from research_space.presence import TimeWindow
-from research_space.specialization import (
-    DensityMatrix,
-    RcaMatrix,
-    TransitionKind,
-)
+from research_space.presence import EntityFieldMatrix, TimeWindow
+from research_space.specialization import TransitionKind
 
 W1 = TimeWindow(2011, 2013)
 W2 = TimeWindow(2014, 2016)
@@ -34,7 +30,7 @@ def rca_matrix(vals, window=W1, entity_ids=None):
     vals = np.asarray(vals, dtype=float)
     ids = entity_ids or [f"s{i}" for i in range(vals.shape[0])]
     fids = [f"F{j}" for j in range(vals.shape[1])]
-    return RcaMatrix(vals, ids, fids, window)
+    return EntityFieldMatrix(vals, ids, fids, window)
 
 
 class TestDetectTransitions:
@@ -76,8 +72,8 @@ class TestDetectTransitions:
 class TestRankCandidates:
     def _setup(self, rca_row, omega_row):
         r = rca_matrix([rca_row])
-        omega = DensityMatrix(np.array([omega_row], dtype=float), r.entity_ids,
-                              r.field_ids)
+        omega = EntityFieldMatrix(np.array([omega_row], dtype=float), r.entity_ids,
+                                  r.field_ids, W1)
         return omega, r
 
     def test_no_candidates(self):
@@ -294,9 +290,9 @@ class TestEvaluateTransition:
                              [0.0, 0.0, 0.0, 1.2]])
         after = rca_matrix([[2.0, 0.0, 0.0, 1.2],
                             [0.0, 2.0, 0.0, 1.2]], W2)
-        omega = DensityMatrix(np.array([[0.9, 0.1, 0.1, 0.0],
-                                        [0.1, 0.9, 0.1, 0.0]]),
-                              before.entity_ids, before.field_ids)
+        omega = EntityFieldMatrix(np.array([[0.9, 0.1, 0.1, 0.0],
+                                            [0.1, 0.9, 0.1, 0.0]]),
+                                  before.entity_ids, before.field_ids, W1)
         results, excluded = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
@@ -306,8 +302,8 @@ class TestEvaluateTransition:
     def test_entities_without_events_counted(self):
         before = rca_matrix([[0.0, 1.2]])
         after = rca_matrix([[0.0, 1.2]], W2)
-        omega = DensityMatrix(np.array([[0.5, 0.5]]),
-                              before.entity_ids, before.field_ids)
+        omega = EntityFieldMatrix(np.array([[0.5, 0.5]]),
+                                  before.entity_ids, before.field_ids, W1)
         results, excluded = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
@@ -337,8 +333,8 @@ class TestEvaluateTransition:
                             entity_ids=before_ids)
         after = rca_matrix(rng.choice(RCA_GRID, (len(after_ids), n_fields)), W2,
                            entity_ids=after_ids)
-        omega = DensityMatrix(rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0,
-                              before.entity_ids, before.field_ids)
+        omega = EntityFieldMatrix(rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0,
+                                  before.entity_ids, before.field_ids, W1)
         results, excluded = evaluate_transition(omega, before, after, kind,
                                                 full_u_zero=full_u_zero)
 

@@ -4,11 +4,13 @@ import pytest
 import oracles
 from conftest import make_corpus
 from research_space.freq_model import ProximityMatrix
-from research_space.presence import TimeWindow, contribution_matrix
+from research_space.presence import (
+    EntityFieldMatrix,
+    TimeWindow,
+    contribution_matrix,
+    presence_matrix,
+)
 from research_space.specialization import (
-    DensityMatrix,
-    IndicatorMatrix,
-    RcaMatrix,
     Stage,
     TransitionKind,
     classify_stage,
@@ -23,6 +25,21 @@ WINDOW = TimeWindow(2010, 2010)
 
 def x_from_rows(rows, taxonomy):
     return contribution_matrix(make_corpus(rows), taxonomy, WINDOW)
+
+
+def test_layers_share_the_id_lists_of_x(taxonomy6):
+    x = x_from_rows([
+        ("s1", ["F001", "F002"], 1, 2010),
+        ("s2", ["F002"], 2, 2010),
+    ], taxonomy6)
+    phi = ProximityMatrix(np.eye(6), list(taxonomy6.field_ids), "frequentist", WINDOW)
+    for kind in TransitionKind:
+        omega = density(indicator(rca(x), kind), phi)
+        assert omega.entity_ids is x.entity_ids
+        assert omega.field_ids is x.field_ids
+    p = presence_matrix(x, 0.05)
+    assert p.entity_ids is x.entity_ids
+    assert p.field_ids is x.field_ids
 
 
 class TestRca:
@@ -115,7 +132,7 @@ class TestStages:
 
     def test_stage_matrix_partition(self):
         vals = np.array([[0.0, 0.3, 0.5, 0.99, 1.0, 2.0]])
-        r = RcaMatrix(vals, ["s1"], [f"F{i}" for i in range(6)], WINDOW)
+        r = EntityFieldMatrix(vals, ["s1"], [f"F{i}" for i in range(6)], WINDOW)
         codes = stage_matrix(r)
         assert list(codes[0]) == ["0", "N", "I", "I", "D", "D"]
         # classification agrees cell by cell with the scalar classifier
@@ -126,8 +143,8 @@ class TestStages:
 class TestIndicator:
     def _r(self, vals):
         vals = np.asarray(vals, dtype=float)
-        return RcaMatrix(vals, [f"s{i}" for i in range(vals.shape[0])],
-                         [f"F{j}" for j in range(vals.shape[1])], WINDOW)
+        return EntityFieldMatrix(vals, [f"s{i}" for i in range(vals.shape[0])],
+                                 [f"F{j}" for j in range(vals.shape[1])], WINDOW)
 
     def test_zero_to_active(self):
         u = indicator(self._r([[0.3, 0.0]]), TransitionKind.ZERO_TO_ACTIVE)
@@ -145,8 +162,7 @@ class TestDensity:
     def _inputs(self, u_row, phi_vals):
         n = len(u_row)
         fids = [f"F{j}" for j in range(n)]
-        u = IndicatorMatrix(np.array([u_row], dtype=np.int8), ["s1"], fids,
-                            TransitionKind.ZERO_TO_ACTIVE)
+        u = EntityFieldMatrix(np.array([u_row], dtype=np.int8), ["s1"], fids, WINDOW)
         phi = ProximityMatrix(np.asarray(phi_vals, dtype=float), fids,
                               "frequentist", WINDOW)
         return u, phi
