@@ -66,8 +66,6 @@ def main():
 @pipeline_command
 def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     """Resolve venues and aggregate records into an entity corpus."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     vmap = VenueFieldMap.from_file(venue_map_path)
     report = corpus_mod.load_records(records, fmt=fmt)
@@ -76,6 +74,8 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     resolved = corpus_mod.resolve_corpus(
         report.records, vmap, taxonomy, EntityKind(kind)
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": "ingest",
         "records": str(records),
@@ -121,12 +121,20 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
 def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         negatives, margin, seed, out_dir):
     """Fit a proximity matrix (frequentist or embedding) on a time window."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if model == "emb":
+        config = emb_model.EmbeddingConfig(
+            dim=dim, epochs=epochs, learning_rate=lr,
+            negatives_per_example=negatives, margin=margin, seed=seed,
+        )
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
     x = contribution_matrix(resolved, taxonomy, window)
     p = presence_matrix(x, theta)
+    if not p.values.nnz:
+        raise ResearchSpaceError(
+            f"no entity has a present field in window {window} (theta {theta}); "
+            "there is nothing to fit"
+        )
     manifest = {
         "command": "fit",
         "corpus": str(corpus_path),
@@ -139,10 +147,6 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
     if model == "freq":
         phi = freq_model.proximity_freq(freq_model.copresence(p), p)
     else:
-        config = emb_model.EmbeddingConfig(
-            dim=dim, epochs=epochs, learning_rate=lr,
-            negatives_per_example=negatives, margin=margin, seed=seed,
-        )
         manifest["embedding_config"] = {
             "dim": dim, "epochs": epochs, "learning_rate": lr,
             "negatives_per_example": negatives, "margin": margin,
@@ -150,6 +154,8 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         bags = emb_model.build_bags(p)
         embedding = emb_model.train_embeddings(bags, config, p.field_ids, window)
         phi = emb_model.proximity_emb(embedding)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     mhash = artifacts.write_manifest(manifest, out / "manifest.json")
     artifacts.save_proximity(phi, out / "phi.tsv", mhash=mhash)
     if model == "emb":
@@ -180,22 +186,21 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     kind = TRANSITIONS[transition]
     r = spec_mod.rca(contribution_matrix(resolved, taxonomy, rca_window))
     omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
-    ranked = pe.rank_candidates(omega, r, kind)
-    by_entity = {rp.entity_id: rp for rp in ranked}
-    wanted = list(entities) if entities else [rp.entity_id for rp in ranked]
+    order, n_candidates = pe.rank_candidates(omega, r, kind)
+    row_of = {eid: i for i, eid in enumerate(omega.entity_ids)}
     lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
-    for eid in wanted:
-        rp = by_entity.get(eid)
-        if rp is None:
+    for eid in entities or omega.entity_ids:
+        i = row_of.get(eid)
+        if i is None:
             click.echo(f"warning: entity {eid!r} not found, skipped", err=True)
             continue
-        if not rp.items:
+        if not n_candidates[i]:
             click.echo(f"note: entity {eid!r} has no candidate fields", err=True)
             continue
-        for rank_no, (fid, score) in enumerate(rp.items[:top], start=1):
-            lines.append(
-                f"{eid}\t{rank_no}\t{fid}\t{taxonomy.field(fid).name}\t{score:.6f}"
-            )
+        for rank_no, j in enumerate(order[i, :min(top, n_candidates[i])], start=1):
+            fid = omega.field_ids[j]
+            lines.append(f"{eid}\t{rank_no}\t{fid}\t{taxonomy.field(fid).name}"
+                         f"\t{omega.values[i, j]:.6f}")
     text = "\n".join(lines) + "\n"
     if out_path:
         Path(out_path).write_text(text)
@@ -223,6 +228,9 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
              seed, out_dir):
     """Score predicted transitions against the test window with AUROC."""
     windows = WindowConfig(fit_window, rca_window, test_window)  # validates
+    if phi_b_path and permutations < pe.MIN_PERMUTATIONS:
+        raise ConfigError(f"--permutations must be >= {pe.MIN_PERMUTATIONS} "
+                          f"to compare two models, got {permutations}")
     phis = [artifacts.load_proximity(path) for path in (phi_a_path, phi_b_path) if path]
     for phi in phis:
         if str(phi.window) != str(windows.fit_window):
@@ -235,8 +243,6 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             f"--phi-a {phi_a_path} and --phi-b {phi_b_path} are both "
             f"{phis[0].model_tag} models; their results would share one label"
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
     kind = TRANSITIONS[transition]
@@ -245,41 +251,32 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     u = spec_mod.indicator(r, kind)
     r_after = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.test_window))
 
-    groups = []
+    lines = ["entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"]
+    # entities with records in the test window only have no RCA to rank from
+    summary = {"test_window_only": len(set(r_after.entity_ids) - set(r.entity_ids))}
+    scored = []
     for phi in phis:
         omega = spec_mod.density(u, phi)
-        results, excluded = pe.evaluate_transition(
+        auc, n_pos, n_neg = pe.evaluate_transition(
             omega, r, r_after, kind, full_u_zero=full_candidates
         )
-        groups.append((phi.model_tag, results, excluded))
-    # entities with records in the test window only have no RCA to rank from
-    test_window_only = len(set(r_after.entity_ids) - set(r.entity_ids))
-    p_value = None
-    if len(groups) == 2:
-        p_value = pe.compare_models(groups[0][1], groups[1][1],
-                                    n_permutations=permutations, seed=seed)
-
-    lines = ["entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"]
-    for tag, results, _ in groups:
-        for res in results:
+        rows = np.flatnonzero(~np.isnan(auc))
+        for i in rows:
             lines.append(
-                f"{res.entity_id}\t{resolved.kind.value}\t{transition}\t{tag}"
-                f"\t{res.auroc:.6f}\t{res.n_pos}\t{res.n_neg}"
+                f"{omega.entity_ids[i]}\t{resolved.kind.value}\t{transition}"
+                f"\t{phi.model_tag}\t{auc[i]:.6f}\t{n_pos[i]}\t{n_neg[i]}"
             )
+        scored.append(auc[rows])
+        summary[phi.model_tag] = {
+            **(pe.summarize(auc[rows]) if len(rows) else {"n": 0}),
+            "excluded": len(auc) - len(rows),
+        }
+    if len(scored) == 2:
+        summary["p_value"] = pe.compare_models(*scored, n_permutations=permutations,
+                                               seed=seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "auroc.tsv").write_text("\n".join(lines) + "\n")
-
-    summary = {"test_window_only": test_window_only}
-    for tag, results, excluded in groups:
-        if results:
-            s = pe.summarize(results)
-            summary[tag] = {
-                "mean": s.mean, "median": s.median, "q1": s.q1, "q3": s.q3,
-                "n": s.n, "excluded": excluded,
-            }
-        else:
-            summary[tag] = {"n": 0, "excluded": excluded}
-    if p_value is not None:
-        summary["p_value"] = p_value
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
@@ -303,8 +300,6 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
 def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
              out_dir):
     """Extract a field-network backbone and its communities."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     phi = artifacts.load_proximity(phi_path)
     if not phi.is_symmetric:
@@ -322,6 +317,8 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     partition = net.greedy_communities(kept)
     labels = net.classify_edges(kept, partition)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if fmt in ("edgelist", "tsv"):
         (out / "backbone.tsv").write_text(net.export_edgelist(kept, labels))
     elif fmt == "xmlgraph":
@@ -347,8 +344,6 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
 @pipeline_command
 def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
     """Emit plot-ready CCDF tables of per-entity publication and field counts."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
     if window is None:
@@ -365,6 +360,8 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
             pub_counts[rec.entity_id] = pub_counts.get(rec.entity_id, 0) + 1
     active_counts = np.asarray(p.values.sum(axis=1)).ravel()
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, values in (
         ("ccdf_publications.tsv", list(pub_counts.values())),
         ("ccdf_active_fields.tsv", active_counts.tolist()),

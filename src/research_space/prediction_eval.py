@@ -1,9 +1,7 @@
-"""Transition detection, density-based candidate ranking, per-entity AUROC,
-and evaluation summaries."""
+"""Density-based candidate ranking, per-entity AUROC and evaluation
+summaries, as arrays on the density matrix's entity axis."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -12,40 +10,8 @@ from .errors import ConfigError
 from .presence import EntityFieldMatrix
 from .specialization import TransitionKind, indicator, stage_codes
 
-
-@dataclass(frozen=True)
-class TransitionEvent:
-    entity_id: str
-    field_id: str
-    kind: TransitionKind
-
-
-@dataclass
-class RankedPrediction:
-    """Candidate fields ranked by density, descending; ties broken by
-    ascending field_id."""
-
-    entity_id: str
-    items: list[tuple[str, float]]
-
-
-@dataclass(frozen=True)
-class AurocResult:
-    entity_id: str
-    auroc: float
-    n_pos: int
-    n_neg: int
-
-
-@dataclass
-class EvalSummary:
-    mean: float
-    median: float
-    q1: float
-    q3: float
-    n: int
-    p_value: float | None = None
-
+# Fewest permutations compare_models accepts.
+MIN_PERMUTATIONS = 100
 
 # Source stage code and lowest realized stage code per transition kind.
 _TRANSITION_CODES = {
@@ -81,52 +47,40 @@ def _masks(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
     return _candidates(r_before, kind, full_u_zero), realized
 
 
-def detect_transitions(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
-                       kind: TransitionKind) -> list[TransitionEvent]:
-    """Realized transitions between the RCA window and the test window.
-
-    Entities absent from one matrix are treated as all-zero rows in it.
-    """
-    known = set(r_before.entity_ids)
-    extra = [e for e in r_after.entity_ids if e not in known]
-    union = EntityFieldMatrix(np.pad(r_before.values, ((0, len(extra)), (0, 0))),
-                              r_before.entity_ids + extra, r_before.field_ids,
-                              r_before.window)
-    _, realized = _masks(union, r_after, kind)
-    return [TransitionEvent(union.entity_ids[i], union.field_ids[j], kind)
-            for i, j in zip(*np.nonzero(realized))]
-
-
 def _check_aligned(omega: EntityFieldMatrix, r_before: EntityFieldMatrix):
     if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
         raise ConfigError("density and RCA matrices are not aligned")
 
 
 def rank_candidates(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
-                    kind: TransitionKind,
-                    full_u_zero: bool = False) -> list[RankedPrediction]:
-    """Per-entity ranking of candidate fields by density.
+                    kind: TransitionKind, full_u_zero: bool = False):
+    """Candidate fields of every entity ranked by density.
 
-    By default candidates are the fields in the transition's source stage;
-    full_u_zero ranks every field with U = 0 instead.
+    Returns (order, n_candidates): row i's candidates are the field indices
+    order[i, :n_candidates[i]], by descending density with ties broken by
+    ascending field_id. By default candidates are the fields in the
+    transition's source stage; full_u_zero ranks every field with U = 0
+    instead.
     """
     _check_aligned(omega, r_before)
-    out = []
     cand = _candidates(r_before, kind, full_u_zero)
-    for eid, scores, keep in zip(omega.entity_ids, omega.values, cand):
-        items = [(omega.field_ids[j], float(scores[j])) for j in np.flatnonzero(keep)]
-        items.sort(key=lambda kv: (-kv[1], kv[0]))
-        out.append(RankedPrediction(entity_id=eid, items=items))
-    return out
+    # ties sort by field_id, whose order need not be the column order
+    position = {f: i for i, f in enumerate(sorted(omega.field_ids))}
+    id_rank = np.array([position[f] for f in omega.field_ids])
+    key = np.where(cand, -omega.values, np.inf)
+    order = np.lexsort((np.broadcast_to(id_rank, key.shape), key), axis=-1)
+    return order, cand.sum(axis=1)
 
 
-def _auroc_rows(scores, cand, pos):
+def auroc(scores, cand, pos):
     """Row-wise Mann-Whitney AUROC of the positive candidates against the
     other candidates, from midranks (ties count 0.5 per pair).
 
     Returns (auroc, n_pos, n_neg); auroc is NaN where a row lacks a positive
     or a negative candidate.
     """
+    if (pos & ~cand).any():
+        raise ConfigError("positives are not a subset of the candidate set")
     ranks = rankdata(np.where(cand, scores, np.nan), axis=1, nan_policy="omit")
     n_pos = pos.sum(axis=1)
     n_neg = cand.sum(axis=1) - n_pos
@@ -136,65 +90,38 @@ def _auroc_rows(scores, cand, pos):
     return auc, n_pos, n_neg
 
 
-def auroc(ranked: RankedPrediction, positives: set[str]) -> AurocResult | None:
-    """Mann-Whitney AUROC from the candidate scores; ties count 0.5 per pair.
-
-    Returns None when there is no positive or no negative candidate.
-    """
-    fields = [f for f, _ in ranked.items]
-    if not positives <= set(fields):
-        raise ConfigError("positives are not a subset of the candidate set")
-    scores = np.array([[s for _, s in ranked.items]], dtype=np.float64)
-    pos = np.array([[f in positives for f in fields]], dtype=bool)
-    auc, n_pos, n_neg = _auroc_rows(scores, np.ones_like(pos), pos)
-    if np.isnan(auc[0]):
-        return None
-    return AurocResult(ranked.entity_id, float(auc[0]), int(n_pos[0]), int(n_neg[0]))
-
-
 def evaluate_transition(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
                         r_after: EntityFieldMatrix, kind: TransitionKind,
-                        full_u_zero: bool = False) -> tuple[list[AurocResult], int]:
-    """Per-entity AUROC for one transition kind.
+                        full_u_zero: bool = False):
+    """Per-entity AUROC for one transition kind, as (auroc, n_pos, n_neg) on
+    omega's entity axis.
 
-    Entities of r_before without both a positive and a negative candidate are
-    excluded; the second return value counts them.
+    auroc is NaN for the excluded entities: those without both a positive
+    and a negative candidate.
     """
     _check_aligned(omega, r_before)
     cand, realized = _masks(r_before, r_after, kind, full_u_zero)
-    auc, n_pos, n_neg = _auroc_rows(omega.values, cand, realized)
-    results = [
-        AurocResult(omega.entity_ids[i], float(auc[i]), int(n_pos[i]), int(n_neg[i]))
-        for i in np.flatnonzero(~np.isnan(auc))
-    ]
-    return results, len(omega.entity_ids) - len(results)
+    return auroc(omega.values, cand, realized)
 
 
-def summarize(results: list[AurocResult],
-              p_value: float | None = None) -> EvalSummary:
-    if not results:
+def summarize(values) -> dict:
+    """Mean, median, quartiles and count of a non-empty array of AUROCs."""
+    vals = np.asarray(values, dtype=np.float64)
+    if not len(vals):
         raise ConfigError("cannot summarize an empty result list")
-    vals = np.array([r.auroc for r in results])
     q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])  # linear interpolation
-    return EvalSummary(
-        mean=float(vals.mean()),
-        median=float(med),
-        q1=float(q1),
-        q3=float(q3),
-        n=len(vals),
-        p_value=p_value,
-    )
+    return {"mean": float(vals.mean()), "median": float(med), "q1": float(q1),
+            "q3": float(q3), "n": len(vals)}
 
 
-def compare_models(a: list[AurocResult], b: list[AurocResult],
-                   n_permutations: int = 10000, seed: int = 0) -> float:
+def compare_models(a, b, n_permutations: int = 10000, seed: int = 0) -> float:
     """Two-sided seeded permutation test on the difference of mean AUROC."""
-    if n_permutations < 100:
-        raise ConfigError("n_permutations must be >= 100")
-    if not a or not b:
+    if n_permutations < MIN_PERMUTATIONS:
+        raise ConfigError(f"n_permutations must be >= {MIN_PERMUTATIONS}")
+    xa = np.asarray(a, dtype=np.float64)
+    xb = np.asarray(b, dtype=np.float64)
+    if not len(xa) or not len(xb):
         raise ConfigError("both result lists must be non-empty")
-    xa = np.array([r.auroc for r in a])
-    xb = np.array([r.auroc for r in b])
     observed = abs(xa.mean() - xb.mean())
     pooled = np.concatenate([xa, xb])
     rng = np.random.default_rng(seed)

@@ -71,8 +71,8 @@ def evaluate_zero_to_active(corpus, taxonomy, phi):
     r_before = spec_mod.rca(x_before)
     r_after = spec_mod.rca(x_after)
     omega = spec_mod.density(spec_mod.indicator(r_before, kind), phi)
-    results, _ = pe.evaluate_transition(omega, r_before, r_after, kind)
-    return results, (omega, r_before)
+    auc, _, _ = pe.evaluate_transition(omega, r_before, r_after, kind)
+    return auc, (omega, r_before)
 
 
 def shuffled_baseline(omega, r_before, positives, seed=1):
@@ -80,16 +80,16 @@ def shuffled_baseline(omega, r_before, positives, seed=1):
     among its candidates, keeping the model's scores."""
     rng = np.random.default_rng(seed)
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
-    vals = []
-    for ranked in pe.rank_candidates(omega, r_before, kind):
-        true_pos = positives.get(ranked.entity_id, set())
-        n_pos = len(true_pos & {f for f, _ in ranked.items})
-        if n_pos == 0 or n_pos == len(ranked.items):
+    order, n_candidates = pe.rank_candidates(omega, r_before, kind)
+    cand = np.zeros(omega.values.shape, dtype=bool)
+    fake = np.zeros_like(cand)
+    for i, eid in enumerate(omega.entity_ids):
+        ranked = order[i, :n_candidates[i]]
+        cand[i, ranked] = True
+        true_pos = positives.get(eid, set())
+        n_pos = sum(omega.field_ids[j] in true_pos for j in ranked)
+        if n_pos == 0 or n_pos == len(ranked):
             continue
-        fake = set(
-            rng.choice([f for f, _ in ranked.items], size=n_pos, replace=False)
-        )
-        res = pe.auroc(ranked, fake)
-        if res is not None:
-            vals.append(res.auroc)
-    return float(np.mean(vals))
+        fake[i, rng.choice(ranked, size=n_pos, replace=False)] = True
+    auc, _, _ = pe.auroc(omega.values, cand, fake)
+    return float(np.mean(auc[~np.isnan(auc)]))

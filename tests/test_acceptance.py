@@ -23,7 +23,7 @@ from research_space.network_analysis import (
     disparity_pvalue,
     greedy_communities,
 )
-from research_space.prediction_eval import RankedPrediction, auroc
+from research_space.prediction_eval import auroc
 from research_space.presence import TimeWindow, contribution_matrix
 from research_space.specialization import classify_stage, rca
 from test_freq_model import presence_from_array
@@ -48,16 +48,26 @@ def test_acceptance_1_auroc_oracle_equivalence():
             scores = rng.integers(0, 8, size=n) / 7.0  # coarse grid forces ties
             n_pos = int(rng.integers(1, n))
             pos_idx = set(rng.choice(n, size=n_pos, replace=False).tolist())
-            items = sorted(
-                [(f"F{j}", float(scores[j])) for j in range(n)],
-                key=lambda kv: (-kv[1], kv[0]),
-            )
-            res = auroc(RankedPrediction("s", items), {f"F{j}" for j in pos_idx})
+            pos = np.isin(np.arange(n), list(pos_idx))[None, :]
+            res, _, _ = auroc(scores[None, :], np.ones_like(pos), pos)
             expected = oracles.auroc_pairwise(
                 [scores[j] for j in pos_idx],
                 [scores[j] for j in range(n) if j not in pos_idx],
             )
-            assert abs(res.auroc - expected) <= 1e-12
+            assert abs(res[0] - expected) <= 1e-12
+
+        # many rows at once, each with its own candidate set
+        scores = rng.integers(0, 8, size=(300, 12)) / 7.0
+        cand = rng.random((300, 12)) < 0.7
+        pos = cand & (rng.random((300, 12)) < 0.3)
+        res, n_pos, n_neg = auroc(scores, cand, pos)
+        for i in range(300):
+            p, q = scores[i, pos[i]], scores[i, cand[i] & ~pos[i]]
+            assert (n_pos[i], n_neg[i]) == (len(p), len(q))
+            if len(p) and len(q):
+                assert abs(res[i] - oracles.auroc_pairwise(p, q)) <= 1e-12
+            else:
+                assert np.isnan(res[i])
 
 
 def test_acceptance_2_frequentist_oracle():
@@ -228,9 +238,10 @@ def test_acceptance_8_planted_relatedness_end_to_end():
 
         means = {}
         for tag, phi in (("freq", phi_freq), ("emb", phi_emb)):
-            results, _ = simulation.evaluate_zero_to_active(corpus, taxonomy, phi)
-            assert results, f"{tag}: no scored entities"
-            means[tag] = float(np.mean([r.auroc for r in results]))
+            auc, _ = simulation.evaluate_zero_to_active(corpus, taxonomy, phi)
+            scored = auc[~np.isnan(auc)]
+            assert len(scored), f"{tag}: no scored entities"
+            means[tag] = float(np.mean(scored))
 
         _, (omega, r_before) = simulation.evaluate_zero_to_active(
             corpus, taxonomy, phi_freq
@@ -280,8 +291,8 @@ def test_acceptance_9_full_dataset_first_setup():
         kind = sm.TransitionKind.ZERO_TO_ACTIVE
         u = sm.indicator(r_before, kind)
         omega = sm.density(u, phi)
-        results, _ = evaluate_transition(omega, r_before, r_after, kind)
-        mean = summarize(results).mean
+        auc, _, _ = evaluate_transition(omega, r_before, r_after, kind)
+        mean = summarize(auc[~np.isnan(auc)])["mean"]
         assert abs(mean - 0.879) <= 0.02, f"frequentist scientists 0A mean {mean}"
 
 

@@ -430,3 +430,40 @@ def test_bad_window_exits_2_without_traceback(pipeline, tmp_path, command, optio
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert "START:END" in res.output or "after end" in res.output
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("fit", "--negatives", "-3"),
+    ("evaluate", "--permutations", "50"),
+])
+def test_bad_option_exits_2_before_any_io(pipeline, tmp_path, command, option, value):
+    # an unreadable corpus would exit 1 if it were loaded before the check
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("not json\n")
+    files = ["--corpus", str(corpus), "--taxonomy", str(pipeline["taxonomy"])]
+    out = tmp_path / "out"
+    args = {
+        "fit": [*files, "--window", "2000:2004", "--model", "emb"],
+        "evaluate": ["--phi-a", str(pipeline["phi_freq"]),
+                     "--phi-b", str(pipeline["phi_emb"]), *files,
+                     "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+                     "--transition", "0A"],
+    }[command]
+    res = pipeline["runner"].invoke(main, [command, *args, option, value,
+                                           "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["freq", "emb"])
+def test_fit_on_window_without_presence_exits_1(pipeline, tmp_path, model):
+    out = tmp_path / "out"
+    res = pipeline["runner"].invoke(main, [
+        "fit", "--corpus", str(pipeline["corpus"]),
+        "--taxonomy", str(pipeline["taxonomy"]), "--window", "1990:1991",
+        "--model", model, "--out", str(out),
+    ])
+    assert res.exit_code == 1, res.output
+    assert "window 1990:1991" in res.output
+    assert not out.exists()

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 import oracles
 from research_space.errors import ConfigError
 from research_space.prediction_eval import (
-    AurocResult,
-    RankedPrediction,
     auroc,
     ccdf,
     compare_models,
     cv_sliding,
-    detect_transitions,
     evaluate_transition,
     rank_candidates,
     summarize,
@@ -33,114 +30,155 @@ def rca_matrix(vals, window=W1, entity_ids=None):
     return EntityFieldMatrix(vals, ids, fids, window)
 
 
+def transitions(before, after, kind, omega_rows=None):
+    """evaluate_transition on before's axis; omega defaults to zeros."""
+    values = np.zeros_like(before.values) if omega_rows is None else omega_rows
+    omega = EntityFieldMatrix(np.asarray(values, dtype=float), before.entity_ids,
+                              before.field_ids, W1)
+    return evaluate_transition(omega, before, after, kind)
+
+
 class TestDetectTransitions:
+    """Realized transitions, as evaluate_transition's per-entity counts. Where
+    a row has several candidates, densities that rank F0 first make an AUROC
+    of 1 mean that F0, and only F0, transitioned."""
+
     def test_zero_to_active(self):
         before = rca_matrix([[0.0, 1.0]])
         after = rca_matrix([[0.4, 1.0]], W2)
-        events = detect_transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
-        assert [(e.entity_id, e.field_id) for e in events] == [("s0", "F0")]
+        # F0 is the only 0A candidate
+        _, n_pos, n_neg = transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
+        assert (n_pos.tolist(), n_neg.tolist()) == ([1], [0])
 
     def test_nascent_to_developed(self):
         before = rca_matrix([[0.3, 0.3]])
         after = rca_matrix([[1.5, 0.9]], W2)
-        events = detect_transitions(before, after,
-                                    TransitionKind.NASCENT_TO_DEVELOPED)
+        auc, n_pos, n_neg = transitions(before, after,
+                                        TransitionKind.NASCENT_TO_DEVELOPED,
+                                        [[1.0, 0.0]])
         # 0.9 is not Developed after, so only F0 transitions
-        assert [(e.entity_id, e.field_id) for e in events] == [("s0", "F0")]
+        assert (n_pos.tolist(), n_neg.tolist()) == ([1], [1])
+        assert auc.tolist() == [1.0]
 
     def test_intermediate_to_developed(self):
         before = rca_matrix([[0.6, 0.3]])
         after = rca_matrix([[1.0, 2.0]], W2)
-        events = detect_transitions(before, after,
-                                    TransitionKind.INTERMEDIATE_TO_DEVELOPED)
-        assert [(e.entity_id, e.field_id) for e in events] == [("s0", "F0")]
-
-    def test_entity_only_in_after(self):
-        before = rca_matrix([[0.0, 1.0]])
-        after = rca_matrix([[0.5, 0.5]], W2, entity_ids=["s9"])
-        events = detect_transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
-        assert {e.entity_id for e in events} == {"s9"}
-        assert len(events) == 2
+        # F1 reaches Developed from Nascent, which is not an ID transition
+        _, n_pos, n_neg = transitions(before, after,
+                                      TransitionKind.INTERMEDIATE_TO_DEVELOPED)
+        assert (n_pos.tolist(), n_neg.tolist()) == ([1], [0])
 
     def test_mismatched_fields_rejected(self):
         before = rca_matrix([[0.0]])
         after = rca_matrix([[0.0, 1.0]], W2)
         with pytest.raises(ConfigError):
-            detect_transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
+            transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
 
 
 class TestRankCandidates:
-    def _setup(self, rca_row, omega_row):
-        r = rca_matrix([rca_row])
-        omega = EntityFieldMatrix(np.array([omega_row], dtype=float), r.entity_ids,
+    def _setup(self, rca_rows, omega_rows, field_ids=None):
+        r = rca_matrix(rca_rows)
+        if field_ids is not None:
+            r = EntityFieldMatrix(r.values, r.entity_ids, field_ids, W1)
+        omega = EntityFieldMatrix(np.array(omega_rows, dtype=float), r.entity_ids,
                                   r.field_ids, W1)
         return omega, r
 
+    @staticmethod
+    def _ranked(omega, r, kind, full_u_zero=False):
+        """Each entity's ranked (field_id, density) pairs."""
+        order, n_candidates = rank_candidates(omega, r, kind, full_u_zero)
+        return [[(omega.field_ids[j], float(omega.values[i, j]))
+                 for j in order[i, :n_candidates[i]]]
+                for i in range(len(omega.entity_ids))]
+
     def test_no_candidates(self):
-        omega, r = self._setup([1.0, 2.0], [0.5, 0.5])
-        ranked = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
-        assert ranked[0].items == []
+        omega, r = self._setup([[1.0, 2.0]], [[0.5, 0.5]])
+        _, n_candidates = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
+        assert n_candidates.tolist() == [0]
 
     def test_tie_breaks_on_field_id(self):
-        omega, r = self._setup([0.0, 0.0, 0.0, 1.5], [0.7, 0.2, 0.7, 0.9])
-        ranked = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
-        assert [f for f, _ in ranked[0].items] == ["F0", "F2", "F1"]
+        omega, r = self._setup([[0.0, 0.0, 0.0, 1.5]], [[0.7, 0.2, 0.7, 0.9]])
+        ranked = self._ranked(omega, r, TransitionKind.ZERO_TO_ACTIVE)
+        assert [f for f, _ in ranked[0]] == ["F0", "F2", "F1"]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
         scores = rng.random(5).round(1)  # rounding forces some ties
-        omega, r = self._setup([0.0] * 5, scores.tolist())
-        ranked = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
+        omega, r = self._setup([[0.0] * 5], [scores.tolist()])
+        ranked = self._ranked(omega, r, TransitionKind.ZERO_TO_ACTIVE)
         expected = sorted(
             [(f"F{j}", float(scores[j])) for j in range(5)],
             key=lambda kv: (-kv[1], kv[0]),
         )
-        assert ranked[0].items == expected
+        assert ranked[0] == expected
 
     def test_source_stage_restriction(self):
-        omega, r = self._setup([0.0, 0.3, 0.7, 1.5], [0.1, 0.2, 0.3, 0.4])
-        nd = rank_candidates(omega, r, TransitionKind.NASCENT_TO_DEVELOPED)
-        assert [f for f, _ in nd[0].items] == ["F1"]
-        id_ = rank_candidates(omega, r,
-                              TransitionKind.INTERMEDIATE_TO_DEVELOPED)
-        assert [f for f, _ in id_[0].items] == ["F2"]
+        omega, r = self._setup([[0.0, 0.3, 0.7, 1.5]], [[0.1, 0.2, 0.3, 0.4]])
+        nd = self._ranked(omega, r, TransitionKind.NASCENT_TO_DEVELOPED)
+        assert [f for f, _ in nd[0]] == ["F1"]
+        id_ = self._ranked(omega, r, TransitionKind.INTERMEDIATE_TO_DEVELOPED)
+        assert [f for f, _ in id_[0]] == ["F2"]
 
     def test_full_u_zero_flag(self):
-        omega, r = self._setup([0.0, 0.3, 0.7, 1.5], [0.1, 0.2, 0.3, 0.4])
-        nd = rank_candidates(omega, r, TransitionKind.NASCENT_TO_DEVELOPED,
-                             full_u_zero=True)
+        omega, r = self._setup([[0.0, 0.3, 0.7, 1.5]], [[0.1, 0.2, 0.3, 0.4]])
+        nd = self._ranked(omega, r, TransitionKind.NASCENT_TO_DEVELOPED,
+                          full_u_zero=True)
         # whole U=0 set: everything with RCA <= 1
-        assert {f for f, _ in nd[0].items} == {"F0", "F1", "F2"}
+        assert {f for f, _ in nd[0]} == {"F0", "F1", "F2"}
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sort_oracle_with_unsorted_field_ids(self, seed, kind,
+                                                         full_u_zero):
+        rng = np.random.default_rng(seed)
+        n_entities, n_fields = int(rng.integers(1, 8)), int(rng.integers(1, 14))
+        # multi-digit ids in shuffled column order: "F10" sorts before "F2"
+        field_ids = [f"F{j}" for j in rng.permutation(n_fields) + 1]
+        rca_vals = rng.choice(RCA_GRID, (n_entities, n_fields))
+        scores = rng.integers(0, 5, (n_entities, n_fields)) / 4.0  # tie-heavy
+        omega, r = self._setup(rca_vals, scores, field_ids)
+        stage = TestEvaluateTransition._is_candidate
+        expected = [
+            sorted(((field_ids[j], float(scores[i, j])) for j in range(n_fields)
+                    if stage(rca_vals[i, j], kind, full_u_zero)),
+                   key=lambda kv: (-kv[1], kv[0]))
+            for i in range(n_entities)
+        ]
+        assert self._ranked(omega, r, kind, full_u_zero) == expected
+
+
+def auroc_row(scores, positives, cand=None):
+    """Row-wise auroc on one row; every field is a candidate by default.
+    Returns (auroc, n_pos, n_neg) as Python scalars."""
+    scores = np.array([scores], dtype=float)
+    pos = np.zeros_like(scores, dtype=bool)
+    pos[0, sorted(positives)] = True
+    cand = np.ones_like(pos) if cand is None else np.array([cand])
+    auc, n_pos, n_neg = auroc(scores, cand, pos)
+    return float(auc[0]), int(n_pos[0]), int(n_neg[0])
 
 
 class TestAuroc:
-    def _ranked(self, scores):
-        items = sorted(
-            [(f"F{j}", s) for j, s in enumerate(scores)],
-            key=lambda kv: (-kv[1], kv[0]),
-        )
-        return RankedPrediction("s0", items)
-
     def test_perfect_ranking(self):
-        res = auroc(self._ranked([0.9, 0.1, 0.2]), {"F0"})
-        assert res.auroc == 1.0
+        assert auroc_row([0.9, 0.1, 0.2], {0})[0] == 1.0
 
     def test_all_ties(self):
-        res = auroc(self._ranked([0.5, 0.5, 0.5, 0.5]), {"F0"})
-        assert res.auroc == 0.5
+        assert auroc_row([0.5, 0.5, 0.5, 0.5], {0})[0] == 0.5
 
     def test_hand_enumerated(self):
         # pos {0.6, 0.2}, neg {0.5, 0.4, 0.1}
-        res = auroc(self._ranked([0.6, 0.2, 0.5, 0.4, 0.1]), {"F0", "F1"})
-        assert res.auroc == pytest.approx(4 / 6)
-        assert (res.n_pos, res.n_neg) == (2, 3)
+        auc, n_pos, n_neg = auroc_row([0.6, 0.2, 0.5, 0.4, 0.1], {0, 1})
+        assert auc == pytest.approx(4 / 6)
+        assert (n_pos, n_neg) == (2, 3)
 
     def test_undefined_without_negatives(self):
-        assert auroc(self._ranked([0.9]), {"F0"}) is None
+        assert np.isnan(auroc_row([0.9], {0})[0])
 
     def test_positives_must_be_candidates(self):
         with pytest.raises(ConfigError):
-            auroc(self._ranked([0.9]), {"F7"})
+            auroc_row([0.9, 0.5], {1}, cand=[True, False])
 
     @given(st.integers(0, 2**31 - 1), st.integers(3, 30))
     @settings(max_examples=100, deadline=None)
@@ -149,100 +187,91 @@ class TestAuroc:
         scores = rng.integers(0, 10, size=n) / 10.0  # discrete -> ties happen
         n_pos = int(rng.integers(1, n))
         pos_idx = set(rng.choice(n, size=n_pos, replace=False).tolist())
-        positives = {f"F{j}" for j in pos_idx}
-        res = auroc(self._ranked(scores.tolist()), positives)
+        res, *_ = auroc_row(scores, pos_idx)
         expected = oracles.auroc_pairwise(
             [scores[j] for j in pos_idx],
             [scores[j] for j in range(n) if j not in pos_idx],
         )
-        assert res.auroc == pytest.approx(expected, abs=1e-12)
+        assert res == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.random(10)
-        positives = {"F0", "F3", "F4"}
-        a = auroc(self._ranked(scores.tolist()), positives)
-        b = auroc(self._ranked((np.exp(3 * scores)).tolist()), positives)
-        assert a.auroc == pytest.approx(b.auroc, abs=1e-12)
+        positives = {0, 3, 4}
+        a, *_ = auroc_row(scores, positives)
+        b, *_ = auroc_row(np.exp(3 * scores), positives)
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_complement_sums_to_one_without_ties(self):
         rng = np.random.default_rng(4)
         scores = rng.permutation(10) / 10.0  # distinct
-        positives = {"F1", "F5"}
-        complement = {f"F{j}" for j in range(10)} - positives
-        a = auroc(self._ranked(scores.tolist()), positives)
-        b = auroc(self._ranked(scores.tolist()), complement)
-        assert a.auroc + b.auroc == pytest.approx(1.0, abs=1e-12)
+        positives = {1, 5}
+        complement = set(range(10)) - positives
+        a, *_ = auroc_row(scores, positives)
+        b, *_ = auroc_row(scores, complement)
+        assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSummarize:
-    def _results(self, vals):
-        return [AurocResult(f"s{i}", v, 1, 1) for i, v in enumerate(vals)]
-
     def test_singleton(self):
-        s = summarize(self._results([1.0]))
-        assert s.mean == s.median == s.q1 == s.q3 == 1.0
-        assert s.n == 1
+        s = summarize(np.array([1.0]))
+        assert s["mean"] == s["median"] == s["q1"] == s["q3"] == 1.0
+        assert s["n"] == 1
 
     def test_symmetric_pair(self):
-        s = summarize(self._results([0.0, 1.0]))
-        assert s.mean == 0.5
-        assert s.median == 0.5
+        s = summarize(np.array([0.0, 1.0]))
+        assert s["mean"] == 0.5
+        assert s["median"] == 0.5
 
     def test_quantiles_match_sorted_oracle(self):
         rng = np.random.default_rng(6)
-        vals = rng.random(100).tolist()
-        s = summarize(self._results(vals))
-        q1, med, q3 = oracles.quantiles_sorted_oracle(vals, [0.25, 0.5, 0.75])
-        assert s.q1 == pytest.approx(q1, abs=1e-12)
-        assert s.median == pytest.approx(med, abs=1e-12)
-        assert s.q3 == pytest.approx(q3, abs=1e-12)
+        vals = rng.random(100)
+        s = summarize(vals)
+        q1, med, q3 = oracles.quantiles_sorted_oracle(vals.tolist(), [0.25, 0.5, 0.75])
+        assert s["q1"] == pytest.approx(q1, abs=1e-12)
+        assert s["median"] == pytest.approx(med, abs=1e-12)
+        assert s["q3"] == pytest.approx(q3, abs=1e-12)
 
     def test_permutation_invariant(self):
-        vals = [0.2, 0.9, 0.5, 0.7]
-        a = summarize(self._results(vals))
-        b = summarize(self._results(list(reversed(vals))))
-        assert a.mean == pytest.approx(b.mean, abs=1e-15)
-        assert (a.median, a.q1, a.q3) == (b.median, b.q1, b.q3)
+        vals = np.array([0.2, 0.9, 0.5, 0.7])
+        a = summarize(vals)
+        b = summarize(vals[::-1])
+        assert a["mean"] == pytest.approx(b["mean"], abs=1e-15)
+        assert (a["median"], a["q1"], a["q3"]) == (b["median"], b["q1"], b["q3"])
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            summarize([])
+            summarize(np.array([]))
 
 
 class TestCompareModels:
-    def _results(self, vals):
-        return [AurocResult(f"s{i}", v, 1, 1) for i, v in enumerate(vals)]
-
     def test_identical_lists(self):
-        a = self._results([0.5, 0.6, 0.7])
+        a = np.array([0.5, 0.6, 0.7])
         p = compare_models(a, a, n_permutations=500, seed=0)
         assert p == pytest.approx(1.0, abs=0.01)
 
     def test_extreme_separation(self):
-        a = self._results([0.9] * 50)
-        b = self._results([0.1] * 50)
+        a = np.full(50, 0.9)
+        b = np.full(50, 0.1)
         p = compare_models(a, b, n_permutations=10000, seed=1)
         assert p < 0.01
 
     def test_same_distribution(self):
         rng = np.random.default_rng(2)
-        vals = rng.random(60).tolist()
-        a = self._results(vals[:30])
-        b = self._results(vals[30:])
+        vals = rng.random(60)
         # resplit of one pool; should not look significant
-        p = compare_models(a, b, n_permutations=2000, seed=3)
+        p = compare_models(vals[:30], vals[30:], n_permutations=2000, seed=3)
         assert p > 0.05
 
     def test_min_permutations(self):
-        a = self._results([0.5])
+        a = np.array([0.5])
         with pytest.raises(ConfigError):
             compare_models(a, a, n_permutations=50)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(9)
-        a = self._results(rng.random(20).tolist())
-        b = self._results(rng.random(20).tolist())
+        a = rng.random(20)
+        b = rng.random(20)
         p1 = compare_models(a, b, n_permutations=500, seed=7)
         p2 = compare_models(a, b, n_permutations=500, seed=7)
         assert p1 == p2
@@ -293,22 +322,20 @@ class TestEvaluateTransition:
         omega = EntityFieldMatrix(np.array([[0.9, 0.1, 0.1, 0.0],
                                             [0.1, 0.9, 0.1, 0.0]]),
                                   before.entity_ids, before.field_ids, W1)
-        results, excluded = evaluate_transition(
+        auc, _, _ = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
-        assert excluded == 0
-        assert [r.auroc for r in results] == [1.0, 1.0]
+        assert auc.tolist() == [1.0, 1.0]
 
     def test_entities_without_events_counted(self):
         before = rca_matrix([[0.0, 1.2]])
         after = rca_matrix([[0.0, 1.2]], W2)
         omega = EntityFieldMatrix(np.array([[0.5, 0.5]]),
                                   before.entity_ids, before.field_ids, W1)
-        results, excluded = evaluate_transition(
+        auc, _, _ = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
-        assert results == []
-        assert excluded == 1
+        assert len(auc) == 1 and np.isnan(auc[0])
 
     @staticmethod
     def _is_candidate(before, kind, full_u_zero):
@@ -335,8 +362,9 @@ class TestEvaluateTransition:
                            entity_ids=after_ids)
         omega = EntityFieldMatrix(rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0,
                                   before.entity_ids, before.field_ids, W1)
-        results, excluded = evaluate_transition(omega, before, after, kind,
+        auc, n_pos, n_neg = evaluate_transition(omega, before, after, kind,
                                                 full_u_zero=full_u_zero)
+        kept = np.flatnonzero(~np.isnan(auc))
 
         after_rows = dict(zip(after_ids, after.values))
         scored = []
@@ -354,11 +382,11 @@ class TestEvaluateTransition:
             if pos and neg:
                 scored.append((eid, len(pos), len(neg), oracles.auroc_pairwise(
                     omega.values[i, pos], omega.values[i, neg])))
-        assert excluded == len(before_ids) - len(scored)
-        assert [(r.entity_id, r.n_pos, r.n_neg) for r in results] == \
+        assert len(auc) == len(before_ids)
+        assert [(before_ids[i], n_pos[i], n_neg[i]) for i in kept] == \
             [s[:3] for s in scored]
-        for res, (*_, expected) in zip(results, scored):
-            assert res.auroc == pytest.approx(expected, abs=1e-12)
+        for i, (*_, expected) in zip(kept, scored):
+            assert auc[i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_ccdf_basic():
