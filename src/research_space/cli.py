@@ -12,7 +12,6 @@ import click
 import numpy as np
 
 from . import artifacts, corpus as corpus_mod, emb_model, freq_model
-from . import network_analysis as net
 from . import prediction_eval as pe
 from . import specialization as spec_mod
 from .corpus import EntityKind, FieldTaxonomy, VenueFieldMap
@@ -272,8 +271,11 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             "excluded": len(auc) - len(rows),
         }
     if len(scored) == 2:
-        summary["p_value"] = pe.compare_models(*scored, n_permutations=permutations,
-                                               seed=seed)
+        # a model that scores no entity leaves nothing to compare
+        summary["p_value"] = (
+            pe.compare_models(*scored, n_permutations=permutations, seed=seed)
+            if all(len(s) for s in scored) else None
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "auroc.tsv").write_text("\n".join(lines) + "\n")
@@ -300,6 +302,8 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
 def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
              out_dir):
     """Extract a field-network backbone and its communities."""
+    from . import network_analysis as net  # networkx is loaded only here
+
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     phi = artifacts.load_proximity(phi_path)
     if not phi.is_symmetric:

@@ -352,8 +352,13 @@ def resolve_corpus(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
     vmap.validate_against(taxonomy)
     stats = MatchStats()
     resolved = []
+    hits = {}  # raw venue name -> (sorted field ids, match kind) or None
     for rec in records:
-        hit = match_venue(rec.venue_name, vmap)
+        if rec.venue_name not in hits:
+            hit = match_venue(rec.venue_name, vmap)
+            hits[rec.venue_name] = (None if hit is None
+                                    else (tuple(sorted(hit[0])), hit[1]))
+        hit = hits[rec.venue_name]
         if hit is None:
             stats.unmatched += 1
             continue
@@ -369,7 +374,7 @@ def resolve_corpus(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
         resolved.append(
             ResolvedRecord(
                 entity_id=eid,
-                field_ids=tuple(sorted(fids)),
+                field_ids=fids,
                 n_authors=rec.n_authors,
                 year=rec.year,
             )

@@ -4,7 +4,6 @@ summaries, as arrays on the density matrix's entity axis."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError
 from .presence import EntityFieldMatrix
@@ -72,6 +71,25 @@ def rank_candidates(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
     return order, cand.sum(axis=1)
 
 
+def _midranks(a):
+    """Row-wise 1-based ranks of a 2-D float array, tied values sharing the
+    mean of their ranks; NaN entries are left out and stay NaN."""
+    order = np.argsort(a, axis=1, kind="stable")  # NaN sorts last
+    s = np.take_along_axis(a, order, axis=1)
+    n = a.shape[1]
+    pos = np.broadcast_to(np.arange(n), a.shape)
+    first = np.ones(a.shape, dtype=bool)  # starts a tie group
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    last = np.ones(a.shape, dtype=bool)  # ends a tie group
+    last[:, :-1] = first[:, 1:]
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    mid = np.where(np.isnan(s), np.nan, (start + end + 2) / 2.0)
+    ranks = np.empty_like(mid)
+    np.put_along_axis(ranks, order, mid, axis=1)
+    return ranks
+
+
 def auroc(scores, cand, pos):
     """Row-wise Mann-Whitney AUROC of the positive candidates against the
     other candidates, from midranks (ties count 0.5 per pair).
@@ -81,7 +99,7 @@ def auroc(scores, cand, pos):
     """
     if (pos & ~cand).any():
         raise ConfigError("positives are not a subset of the candidate set")
-    ranks = rankdata(np.where(cand, scores, np.nan), axis=1, nan_policy="omit")
+    ranks = _midranks(np.where(cand, scores, np.nan))
     n_pos = pos.sum(axis=1)
     n_neg = cand.sum(axis=1) - n_pos
     u_stat = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0

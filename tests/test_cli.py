@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import research_space
 import simulation
 from research_space.artifacts import load_proximity
 from research_space.cli import main
@@ -262,6 +267,25 @@ class TestEvaluate:
         report = (tmp_path / "eval" / "auroc.tsv").read_text().splitlines()
         assert report[0] == "entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"
 
+    def test_two_model_run_without_scores_gives_null_p_value(self, pipeline,
+                                                             tmp_path):
+        # no entity of the 40 in this corpus is scored for ND on the full U=0 set
+        out = tmp_path / "eval"
+        res = pipeline["runner"].invoke(main, [
+            "evaluate", "--phi-a", str(pipeline["phi_freq"]),
+            "--phi-b", str(pipeline["phi_emb"]),
+            "--corpus", str(pipeline["corpus"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+            "--transition", "ND", "--full-candidates", "--permutations", "200",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["p_value"] is None
+        for tag in ("frequentist", "embedding"):
+            assert summary[tag] == {"n": 0, "excluded": 40}
+
     def test_overlapping_test_window_rejected(self, pipeline, tmp_path):
         res = pipeline["runner"].invoke(main, [
             "evaluate", "--phi-a", str(pipeline["phi_freq"]),
@@ -467,3 +491,19 @@ def test_fit_on_window_without_presence_exits_1(pipeline, tmp_path, model):
     assert res.exit_code == 1, res.output
     assert "window 1990:1991" in res.output
     assert not out.exists()
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_networkx():
+    src = str(Path(research_space.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, research_space.cli; "
+            "print([m for m in ('scipy.stats', 'networkx') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+    res = subprocess.run([sys.executable, "-m", "research_space.cli", "backbone",
+                          "--help"], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "--mode" in res.stdout

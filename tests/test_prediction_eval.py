@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 import oracles
 from research_space.errors import ConfigError
 from research_space.prediction_eval import (
+    _midranks,
     auroc,
     ccdf,
     compare_models,
@@ -193,6 +196,21 @@ class TestAuroc:
             [scores[j] for j in range(n) if j not in pos_idx],
         )
         assert res == pytest.approx(expected, abs=1e-12)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   min_side=0, max_side=12),
+                      elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0, np.nan])),
+           st.integers(0, 12))
+    @example(np.full((2, 3), np.nan), 0)
+    @example(np.array([[0.5], [np.nan], [2.0]]), 12)
+    @example(np.zeros((0, 4)), 0)
+    @settings(max_examples=300, deadline=None)
+    def test_midranks_match_scipy_rankdata(self, a, nan_row):
+        """Tie-heavy rows with NaNs; nan_row, if it is a row, is all NaN."""
+        if nan_row < len(a):
+            a[nan_row] = np.nan
+        expected = rankdata(a, axis=1, nan_policy="omit")
+        assert np.array_equal(_midranks(a), expected, equal_nan=True)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
