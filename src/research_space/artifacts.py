@@ -6,18 +6,35 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import (EntityKind, MatchStats, ResolvedCorpus, ResolvedRecord,
-                     _year_and_authors)
-from .errors import ParseError
+from .corpus import EntityKind, MatchStats, ResolvedCorpus
+from .errors import ParseError, utf8_input
 from .freq_model import ProximityMatrix
 from .presence import TimeWindow
 
-SCHEMA_CORPUS = "corpus/1"
+SCHEMA_CORPUS = "corpus/2"
 SCHEMA_PROXIMITY = "proximity/1"
 SCHEMA_EMBEDDING = "embedding/1"
+
+CORPUS_COLUMNS = ("entity", "field_set", "n_authors", "year")
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to a sibling temporary file, then rename it over
+    ``path``: a failed write leaves no partial file and any earlier artifact
+    unchanged."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def manifest_hash(manifest: dict) -> str:
@@ -30,37 +47,55 @@ def write_manifest(manifest: dict, path):
     manifest["manifest_hash"] = manifest_hash(
         {k: v for k, v in manifest.items() if k != "manifest_hash"}
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest["manifest_hash"]
 
 
 def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
+    """Write the corpus as four JSON lines: header, entity ids, field sets,
+    and the record columns."""
     header = {
         "schema": SCHEMA_CORPUS,
         "kind": corpus.kind.value,
         "manifest_hash": mhash,
         "match_stats": vars(corpus.match_stats),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in corpus.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "entity_id": rec.entity_id,
-                        "field_ids": list(rec.field_ids),
-                        "n_authors": rec.n_authors,
-                        "year": rec.year,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    lines = (
+        header,
+        {"entity_ids": corpus.entity_ids},
+        {"field_sets": [list(fields) for fields in corpus.field_sets]},
+        {name: getattr(corpus, name).tolist() for name in CORPUS_COLUMNS},
+    )
+    _write_atomic(path, "".join(json.dumps(obj, sort_keys=True) + "\n"
+                                for obj in lines))
 
 
+def _corpus_line(fh, path, line_no, keys):
+    """The lists under ``keys`` of the JSON object on the file's next line,
+    which must hold exactly those keys."""
+    text = fh.readline()
+    if not text.strip():
+        raise ParseError(f"missing the line of {', '.join(keys)}", path=path,
+                         line=line_no)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
+    if not (isinstance(obj, dict) and sorted(obj) == sorted(keys)
+            and all(isinstance(obj[k], list) for k in keys)):
+        raise ParseError(f"expected a JSON object of the lists {', '.join(keys)}",
+                         path=path, line=line_no)
+    return [obj[k] for k in keys]
+
+
+def _is_field_set(fields):
+    return type(fields) is list and len(fields) > 0 and set(map(type, fields)) <= {str}
+
+
+@utf8_input
 def load_corpus(path) -> ResolvedCorpus:
+    """Read a corpus/2 file, validating each table and column once; the first
+    bad entry is named by its index."""
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
         try:
@@ -68,6 +103,9 @@ def load_corpus(path) -> ResolvedCorpus:
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
         schema = header.get("schema") if isinstance(header, dict) else None
+        if schema == "corpus/1":
+            raise ParseError(f"this is a corpus/1 file; run ingest again to write "
+                             f"{SCHEMA_CORPUS}", path=path, line=1)
         if schema != SCHEMA_CORPUS:
             raise ParseError(f"unsupported corpus schema {schema!r}", path=path, line=1)
         try:
@@ -77,42 +115,68 @@ def load_corpus(path) -> ResolvedCorpus:
             raise ParseError(f"corpus header lacks {e}", path=path, line=1)
         except (TypeError, ValueError) as e:
             raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
-        records = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                if not isinstance(raw, dict):
-                    raise ValueError("record is not a JSON object")
-                eid, fids = raw["entity_id"], raw["field_ids"]
-                if not isinstance(eid, str):
-                    raise ValueError(f"entity_id must be a string, got {eid!r}")
-                if not (isinstance(fids, list) and fids
-                        and all(isinstance(f, str) for f in fids)):
-                    raise ValueError(
-                        f"field_ids must be a non-empty list of strings, got {fids!r}"
-                    )
-                year, n_authors = _year_and_authors(raw)
-                records.append(ResolvedRecord(eid, tuple(fids), n_authors, year))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise ParseError(f"invalid corpus record: {e}", path=path, line=line_no)
-    return ResolvedCorpus(records=records, kind=kind, match_stats=stats)
+
+        (entity_ids,) = _corpus_line(fh, path, 2, ("entity_ids",))
+        if set(map(type, entity_ids)) - {str}:
+            i = next(i for i, e in enumerate(entity_ids) if type(e) is not str)
+            raise ParseError(f"entity id {i} is {entity_ids[i]!r}, not a string",
+                             path=path, line=2)
+        if len(set(entity_ids)) < len(entity_ids):
+            _, first = np.unique(entity_ids, return_index=True)
+            i = np.setdiff1d(np.arange(len(entity_ids)), first)[0]
+            raise ParseError(f"entity id {i} repeats {entity_ids[i]!r}",
+                             path=path, line=2)
+
+        (field_sets,) = _corpus_line(fh, path, 3, ("field_sets",))
+        if not all(map(_is_field_set, field_sets)):
+            i = next(i for i, f in enumerate(field_sets) if not _is_field_set(f))
+            raise ParseError(f"field set {i} is {field_sets[i]!r}, not a non-empty "
+                             "list of strings", path=path, line=3)
+
+        columns = dict(zip(CORPUS_COLUMNS, _corpus_line(fh, path, 4, CORPUS_COLUMNS)))
+        if fh.read().strip():
+            raise ParseError("unexpected content after the columns line",
+                             path=path, line=5)
+    for name, values in columns.items():
+        if set(map(type, values)) - {int}:
+            i = next(i for i, v in enumerate(values) if type(v) is not int)
+            raise ParseError(f"{name} of record {i} is {values[i]!r}, not an integer",
+                             path=path, line=4)
+        try:
+            columns[name] = np.array(values, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
+            raise ParseError(f"{name} of record {i} is out of range", path=path, line=4)
+    lengths = {name: len(values) for name, values in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ParseError(f"columns differ in length: {lengths}", path=path, line=4)
+    for name, lo, hi in (("entity", 0, len(entity_ids)),
+                         ("field_set", 0, len(field_sets)), ("n_authors", 1, None)):
+        values = columns[name]
+        bad = values < lo if hi is None else (values < lo) | (values >= hi)
+        if bad.any():
+            i = np.argmax(bad)
+            bound = f"below {lo}" if hi is None else f"outside [{lo}, {hi})"
+            raise ParseError(f"{name} of record {i} is {values[i]}, {bound}",
+                             path=path, line=4)
+    return ResolvedCorpus(entity_ids, [tuple(fields) for fields in field_sets],
+                          kind=kind, match_stats=stats, **columns)
 
 
 def save_proximity(phi: ProximityMatrix, path, mhash=""):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema: {SCHEMA_PROXIMITY}\n")
-        fh.write(f"# model: {phi.model_tag}\n")
-        fh.write(f"# window: {phi.window}\n")
-        fh.write(f"# manifest_hash: {mhash}\n")
-        fh.write("field_id\t" + "\t".join(phi.field_ids) + "\n")
-        for i, fid in enumerate(phi.field_ids):
-            row = "\t".join(f"{v:.17g}" for v in phi.values[i])
-            fh.write(f"{fid}\t{row}\n")
+    lines = [
+        f"# schema: {SCHEMA_PROXIMITY}",
+        f"# model: {phi.model_tag}",
+        f"# window: {phi.window}",
+        f"# manifest_hash: {mhash}",
+        "field_id\t" + "\t".join(phi.field_ids),
+    ]
+    for i, fid in enumerate(phi.field_ids):
+        lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in phi.values[i]))
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
+@utf8_input
 def load_proximity(path) -> ProximityMatrix:
     meta = {}
     with open(path, encoding="utf-8") as fh:
@@ -164,8 +228,7 @@ def load_proximity(path) -> ProximityMatrix:
 
 
 def save_embeddings(vectors, field_ids, path, mhash=""):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema: {SCHEMA_EMBEDDING}\n")
-        fh.write(f"# manifest_hash: {mhash}\n")
-        for fid, vec in zip(field_ids, vectors):
-            fh.write(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec) + "\n")
+    lines = [f"# schema: {SCHEMA_EMBEDDING}", f"# manifest_hash: {mhash}"]
+    for fid, vec in zip(field_ids, vectors):
+        lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec))
+    _write_atomic(path, "\n".join(lines) + "\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -32,7 +33,8 @@ def pipeline_command(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, FileNotFoundError) as e:
+        except (ConfigError, FileNotFoundError, IsADirectoryError,
+                NotADirectoryError, PermissionError) as e:
             click.echo(f"config error: {e}", err=True)
             sys.exit(2)
         except ResearchSpaceError as e:
@@ -50,8 +52,14 @@ def _window(_ctx, _param, value):
 
 
 @click.group()
-def main():
+@click.option("-v", "--verbose", count=True,
+              help="Log progress to stderr: -v for INFO, -vv for DEBUG.")
+def main(verbose):
     """Build research spaces from publication records and predict field entry."""
+    logger = logging.getLogger(__package__)
+    logger.setLevel(max(logging.DEBUG, logging.WARNING - 10 * verbose))
+    # one handler on this invocation's stderr, however often main runs
+    logger.handlers = [logging.StreamHandler()]
 
 
 @main.command()
@@ -90,14 +98,14 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
         "unmatched": stats.unmatched,
         "missing_attribute": stats.missing_attribute,
         "invalid_rows": len(report.issues),
-        "resolved_records": len(resolved.records),
+        "resolved_records": len(resolved),
     }
     (out / "match_report.json").write_text(
         json.dumps(match_report, indent=2, sort_keys=True) + "\n"
     )
     total = max(stats.total, 1)
     click.echo(
-        f"resolved {len(resolved.records)} records "
+        f"resolved {len(resolved)} records "
         f"(exact {stats.exact / total:.1%}, "
         f"exact+approx {(stats.exact + stats.approximate) / total:.1%})"
     )
@@ -351,23 +359,19 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
     if window is None:
-        years = [rec.year for rec in resolved.records]
-        if not years:
+        if not len(resolved):
             raise ConfigError("corpus has no records")
-        window = TimeWindow(min(years), max(years))
+        window = TimeWindow(int(resolved.year.min()), int(resolved.year.max()))
     x = contribution_matrix(resolved, taxonomy, window)
     p = presence_matrix(x, theta)
 
-    pub_counts: dict[str, int] = {}
-    for rec in resolved.records:
-        if rec.year in window:
-            pub_counts[rec.entity_id] = pub_counts.get(rec.entity_id, 0) + 1
+    pub_counts = np.bincount(resolved.entity[window.mask(resolved.year)])
     active_counts = np.asarray(p.values.sum(axis=1)).ravel()
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, values in (
-        ("ccdf_publications.tsv", list(pub_counts.values())),
+        ("ccdf_publications.tsv", pub_counts[pub_counts > 0]),
         ("ccdf_active_fields.tsv", active_counts.tolist()),
     ):
         lines = ["value\tccdf"]

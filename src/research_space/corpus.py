@@ -9,7 +9,9 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ParseError
+import numpy as np
+
+from .errors import ConfigError, ParseError, utf8_input
 
 SPLIT_CHARS = ".;:/-"
 _SPLIT_RE = re.compile("[" + re.escape(SPLIT_CHARS) + "]")
@@ -87,10 +89,8 @@ class FieldTaxonomy:
     def intermediate_of(self, field_id) -> str:
         return self._by_id[field_id].intermediate_id
 
-    def macro_of(self, field_id) -> str:
-        return self._by_id[field_id].macro_id
-
     @classmethod
+    @utf8_input
     def from_file(cls, path):
         """Load from delimited text with columns field_id, field_name,
         intermediate_id, intermediate_acronym, macro_id, macro_name."""
@@ -160,6 +160,7 @@ class VenueFieldMap:
                 )
 
     @classmethod
+    @utf8_input
     def from_file(cls, path):
         """Load from delimited text, columns venue_name, field_id (one row
         per venue-field pair)."""
@@ -259,6 +260,7 @@ def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
     )
 
 
+@utf8_input
 def load_records(path, fmt="jsonl", year_range=DEFAULT_YEAR_RANGE) -> LoadReport:
     """Load publication records; invalid rows are reported per line, never
     silently dropped."""
@@ -307,14 +309,6 @@ def load_records(path, fmt="jsonl", year_range=DEFAULT_YEAR_RANGE) -> LoadReport
 
 # --- aggregation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResolvedRecord:
-    entity_id: str
-    field_ids: tuple[str, ...]  # the m_p fields of the matched venue
-    n_authors: int
-    year: int
-
-
 @dataclass
 class MatchStats:
     exact: int = 0
@@ -327,11 +321,24 @@ class MatchStats:
         return self.exact + self.approximate + self.unmatched
 
 
-@dataclass
+@dataclass(eq=False)  # array fields have no single truth value to compare by
 class ResolvedCorpus:
-    records: list[ResolvedRecord]
+    """Resolved records as columns. Record i is by entity
+    ``entity_ids[entity[i]]``, in the venue fields ``field_sets[field_set[i]]``,
+    with ``n_authors[i]`` authors, in ``year[i]``; the four are int64 arrays
+    in record order."""
+
+    entity_ids: list[str]  # distinct, in first-seen order
+    field_sets: list[tuple[str, ...]]  # distinct venue field-id tuples
+    entity: np.ndarray
+    field_set: np.ndarray
+    n_authors: np.ndarray
+    year: np.ndarray
     kind: EntityKind
     match_stats: MatchStats
+
+    def __len__(self):
+        return len(self.entity)
 
 
 def _entity_id(rec: PublicationRecord, kind: EntityKind):
@@ -351,18 +358,20 @@ def resolve_corpus(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
     """
     vmap.validate_against(taxonomy)
     stats = MatchStats()
-    resolved = []
-    hits = {}  # raw venue name -> (sorted field ids, match kind) or None
+    entity_code: dict[str, int] = {}
+    set_code: dict[tuple[str, ...], int] = {}
+    hits = {}  # raw venue name -> (field-set code, match kind) or None
+    entity, field_set, n_authors, year = [], [], [], []
     for rec in records:
         if rec.venue_name not in hits:
             hit = match_venue(rec.venue_name, vmap)
-            hits[rec.venue_name] = (None if hit is None
-                                    else (tuple(sorted(hit[0])), hit[1]))
+            hits[rec.venue_name] = (None if hit is None else (
+                set_code.setdefault(tuple(sorted(hit[0])), len(set_code)), hit[1]))
         hit = hits[rec.venue_name]
         if hit is None:
             stats.unmatched += 1
             continue
-        fids, match_kind = hit
+        code, match_kind = hit
         if match_kind == "exact":
             stats.exact += 1
         else:
@@ -371,12 +380,12 @@ def resolve_corpus(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
         if eid is None:
             stats.missing_attribute += 1
             continue
-        resolved.append(
-            ResolvedRecord(
-                entity_id=eid,
-                field_ids=fids,
-                n_authors=rec.n_authors,
-                year=rec.year,
-            )
-        )
-    return ResolvedCorpus(records=resolved, kind=kind, match_stats=stats)
+        entity.append(entity_code.setdefault(eid, len(entity_code)))
+        field_set.append(code)
+        n_authors.append(rec.n_authors)
+        year.append(rec.year)
+    return ResolvedCorpus(
+        list(entity_code), list(set_code),
+        *(np.array(c, dtype=np.int64) for c in (entity, field_set, n_authors, year)),
+        kind, stats,
+    )

@@ -148,6 +148,8 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
                 touched = np.concatenate((context, [pos_i], neg_i))
                 _project_max_norm(vectors, np.unique(touched))
         epoch_losses.append(epoch_loss / len(trainable))
+        logger.info("epoch %d/%d: mean hinge loss %.6g", len(epoch_losses),
+                    config.epochs, epoch_losses[-1])
 
     return FieldEmbedding(
         vectors=vectors,

@@ -3,6 +3,8 @@
 Config/usage problems map to CLI exit code 2, everything else to 1.
 """
 
+import functools
+
 
 class ResearchSpaceError(Exception):
     """Base class for all toolkit errors."""
@@ -29,3 +31,19 @@ class ParseError(ResearchSpaceError):
 
 class TrainingError(ResearchSpaceError):
     """Embedding training cannot proceed (e.g. no trainable bags)."""
+
+
+def utf8_input(loader):
+    """Make ``loader`` raise ParseError naming its ``path`` argument when that
+    file is not UTF-8 text, in place of a bare UnicodeDecodeError."""
+    at = loader.__code__.co_varnames.index("path")
+
+    @functools.wraps(loader)
+    def wrapper(*args, **kwargs):
+        try:
+            return loader(*args, **kwargs)
+        except UnicodeDecodeError as e:
+            path = args[at] if at < len(args) else kwargs["path"]
+            raise ParseError(f"file is not UTF-8 text ({e.reason})", path=path) from None
+
+    return wrapper

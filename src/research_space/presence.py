@@ -26,6 +26,10 @@ class TimeWindow:
     def __contains__(self, year: int) -> bool:
         return self.start_year <= year <= self.end_year
 
+    def mask(self, years: np.ndarray) -> np.ndarray:
+        """Boolean mask of the years inside the window."""
+        return (years >= self.start_year) & (years <= self.end_year)
+
     @property
     def span(self) -> int:
         return self.end_year - self.start_year + 1
@@ -85,29 +89,37 @@ class EntityFieldMatrix:
 def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
                         window: TimeWindow) -> EntityFieldMatrix:
     """X(t), each record contributing 1/(n_p * m_p): records inside the
-    window, entities in first-seen order, fields in taxonomy order."""
-    entity_index: dict[str, int] = {}
-    rows, cols, vals = [], [], []
-    findex = taxonomy.field_index
-    for rec in corpus.records:
-        if rec.year not in window:
-            continue
-        ei = entity_index.setdefault(rec.entity_id, len(entity_index))
-        m_p = len(rec.field_ids)
-        w = 1.0 / (rec.n_authors * m_p)
-        for fid in rec.field_ids:
-            try:
-                rows.append(ei)
-                cols.append(findex[fid])
-                vals.append(w)
-            except KeyError:
-                raise ConfigError(f"record references unknown field {fid!r}")
-    n_entities = len(entity_index)
+    window, entities in order of their first record there, fields in taxonomy
+    order."""
+    keep = window.mask(corpus.year)
+    entity, field_set = corpus.entity[keep], corpus.field_set[keep]
+    codes, first, inverse = np.unique(entity, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    # every field set's taxonomy columns once, as one flat array (-1: unknown)
+    flat = [fid for fields in corpus.field_sets for fid in fields]
+    flat_cols = np.array([taxonomy.field_index.get(fid, -1) for fid in flat],
+                         dtype=np.int64)
+    sizes = np.array([len(fields) for fields in corpus.field_sets], dtype=np.int64)
+    set_start = np.cumsum(sizes) - sizes
+    m_p = sizes[field_set]
+    # cell k of a record is entry k of its field set
+    cell_in_record = np.arange(m_p.sum()) - np.repeat(np.cumsum(m_p) - m_p, m_p)
+    pos = np.repeat(set_start[field_set], m_p) + cell_in_record
+    cols = flat_cols[pos]
+    if (cols < 0).any():
+        raise ConfigError(
+            f"record references unknown field {flat[pos[np.argmax(cols < 0)]]!r}")
+    # fed in record order, so sum_duplicates adds each cell in that order
     mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(n_entities, len(taxonomy)), dtype=np.float64
+        (np.repeat(1.0 / (corpus.n_authors[keep] * m_p), m_p),
+         (np.repeat(rank[inverse], m_p), cols)),
+        shape=(len(codes), len(taxonomy)), dtype=np.float64,
     )
     mat.sum_duplicates()
-    return EntityFieldMatrix(mat, list(entity_index), list(taxonomy.field_ids), window)
+    entity_ids = [corpus.entity_ids[c] for c in codes[by_first].tolist()]
+    return EntityFieldMatrix(mat, entity_ids, list(taxonomy.field_ids), window)
 
 
 def presence_matrix(x: EntityFieldMatrix, theta: float) -> EntityFieldMatrix:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from research_space.corpus import (
@@ -6,7 +7,6 @@ from research_space.corpus import (
     Intermediate,
     ResolvedCorpus,
     MatchStats,
-    ResolvedRecord,
     TaxonomyField,
 )
 
@@ -30,13 +30,24 @@ def make_taxonomy(n_fields=6, fields_per_intermediate=3):
     return FieldTaxonomy(fields, intermediates, macros)
 
 
-def make_corpus(rows, kind=EntityKind.SCIENTIST):
-    """rows: (entity_id, field_ids, n_authors, year) tuples."""
-    records = [
-        ResolvedRecord(entity_id=e, field_ids=tuple(f), n_authors=n, year=y)
-        for e, f, n, y in rows
-    ]
-    return ResolvedCorpus(records=records, kind=kind, match_stats=MatchStats())
+def make_corpus(rows, kind=EntityKind.SCIENTIST, match_stats=None):
+    """rows: (entity_id, field_ids, n_authors, year) tuples, in record order."""
+    entity_code, set_code = {}, {}
+    columns = [[entity_code.setdefault(e, len(entity_code)),
+                set_code.setdefault(tuple(f), len(set_code)), n, y]
+               for e, f, n, y in rows]
+    entity, field_set, n_authors, year = np.array(
+        columns, dtype=np.int64).reshape(len(rows), 4).T
+    return ResolvedCorpus(list(entity_code), list(set_code), entity, field_set,
+                          n_authors, year, kind, match_stats or MatchStats())
+
+
+def corpus_rows(corpus):
+    """The inverse of make_corpus: (entity_id, field_ids, n_authors, year)
+    tuples in record order."""
+    return [(corpus.entity_ids[e], corpus.field_sets[s], n, y)
+            for e, s, n, y in zip(corpus.entity.tolist(), corpus.field_set.tolist(),
+                                  corpus.n_authors.tolist(), corpus.year.tolist())]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ gradients.
 """
 
 import numpy as np
+from scipy import sparse
 
 
 def auroc_pairwise(scores_pos, scores_neg):
@@ -150,3 +151,26 @@ def rca_bruteforce(x):
                 continue
             out[s, f] = (x[s, f] / row) / (col / total)
     return out
+
+
+def contribution_matrix_loop(rows, taxonomy, window):
+    """X(t) built record by record from (entity_id, field_ids, n_authors,
+    year) rows, in the order the arrays of the columnar build must match:
+    entities by first record in the window, each record's cells in its field
+    order, duplicates summed by scipy in record order."""
+    from scipy import sparse
+
+    entity_index = {}
+    cells, vals = ([], []), []
+    for entity_id, field_ids, n_authors, year in rows:
+        if year not in window:
+            continue
+        i = entity_index.setdefault(entity_id, len(entity_index))
+        for fid in field_ids:
+            cells[0].append(i)
+            cells[1].append(taxonomy.field_index[fid])
+            vals.append(1.0 / (n_authors * len(field_ids)))
+    mat = sparse.csr_matrix((vals, cells), shape=(len(entity_index), len(taxonomy)),
+                            dtype=np.float64)
+    mat.sum_duplicates()
+    return mat, list(entity_index)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -10,7 +11,8 @@ from click.testing import CliRunner
 
 import research_space
 import simulation
-from research_space.artifacts import load_proximity
+from conftest import corpus_rows, make_corpus
+from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
 from research_space.errors import ParseError
 
@@ -37,17 +39,32 @@ CORPUS_HEADER_CORRUPTIONS = {
     "not_an_object": lambda h: [h],
 }
 
-# Corruptions of the first record (line 2) of a saved corpus.jsonl.
-CORPUS_RECORD_CORRUPTIONS = {
-    "zero_authors": lambda r: {**r, "n_authors": 0},
-    "negative_authors": lambda r: {**r, "n_authors": -2},
-    "boolean_authors": lambda r: {**r, "n_authors": True},
-    "fractional_year": lambda r: {**r, "year": r["year"] + 0.7},
-    "null_year": lambda r: {**r, "year": None},
-    "empty_field_ids": lambda r: {**r, "field_ids": []},
-    "field_ids_string": lambda r: {**r, "field_ids": r["field_ids"][0]},
-    "numeric_entity_id": lambda r: {**r, "entity_id": 7},
-    "not_an_object": lambda r: [r],
+
+def _first(key, value):
+    """A change that sets the first entry of the list under ``key``."""
+    return lambda obj: {**obj, key: [value, *obj[key][1:]]}
+
+
+# Corruptions of the tables and columns of a saved corpus.jsonl: the line
+# changed (2 entity ids, 3 field sets, 4 record columns) and the change; a
+# change returning None drops the line.
+CORPUS_COLUMN_CORRUPTIONS = {
+    "numeric_entity_id": (2, _first("entity_ids", 7)),
+    "duplicate_entity_id": (2, lambda e: {"entity_ids": e["entity_ids"][:1] * 2
+                                          + e["entity_ids"][2:]}),
+    "empty_field_ids": (3, _first("field_sets", [])),
+    "field_ids_string": (3, lambda s: {"field_sets": [s["field_sets"][0][0],
+                                                      *s["field_sets"][1:]]}),
+    "non_string_field_id": (3, _first("field_sets", ["F001", 7])),
+    "zero_authors": (4, _first("n_authors", 0)),
+    "negative_authors": (4, _first("n_authors", -2)),
+    "boolean_authors": (4, _first("n_authors", True)),
+    "fractional_year": (4, _first("year", 2000.7)),
+    "null_year": (4, _first("year", None)),
+    "code_out_of_range": (4, lambda c: _first("entity", max(c["entity"]) + 1)(c)),
+    "unequal_lengths": (4, lambda c: {**c, "year": c["year"][:-1]}),
+    "not_an_object": (4, lambda c: [c]),
+    "missing_columns_line": (4, lambda c: None),
 }
 
 
@@ -77,13 +94,13 @@ def write_pipeline_inputs(tmp_path, n_scientists=40, seed=5):
 
     rec_path = tmp_path / "records.jsonl"
     with open(rec_path, "w") as fh:
-        for rec in corpus.records:
+        for entity_id, field_ids, n_authors, year in corpus_rows(corpus):
             fh.write(json.dumps({
-                "researcher_id": rec.entity_id,
-                "venue": f"Journal of {rec.field_ids[0]}",
-                "year": rec.year,
-                "n_authors": rec.n_authors,
-                "institution": f"Inst{hash(rec.entity_id) % 3}",
+                "researcher_id": entity_id,
+                "venue": f"Journal of {field_ids[0]}",
+                "year": year,
+                "n_authors": n_authors,
+                "institution": f"Inst{hash(entity_id) % 3}",
             }) + "\n")
     return tax_path, vmap_path, rec_path, positives
 
@@ -313,14 +330,10 @@ class TestEvaluate:
 
     def test_test_window_only_entities_counted(self, pipeline, tmp_path):
         extended = tmp_path / "extended.jsonl"
-        new_entities = [
-            json.dumps({"entity_id": eid, "field_ids": ["F001"], "n_authors": 1,
-                        "year": 2006}, sort_keys=True)
-            for eid in ("NEW1", "NEW2")
-        ]
-        extended.write_text(
-            pipeline["corpus"].read_text() + "\n".join(new_entities) + "\n"
-        )
+        base = load_corpus(pipeline["corpus"])
+        rows = corpus_rows(base) + [(eid, ("F001",), 1, 2006)
+                                    for eid in ("NEW1", "NEW2")]
+        save_corpus(make_corpus(rows, base.kind, base.match_stats), extended)
         summaries = []
         for corpus in (pipeline["corpus"], extended):
             out = tmp_path / corpus.stem
@@ -410,12 +423,14 @@ class TestExportStats:
         assert "Traceback" not in res.output
         assert f"({bad}:1)" in res.output
 
-    @pytest.mark.parametrize("corruption", sorted(CORPUS_RECORD_CORRUPTIONS))
+    @pytest.mark.parametrize("corruption", sorted(CORPUS_COLUMN_CORRUPTIONS))
     def test_corrupt_corpus_record_exits_1(self, pipeline, tmp_path, corruption):
-        header, record, rest = pipeline["corpus"].read_text().split("\n", 2)
+        line_no, corrupt = CORPUS_COLUMN_CORRUPTIONS[corruption]
+        lines = pipeline["corpus"].read_text().splitlines()
+        changed = corrupt(json.loads(lines[line_no - 1]))
+        lines[line_no - 1:line_no] = [] if changed is None else [json.dumps(changed)]
         bad = tmp_path / "corpus.jsonl"
-        record = CORPUS_RECORD_CORRUPTIONS[corruption](json.loads(record))
-        bad.write_text(header + "\n" + json.dumps(record) + "\n" + rest)
+        bad.write_text("\n".join(lines) + "\n")
         res = pipeline["runner"].invoke(main, [
             "export-stats", "--corpus", str(bad),
             "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "stats"),
@@ -423,7 +438,7 @@ class TestExportStats:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
-        assert f"({bad}:2)" in res.output
+        assert f"({bad}:{line_no})" in res.output
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -478,6 +493,67 @@ def test_bad_option_exits_2_before_any_io(pipeline, tmp_path, command, option, v
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["directory", "not_utf8"])
+@pytest.mark.parametrize("command,option", [
+    ("ingest", "--records"), ("ingest", "--venue-map"), ("ingest", "--taxonomy"),
+    ("fit", "--corpus"), ("predict", "--phi"),
+])
+def test_bad_input_path_exits_without_traceback(pipeline, tmp_path, command, option,
+                                                bad):
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    out = tmp_path / "out"
+    corpus = ["--corpus", str(pipeline["corpus"]),
+              "--taxonomy", str(pipeline["taxonomy"])]
+    args = {
+        "ingest": ["--records", str(pipeline["records"]),
+                   "--venue-map", str(pipeline["venues"]),
+                   "--taxonomy", str(pipeline["taxonomy"]), "--out", str(out)],
+        "fit": [*corpus, "--window", "2000:2004", "--model", "freq",
+                "--out", str(out)],
+        "predict": ["--phi", str(pipeline["phi_freq"]), *corpus,
+                    "--rca-window", "2002:2004", "--transition", "0A",
+                    "--out", str(out)],
+    }[command]
+    args[args.index(option) + 1] = str(path)
+    res = pipeline["runner"].invoke(main, [command, *args])
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    if bad == "directory":
+        assert res.exit_code == 2, res.output
+        assert "config error:" in res.output
+    else:
+        assert res.exit_code == 1, res.output
+        assert "not UTF-8 text" in res.output and f"({path})" in res.output
+    assert not out.exists()
+
+
+def test_verbose_logs_epoch_losses_to_stderr_only(pipeline, tmp_path):
+    out = tmp_path / "out"
+    args = ["fit", "--corpus", str(pipeline["corpus"]),
+            "--taxonomy", str(pipeline["taxonomy"]), "--window", "2000:2004",
+            "--model", "emb", "--dim", "16", "--epochs", "3", "--seed", "7",
+            "--out", str(out)]
+    logger = logging.getLogger("research_space")
+    try:
+        quiet = pipeline["runner"].invoke(main, args)
+        phi = (out / "phi.tsv").read_bytes()
+        loud = pipeline["runner"].invoke(main, ["-v", *args])
+    finally:
+        logger.handlers = []
+        logger.setLevel(logging.NOTSET)
+    assert quiet.exit_code == loud.exit_code == 0, loud.output
+    assert loud.stdout_bytes == quiet.stdout_bytes
+    assert (out / "phi.tsv").read_bytes() == phi
+    assert quiet.stderr == ""
+    losses = [line for line in loud.stderr.splitlines() if "mean hinge loss" in line]
+    assert [line.split(": ")[0] for line in losses] == ["epoch 1/3", "epoch 2/3",
+                                                        "epoch 3/3"]
 
 
 @pytest.mark.parametrize("model", ["freq", "emb"])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import make_taxonomy
+from conftest import corpus_rows, make_taxonomy
 from research_space.corpus import (
     EntityKind,
     PublicationRecord,
@@ -154,7 +154,7 @@ class TestResolveCorpus:
     def test_scientist_aggregation(self, inputs):
         records, vmap, taxonomy = inputs
         out = resolve_corpus(records, vmap, taxonomy, EntityKind.SCIENTIST)
-        assert {r.entity_id for r in out.records} == {"r1", "r2", "r4"}
+        assert out.entity_ids == ["r1", "r2", "r4"]
         assert out.match_stats.exact == 2
         assert out.match_stats.approximate == 1
         assert out.match_stats.unmatched == 1
@@ -163,23 +163,23 @@ class TestResolveCorpus:
     def test_institution_aggregation_shares_entity(self, inputs):
         records, vmap, taxonomy = inputs
         out = resolve_corpus(records, vmap, taxonomy, EntityKind.INSTITUTION)
-        ids = [r.entity_id for r in out.records]
-        assert ids.count("UFMG") == 2
+        assert corpus_rows(out) == [("UFMG", ("F001", "F002"), 2, 2010),
+                                    ("UFMG", ("F003",), 1, 2011)]
         # r4 matched but has no institution -> excluded and counted
         assert out.match_stats.missing_attribute == 1
 
     def test_fields_carried(self, inputs):
         records, vmap, taxonomy = inputs
         out = resolve_corpus(records, vmap, taxonomy, EntityKind.SCIENTIST)
-        by_id = {r.entity_id: r for r in out.records}
-        assert by_id["r1"].field_ids == ("F001", "F002")
-        assert len(by_id["r1"].field_ids) >= 1
+        by_id = {row[0]: row for row in corpus_rows(out)}
+        assert by_id["r1"][1] == ("F001", "F002")
+        assert out.field_sets == [("F001", "F002"), ("F003",)]
 
     def test_record_count_never_grows(self, inputs):
         records, vmap, taxonomy = inputs
         for kind in EntityKind:
             out = resolve_corpus(records, vmap, taxonomy, kind)
-            assert len(out.records) <= len(records)
+            assert len(out) <= len(records)
 
     def test_institution_entities_at_most_scientists(self, inputs):
         records, vmap, taxonomy = inputs
@@ -191,9 +191,7 @@ class TestResolveCorpus:
         ]
         sci = resolve_corpus(full, vmap, taxonomy, EntityKind.SCIENTIST)
         inst = resolve_corpus(full, vmap, taxonomy, EntityKind.INSTITUTION)
-        n_sci = len({r.entity_id for r in sci.records})
-        n_inst = len({r.entity_id for r in inst.records})
-        assert n_inst <= n_sci
+        assert len(inst.entity_ids) <= len(sci.entity_ids)
 
     def test_unknown_field_in_map(self, inputs):
         records, _, taxonomy = inputs

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_taxonomy
+from oracles import contribution_matrix_loop
 from research_space.errors import ConfigError
 from research_space.presence import (
     TimeWindow,
@@ -104,6 +105,31 @@ class TestContributionMatrix:
         for k, v in as_map(right).items():
             combined[k] = combined.get(k, 0) + v
         assert combined == pytest.approx(as_map(whole))
+
+    @given(st.lists(st.tuples(st.integers(0, 6),
+                              st.lists(st.integers(0, 5), min_size=1, max_size=3),
+                              st.integers(1, 15), st.integers(2000, 2009)),
+                    max_size=60),
+           st.integers(2000, 2009), st.integers(0, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_record_loop(self, records, start, span):
+        taxonomy = make_taxonomy(6)
+        rows = [(f"e{e}", [taxonomy.field_ids[f] for f in fields], n, y)
+                for e, fields, n, y in records]
+        window = TimeWindow(start, start + span)
+        x = contribution_matrix(make_corpus(rows), taxonomy, window)
+        expected, entity_ids = contribution_matrix_loop(rows, taxonomy, window)
+        assert x.entity_ids == entity_ids
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(x.values, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_unknown_field_rejected_inside_window_only(self, taxonomy6):
+        corpus = make_corpus([("s1", ["F001"], 1, 2010),
+                              ("s1", ["F001", "F999"], 1, 2005)])
+        assert contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010)).values.nnz
+        with pytest.raises(ConfigError, match="F999"):
+            contribution_matrix(corpus, taxonomy6, TimeWindow(2005, 2010))
 
 
 class TestPresenceMatrix:
