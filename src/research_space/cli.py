@@ -100,9 +100,8 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
         "invalid_rows": len(report.issues),
         "resolved_records": len(resolved),
     }
-    (out / "match_report.json").write_text(
-        json.dumps(match_report, indent=2, sort_keys=True) + "\n"
-    )
+    artifacts._write_atomic(out / "match_report.json",
+                            json.dumps(match_report, indent=2, sort_keys=True) + "\n")
     total = max(stats.total, 1)
     click.echo(
         f"resolved {len(resolved)} records "
@@ -210,7 +209,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
                          f"\t{omega.values[i, j]:.6f}")
     text = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        artifacts._write_atomic(out_path, text)
     else:
         click.echo(text, nl=False)
 
@@ -286,10 +285,9 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "auroc.tsv").write_text("\n".join(lines) + "\n")
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    artifacts._write_atomic(out / "auroc.tsv", "\n".join(lines) + "\n")
+    artifacts._write_atomic(out / "summary.json",
+                            json.dumps(summary, indent=2, sort_keys=True) + "\n")
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
 
 
@@ -332,15 +330,16 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt in ("edgelist", "tsv"):
-        (out / "backbone.tsv").write_text(net.export_edgelist(kept, labels))
+        name, text = "backbone.tsv", net.export_edgelist(kept, labels)
     elif fmt == "xmlgraph":
-        net.export_graphml(kept, out / "backbone.graphml", labels)
+        name, text = "backbone.graphml", net.export_graphml(kept, labels)
     else:
-        (out / "backbone.dot").write_text(net.export_dot(kept, labels))
+        name, text = "backbone.dot", net.export_dot(kept, labels)
+    artifacts._write_atomic(out / name, text)
     part_lines = ["node\tcommunity"]
     for node in sorted(kept.nodes()):
         part_lines.append(f"{node}\t{partition.communities[node]}")
-    (out / "communities.tsv").write_text("\n".join(part_lines) + "\n")
+    artifacts._write_atomic(out / "communities.tsv", "\n".join(part_lines) + "\n")
     click.echo(
         f"backbone: {kept.number_of_nodes()} nodes, {kept.number_of_edges()} edges, "
         f"modularity {partition.modularity:.4f}"
@@ -377,7 +376,7 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
         lines = ["value\tccdf"]
         for v, c in pe.ccdf(values):
             lines.append(f"{v:.10g}\t{c:.10g}")
-        (out / name).write_text("\n".join(lines) + "\n")
+        artifacts._write_atomic(out / name, "\n".join(lines) + "\n")
     click.echo(f"wrote CCDF tables to {out}")
 
 

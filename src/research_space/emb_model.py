@@ -63,43 +63,29 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _cosine_grads(a, b):
-    """d cos(a,b) / da and / db; both vectors assumed nonzero."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    c = np.dot(a, b) / (na * nb)
-    da = b / (na * nb) - c * a / (na * na)
-    db = a / (na * nb) - c * b / (nb * nb)
-    return da, db
-
-
 def hinge_loss_and_grads(input_vec, pos, negs, margin):
     """Loss sum_n max(0, margin - cos(input, pos) + cos(input, neg_n)) and its
-    analytic gradients w.r.t. input, pos, and each negative."""
-    loss = 0.0
-    g_in = np.zeros_like(input_vec)
-    g_pos = np.zeros_like(pos)
-    g_negs = np.zeros_like(negs)
-    c_pos = cosine(input_vec, pos)
-    for n in range(negs.shape[0]):
-        c_neg = cosine(input_vec, negs[n])
-        l = margin - c_pos + c_neg
-        if l <= 0:
-            continue
-        loss += l
-        d_in_pos, d_pos = _cosine_grads(input_vec, pos)
-        d_in_neg, d_neg = _cosine_grads(input_vec, negs[n])
-        g_in += -d_in_pos + d_in_neg
-        g_pos += -d_pos
-        g_negs[n] += d_neg
-    return loss, g_in, g_pos, g_negs
-
-
-def _project_max_norm(vectors, indices):
-    for i in indices:
-        n = np.linalg.norm(vectors[i])
-        if n > 1.0:
-            vectors[i] /= n
+    analytic gradients w.r.t. input, pos, and each negative, for all k
+    negatives at once. As in ``cosine``, a zero-norm vector has cosine 0."""
+    targets = np.concatenate((pos[None, :], negs))  # row 0 is the positive
+    na = np.sqrt(input_vec @ input_vec)
+    nt = np.sqrt(np.einsum("ij,ij->i", targets, targets))
+    denom = na * nt
+    cos = np.divide(targets @ input_vec, denom, out=np.zeros(len(targets)),
+                    where=(na != 0.0) & (nt != 0.0))
+    hinge = margin - cos[0] + cos[1:]
+    active = hinge > 0
+    n_active = np.count_nonzero(active)
+    if not n_active:
+        return 0.0, np.zeros_like(input_vec), np.zeros_like(pos), np.zeros_like(negs)
+    # d cos(input, t) / d input = t / denom - cos input / na^2, summed with
+    # weight -n_active for the positive and 1 for each active negative
+    weight = np.concatenate(([-n_active], active))
+    g_in = (weight / denom) @ targets - (weight @ cos) / (na * na) * input_vec
+    # d cos(input, t) / d t = input / denom - cos t / nt^2
+    d_t = np.outer(1.0 / denom, input_vec) - targets * (cos / (nt * nt))[:, None]
+    g_negs = np.where(active[:, None], d_t[1:], 0.0)
+    return float(hinge[active].sum()), g_in, -n_active * d_t[0], g_negs
 
 
 def train_embeddings(bags, config: EmbeddingConfig, field_ids,
@@ -115,7 +101,10 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
     n_fields = len(field_ids)
     vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
                           size=(n_fields, config.dim))
-    all_fields = np.arange(n_fields)
+    # the j-th field outside a sorted bag is j plus the count of bag entries
+    # b_i with b_i - i <= j; these shifts give the draws rng.choice would
+    # make from np.setdiff1d(all fields, bag)
+    shifts = [b - np.arange(len(b)) for b in trainable]
 
     total_steps = config.epochs * len(trainable)
     step = 0
@@ -127,14 +116,14 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
             lr = config.learning_rate * (1.0 - step / total_steps)
             step += 1
             fields = trainable[bi]
-            pos_i = int(rng.choice(fields))
+            pos_i = fields[rng.integers(len(fields))]
             context = fields[fields != pos_i]
-            outside = np.setdiff1d(all_fields, fields, assume_unique=True)
-            if len(outside) == 0:
+            n_outside = n_fields - len(fields)
+            if n_outside == 0:
                 continue
-            neg_i = rng.choice(outside, size=config.negatives_per_example,
-                               replace=True)
-            input_vec = vectors[context].mean(axis=0)
+            j = rng.integers(0, n_outside, size=config.negatives_per_example)
+            neg_i = j + np.searchsorted(shifts[bi], j, side="right")
+            input_vec = vectors[context].sum(axis=0) / len(context)
             loss, g_in, g_pos, g_negs = hinge_loss_and_grads(
                 input_vec, vectors[pos_i], vectors[neg_i], config.margin
             )
@@ -145,8 +134,12 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
                 vectors[pos_i] -= lr * g_pos
                 # accumulate per unique negative (sampling is with replacement)
                 np.subtract.at(vectors, neg_i, lr * g_negs)
+                # max-norm projection of the touched rows; a repeated
+                # negative is written twice with the same projected row
                 touched = np.concatenate((context, [pos_i], neg_i))
-                _project_max_norm(vectors, np.unique(touched))
+                norms = np.linalg.norm(vectors[touched], axis=1)
+                over = norms > 1.0
+                vectors[touched[over]] /= norms[over, None]
         epoch_losses.append(epoch_loss / len(trainable))
         logger.info("epoch %d/%d: mean hinge loss %.6g", len(epoch_losses),
                     config.epochs, epoch_losses[-1])

@@ -4,6 +4,7 @@ greedy modularity communities."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import networkx as nx
@@ -173,12 +174,17 @@ def export_edgelist(g: nx.Graph, labels: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_graphml(g: nx.Graph, path, labels: dict | None = None):
+def export_graphml(g: nx.Graph, labels: dict | None = None) -> str:
+    """The GraphML document as ``nx.write_graphml`` writes it, with its XML
+    declaration and UTF-8 text (``nx.generate_graphml`` drops the former and
+    escapes non-ASCII labels)."""
     out = g.copy()
     if labels:
         for (u, v), lab in labels.items():
             out[u][v]["group"] = lab
-    nx.write_graphml(out, path)
+    buf = io.BytesIO()
+    nx.write_graphml(out, buf)
+    return buf.getvalue().decode("utf-8")
 
 
 def export_dot(g: nx.Graph, labels: dict | None = None) -> str:

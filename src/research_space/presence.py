@@ -4,12 +4,15 @@ presence matrix P(t)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import FieldTaxonomy, ResolvedCorpus
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,8 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
     """X(t), each record contributing 1/(n_p * m_p): records inside the
     window, entities in order of their first record there, fields in taxonomy
     order."""
+    from scipy import sparse  # loaded only by the commands that build X
+
     keep = window.mask(corpus.year)
     entity, field_set = corpus.entity[keep], corpus.field_set[keep]
     codes, first, inverse = np.unique(entity, return_index=True, return_inverse=True)
@@ -126,17 +131,9 @@ def presence_matrix(x: EntityFieldMatrix, theta: float) -> EntityFieldMatrix:
     """P(t): binary int8, P = 1 iff X > theta (strict)."""
     if not (np.isfinite(theta) and theta > 0):
         raise ConfigError(f"theta must be finite and > 0, got {theta}")
+    from scipy import sparse
+
     mask = x.values > theta  # strict
     vals = sparse.csr_matrix(mask, dtype=np.int8)
     vals.eliminate_zeros()
     return EntityFieldMatrix(vals, x.entity_ids, x.field_ids, x.window)
-
-
-def export_sparse_triples(entity_ids, field_ids, matrix) -> list[tuple[str, str, float]]:
-    """(entity_id, field_id, value) triples for the nonzero cells, row-major."""
-    coo = sparse.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    return [
-        (entity_ids[coo.row[i]], field_ids[coo.col[i]], float(coo.data[i]))
-        for i in order
-    ]

@@ -174,3 +174,88 @@ def contribution_matrix_loop(rows, taxonomy, window):
                             dtype=np.float64)
     mat.sum_duplicates()
     return mat, list(entity_index)
+
+
+def _cosine_grads(a, b):
+    """d cos(a,b) / da and / db; both vectors assumed nonzero."""
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    c = np.dot(a, b) / (na * nb)
+    da = b / (na * nb) - c * a / (na * na)
+    db = a / (na * nb) - c * b / (nb * nb)
+    return da, db
+
+
+def hinge_loss_and_grads_loop(input_vec, pos, negs, margin):
+    """The per-negative loop the vectorized hinge replaced, kept verbatim."""
+    from research_space.emb_model import cosine
+
+    loss = 0.0
+    g_in = np.zeros_like(input_vec)
+    g_pos = np.zeros_like(pos)
+    g_negs = np.zeros_like(negs)
+    c_pos = cosine(input_vec, pos)
+    for n in range(negs.shape[0]):
+        c_neg = cosine(input_vec, negs[n])
+        l = margin - c_pos + c_neg
+        if l <= 0:
+            continue
+        loss += l
+        d_in_pos, d_pos = _cosine_grads(input_vec, pos)
+        d_in_neg, d_neg = _cosine_grads(input_vec, negs[n])
+        g_in += -d_in_pos + d_in_neg
+        g_pos += -d_pos
+        g_negs[n] += d_neg
+    return loss, g_in, g_pos, g_negs
+
+
+def _project_max_norm(vectors, indices):
+    for i in indices:
+        n = np.linalg.norm(vectors[i])
+        if n > 1.0:
+            vectors[i] /= n
+
+
+def train_embeddings_loop(bags, config, field_ids):
+    """The one-negative-at-a-time SGD trainer, kept verbatim apart from its
+    return value (vectors, epoch losses): setdiff1d negatives, a Python loop
+    per negative and per projected row."""
+    trainable = [b for b in bags if len(b) >= 2]
+    rng = np.random.default_rng(config.seed)
+    n_fields = len(field_ids)
+    vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
+                          size=(n_fields, config.dim))
+    all_fields = np.arange(n_fields)
+
+    total_steps = config.epochs * len(trainable)
+    step = 0
+    epoch_losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(trainable))
+        epoch_loss = 0.0
+        for bi in order:
+            lr = config.learning_rate * (1.0 - step / total_steps)
+            step += 1
+            fields = trainable[bi]
+            pos_i = int(rng.choice(fields))
+            context = fields[fields != pos_i]
+            outside = np.setdiff1d(all_fields, fields, assume_unique=True)
+            if len(outside) == 0:
+                continue
+            neg_i = rng.choice(outside, size=config.negatives_per_example,
+                               replace=True)
+            input_vec = vectors[context].mean(axis=0)
+            loss, g_in, g_pos, g_negs = hinge_loss_and_grads_loop(
+                input_vec, vectors[pos_i], vectors[neg_i], config.margin
+            )
+            epoch_loss += loss
+            if loss > 0:
+                # input is the context mean, so its gradient splits evenly
+                vectors[context] -= lr * g_in / len(context)
+                vectors[pos_i] -= lr * g_pos
+                # accumulate per unique negative (sampling is with replacement)
+                np.subtract.at(vectors, neg_i, lr * g_negs)
+                touched = np.concatenate((context, [pos_i], neg_i))
+                _project_max_norm(vectors, np.unique(touched))
+        epoch_losses.append(epoch_loss / len(trainable))
+    return vectors, epoch_losses

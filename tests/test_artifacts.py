@@ -58,6 +58,55 @@ class TestCorpusArtifact:
         assert err.value.path == path
 
 
+# Any finite float64, with the edge cases named: signed zeros, the smallest
+# subnormal, the largest normal magnitudes.
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+ids = st.lists(st.text("ABCDEFGHIJ0123456789_é", min_size=1, max_size=6),
+               min_size=1, max_size=6, unique=True)
+
+
+class TestMatrixArtifacts:
+    @given(ids.flatmap(lambda fids: st.tuples(
+               st.just(fids), st.lists(finite, min_size=len(fids) ** 2,
+                                       max_size=len(fids) ** 2))),
+           st.sampled_from(["frequentist", "embedding"]),
+           st.integers(-9999, 9999), st.integers(0, 50))
+    @example((["F001", "F002"], [-0.0, 5e-324, 1e308, -1e308]), "embedding", 2000, 4)
+    @settings(max_examples=200, deadline=None)
+    def test_proximity_round_trip_is_bit_identical(self, tmp_path_factory, table,
+                                                   model_tag, start, span):
+        field_ids, flat = table
+        n = len(field_ids)
+        phi = ProximityMatrix(values=np.array(flat, dtype=np.float64).reshape(n, n),
+                              field_ids=field_ids, model_tag=model_tag,
+                              window=TimeWindow(start, start + span))
+        path = tmp_path_factory.getbasetemp() / "phi.tsv"
+        artifacts.save_proximity(phi, path, mhash="abc")
+        loaded = artifacts.load_proximity(path)
+        assert loaded.values.dtype == np.float64
+        assert loaded.values.tobytes() == phi.values.tobytes()
+        assert loaded.field_ids == field_ids
+        assert loaded.model_tag == model_tag
+        assert loaded.window == phi.window
+
+    @given(ids.flatmap(lambda fids: st.tuples(
+               st.just(fids), st.lists(st.lists(finite, min_size=3, max_size=3),
+                                       min_size=len(fids), max_size=len(fids)))))
+    @example((["F001"], [[-0.0, 5e-324, -1e308]]))
+    @settings(max_examples=200, deadline=None)
+    def test_embedding_rows_parse_back_bit_identical(self, tmp_path_factory, table):
+        field_ids, rows = table
+        vectors = np.array(rows, dtype=np.float64)
+        path = tmp_path_factory.getbasetemp() / "embeddings.tsv"
+        artifacts.save_embeddings(vectors, field_ids, path, mhash="abc")
+        lines = [l for l in path.read_text(encoding="utf-8").splitlines()
+                 if not l.startswith("#")]
+        assert [l.split("\t")[0] for l in lines] == field_ids
+        parsed = np.array([[float(v) for v in l.split("\t")[1:]] for l in lines])
+        assert parsed.tobytes() == vectors.tobytes()
+
+
 def _unserializable_corpus():
     corpus = make_corpus([("e", ("F001",), 1, 2000)])
     corpus.entity_ids = [object()]

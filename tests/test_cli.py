@@ -4,8 +4,10 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -100,7 +102,7 @@ def write_pipeline_inputs(tmp_path, n_scientists=40, seed=5):
                 "venue": f"Journal of {field_ids[0]}",
                 "year": year,
                 "n_authors": n_authors,
-                "institution": f"Inst{hash(entity_id) % 3}",
+                "institution": f"Inst{zlib.crc32(entity_id.encode()) % 3}",
             }) + "\n")
     return tax_path, vmap_path, rec_path, positives
 
@@ -569,12 +571,21 @@ def test_fit_on_window_without_presence_exits_1(pipeline, tmp_path, model):
     assert not out.exists()
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_networkx():
+def _src_env(tests=False, **variables):
+    """The environment of a subprocess that imports this checkout's package
+    (and, with ``tests``, the test helpers), plus ``variables``."""
     src = str(Path(research_space.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    paths = (src, str(Path(__file__).parent) if tests else None,
+             os.environ.get("PYTHONPATH"))
+    return {**os.environ, **variables,
+            "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_networkx():
+    env = _src_env()
     code = ("import sys, research_space.cli; "
-            "print([m for m in ('scipy.stats', 'networkx') if m in sys.modules])")
+            "print([m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'networkx')])")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -583,3 +594,85 @@ def test_cli_import_loads_neither_scipy_stats_nor_networkx():
                           "--help"], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert "--mode" in res.stdout
+
+
+# Runs one CLI command in-process and reports on stderr whether scipy was
+# loaded by the time it exited.
+SCIPY_PROBE = """import sys
+from research_space.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print("scipy loaded:", "scipy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_commands_that_build_x_load_scipy(pipeline, tmp_path):
+    taxonomy, phi_emb = str(pipeline["taxonomy"]), str(pipeline["phi_emb"])
+    commands = {
+        "ingest": (["ingest", "--records", str(pipeline["records"]),
+                    "--venue-map", str(pipeline["venues"]), "--taxonomy", taxonomy],
+                   False),
+        "disparity": (["backbone", "--phi", phi_emb, "--taxonomy", taxonomy,
+                       "--mode", "disparity"], False),
+        "mst-threshold": (["backbone", "--phi", phi_emb, "--taxonomy", taxonomy,
+                           "--mode", "mst-threshold", "--level", "field"], False),
+        "fit": (["fit", "--corpus", str(pipeline["corpus"]), "--taxonomy", taxonomy,
+                 "--window", "2000:2004", "--model", "freq"], True),
+    }
+    for name, (args, loads_scipy) in commands.items():
+        out = tmp_path / name
+        res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args,
+                              "--out", str(out)],
+                             env=_src_env(), capture_output=True, text=True)
+        assert res.returncode == 0, (name, res.stderr)
+        assert res.stderr.splitlines()[-1] == f"scipy loaded: {loads_scipy}", name
+        assert any(out.iterdir()), name
+    # the manifest hash differs (no --seed), the values do not
+    np.testing.assert_array_equal(load_proximity(tmp_path / "fit" / "phi.tsv").values,
+                                  load_proximity(pipeline["phi_freq"]).values)
+
+
+def test_fixture_records_do_not_depend_on_hash_seed(tmp_path):
+    code = ("import sys; from pathlib import Path; "
+            "from test_cli import write_pipeline_inputs; "
+            "write_pipeline_inputs(Path(sys.argv[1]))")
+    for seed in ("1", "2"):
+        (tmp_path / seed).mkdir()
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path / seed)],
+                             env=_src_env(tests=True, PYTHONHASHSEED=seed),
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+    first = (tmp_path / "1" / "records.jsonl").read_bytes()
+    assert b'"institution": "Inst' in first
+    assert first == (tmp_path / "2" / "records.jsonl").read_bytes()
+
+
+def test_interrupted_summary_write_keeps_earlier_summary(pipeline, tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "eval"
+
+    def evaluate(phi):
+        return pipeline["runner"].invoke(main, [
+            "evaluate", "--phi-a", str(pipeline[phi]),
+            "--corpus", str(pipeline["corpus"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+            "--transition", "0A", "--out", str(out),
+        ])
+
+    assert evaluate("phi_freq").exit_code == 0
+    earlier = (out / "summary.json").read_bytes()
+    write_text = Path.write_text
+
+    def write_half_then_fail(self, text, **kwargs):
+        if self.name.startswith(".summary.json"):
+            write_text(self, text[:len(text) // 2], **kwargs)
+            raise OSError("disk full")
+        return write_text(self, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    res = evaluate("phi_emb")
+    assert isinstance(res.exception, OSError), res.output
+    assert (out / "summary.json").read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == ["auroc.tsv", "summary.json"]

@@ -174,6 +174,92 @@ class TestGradients:
                 np.testing.assert_allclose(g_negs[n], fd_neg, rtol=1e-4, atol=1e-8)
 
 
+class TestAgainstLoopTrainer:
+    """The vectorized step against the per-negative loop it replaced
+    (``oracles.train_embeddings_loop``): same RNG stream, same updates up to
+    float summation order."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_vectors_and_losses_match(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n_fields = int(rng.integers(3, 16))
+        bags = [np.sort(rng.choice(n_fields, size=rng.integers(1, n_fields),
+                                   replace=False))
+                for _ in range(rng.integers(2, 15))]
+        if seed % 3 == 0:
+            bags.append(np.arange(n_fields))  # no field left to sample from
+        config = EmbeddingConfig(dim=int(rng.integers(4, 17)),
+                                 epochs=int(rng.integers(1, 6)),
+                                 negatives_per_example=int(rng.integers(1, 11)),
+                                 seed=seed)
+        field_ids = [f"F{i:03d}" for i in range(n_fields)]
+        if not any(len(b) >= 2 for b in bags):
+            bags.append(np.array([0, n_fields - 1]))
+        emb = train_embeddings(bags, config, field_ids, WINDOW)
+        vectors, losses = oracles.train_embeddings_loop(bags, config, field_ids)
+        np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
+
+    def test_bag_of_every_field_is_skipped_in_the_stream(self):
+        # only the full bag and one pair: the full bag's step draws its
+        # positive and nothing more, as the loop trainer does
+        bags = [np.arange(5), np.array([1, 3])]
+        config = EmbeddingConfig(dim=6, epochs=4, negatives_per_example=3, seed=8)
+        field_ids = [f"F{i:03d}" for i in range(5)]
+        emb = train_embeddings(bags, config, field_ids, WINDOW)
+        vectors, losses = oracles.train_embeddings_loop(bags, config, field_ids)
+        np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
+
+    def test_shifted_draws_equal_setdiff_draws(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n_fields = int(rng.integers(2, 40))
+            bag = np.sort(rng.choice(n_fields, size=rng.integers(1, n_fields),
+                                     replace=False))
+            outside = np.setdiff1d(np.arange(n_fields), bag)
+            j = rng.integers(0, n_fields - len(bag), size=20)
+            shifted = j + np.searchsorted(bag - np.arange(len(bag)), j, side="right")
+            np.testing.assert_array_equal(shifted, outside[j])
+            # the same generator state gives the same draws either way
+            state = rng.bit_generator.state
+            want = rng.choice(outside, size=7, replace=True)
+            rng.bit_generator.state = state
+            j = rng.integers(0, len(outside), size=7)
+            np.testing.assert_array_equal(
+                j + np.searchsorted(bag - np.arange(len(bag)), j, side="right"), want)
+            state = rng.bit_generator.state
+            want = rng.choice(bag)
+            rng.bit_generator.state = state
+            assert bag[rng.integers(len(bag))] == want
+
+    @pytest.mark.parametrize("margin", [0.05, 5.0, -5.0])
+    def test_hinge_matches_loop(self, margin):
+        # margin 5 makes every negative active, -5 none
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            k, dim = rng.integers(1, 11), rng.integers(2, 17)
+            a, pos = rng.normal(size=dim), rng.normal(size=dim)
+            negs = rng.normal(size=(k, dim))
+            got = hinge_loss_and_grads(a, pos, negs, margin)
+            want = oracles.hinge_loss_and_grads_loop(a, pos, negs, margin)
+            if margin < 0:
+                assert got[0] == 0.0
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_zero_norm_vector_has_cosine_zero(self):
+        # zero positive: every cosine with it is 0, so the hinge is
+        # margin + cos(input, neg) for each negative, as with ``cosine``
+        # (the gradients w.r.t. a zero vector are undefined, in both)
+        a = np.array([1.0, 0.0])
+        negs = np.array([[1.0, 1.0], [-1.0, 0.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss, *_ = hinge_loss_and_grads(a, np.zeros(2), negs, 0.05)
+            want, *_ = oracles.hinge_loss_and_grads_loop(a, np.zeros(2), negs, 0.05)
+        assert loss == pytest.approx(0.05 + cosine(a, negs[0])) == want
+
+
 class TestProximity:
     def _embedding(self, vectors):
         from research_space.emb_model import FieldEmbedding

@@ -294,6 +294,6 @@ class TestGraphAndExports:
     def test_graphml_export(self, tmp_path):
         g = triangle()
         path = tmp_path / "g.graphml"
-        export_graphml(g, path)
+        path.write_text(export_graphml(g), encoding="utf-8")
         back = nx.read_graphml(path)
         assert back.number_of_edges() == 3

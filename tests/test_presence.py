@@ -10,7 +10,6 @@ from research_space.presence import (
     TimeWindow,
     WindowConfig,
     contribution_matrix,
-    export_sparse_triples,
     presence_matrix,
 )
 
@@ -96,10 +95,8 @@ class TestContributionMatrix:
         right = contribution_matrix(corpus, taxonomy6, TimeWindow(2005, 2009))
 
         def as_map(x):
-            return {
-                (e, f): v for e, f, v in
-                export_sparse_triples(x.entity_ids, x.field_ids, x.values)
-            }
+            return {(x.entity_ids[i], x.field_ids[j]): v
+                    for (i, j), v in x.values.todok().items()}
 
         combined = as_map(left)
         for k, v in as_map(right).items():
