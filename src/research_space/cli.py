@@ -15,15 +15,10 @@ import numpy as np
 from . import artifacts, corpus as corpus_mod, emb_model, freq_model
 from . import prediction_eval as pe
 from . import specialization as spec_mod
-from .corpus import EntityKind, FieldTaxonomy, VenueFieldMap
+from .corpus import FORMAT_PROFILES, EntityKind, FieldTaxonomy, VenueFieldMap
 from .errors import ConfigError, ResearchSpaceError
 from .presence import TimeWindow, WindowConfig, contribution_matrix, presence_matrix
-
-TRANSITIONS = {
-    "0A": spec_mod.TransitionKind.ZERO_TO_ACTIVE,
-    "ND": spec_mod.TransitionKind.NASCENT_TO_DEVELOPED,
-    "ID": spec_mod.TransitionKind.INTERMEDIATE_TO_DEVELOPED,
-}
+from .specialization import TransitionKind
 
 
 def pipeline_command(fn):
@@ -68,19 +63,19 @@ def main(verbose):
 @click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
 @click.option("--kind", type=click.Choice([k.value for k in EntityKind]),
               default="scientist")
-@click.option("--format", "fmt", default="jsonl")
+@click.option("--format", "fmt", type=click.Choice(sorted(FORMAT_PROFILES)),
+              default="jsonl")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @pipeline_command
 def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     """Resolve venues and aggregate records into an entity corpus."""
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     vmap = VenueFieldMap.from_file(venue_map_path)
-    report = corpus_mod.load_records(records, fmt=fmt)
-    for line_no, msg in report.issues:
-        click.echo(f"warning: line {line_no}: {msg}", err=True)
-    resolved = corpus_mod.resolve_corpus(
-        report.records, vmap, taxonomy, EntityKind(kind)
+    resolved, issues = corpus_mod.resolve_corpus(
+        records, vmap, taxonomy, EntityKind(kind), fmt=fmt
     )
+    for line_no, msg in issues:
+        click.echo(f"warning: line {line_no}: {msg}", err=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -92,14 +87,8 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     mhash = artifacts.write_manifest(manifest, out / "manifest.json")
     artifacts.save_corpus(resolved, out / "corpus.jsonl", mhash=mhash)
     stats = resolved.match_stats
-    match_report = {
-        "exact": stats.exact,
-        "approximate": stats.approximate,
-        "unmatched": stats.unmatched,
-        "missing_attribute": stats.missing_attribute,
-        "invalid_rows": len(report.issues),
-        "resolved_records": len(resolved),
-    }
+    match_report = {**vars(stats), "invalid_rows": len(issues),
+                    "resolved_records": len(resolved)}
     artifacts._write_atomic(out / "match_report.json",
                             json.dumps(match_report, indent=2, sort_keys=True) + "\n")
     total = max(stats.total, 1)
@@ -176,7 +165,8 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
 @click.option("--rca-window", "rca_window", required=True, callback=_window)
-@click.option("--transition", required=True, type=click.Choice(sorted(TRANSITIONS)))
+@click.option("--transition", required=True,
+              type=click.Choice(sorted(k.value for k in TransitionKind)))
 @click.option("--top", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--entity", "entities", multiple=True)
 @click.option("--out", "out_path", type=click.Path())
@@ -189,7 +179,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     phi = artifacts.load_proximity(phi_path)
     if phi.field_ids != taxonomy.field_ids:
         raise ConfigError("proximity artifact and taxonomy field sets differ")
-    kind = TRANSITIONS[transition]
+    kind = TransitionKind(transition)
     r = spec_mod.rca(contribution_matrix(resolved, taxonomy, rca_window))
     omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
     order, n_candidates = pe.rank_candidates(omega, r, kind)
@@ -222,7 +212,8 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
 @click.option("--fit", "fit_window", required=True, callback=_window)
 @click.option("--rca", "rca_window", required=True, callback=_window)
 @click.option("--test", "test_window", required=True, callback=_window)
-@click.option("--transition", required=True, type=click.Choice(sorted(TRANSITIONS)))
+@click.option("--transition", required=True,
+              type=click.Choice(sorted(k.value for k in TransitionKind)))
 @click.option("--full-candidates", is_flag=True,
               help="Rank the whole U=0 set instead of source-stage fields.")
 @click.option("--permutations", default=10000, show_default=True)
@@ -251,7 +242,7 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
         )
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
-    kind = TRANSITIONS[transition]
+    kind = TransitionKind(transition)
 
     r = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.rca_window))
     u = spec_mod.indicator(r, kind)

@@ -7,7 +7,9 @@ import csv
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +19,11 @@ SPLIT_CHARS = ".;:/-"
 _SPLIT_RE = re.compile("[" + re.escape(SPLIT_CHARS) + "]")
 _WS_RE = re.compile(r"\s+")
 
-DEFAULT_YEAR_RANGE = (1900, 2100)
-
 
 class EntityKind(enum.Enum):
     SCIENTIST = "scientist"
     INSTITUTION = "institution"
     STATE = "state"
-
-
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One (researcher, venue, year, author-count) entry; the ingestion atom."""
-
-    researcher_id: str
-    venue_name: str
-    year: int
-    n_authors: int
-    institution: str | None = None
-    state: str | None = None
 
 
 @dataclass(frozen=True)
@@ -144,12 +132,6 @@ class VenueFieldMap:
             if not v:
                 raise ConfigError(f"venue {k!r} maps to an empty field set")
 
-    def __len__(self):
-        return len(self.entries)
-
-    def lookup(self, normalized_name):
-        return self.entries.get(normalized_name)
-
     def validate_against(self, taxonomy: FieldTaxonomy):
         known = set(taxonomy.field_ids)
         for venue, fids in self.entries.items():
@@ -183,20 +165,27 @@ class VenueFieldMap:
 def match_venue(name: str, vmap: VenueFieldMap):
     """Exact match on the full normalized name, else the first substring with
     an exact hit (flagged approximate), else None."""
-    subs = venue_substrings(name)
-    hit = vmap.lookup(normalize_venue(subs[0]))
-    if hit is not None:
-        return hit, "exact"
-    for sub in subs[1:]:
-        hit = vmap.lookup(normalize_venue(sub))
+    for i, sub in enumerate(venue_substrings(name)):
+        hit = vmap.entries.get(normalize_venue(sub))
         if hit is not None:
-            return hit, "approximate"
+            return hit, "approximate" if i else "exact"
     return None
 
 
-# --- record loading -------------------------------------------------------
+
+
+# --- record loading and aggregation ----------------------------------------
 
 _MANDATORY = ("researcher_id", "venue", "year", "n_authors")
+_TEXT_KEYS = ("researcher_id", "venue", "institution", "state")
+YEAR_RANGE = (1900, 2100)
+
+# The record key that names an entity of each kind.
+_ENTITY_KEY = {
+    EntityKind.SCIENTIST: "researcher_id",
+    EntityKind.INSTITUTION: "institution",
+    EntityKind.STATE: "state",
+}
 
 # Column-name aliases per format profile. The "zenodo" profile is a csv
 # profile with alternative header spellings used by the public dataset dump.
@@ -218,55 +207,10 @@ FORMAT_PROFILES = {
 }
 
 
-@dataclass
-class LoadReport:
-    records: list[PublicationRecord] = field(default_factory=list)
-    issues: list[tuple[int, str]] = field(default_factory=list)  # (line, message)
-
-
-def _year_and_authors(raw: dict) -> tuple[int, int]:
-    """A record's integral ``year`` and ``n_authors`` (>= 1); booleans and
-    non-integral floats are rejected, integral floats and numeric strings
-    are converted."""
-    for key in ("year", "n_authors"):
-        value = raw[key]
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    year = int(raw["year"])
-    n_authors = int(raw["n_authors"])
-    if n_authors < 1:
-        raise ValueError(f"n_authors must be >= 1, got {n_authors}")
-    return year, n_authors
-
-
-def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
-    for key in _MANDATORY:
-        if raw.get(key) in (None, ""):
-            raise ValueError(f"missing mandatory field {key!r}")
-    year, n_authors = _year_and_authors(raw)
-    lo, hi = year_range
-    if not lo <= year <= hi:
-        raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
-    inst = raw.get("institution") or None
-    state = raw.get("state") or None
-    return PublicationRecord(
-        researcher_id=str(raw["researcher_id"]),
-        venue_name=str(raw["venue"]),
-        year=year,
-        n_authors=n_authors,
-        institution=inst,
-        state=state,
-    )
-
-
-@utf8_input
-def load_records(path, fmt="jsonl", year_range=DEFAULT_YEAR_RANGE) -> LoadReport:
-    """Load publication records; invalid rows are reported per line, never
-    silently dropped."""
-    if fmt not in FORMAT_PROFILES:
-        raise ConfigError(f"unknown record format {fmt!r}")
-    report = LoadReport()
+def _rows(path, fmt):
+    """Yield (line number, row) for each record of the file: the decoded
+    value of a non-blank JSONL line, or a delimited row as a dict of
+    canonical keys."""
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -277,11 +221,8 @@ def load_records(path, fmt="jsonl", year_range=DEFAULT_YEAR_RANGE) -> LoadReport
                     raw = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
-                try:
-                    report.records.append(_validate_record(raw, line_no, year_range))
-                except (ValueError, TypeError) as e:
-                    report.issues.append((line_no, str(e)))
-        return report
+                yield line_no, raw
+        return
 
     profile = FORMAT_PROFILES[fmt]
     aliases = profile["aliases"]
@@ -299,15 +240,46 @@ def load_records(path, fmt="jsonl", year_range=DEFAULT_YEAR_RANGE) -> LoadReport
         if missing:
             raise ParseError(f"missing required columns {missing}", path=path)
         for line_no, row in enumerate(reader, start=2):
-            raw = {k: row.get(src) for k, src in colmap.items()}
-            try:
-                report.records.append(_validate_record(raw, line_no, year_range))
-            except (ValueError, TypeError) as e:
-                report.issues.append((line_no, str(e)))
-    return report
+            yield line_no, {k: row.get(src) for k, src in colmap.items()}
 
 
-# --- aggregation ----------------------------------------------------------
+def _text(raw: dict, key: str) -> str | None:
+    """``raw[key]`` as a string, None when absent or empty; strings and
+    integers are accepted, any other value is not."""
+    value = raw.get(key)
+    if value is None or value == "":
+        return None
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"{key} must be a string or an integer, got {value!r}")
+
+
+def _validate_record(raw) -> tuple[dict[str, str | None], int, int]:
+    """A row's ``_TEXT_KEYS`` values, year and n_authors; a ValueError or
+    TypeError says why the row is invalid. ``year`` and ``n_authors`` (>= 1)
+    must be integral: booleans and non-integral floats are rejected,
+    integral floats and numeric strings are converted."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"record must be a JSON object, got {type(raw).__name__}")
+    for key in _MANDATORY:
+        if raw.get(key) in (None, ""):
+            raise ValueError(f"missing mandatory field {key!r}")
+    for key in ("year", "n_authors"):
+        value = raw[key]
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    year = int(raw["year"])
+    n_authors = int(raw["n_authors"])
+    if n_authors < 1:
+        raise ValueError(f"n_authors must be >= 1, got {n_authors}")
+    lo, hi = YEAR_RANGE
+    if not lo <= year <= hi:
+        raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
+    return {key: _text(raw, key) for key in _TEXT_KEYS}, year, n_authors
+
 
 @dataclass
 class MatchStats:
@@ -341,51 +313,52 @@ class ResolvedCorpus:
         return len(self.entity)
 
 
-def _entity_id(rec: PublicationRecord, kind: EntityKind):
-    if kind is EntityKind.SCIENTIST:
-        return rec.researcher_id
-    if kind is EntityKind.INSTITUTION:
-        return rec.institution
-    return rec.state
+@utf8_input
+def resolve_corpus(path, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
+                   kind: EntityKind, fmt="jsonl"):
+    """Read, validate, venue-match and aggregate the records of ``path`` into
+    entities of the given kind, in one pass; return the corpus and the
+    invalid rows as (line, message) pairs.
 
-
-def resolve_corpus(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
-                   kind: EntityKind) -> ResolvedCorpus:
-    """Match venues and aggregate records into entities of the given kind.
-
-    Unmatched venues and (for institution/state) records missing that
-    attribute are excluded and counted, never imputed.
+    Invalid rows are reported per line, never silently dropped. Unmatched
+    venues and (for institution/state) records missing that attribute are
+    excluded and counted, never imputed.
     """
+    if fmt not in FORMAT_PROFILES:
+        raise ConfigError(f"unknown record format {fmt!r}")
     vmap.validate_against(taxonomy)
-    stats = MatchStats()
+    key = _ENTITY_KEY[kind]
+    stats = Counter()  # MatchStats field -> count
+    issues = []
     entity_code: dict[str, int] = {}
     set_code: dict[tuple[str, ...], int] = {}
-    hits = {}  # raw venue name -> (field-set code, match kind) or None
-    entity, field_set, n_authors, year = [], [], [], []
-    for rec in records:
-        if rec.venue_name not in hits:
-            hit = match_venue(rec.venue_name, vmap)
-            hits[rec.venue_name] = (None if hit is None else (
-                set_code.setdefault(tuple(sorted(hit[0])), len(set_code)), hit[1]))
-        hit = hits[rec.venue_name]
-        if hit is None:
-            stats.unmatched += 1
+    hits = {}  # raw venue name -> (field-set code or None, MatchStats field)
+    columns = entity, field_set, n_authors, year = [array("q") for _ in range(4)]
+    for line_no, raw in _rows(path, fmt):
+        try:
+            text, rec_year, rec_n_authors = _validate_record(raw)
+        except (ValueError, TypeError) as e:
+            issues.append((line_no, str(e)))
             continue
-        code, match_kind = hit
-        if match_kind == "exact":
-            stats.exact += 1
-        else:
-            stats.approximate += 1
-        eid = _entity_id(rec, kind)
+        venue = text["venue"]
+        if venue not in hits:
+            hit = match_venue(venue, vmap)
+            hits[venue] = (None, "unmatched") if hit is None else (
+                set_code.setdefault(tuple(sorted(hit[0])), len(set_code)), hit[1])
+        code, outcome = hits[venue]
+        stats[outcome] += 1
+        if code is None:
+            continue
+        eid = text[key]
         if eid is None:
-            stats.missing_attribute += 1
+            stats["missing_attribute"] += 1
             continue
         entity.append(entity_code.setdefault(eid, len(entity_code)))
         field_set.append(code)
-        n_authors.append(rec.n_authors)
-        year.append(rec.year)
+        n_authors.append(rec_n_authors)
+        year.append(rec_year)
     return ResolvedCorpus(
         list(entity_code), list(set_code),
-        *(np.array(c, dtype=np.int64) for c in (entity, field_set, n_authors, year)),
-        kind, stats,
-    )
+        *(np.frombuffer(c, dtype=np.int64) for c in columns), kind,
+        MatchStats(**stats),
+    ), issues

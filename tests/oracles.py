@@ -3,11 +3,23 @@
 These deliberately avoid the implementation's code paths: pairwise
 enumeration for AUROC, entity-pair counting for co-presence, node-pair sums
 and exhaustive partition search for modularity, finite differences for
-gradients.
+gradients, the two-pass record ingest for the one-pass ``resolve_corpus``.
 """
+
+from __future__ import annotations
+
+import csv
+import json
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+
+from research_space.corpus import (
+    _MANDATORY, FORMAT_PROFILES, YEAR_RANGE, EntityKind, FieldTaxonomy, MatchStats,
+    ResolvedCorpus, VenueFieldMap, match_venue,
+)
+from research_space.errors import ConfigError, ParseError, utf8_input
 
 
 def auroc_pairwise(scores_pos, scores_neg):
@@ -259,3 +271,158 @@ def train_embeddings_loop(bags, config, field_ids):
                 _project_max_norm(vectors, np.unique(touched))
         epoch_losses.append(epoch_loss / len(trainable))
     return vectors, epoch_losses
+
+
+# The two-pass record ingest that ``corpus.resolve_corpus`` replaced: one
+# frozen object per valid row, then a walk over the list that codes each row.
+# Kept verbatim but for the names, as the oracle of the one pass.
+
+@dataclass(frozen=True)
+class PublicationRecord:
+    """One (researcher, venue, year, author-count) entry; the ingestion atom."""
+
+    researcher_id: str
+    venue_name: str
+    year: int
+    n_authors: int
+    institution: str | None = None
+    state: str | None = None
+
+
+@dataclass
+class LoadReport:
+    records: list[PublicationRecord] = field(default_factory=list)
+    issues: list[tuple[int, str]] = field(default_factory=list)  # (line, message)
+
+
+def _year_and_authors(raw: dict) -> tuple[int, int]:
+    """A record's integral ``year`` and ``n_authors`` (>= 1); booleans and
+    non-integral floats are rejected, integral floats and numeric strings
+    are converted."""
+    for key in ("year", "n_authors"):
+        value = raw[key]
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    year = int(raw["year"])
+    n_authors = int(raw["n_authors"])
+    if n_authors < 1:
+        raise ValueError(f"n_authors must be >= 1, got {n_authors}")
+    return year, n_authors
+
+
+def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
+    for key in _MANDATORY:
+        if raw.get(key) in (None, ""):
+            raise ValueError(f"missing mandatory field {key!r}")
+    year, n_authors = _year_and_authors(raw)
+    lo, hi = year_range
+    if not lo <= year <= hi:
+        raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
+    inst = raw.get("institution") or None
+    state = raw.get("state") or None
+    return PublicationRecord(
+        researcher_id=str(raw["researcher_id"]),
+        venue_name=str(raw["venue"]),
+        year=year,
+        n_authors=n_authors,
+        institution=inst,
+        state=state,
+    )
+
+
+@utf8_input
+def load_records(path, fmt="jsonl", year_range=YEAR_RANGE) -> LoadReport:
+    """Load publication records; invalid rows are reported per line, never
+    silently dropped."""
+    if fmt not in FORMAT_PROFILES:
+        raise ConfigError(f"unknown record format {fmt!r}")
+    report = LoadReport()
+    if fmt == "jsonl":
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
+                try:
+                    report.records.append(_validate_record(raw, line_no, year_range))
+                except (ValueError, TypeError) as e:
+                    report.issues.append((line_no, str(e)))
+        return report
+
+    profile = FORMAT_PROFILES[fmt]
+    aliases = profile["aliases"]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=profile["delimiter"])
+        if reader.fieldnames is None:
+            raise ParseError("empty records file", path=path)
+        colmap = {}
+        for canonical in _MANDATORY + ("institution", "state"):
+            for cand in aliases.get(canonical, [canonical]):
+                if cand in reader.fieldnames:
+                    colmap[canonical] = cand
+                    break
+        missing = [k for k in _MANDATORY if k not in colmap]
+        if missing:
+            raise ParseError(f"missing required columns {missing}", path=path)
+        for line_no, row in enumerate(reader, start=2):
+            raw = {k: row.get(src) for k, src in colmap.items()}
+            try:
+                report.records.append(_validate_record(raw, line_no, year_range))
+            except (ValueError, TypeError) as e:
+                report.issues.append((line_no, str(e)))
+    return report
+
+
+def _entity_id(rec: PublicationRecord, kind: EntityKind):
+    if kind is EntityKind.SCIENTIST:
+        return rec.researcher_id
+    if kind is EntityKind.INSTITUTION:
+        return rec.institution
+    return rec.state
+
+
+def resolve_records(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
+                    kind: EntityKind) -> ResolvedCorpus:
+    """Match venues and aggregate records into entities of the given kind.
+
+    Unmatched venues and (for institution/state) records missing that
+    attribute are excluded and counted, never imputed.
+    """
+    vmap.validate_against(taxonomy)
+    stats = MatchStats()
+    entity_code: dict[str, int] = {}
+    set_code: dict[tuple[str, ...], int] = {}
+    hits = {}  # raw venue name -> (field-set code, match kind) or None
+    entity, field_set, n_authors, year = [], [], [], []
+    for rec in records:
+        if rec.venue_name not in hits:
+            hit = match_venue(rec.venue_name, vmap)
+            hits[rec.venue_name] = (None if hit is None else (
+                set_code.setdefault(tuple(sorted(hit[0])), len(set_code)), hit[1]))
+        hit = hits[rec.venue_name]
+        if hit is None:
+            stats.unmatched += 1
+            continue
+        code, match_kind = hit
+        if match_kind == "exact":
+            stats.exact += 1
+        else:
+            stats.approximate += 1
+        eid = _entity_id(rec, kind)
+        if eid is None:
+            stats.missing_attribute += 1
+            continue
+        entity.append(entity_code.setdefault(eid, len(entity_code)))
+        field_set.append(code)
+        n_authors.append(rec.n_authors)
+        year.append(rec.year)
+    return ResolvedCorpus(
+        list(entity_code), list(set_code),
+        *(np.array(c, dtype=np.int64) for c in (entity, field_set, n_authors, year)),
+        kind, stats,
+    )

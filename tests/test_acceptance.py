@@ -270,7 +270,7 @@ def test_acceptance_9_full_dataset_first_setup():
 
     from research_space import artifacts, freq_model as fm, specialization as sm
     from research_space.corpus import EntityKind, FieldTaxonomy, VenueFieldMap, \
-        load_records, resolve_corpus
+        resolve_corpus
     from research_space.prediction_eval import evaluate_transition, summarize
     from research_space.presence import presence_matrix
 
@@ -278,9 +278,8 @@ def test_acceptance_9_full_dataset_first_setup():
         base = Path(DATASET_DIR)
         taxonomy = FieldTaxonomy.from_file(base / "taxonomy.tsv")
         vmap = VenueFieldMap.from_file(base / "venues.tsv")
-        report = load_records(base / "records.jsonl")
-        resolved = resolve_corpus(report.records, vmap, taxonomy,
-                                  EntityKind.SCIENTIST)
+        resolved, _ = resolve_corpus(base / "records.jsonl", vmap, taxonomy,
+                                     EntityKind.SCIENTIST)
         fit_w, rca_w, test_w = (TimeWindow(1999, 2013), TimeWindow(2011, 2013),
                                 TimeWindow(2014, 2016))
         x_fit = contribution_matrix(resolved, taxonomy, fit_w)
@@ -302,16 +301,15 @@ def test_acceptance_10_backbone_edge_counts():
 
     from research_space import network_analysis as net
     from research_space.corpus import EntityKind, FieldTaxonomy, VenueFieldMap, \
-        load_records, resolve_corpus
+        resolve_corpus
     from research_space.presence import presence_matrix
 
     with criterion(10, "backbone edge counts"):
         base = Path(DATASET_DIR)
         taxonomy = FieldTaxonomy.from_file(base / "taxonomy.tsv")
         vmap = VenueFieldMap.from_file(base / "venues.tsv")
-        report = load_records(base / "records.jsonl")
-        resolved = resolve_corpus(report.records, vmap, taxonomy,
-                                  EntityKind.SCIENTIST)
+        resolved, _ = resolve_corpus(base / "records.jsonl", vmap, taxonomy,
+                                     EntityKind.SCIENTIST)
         expected = {(2003, 2007): 65, (2008, 2012): 60, (2012, 2016): 54}
         for (start, end), n_edges in expected.items():
             window = TimeWindow(start, end)

@@ -173,6 +173,52 @@ class TestIngest:
         report = json.loads((tmp_path / "out" / "match_report.json").read_text())
         assert report["unmatched"] == 1
 
+    def _ingest(self, pipeline, tmp_path, lines, kind="scientist"):
+        rec = tmp_path / "r.jsonl"
+        rec.write_text("".join(line + "\n" for line in lines))
+        return pipeline["runner"].invoke(main, [
+            "ingest", "--records", str(rec),
+            "--venue-map", str(pipeline["venues"]),
+            "--taxonomy", str(pipeline["taxonomy"]), "--kind", kind,
+            "--out", str(tmp_path / "out"),
+        ])
+
+    def test_non_object_lines_are_invalid_rows(self, pipeline, tmp_path):
+        valid = json.dumps({"researcher_id": "r1", "venue": "Journal of F001",
+                            "year": 2001, "n_authors": 1})
+        res = self._ingest(pipeline, tmp_path, ["[1, 2]", '"x"', valid, "5"])
+        assert res.exit_code == 0, res.output
+        assert "Traceback" not in res.output
+        for line_no, name in ((1, "list"), (2, "str"), (4, "int")):
+            assert (f"warning: line {line_no}: record must be a JSON object, "
+                    f"got {name}") in res.output
+        report = json.loads((tmp_path / "out" / "match_report.json").read_text())
+        assert (report["invalid_rows"], report["resolved_records"]) == (3, 1)
+
+    def test_ids_must_be_strings_or_integers(self, pipeline, tmp_path):
+        def row(**ids):
+            return json.dumps({"researcher_id": "r1", "venue": "Journal of F001",
+                               "year": 2001, "n_authors": 1, **ids})
+
+        res = self._ingest(pipeline, tmp_path, [
+            row(institution=5), row(institution="UFMG"),
+            row(researcher_id=["r3"]), row(institution=True),
+            row(institution=1.0), row(state={"uf": "MG"}), row(venue=[7]),
+        ], kind="institution")
+        assert res.exit_code == 0, res.output
+        for line_no in (3, 4, 5, 6, 7):
+            assert f"warning: line {line_no}: " in res.output
+        assert "researcher_id must be a string or an integer, got ['r3']" in res.output
+        report = json.loads((tmp_path / "out" / "match_report.json").read_text())
+        assert (report["invalid_rows"], report["resolved_records"]) == (5, 2)
+        corpus = tmp_path / "out" / "corpus.jsonl"
+        assert load_corpus(corpus).entity_ids == ["5", "UFMG"]
+        res = pipeline["runner"].invoke(main, [
+            "export-stats", "--corpus", str(corpus),
+            "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "stats"),
+        ])
+        assert res.exit_code == 0, res.output
+
 
 class TestFit:
     def test_freq_artifact_loads(self, pipeline):
@@ -476,14 +522,21 @@ def test_bad_window_exits_2_without_traceback(pipeline, tmp_path, command, optio
 @pytest.mark.parametrize("command,option,value", [
     ("fit", "--negatives", "-3"),
     ("evaluate", "--permutations", "50"),
+    ("ingest", "--format", "nope"),
 ])
 def test_bad_option_exits_2_before_any_io(pipeline, tmp_path, command, option, value):
-    # an unreadable corpus would exit 1 if it were loaded before the check
+    # an unreadable corpus or taxonomy would exit 1 if it were loaded before
+    # the check
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("not json\n")
+    taxonomy = tmp_path / "taxonomy.tsv"
+    taxonomy.write_text("not a taxonomy\n")
     files = ["--corpus", str(corpus), "--taxonomy", str(pipeline["taxonomy"])]
     out = tmp_path / "out"
     args = {
+        "ingest": ["--records", str(pipeline["records"]),
+                   "--venue-map", str(pipeline["venues"]),
+                   "--taxonomy", str(taxonomy)],
         "fit": [*files, "--window", "2000:2004", "--model", "emb"],
         "evaluate": ["--phi-a", str(pipeline["phi_freq"]),
                      "--phi-b", str(pipeline["phi_emb"]), *files,

@@ -1,13 +1,16 @@
+import csv
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from conftest import corpus_rows, make_taxonomy
 from research_space.corpus import (
     EntityKind,
-    PublicationRecord,
     VenueFieldMap,
-    load_records,
     match_venue,
     normalize_venue,
     resolve_corpus,
@@ -73,51 +76,75 @@ def test_normalize_venue_collapses_whitespace():
     assert normalize_venue("  The   Journal  ") == "the journal"
 
 
-class TestLoadRecords:
-    def _write(self, tmp_path, rows):
-        path = tmp_path / "records.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        return path
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
 
-    def test_well_formed(self, tmp_path):
+
+CSV_COLUMNS = ("researcher_id", "venue", "year", "n_authors", "institution", "state")
+
+
+def write_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row.get(k) for k in CSV_COLUMNS] for row in rows)
+    return path
+
+
+class TestLoadRecords:
+    @pytest.fixture
+    def load(self, tmp_path):
+        """Resolve rows written as JSONL with a map that matches every venue
+        of these tests, for scientists."""
+        vmap = VenueFieldMap({"Nature": {"F001"}, "Science": {"F002"},
+                              "Cell": {"F003"}, "V": {"F004"}})
+
+        def load(rows):
+            return resolve_corpus(write_jsonl(tmp_path / "records.jsonl", rows),
+                                  vmap, make_taxonomy(6), EntityKind.SCIENTIST)
+        return load
+
+    def test_well_formed(self, load):
         rows = [
             {"researcher_id": "r1", "venue": "Nature", "year": 2010, "n_authors": 2},
             {"researcher_id": "r2", "venue": "Science", "year": 2011, "n_authors": 1},
             {"researcher_id": "r1", "venue": "Cell", "year": 2012, "n_authors": 3},
         ]
-        report = load_records(self._write(tmp_path, rows))
-        assert len(report.records) == 3
-        assert report.issues == []
+        out, issues = load(rows)
+        assert len(out) == 3
+        assert issues == []
 
-    def test_zero_authors_rejected_per_row(self, tmp_path):
+    def test_zero_authors_rejected_per_row(self, load):
         rows = [
             {"researcher_id": "r1", "venue": "Nature", "year": 2010, "n_authors": 0},
             {"researcher_id": "r2", "venue": "Science", "year": 2011, "n_authors": 1},
         ]
-        report = load_records(self._write(tmp_path, rows))
-        assert len(report.records) == 1
-        assert len(report.issues) == 1
-        assert report.issues[0][0] == 1
-        assert "n_authors" in report.issues[0][1]
+        out, issues = load(rows)
+        assert len(out) == 1
+        assert len(issues) == 1
+        assert issues[0][0] == 1
+        assert "n_authors" in issues[0][1]
 
-    def test_missing_mandatory_field_reported(self, tmp_path):
+    def test_missing_mandatory_field_reported(self, load):
         rows = [{"researcher_id": "r1", "year": 2010, "n_authors": 2}]
-        report = load_records(self._write(tmp_path, rows))
-        assert report.records == []
-        assert "venue" in report.issues[0][1]
+        out, issues = load(rows)
+        assert len(out) == 0
+        assert "venue" in issues[0][1]
 
-    def test_year_out_of_range(self, tmp_path):
+    def test_year_out_of_range(self, load):
         rows = [{"researcher_id": "r1", "venue": "V", "year": 1500, "n_authors": 1}]
         # non-integral or boolean numbers are invalid rows too, never truncated
         rows += [{"researcher_id": "r1", "venue": "V", "year": y, "n_authors": n}
                  for y, n in ((2001.7, 2), (2001, 2.9), (True, 1), (2001, True))]
-        report = load_records(self._write(tmp_path, rows))
-        assert report.records == []
-        assert [line for line, _ in report.issues] == [1, 2, 3, 4, 5]
+        out, issues = load(rows)
+        assert len(out) == 0
+        assert [line for line, _ in issues] == [1, 2, 3, 4, 5]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_records(tmp_path / "x", fmt="nope")
+            resolve_corpus(tmp_path / "x", VenueFieldMap({}), make_taxonomy(6),
+                           EntityKind.SCIENTIST, fmt="nope")
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -125,44 +152,51 @@ class TestLoadRecords:
             "researcher_id,venue,year,n_authors,institution,state\n"
             "r1,Nature,2010,2,UFMG,MG\n"
         )
-        report = load_records(path, fmt="csv")
-        assert report.records == [
-            PublicationRecord("r1", "Nature", 2010, 2, "UFMG", "MG")
-        ]
+        vmap = VenueFieldMap({"Nature": {"F001"}})
+        for kind, eid in (("scientist", "r1"), ("institution", "UFMG"),
+                          ("state", "MG")):
+            out, issues = resolve_corpus(path, vmap, make_taxonomy(6),
+                                         EntityKind(kind), fmt="csv")
+            assert (corpus_rows(out), issues) == ([(eid, ("F001",), 2, 2010)], [])
 
     def test_zenodo_profile_aliases(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("lattes_id,journal,publication_year,num_authors\nr1,Nature,2010,2\n")
-        report = load_records(path, fmt="zenodo")
-        assert report.records[0].researcher_id == "r1"
-        assert report.records[0].n_authors == 2
+        out, _ = resolve_corpus(path, VenueFieldMap({"Nature": {"F001"}}),
+                                make_taxonomy(6), EntityKind.SCIENTIST, fmt="zenodo")
+        assert out.entity_ids[out.entity[0]] == "r1"
+        assert out.n_authors[0] == 2
 
 
 class TestResolveCorpus:
+    ROWS = [
+        {"researcher_id": "r1", "venue": "Nature", "year": 2010, "n_authors": 2,
+         "institution": "UFMG"},
+        {"researcher_id": "r2", "venue": "Cell Reports-Cell", "year": 2011,
+         "n_authors": 1, "institution": "UFMG"},
+        {"researcher_id": "r3", "venue": "Unknown", "year": 2012, "n_authors": 1,
+         "institution": "USP"},
+        {"researcher_id": "r4", "venue": "Cell", "year": 2013, "n_authors": 1},
+    ]
+
     @pytest.fixture
-    def inputs(self):
+    def inputs(self, tmp_path):
         taxonomy = make_taxonomy(6)
         vmap = VenueFieldMap({"Nature": {"F001", "F002"}, "Cell": {"F003"}})
-        records = [
-            PublicationRecord("r1", "Nature", 2010, 2, institution="UFMG"),
-            PublicationRecord("r2", "Cell Reports-Cell", 2011, 1, institution="UFMG"),
-            PublicationRecord("r3", "Unknown", 2012, 1, institution="USP"),
-            PublicationRecord("r4", "Cell", 2013, 1, institution=None),
-        ]
-        return records, vmap, taxonomy
+        return write_jsonl(tmp_path / "records.jsonl", self.ROWS), vmap, taxonomy
 
     def test_scientist_aggregation(self, inputs):
         records, vmap, taxonomy = inputs
-        out = resolve_corpus(records, vmap, taxonomy, EntityKind.SCIENTIST)
+        out, _ = resolve_corpus(records, vmap, taxonomy, EntityKind.SCIENTIST)
         assert out.entity_ids == ["r1", "r2", "r4"]
         assert out.match_stats.exact == 2
         assert out.match_stats.approximate == 1
         assert out.match_stats.unmatched == 1
-        assert out.match_stats.total == len(records)
+        assert out.match_stats.total == len(self.ROWS)
 
     def test_institution_aggregation_shares_entity(self, inputs):
         records, vmap, taxonomy = inputs
-        out = resolve_corpus(records, vmap, taxonomy, EntityKind.INSTITUTION)
+        out, _ = resolve_corpus(records, vmap, taxonomy, EntityKind.INSTITUTION)
         assert corpus_rows(out) == [("UFMG", ("F001", "F002"), 2, 2010),
                                     ("UFMG", ("F003",), 1, 2011)]
         # r4 matched but has no institution -> excluded and counted
@@ -170,7 +204,7 @@ class TestResolveCorpus:
 
     def test_fields_carried(self, inputs):
         records, vmap, taxonomy = inputs
-        out = resolve_corpus(records, vmap, taxonomy, EntityKind.SCIENTIST)
+        out, _ = resolve_corpus(records, vmap, taxonomy, EntityKind.SCIENTIST)
         by_id = {row[0]: row for row in corpus_rows(out)}
         assert by_id["r1"][1] == ("F001", "F002")
         assert out.field_sets == [("F001", "F002"), ("F003",)]
@@ -178,19 +212,17 @@ class TestResolveCorpus:
     def test_record_count_never_grows(self, inputs):
         records, vmap, taxonomy = inputs
         for kind in EntityKind:
-            out = resolve_corpus(records, vmap, taxonomy, kind)
-            assert len(out) <= len(records)
+            out, _ = resolve_corpus(records, vmap, taxonomy, kind)
+            assert len(out) <= len(self.ROWS)
 
-    def test_institution_entities_at_most_scientists(self, inputs):
-        records, vmap, taxonomy = inputs
+    def test_institution_entities_at_most_scientists(self, inputs, tmp_path):
+        _, vmap, taxonomy = inputs
         # with full attributes, institutions can only merge scientists
-        full = [
-            PublicationRecord(r.researcher_id, r.venue_name, r.year, r.n_authors,
-                              institution=r.institution or "X")
-            for r in records
-        ]
-        sci = resolve_corpus(full, vmap, taxonomy, EntityKind.SCIENTIST)
-        inst = resolve_corpus(full, vmap, taxonomy, EntityKind.INSTITUTION)
+        full = write_jsonl(tmp_path / "full.jsonl",
+                           [{**r, "institution": r.get("institution") or "X"}
+                            for r in self.ROWS])
+        sci, _ = resolve_corpus(full, vmap, taxonomy, EntityKind.SCIENTIST)
+        inst, _ = resolve_corpus(full, vmap, taxonomy, EntityKind.INSTITUTION)
         assert len(inst.entity_ids) <= len(sci.entity_ids)
 
     def test_unknown_field_in_map(self, inputs):
@@ -198,3 +230,66 @@ class TestResolveCorpus:
         bad = VenueFieldMap({"Nature": {"F999"}})
         with pytest.raises(ConfigError):
             resolve_corpus(records, bad, taxonomy, EntityKind.SCIENTIST)
+
+
+def _maybe(key, values):
+    """A one-entry dict under ``key`` drawn from ``values``, or no entry."""
+    return st.one_of(st.just({}), values.map(lambda v: {key: v}))
+
+
+# Rows valid and invalid in every way the two passes check, with string ids.
+ROW = st.builds(
+    lambda *parts: {k: v for part in parts for k, v in part.items()},
+    _maybe("researcher_id", st.sampled_from(["r1", "r2", "r3", "", " r1"])),
+    _maybe("venue", st.sampled_from(["Nature", "nature ", "Cell Reports-Cell",
+                                     "Cell", "Unknown", ""])),
+    _maybe("year", st.one_of(st.integers(1890, 2110),
+                             st.sampled_from([2001.0, 2001.5, True, "2005", "x",
+                                              None]))),
+    _maybe("n_authors", st.one_of(st.integers(-1, 4),
+                                  st.sampled_from([2.0, 2.5, False, "3", None]))),
+    _maybe("institution", st.sampled_from([None, "", "UFMG", "USP"])),
+    _maybe("state", st.sampled_from([None, "", "MG", "SP"])),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(ROW, max_size=30), fmt=st.sampled_from(["jsonl", "csv"]),
+       kind=st.sampled_from(list(EntityKind)))
+def test_one_pass_equals_two_pass_oracle(tmp_path, rows, fmt, kind):
+    write = write_jsonl if fmt == "jsonl" else write_csv
+    path = write(tmp_path / f"records.{fmt}", rows)
+    vmap = VenueFieldMap({"Nature": {"F002", "F001"}, "Cell": {"F003"}})
+    taxonomy = make_taxonomy(6)
+    out, issues = resolve_corpus(path, vmap, taxonomy, kind, fmt=fmt)
+    report = oracles.load_records(path, fmt=fmt)
+    expected = oracles.resolve_records(report.records, vmap, taxonomy, kind)
+    assert (out.entity_ids, out.field_sets) == (expected.entity_ids,
+                                                expected.field_sets)
+    for name in ("entity", "field_set", "n_authors", "year"):
+        column = getattr(out, name)
+        assert column.dtype == np.int64
+        np.testing.assert_array_equal(column, getattr(expected, name))
+    assert (out.kind, out.match_stats) == (expected.kind, expected.match_stats)
+    assert issues == report.issues
+
+
+def test_peak_memory_per_record_is_small(tmp_path):
+    # 10k valid rows by 500 researchers in 200 venues
+    rows = [{"researcher_id": f"R{i % 500:06d}", "venue": f"Journal {i % 200}",
+             "year": 2000 + i % 16, "n_authors": 1 + i % 5,
+             "institution": f"INST{i % 40:03d}", "state": f"S{i % 7:02d}"}
+            for i in range(10_000)]
+    path = write_jsonl(tmp_path / "records.jsonl", rows)
+    vmap = VenueFieldMap({f"Journal {v}": {f"F{v % 6 + 1:03d}"} for v in range(200)})
+    taxonomy = make_taxonomy(6)
+    del rows
+    tracemalloc.start()
+    try:
+        out, _ = resolve_corpus(path, vmap, taxonomy, EntityKind.SCIENTIST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 10_000
+    assert peak / len(out) < 250, f"{peak / len(out):.0f} B per record"
