@@ -79,7 +79,7 @@ def _corpus_line(fh, path, line_no, keys):
                          line=line_no)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
     if not (isinstance(obj, dict) and sorted(obj) == sorted(keys)
             and all(isinstance(obj[k], list) for k in keys)):
@@ -100,7 +100,7 @@ def load_corpus(path) -> ResolvedCorpus:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer too long to convert
             raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
         schema = header.get("schema") if isinstance(header, dict) else None
         if schema == "corpus/1":

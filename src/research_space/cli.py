@@ -110,7 +110,7 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
 @click.option("--lr", default=0.05, show_default=True)
 @click.option("--negatives", default=10, show_default=True)
 @click.option("--margin", default=0.05, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @pipeline_command
 def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
@@ -217,7 +217,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
 @click.option("--full-candidates", is_flag=True,
               help="Rank the whole U=0 set instead of source-stage fields.")
 @click.option("--permutations", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @pipeline_command
 def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,

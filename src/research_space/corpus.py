@@ -219,7 +219,7 @@ def _rows(path, fmt):
                     continue
                 try:
                     raw = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # JSONDecodeError, or an integer too long
                     raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
                 yield line_no, raw
         return

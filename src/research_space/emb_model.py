@@ -41,7 +41,6 @@ class EmbeddingConfig:
 class FieldEmbedding:
     vectors: np.ndarray  # n_fields x dim
     field_ids: list[str]
-    config: EmbeddingConfig
     window: TimeWindow
     epoch_losses: list[float] = field(default_factory=list)
 
@@ -53,20 +52,10 @@ def build_bags(p: EntityFieldMatrix) -> list[np.ndarray]:
     return [b for b in np.split(csr.indices, csr.indptr[1:-1]) if len(b)]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; zero-norm vectors yield 0 by convention."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        logger.debug("cosine of zero-norm vector, returning 0")
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def hinge_loss_and_grads(input_vec, pos, negs, margin):
     """Loss sum_n max(0, margin - cos(input, pos) + cos(input, neg_n)) and its
     analytic gradients w.r.t. input, pos, and each negative, for all k
-    negatives at once. As in ``cosine``, a zero-norm vector has cosine 0."""
+    negatives at once. A zero-norm vector has cosine 0 by convention."""
     targets = np.concatenate((pos[None, :], negs))  # row 0 is the positive
     na = np.sqrt(input_vec @ input_vec)
     nt = np.sqrt(np.einsum("ij,ij->i", targets, targets))
@@ -147,7 +136,6 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
     return FieldEmbedding(
         vectors=vectors,
         field_ids=list(field_ids),
-        config=config,
         window=window,
         epoch_losses=epoch_losses,
     )

@@ -152,34 +152,6 @@ def compare_models(a, b, n_permutations: int = 10000, seed: int = 0) -> float:
     return (count + 1) / (n_permutations + 1)
 
 
-def cv_sliding(covariate, values, window_size):
-    """Coefficient of variation over sliding windows of the covariate order.
-
-    Returns (points, n_skipped) where points are (covariate midpoint, CV)
-    and windows with zero mean are skipped.
-    """
-    covariate = np.asarray(covariate, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    if window_size > n:
-        raise ConfigError("window_size exceeds sample size")
-    order = np.argsort(covariate, kind="stable")
-    cov = covariate[order]
-    val = values[order]
-    points = []
-    skipped = 0
-    for i in range(n - window_size + 1):
-        w = val[i:i + window_size]
-        mean = w.mean()
-        if mean == 0:
-            skipped += 1
-            continue
-        sd = w.std(ddof=1) if window_size > 1 else 0.0
-        mid = (cov[i] + cov[i + window_size - 1]) / 2.0
-        points.append((float(mid), float(sd / mean)))
-    return points, skipped
-
-
 def ccdf(values):
     """Complementary CDF P(X >= x) at each distinct observed value."""
     vals = np.sort(np.asarray(values, dtype=np.float64))

@@ -26,9 +26,6 @@ class TimeWindow:
                 f"window start {self.start_year} after end {self.end_year}"
             )
 
-    def __contains__(self, year: int) -> bool:
-        return self.start_year <= year <= self.end_year
-
     def mask(self, years: np.ndarray) -> np.ndarray:
         """Boolean mask of the years inside the window."""
         return (years >= self.start_year) & (years <= self.end_year)
@@ -36,9 +33,6 @@ class TimeWindow:
     @property
     def span(self) -> int:
         return self.end_year - self.start_year + 1
-
-    def overlaps(self, other: "TimeWindow") -> bool:
-        return self.start_year <= other.end_year and other.start_year <= self.end_year
 
     @classmethod
     def parse(cls, text: str) -> "TimeWindow":
@@ -58,7 +52,8 @@ class WindowConfig:
     """Fitting, RCA-estimation, and prediction-testing windows.
 
     Fit and RCA windows end at the same year t, the test window starts at
-    t+1, and the fit span is at least the RCA span.
+    t+1, and the fit span is at least the RCA span. So the test window
+    never overlaps the other two.
     """
 
     fit_window: TimeWindow
@@ -72,10 +67,6 @@ class WindowConfig:
             raise ConfigError("test window must start the year after the fit window ends")
         if self.fit_window.span < self.rca_window.span:
             raise ConfigError("fit window span must be >= RCA window span")
-        if self.test_window.overlaps(self.fit_window) or self.test_window.overlaps(
-            self.rca_window
-        ):
-            raise ConfigError("test window must not overlap fit/RCA windows")
 
 
 @dataclass

@@ -12,13 +12,6 @@ from .freq_model import ProximityMatrix
 from .presence import EntityFieldMatrix
 
 
-class Stage(enum.Enum):
-    INACTIVE = "0"
-    NASCENT = "N"
-    INTERMEDIATE = "I"
-    DEVELOPED = "D"
-
-
 class TransitionKind(enum.Enum):
     ZERO_TO_ACTIVE = "0A"
     NASCENT_TO_DEVELOPED = "ND"
@@ -44,25 +37,11 @@ def rca(x: EntityFieldMatrix) -> EntityFieldMatrix:
 
 
 def stage_codes(values) -> np.ndarray:
-    """int8 stage codes of RCA values, in Stage order: 0 Inactive (RCA 0),
-    1 Nascent (0 < RCA < 0.5), 2 Intermediate (0.5 <= RCA < 1), 3 Developed
-    (RCA >= 1)."""
+    """int8 stage codes of RCA values, the one definition of the stages:
+    0 Inactive (RCA 0), 1 Nascent (0 < RCA < 0.5), 2 Intermediate
+    (0.5 <= RCA < 1), 3 Developed (RCA >= 1)."""
     v = np.asarray(values)
     return (v > 0).astype(np.int8) + (v >= 0.5) + (v >= 1.0)
-
-
-_STAGE_LETTERS = np.array([s.value for s in Stage])
-
-
-def classify_stage(rca_value: float) -> Stage:
-    if rca_value < 0:
-        raise ValueError(f"RCA must be non-negative, got {rca_value}")
-    return list(Stage)[int(stage_codes(rca_value))]
-
-
-def stage_matrix(r: EntityFieldMatrix) -> np.ndarray:
-    """Entity x field array of single-letter stage codes."""
-    return _STAGE_LETTERS[stage_codes(r.values)]
 
 
 def indicator(r: EntityFieldMatrix, kind: TransitionKind) -> EntityFieldMatrix:

@@ -4,11 +4,18 @@ These deliberately avoid the implementation's code paths: pairwise
 enumeration for AUROC, entity-pair counting for co-presence, node-pair sums
 and exhaustive partition search for modularity, finite differences for
 gradients, the two-pass record ingest for the one-pass ``resolve_corpus``.
+
+It also keeps helpers that left the package because no command uses them,
+and that the suites still test or use as references: the scalar stage
+classifier ``classify_stage`` with its ``Stage`` enum and the letter array
+``stage_matrix`` (both on ``specialization.stage_codes``), the scalar
+``cosine``, and the sliding-window coefficient of variation ``cv_sliding``.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import json
 from dataclasses import dataclass, field
 
@@ -20,6 +27,7 @@ from research_space.corpus import (
     ResolvedCorpus, VenueFieldMap, match_venue,
 )
 from research_space.errors import ConfigError, ParseError, utf8_input
+from research_space.specialization import stage_codes
 
 
 def auroc_pairwise(scores_pos, scores_neg):
@@ -132,6 +140,34 @@ def quantiles_sorted_oracle(values, qs):
     return out
 
 
+def cv_sliding(covariate, values, window_size):
+    """Coefficient of variation over sliding windows of the covariate order.
+
+    Returns (points, n_skipped) where points are (covariate midpoint, CV)
+    and windows with zero mean are skipped.
+    """
+    covariate = np.asarray(covariate, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    if window_size > n:
+        raise ConfigError("window_size exceeds sample size")
+    order = np.argsort(covariate, kind="stable")
+    cov = covariate[order]
+    val = values[order]
+    points = []
+    skipped = 0
+    for i in range(n - window_size + 1):
+        w = val[i:i + window_size]
+        mean = w.mean()
+        if mean == 0:
+            skipped += 1
+            continue
+        sd = w.std(ddof=1) if window_size > 1 else 0.0
+        mid = (cov[i] + cov[i + window_size - 1]) / 2.0
+        points.append((float(mid), float(sd / mean)))
+    return points, skipped
+
+
 def cv_windows_oracle(covariate, values, window_size):
     """Recompute every sliding window independently."""
     order = np.argsort(covariate, kind="stable")
@@ -175,7 +211,7 @@ def contribution_matrix_loop(rows, taxonomy, window):
     entity_index = {}
     cells, vals = ([], []), []
     for entity_id, field_ids, n_authors, year in rows:
-        if year not in window:
+        if not window.start_year <= year <= window.end_year:
             continue
         i = entity_index.setdefault(entity_id, len(entity_index))
         for fid in field_ids:
@@ -186,6 +222,36 @@ def contribution_matrix_loop(rows, taxonomy, window):
                             dtype=np.float64)
     mat.sum_duplicates()
     return mat, list(entity_index)
+
+
+class Stage(enum.Enum):
+    INACTIVE = "0"
+    NASCENT = "N"
+    INTERMEDIATE = "I"
+    DEVELOPED = "D"
+
+
+_STAGE_LETTERS = np.array([s.value for s in Stage])
+
+
+def classify_stage(rca_value: float) -> Stage:
+    if rca_value < 0:
+        raise ValueError(f"RCA must be non-negative, got {rca_value}")
+    return list(Stage)[int(stage_codes(rca_value))]
+
+
+def stage_matrix(r) -> np.ndarray:
+    """Entity x field array of single-letter stage codes."""
+    return _STAGE_LETTERS[stage_codes(r.values)]
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity; zero-norm vectors yield 0 by convention."""
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 def _cosine_grads(a, b):
@@ -200,8 +266,6 @@ def _cosine_grads(a, b):
 
 def hinge_loss_and_grads_loop(input_vec, pos, negs, margin):
     """The per-negative loop the vectorized hinge replaced, kept verbatim."""
-    from research_space.emb_model import cosine
-
     loss = 0.0
     g_in = np.zeros_like(input_vec)
     g_pos = np.zeros_like(pos)

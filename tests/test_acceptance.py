@@ -15,6 +15,7 @@ import pytest
 import oracles
 import simulation
 from conftest import make_corpus, make_taxonomy
+from oracles import classify_stage, cosine
 from research_space import emb_model
 from research_space.emb_model import EmbeddingConfig, train_embeddings
 from research_space.freq_model import copresence, proximity_freq
@@ -25,7 +26,7 @@ from research_space.network_analysis import (
 )
 from research_space.prediction_eval import auroc
 from research_space.presence import TimeWindow, contribution_matrix
-from research_space.specialization import classify_stage, rca
+from research_space.specialization import rca
 from test_freq_model import presence_from_array
 from test_network_analysis import two_cliques
 
@@ -120,7 +121,7 @@ def test_acceptance_3_embedding_gradient_and_planted_cooccurrence():
             config = EmbeddingConfig(dim=8, epochs=5, seed=seed)
             emb = train_embeddings(bags, config, fields, TimeWindow(2000, 2004))
             v = emb.vectors
-            if emb_model.cosine(v[0], v[1]) > emb_model.cosine(v[0], v[2]):
+            if cosine(v[0], v[1]) > cosine(v[0], v[2]):
                 wins += 1
         assert wins >= 95, f"co-occurrence ordering held in only {wins}/100 runs"
 

@@ -523,6 +523,8 @@ def test_bad_window_exits_2_without_traceback(pipeline, tmp_path, command, optio
     ("fit", "--negatives", "-3"),
     ("evaluate", "--permutations", "50"),
     ("ingest", "--format", "nope"),
+    ("fit", "--seed", "-1"),
+    ("evaluate", "--seed", "-1"),
 ])
 def test_bad_option_exits_2_before_any_io(pipeline, tmp_path, command, option, value):
     # an unreadable corpus or taxonomy would exit 1 if it were loaded before
@@ -586,6 +588,32 @@ def test_bad_input_path_exits_without_traceback(pipeline, tmp_path, command, opt
         assert res.exit_code == 1, res.output
         assert "not UTF-8 text" in res.output and f"({path})" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("site", ["records_line", "corpus_header", "corpus_columns"])
+def test_json_integer_over_digit_limit_exits_1(pipeline, tmp_path, site):
+    # json.loads raises a plain ValueError, not JSONDecodeError, on an
+    # integer longer than the 4,300 digits Python converts by default
+    huge = "9" * 5000
+    bad = tmp_path / "input.jsonl"
+    if site == "records_line":
+        lines = pipeline["records"].read_text().splitlines()
+        lines[1] = lines[1][:-1] + f', "year": {huge}}}'
+        line_no = 2
+        args = ["ingest", "--records", str(bad), "--venue-map", str(pipeline["venues"]),
+                "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "out")]
+    else:
+        lines = pipeline["corpus"].read_text().splitlines()
+        line_no = 1 if site == "corpus_header" else 4
+        lines[line_no - 1] = lines[line_no - 1][:-1] + f', "big": {huge}}}'
+        args = ["export-stats", "--corpus", str(bad),
+                "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "out")]
+    bad.write_text("\n".join(lines) + "\n")
+    res = pipeline["runner"].invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert f"({bad}:{line_no})" in res.output
 
 
 def test_verbose_logs_epoch_losses_to_stderr_only(pipeline, tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import cosine
 from research_space.emb_model import (
     EmbeddingConfig,
     build_bags,
-    cosine,
     hinge_loss_and_grads,
     proximity_emb,
     train_embeddings,
@@ -266,7 +266,6 @@ class TestProximity:
         return FieldEmbedding(
             vectors=np.asarray(vectors, dtype=float),
             field_ids=[f"F{i:03d}" for i in range(len(vectors))],
-            config=EmbeddingConfig(dim=len(vectors[0])),
             window=WINDOW,
         )
 

@@ -6,13 +6,13 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 import oracles
+from oracles import cv_sliding
 from research_space.errors import ConfigError
 from research_space.prediction_eval import (
     _midranks,
     auroc,
     ccdf,
     compare_models,
-    cv_sliding,
     evaluate_transition,
     rank_candidates,
     summarize,

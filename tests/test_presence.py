@@ -16,7 +16,8 @@ from research_space.presence import (
 
 def test_window_parse_and_contains():
     w = TimeWindow.parse("1999:2013")
-    assert 1999 in w and 2013 in w and 2014 not in w
+    years = np.array([1998, 1999, 2013, 2014])
+    assert w.mask(years).tolist() == [False, True, True, False]
     assert w.span == 15
 
 
@@ -33,6 +34,7 @@ def test_window_config_valid():
     ("1999:2012", "2011:2013", "2014:2016"),  # different end years
     ("1999:2013", "2011:2013", "2015:2017"),  # gap before test
     ("2012:2013", "2009:2013", "2014:2016"),  # fit span < rca span
+    ("1999:2013", "2011:2013", "2012:2014"),  # test overlaps fit and rca
 ])
 def test_window_config_invalid(fit, rca, test):
     with pytest.raises(ConfigError):

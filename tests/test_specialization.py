@@ -10,14 +10,12 @@ from research_space.presence import (
     contribution_matrix,
     presence_matrix,
 )
+from oracles import Stage, classify_stage, stage_matrix
 from research_space.specialization import (
-    Stage,
     TransitionKind,
-    classify_stage,
     density,
     indicator,
     rca,
-    stage_matrix,
 )
 
 WINDOW = TimeWindow(2010, 2010)
