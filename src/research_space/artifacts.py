@@ -19,6 +19,7 @@ from .presence import TimeWindow
 SCHEMA_CORPUS = "corpus/2"
 SCHEMA_PROXIMITY = "proximity/1"
 SCHEMA_EMBEDDING = "embedding/1"
+MODEL_TAGS = ("frequentist", "embedding")
 
 CORPUS_COLUMNS = ("entity", "field_set", "n_authors", "year")
 
@@ -178,13 +179,14 @@ def save_proximity(phi: ProximityMatrix, path, mhash=""):
 
 @utf8_input
 def load_proximity(path) -> ProximityMatrix:
-    meta = {}
+    meta, meta_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         line_no, line = next(lines, (1, ""))
         while line.startswith("#"):
             key, _, val = line[1:].partition(":")
             meta[key.strip()] = val.strip()
+            meta_line[key.strip()] = line_no
             line_no, line = next(lines, (line_no + 1, ""))
         if meta.get("schema") != SCHEMA_PROXIMITY:
             raise ParseError(
@@ -195,6 +197,9 @@ def load_proximity(path) -> ProximityMatrix:
             raise ParseError(
                 f"missing header {', '.join(missing)}", path=path, line=line_no
             )
+        if meta["model"] not in MODEL_TAGS:
+            raise ParseError(f"unknown model {meta['model']!r}", path=path,
+                             line=meta_line["model"])
         field_ids = line.rstrip("\n").split("\t")[1:]
         n = len(field_ids)
         values = np.zeros((n, n))

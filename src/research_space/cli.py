@@ -28,7 +28,7 @@ def pipeline_command(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, FileNotFoundError, IsADirectoryError,
+        except (ConfigError, FileExistsError, FileNotFoundError, IsADirectoryError,
                 NotADirectoryError, PermissionError) as e:
             click.echo(f"config error: {e}", err=True)
             sys.exit(2)
@@ -37,6 +37,12 @@ def pipeline_command(fn):
             sys.exit(1)
 
     return wrapper
+
+
+def _check_fields(phi, taxonomy):
+    """Reject a proximity matrix whose fields are not the taxonomy's."""
+    if phi.field_ids != taxonomy.field_ids:
+        raise ConfigError("proximity artifact and taxonomy field sets differ")
 
 
 def _window(_ctx, _param, value):
@@ -177,12 +183,11 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
     phi = artifacts.load_proximity(phi_path)
-    if phi.field_ids != taxonomy.field_ids:
-        raise ConfigError("proximity artifact and taxonomy field sets differ")
+    _check_fields(phi, taxonomy)
     kind = TransitionKind(transition)
     r = spec_mod.rca(contribution_matrix(resolved, taxonomy, rca_window))
     omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
-    order, n_candidates = pe.rank_candidates(omega, r, kind)
+    order, n_candidates = pe.rank_candidates(omega, pe.candidate_mask(r, kind))
     row_of = {eid: i for i, eid in enumerate(omega.entity_ids)}
     lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
     for eid in entities or omega.entity_ids:
@@ -241,12 +246,17 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             f"{phis[0].model_tag} models; their results would share one label"
         )
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
+    for phi in phis:
+        _check_fields(phi, taxonomy)
     resolved = artifacts.load_corpus(corpus_path)
     kind = TransitionKind(transition)
 
     r = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.rca_window))
     u = spec_mod.indicator(r, kind)
     r_after = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.test_window))
+    # which fields are ranked and which transitioned does not depend on phi
+    cand = pe.candidate_mask(r, kind, full_u_zero=full_candidates)
+    realized = pe.realized_mask(r, r_after, kind)
 
     lines = ["entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"]
     # entities with records in the test window only have no RCA to rank from
@@ -254,9 +264,7 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     scored = []
     for phi in phis:
         omega = spec_mod.density(u, phi)
-        auc, n_pos, n_neg = pe.evaluate_transition(
-            omega, r, r_after, kind, full_u_zero=full_candidates
-        )
+        auc, n_pos, n_neg = pe.auroc(omega.values, cand, realized)
         rows = np.flatnonzero(~np.isnan(auc))
         for i in rows:
             lines.append(
@@ -303,6 +311,7 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
 
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     phi = artifacts.load_proximity(phi_path)
+    _check_fields(phi, taxonomy)
     if not phi.is_symmetric:
         raise ConfigError(
             "backbone analysis needs the symmetric embedding proximity matrix; "

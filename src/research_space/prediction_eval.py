@@ -7,30 +7,25 @@ import numpy as np
 
 from .errors import ConfigError
 from .presence import EntityFieldMatrix
-from .specialization import TransitionKind, indicator, stage_codes
+from .specialization import TRANSITIONS, TransitionKind, indicator, stage_codes
 
 # Fewest permutations compare_models accepts.
 MIN_PERMUTATIONS = 100
 
-# Source stage code and lowest realized stage code per transition kind.
-_TRANSITION_CODES = {
-    TransitionKind.ZERO_TO_ACTIVE: (0, 1),
-    TransitionKind.NASCENT_TO_DEVELOPED: (1, 3),
-    TransitionKind.INTERMEDIATE_TO_DEVELOPED: (2, 3),
-}
 
-
-def _candidates(r_before: EntityFieldMatrix, kind: TransitionKind, full_u_zero: bool):
-    """Entity x field mask of the fields ranked for one transition kind."""
+def candidate_mask(r: EntityFieldMatrix, kind: TransitionKind, full_u_zero=False):
+    """Entity x field mask of the fields ranked for one transition kind: those
+    in its source stage, or with full_u_zero every field with U = 0."""
     if full_u_zero:
-        return indicator(r_before, kind).values == 0
-    return stage_codes(r_before.values) == _TRANSITION_CODES[kind][0]
+        return indicator(r, kind).values == 0
+    return stage_codes(r.values) == TRANSITIONS[kind][1]
 
 
-def _masks(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
-           kind: TransitionKind, full_u_zero: bool = False):
-    """Candidate and realized-transition masks on r_before's entity axis;
-    every realized transition is a candidate.
+def realized_mask(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
+                  kind: TransitionKind):
+    """Entity x field mask, on r_before's entity axis, of the fields that went
+    from the source stage in r_before to the target stage or above in
+    r_after; every realized transition is a candidate.
 
     Entities missing from r_after count as all-zero rows there.
     """
@@ -40,29 +35,18 @@ def _masks(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
                                          assume_unique=True, return_indices=True)
     after = np.zeros_like(r_before.values)
     after[rows] = r_after.values[after_rows]
-    source, target = _TRANSITION_CODES[kind]
-    realized = ((stage_codes(r_before.values) == source)
-                & (stage_codes(after) >= target))
-    return _candidates(r_before, kind, full_u_zero), realized
+    _, source, target = TRANSITIONS[kind]
+    return (stage_codes(r_before.values) == source) & (stage_codes(after) >= target)
 
 
-def _check_aligned(omega: EntityFieldMatrix, r_before: EntityFieldMatrix):
-    if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
-        raise ConfigError("density and RCA matrices are not aligned")
-
-
-def rank_candidates(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
-                    kind: TransitionKind, full_u_zero: bool = False):
+def rank_candidates(omega: EntityFieldMatrix, cand):
     """Candidate fields of every entity ranked by density.
 
+    cand is an entity x field mask on omega's axes, from candidate_mask.
     Returns (order, n_candidates): row i's candidates are the field indices
     order[i, :n_candidates[i]], by descending density with ties broken by
-    ascending field_id. By default candidates are the fields in the
-    transition's source stage; full_u_zero ranks every field with U = 0
-    instead.
+    ascending field_id.
     """
-    _check_aligned(omega, r_before)
-    cand = _candidates(r_before, kind, full_u_zero)
     # ties sort by field_id, whose order need not be the column order
     position = {f: i for i, f in enumerate(sorted(omega.field_ids))}
     id_rank = np.array([position[f] for f in omega.field_ids])
@@ -106,20 +90,6 @@ def auroc(scores, cand, pos):
     pairs = n_pos * n_neg
     auc = np.divide(u_stat, pairs, out=np.full(len(pairs), np.nan), where=pairs > 0)
     return auc, n_pos, n_neg
-
-
-def evaluate_transition(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
-                        r_after: EntityFieldMatrix, kind: TransitionKind,
-                        full_u_zero: bool = False):
-    """Per-entity AUROC for one transition kind, as (auroc, n_pos, n_neg) on
-    omega's entity axis.
-
-    auroc is NaN for the excluded entities: those without both a positive
-    and a negative candidate.
-    """
-    _check_aligned(omega, r_before)
-    cand, realized = _masks(r_before, r_after, kind, full_u_zero)
-    return auroc(omega.values, cand, realized)
 
 
 def summarize(values) -> dict:

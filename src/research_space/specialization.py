@@ -18,6 +18,15 @@ class TransitionKind(enum.Enum):
     INTERMEDIATE_TO_DEVELOPED = "ID"
 
 
+# Per transition kind: the RCA above which U_sf = 1, the source stage code
+# whose fields are ranked, and the lowest stage code that realizes it.
+TRANSITIONS = {
+    TransitionKind.ZERO_TO_ACTIVE: (0.0, 0, 1),
+    TransitionKind.NASCENT_TO_DEVELOPED: (1.0, 1, 3),
+    TransitionKind.INTERMEDIATE_TO_DEVELOPED: (1.0, 2, 3),
+}
+
+
 def rca(x: EntityFieldMatrix) -> EntityFieldMatrix:
     """Balassa index: the entity's share of its own output in f over the
     global share of f. Zero-mass entities yield all-zero rows."""
@@ -46,10 +55,7 @@ def stage_codes(values) -> np.ndarray:
 
 def indicator(r: EntityFieldMatrix, kind: TransitionKind) -> EntityFieldMatrix:
     """U_sf = 1[RCA > 0] for 0->A, 1[RCA > 1] for transitions to Developed."""
-    if kind is TransitionKind.ZERO_TO_ACTIVE:
-        u = (r.values > 0).astype(np.int8)
-    else:
-        u = (r.values > 1).astype(np.int8)
+    u = (r.values > TRANSITIONS[kind][0]).astype(np.int8)
     return EntityFieldMatrix(u, r.entity_ids, r.field_ids, r.window)
 
 

@@ -10,6 +10,9 @@ and that the suites still test or use as references: the scalar stage
 classifier ``classify_stage`` with its ``Stage`` enum and the letter array
 ``stage_matrix`` (both on ``specialization.stage_codes``), the scalar
 ``cosine``, and the sliding-window coefficient of variation ``cv_sliding``.
+``evaluate_transition`` is the per-model composition of candidate and
+realized masks and AUROC that ``evaluate`` replaced with masks built once
+per run, kept with its own transition table as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from research_space.corpus import (
     ResolvedCorpus, VenueFieldMap, match_venue,
 )
 from research_space.errors import ConfigError, ParseError, utf8_input
-from research_space.specialization import stage_codes
+from research_space.prediction_eval import auroc
+from research_space.presence import EntityFieldMatrix
+from research_space.specialization import TransitionKind, indicator, stage_codes
 
 
 def auroc_pairwise(scores_pos, scores_neg):
@@ -243,6 +248,59 @@ def classify_stage(rca_value: float) -> Stage:
 def stage_matrix(r) -> np.ndarray:
     """Entity x field array of single-letter stage codes."""
     return _STAGE_LETTERS[stage_codes(r.values)]
+
+
+# Source stage code and lowest realized stage code per transition kind.
+_TRANSITION_CODES = {
+    TransitionKind.ZERO_TO_ACTIVE: (0, 1),
+    TransitionKind.NASCENT_TO_DEVELOPED: (1, 3),
+    TransitionKind.INTERMEDIATE_TO_DEVELOPED: (2, 3),
+}
+
+
+def _candidates(r_before: EntityFieldMatrix, kind: TransitionKind, full_u_zero: bool):
+    """Entity x field mask of the fields ranked for one transition kind."""
+    if full_u_zero:
+        return indicator(r_before, kind).values == 0
+    return stage_codes(r_before.values) == _TRANSITION_CODES[kind][0]
+
+
+def _masks(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
+           kind: TransitionKind, full_u_zero: bool = False):
+    """Candidate and realized-transition masks on r_before's entity axis;
+    every realized transition is a candidate.
+
+    Entities missing from r_after count as all-zero rows there.
+    """
+    if r_before.field_ids != r_after.field_ids:
+        raise ConfigError("RCA matrices use different field sets")
+    _, rows, after_rows = np.intersect1d(r_before.entity_ids, r_after.entity_ids,
+                                         assume_unique=True, return_indices=True)
+    after = np.zeros_like(r_before.values)
+    after[rows] = r_after.values[after_rows]
+    source, target = _TRANSITION_CODES[kind]
+    realized = ((stage_codes(r_before.values) == source)
+                & (stage_codes(after) >= target))
+    return _candidates(r_before, kind, full_u_zero), realized
+
+
+def _check_aligned(omega: EntityFieldMatrix, r_before: EntityFieldMatrix):
+    if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
+        raise ConfigError("density and RCA matrices are not aligned")
+
+
+def evaluate_transition(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
+                        r_after: EntityFieldMatrix, kind: TransitionKind,
+                        full_u_zero: bool = False):
+    """Per-entity AUROC for one transition kind, as (auroc, n_pos, n_neg) on
+    omega's entity axis.
+
+    auroc is NaN for the excluded entities: those without both a positive
+    and a negative candidate.
+    """
+    _check_aligned(omega, r_before)
+    cand, realized = _masks(r_before, r_after, kind, full_u_zero)
+    return auroc(omega.values, cand, realized)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

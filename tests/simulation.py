@@ -4,6 +4,7 @@ models recover the planted structure end to end."""
 
 import numpy as np
 
+import oracles
 from conftest import make_corpus, make_taxonomy
 from research_space import emb_model, freq_model
 from research_space import prediction_eval as pe
@@ -71,7 +72,7 @@ def evaluate_zero_to_active(corpus, taxonomy, phi):
     r_before = spec_mod.rca(x_before)
     r_after = spec_mod.rca(x_after)
     omega = spec_mod.density(spec_mod.indicator(r_before, kind), phi)
-    auc, _, _ = pe.evaluate_transition(omega, r_before, r_after, kind)
+    auc, _, _ = oracles.evaluate_transition(omega, r_before, r_after, kind)
     return auc, (omega, r_before)
 
 
@@ -80,7 +81,7 @@ def shuffled_baseline(omega, r_before, positives, seed=1):
     among its candidates, keeping the model's scores."""
     rng = np.random.default_rng(seed)
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
-    order, n_candidates = pe.rank_candidates(omega, r_before, kind)
+    order, n_candidates = pe.rank_candidates(omega, pe.candidate_mask(r_before, kind))
     cand = np.zeros(omega.values.shape, dtype=bool)
     fake = np.zeros_like(cand)
     for i, eid in enumerate(omega.entity_ids):

@@ -272,7 +272,8 @@ def test_acceptance_9_full_dataset_first_setup():
     from research_space import artifacts, freq_model as fm, specialization as sm
     from research_space.corpus import EntityKind, FieldTaxonomy, VenueFieldMap, \
         resolve_corpus
-    from research_space.prediction_eval import evaluate_transition, summarize
+    from oracles import evaluate_transition
+    from research_space.prediction_eval import summarize
     from research_space.presence import presence_matrix
 
     with criterion(9, "full dataset first-setup AUROC"):

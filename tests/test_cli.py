@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import research_space
 import simulation
 from conftest import corpus_rows, make_corpus
+from research_space import prediction_eval as pe
 from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
 from research_space.errors import ParseError
@@ -30,6 +31,9 @@ PHI_CORRUPTIONS = {
                   lambda n: n),
     "missing_model": (lambda lines: [l for l in lines if not l.startswith("# model")],
                       lambda n: 4),
+    "unknown_model": (lambda lines: ["# model: bogus" if l.startswith("# model") else l
+                                     for l in lines],
+                      lambda n: 2),
 }
 
 # Corruptions of the header line of a saved corpus.jsonl.
@@ -331,6 +335,43 @@ class TestEvaluate:
         assert summary["frequentist"]["n"] > 0
         report = (tmp_path / "eval" / "auroc.tsv").read_text().splitlines()
         assert report[0] == "entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"
+        # both models score the same entities on the same candidates
+        counts = {"frequentist": {}, "embedding": {}}
+        for line in report[1:]:
+            eid, _, _, model, _, n_pos, n_neg = line.split("\t")
+            counts[model][eid] = (n_pos, n_neg)
+        assert counts["frequentist"] == counts["embedding"]
+        for key in ("n", "excluded"):
+            assert summary["frequentist"][key] == summary["embedding"][key]
+
+    def test_masks_are_built_once_per_run(self, pipeline, tmp_path, monkeypatch):
+        calls = {"candidate_mask": 0, "realized_mask": 0}
+
+        def counted(name):
+            fn = getattr(pe, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pe, name, counted(name))
+        per_run = []
+        for phis in (["--phi-a", str(pipeline["phi_freq"])],
+                     ["--phi-a", str(pipeline["phi_freq"]),
+                      "--phi-b", str(pipeline["phi_emb"])]):
+            before = dict(calls)
+            res = pipeline["runner"].invoke(main, [
+                "evaluate", *phis, "--corpus", str(pipeline["corpus"]),
+                "--taxonomy", str(pipeline["taxonomy"]),
+                "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+                "--transition", "0A", "--permutations", "200",
+                "--out", str(tmp_path / f"eval{len(phis)}"),
+            ])
+            assert res.exit_code == 0, res.output
+            per_run.append({k: calls[k] - before[k] for k in calls})
+        assert per_run[0] == per_run[1] == {"candidate_mask": 1, "realized_mask": 1}
 
     def test_two_model_run_without_scores_gives_null_p_value(self, pipeline,
                                                              tmp_path):
@@ -441,6 +482,21 @@ class TestBackbone:
         assert res.exit_code == 0, res.output
         dot = (tmp_path / "bb" / "backbone.dot").read_text()
         assert dot.startswith("graph")
+
+    @pytest.mark.parametrize("level", ["field", "intermediate"])
+    def test_phi_fields_missing_from_taxonomy_exit_2(self, pipeline, tmp_path, level):
+        header, _, *rows = pipeline["taxonomy"].read_text().splitlines()
+        taxonomy = tmp_path / "taxonomy.tsv"
+        taxonomy.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "bb"
+        res = pipeline["runner"].invoke(main, [
+            "backbone", "--phi", str(pipeline["phi_emb"]),
+            "--taxonomy", str(taxonomy), "--level", level, "--out", str(out),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert "proximity artifact and taxonomy field sets differ" in res.output
+        assert not out.exists()
 
 
 class TestExportStats:
@@ -588,6 +644,33 @@ def test_bad_input_path_exits_without_traceback(pipeline, tmp_path, command, opt
         assert res.exit_code == 1, res.output
         assert "not UTF-8 text" in res.output and f"({path})" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit", "evaluate", "backbone",
+                                     "export-stats"])
+def test_out_naming_a_file_exits_2_without_traceback(pipeline, tmp_path, command):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    corpus = ["--corpus", str(pipeline["corpus"]),
+              "--taxonomy", str(pipeline["taxonomy"])]
+    args = {
+        "ingest": ["--records", str(pipeline["records"]),
+                   "--venue-map", str(pipeline["venues"]),
+                   "--taxonomy", str(pipeline["taxonomy"])],
+        "fit": [*corpus, "--window", "2000:2004", "--model", "freq"],
+        "evaluate": ["--phi-a", str(pipeline["phi_freq"]), *corpus,
+                     "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+                     "--transition", "0A"],
+        "backbone": ["--phi", str(pipeline["phi_emb"]),
+                     "--taxonomy", str(pipeline["taxonomy"])],
+        "export-stats": corpus,
+    }[command]
+    res = pipeline["runner"].invoke(main, [command, *args, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config error:" in res.output
+    assert "Traceback" not in res.output
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("site", ["records_line", "corpus_header", "corpus_columns"])

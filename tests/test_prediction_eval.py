@@ -11,10 +11,11 @@ from research_space.errors import ConfigError
 from research_space.prediction_eval import (
     _midranks,
     auroc,
+    candidate_mask,
     ccdf,
     compare_models,
-    evaluate_transition,
     rank_candidates,
+    realized_mask,
     summarize,
 )
 from research_space.presence import EntityFieldMatrix, TimeWindow
@@ -31,6 +32,13 @@ def rca_matrix(vals, window=W1, entity_ids=None):
     ids = entity_ids or [f"s{i}" for i in range(vals.shape[0])]
     fids = [f"F{j}" for j in range(vals.shape[1])]
     return EntityFieldMatrix(vals, ids, fids, window)
+
+
+def evaluate_transition(omega, before, after, kind, full_u_zero=False):
+    """AUROC per entity of before's axis, composed as the evaluate command
+    does: candidate and realized masks, then auroc."""
+    return auroc(omega.values, candidate_mask(before, kind, full_u_zero),
+                 realized_mask(before, after, kind))
 
 
 def transitions(before, after, kind, omega_rows=None):
@@ -90,14 +98,16 @@ class TestRankCandidates:
     @staticmethod
     def _ranked(omega, r, kind, full_u_zero=False):
         """Each entity's ranked (field_id, density) pairs."""
-        order, n_candidates = rank_candidates(omega, r, kind, full_u_zero)
+        order, n_candidates = rank_candidates(omega,
+                                              candidate_mask(r, kind, full_u_zero))
         return [[(omega.field_ids[j], float(omega.values[i, j]))
                  for j in order[i, :n_candidates[i]]]
                 for i in range(len(omega.entity_ids))]
 
     def test_no_candidates(self):
         omega, r = self._setup([[1.0, 2.0]], [[0.5, 0.5]])
-        _, n_candidates = rank_candidates(omega, r, TransitionKind.ZERO_TO_ACTIVE)
+        _, n_candidates = rank_candidates(
+            omega, candidate_mask(r, TransitionKind.ZERO_TO_ACTIVE))
         assert n_candidates.tolist() == [0]
 
     def test_tie_breaks_on_field_id(self):
@@ -365,10 +375,10 @@ class TestEvaluateTransition:
             return 0 < before < 0.5
         return 0.5 <= before < 1
 
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
-           st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_pairwise_oracle_per_entity(self, seed, kind, full_u_zero):
+    @staticmethod
+    def _random_case(seed):
+        """RCA before and after on partly shared, shuffled entity axes, and
+        tie-heavy densities on before's axis."""
         rng = np.random.default_rng(seed)
         n_fields = int(rng.integers(1, 9))
         ids = [f"s{i}" for i in range(int(rng.integers(1, 12)))]
@@ -380,6 +390,27 @@ class TestEvaluateTransition:
                            entity_ids=after_ids)
         omega = EntityFieldMatrix(rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0,
                                   before.entity_ids, before.field_ids, W1)
+        return before, after, omega
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_masks_match_reference_composition(self, seed, kind, full_u_zero):
+        # masks built once per run score each entity as the per-model
+        # composition did
+        before, after, omega = self._random_case(seed)
+        expected = oracles.evaluate_transition(omega, before, after, kind, full_u_zero)
+        got = evaluate_transition(omega, before, after, kind, full_u_zero)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_oracle_per_entity(self, seed, kind, full_u_zero):
+        before, after, omega = self._random_case(seed)
+        before_ids, after_ids = before.entity_ids, after.entity_ids
+        n_fields = len(before.field_ids)
         auc, n_pos, n_neg = evaluate_transition(omega, before, after, kind,
                                                 full_u_zero=full_u_zero)
         kept = np.flatnonzero(~np.isnan(auc))

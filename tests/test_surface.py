@@ -1,6 +1,7 @@
 """The package keeps no public function, class or method that nothing in the
-package names: what no command reaches is deleted, or kept in
-``tests/oracles.py`` when a suite still needs it."""
+package names, and no defaulted parameter that no call in the package
+passes: what no command reaches is deleted, or kept in ``tests/oracles.py``
+when a suite still needs it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,11 @@ from pathlib import Path
 import research_space
 
 SRC = Path(research_space.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def _public_defs(tree):
@@ -25,9 +31,34 @@ def _public_defs(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+def _defaulted(fn, is_method):
+    """(position, name) of each parameter of fn that has a default; keyword-only
+    parameters have position None. A method's self or cls is not counted."""
+    positional = fn.args.posonlyargs + fn.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    skip = 1 if is_method and not static else 0
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield i - skip, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call, position, name):
+    """Whether a call passes the parameter, by position or by keyword;
+    unpacked arguments count as passing everything they could."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (position < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
 def test_every_public_definition_is_named_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     named = {n.id if isinstance(n, ast.Name) else n.attr
              for tree in trees.values() for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute))}
@@ -35,3 +66,21 @@ def test_every_public_definition_is_named_in_the_package():
               for module, tree in trees.items() if module != "cli.py"
               for qualname, node in _public_defs(tree) if node.name not in named]
     assert not unused, f"defined but never named in the package: {unused}"
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    never_passed = [
+        f"{module}:{qualname}({param})"
+        for module, tree in trees.items() if module != "cli.py"
+        for qualname, node in _public_defs(tree) if isinstance(node, ast.FunctionDef)
+        for position, param in _defaulted(node, "." in qualname)
+        if not any(_passes(call, position, param) for call in calls.get(node.name, []))
+    ]
+    assert not never_passed, f"defaults no call in the package overrides: {never_passed}"
