@@ -131,7 +131,7 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
     resolved = artifacts.load_corpus(corpus_path)
     x = contribution_matrix(resolved, taxonomy, window)
     p = presence_matrix(x, theta)
-    if not p.values.nnz:
+    if not p.values.any():
         raise ResearchSpaceError(
             f"no entity has a present field in window {window} (theta {theta}); "
             "there is nothing to fit"
@@ -362,10 +362,12 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
             raise ConfigError("corpus has no records")
         window = TimeWindow(int(resolved.year.min()), int(resolved.year.max()))
     x = contribution_matrix(resolved, taxonomy, window)
+    if not x.entity_ids:
+        raise ConfigError(f"no record of the corpus falls in window {window}")
     p = presence_matrix(x, theta)
 
     pub_counts = np.bincount(resolved.entity[window.mask(resolved.year)])
-    active_counts = np.asarray(p.values.sum(axis=1)).ravel()
+    active_counts = p.values.sum(axis=1)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

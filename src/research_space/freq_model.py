@@ -9,6 +9,8 @@ import numpy as np
 
 from .presence import EntityFieldMatrix, TimeWindow
 
+_BLOCK_ROWS = 4096  # rows of P per float64 block in copresence
+
 
 @dataclass
 class ProximityMatrix:
@@ -30,15 +32,19 @@ class ProximityMatrix:
 
 def copresence(p: EntityFieldMatrix) -> np.ndarray:
     """M_ff' = number of entities present in both f and f' (int64, symmetric,
-    M_ff = number of entities present in f), in ``p.field_ids`` order."""
-    pb = p.values.astype(np.int64)
-    return (pb.T @ pb).toarray()
+    M_ff = number of entities present in f), in ``p.field_ids`` order. The
+    float64 block products are integers below 2**53, so the sum is exact."""
+    m = np.zeros((p.values.shape[1],) * 2)
+    for start in range(0, len(p.values), _BLOCK_ROWS):
+        pb = p.values[start:start + _BLOCK_ROWS].astype(np.float64)
+        m += pb.T @ pb
+    return m.astype(np.int64)
 
 
 def proximity_freq(m: np.ndarray, p: EntityFieldMatrix) -> ProximityMatrix:
     """phi_ff' = M_ff' / (number of entities present in f'); columns with no
     present entity are 0 by convention."""
-    counts = np.asarray(p.values.sum(axis=0)).ravel().astype(np.float64)
+    counts = p.values.sum(axis=0, dtype=np.float64)
     phi = np.zeros_like(m, dtype=np.float64)
     nonzero = counts > 0
     phi[:, nonzero] = m[:, nonzero] / counts[nonzero]

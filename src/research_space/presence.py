@@ -4,15 +4,11 @@ presence matrix P(t)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import FieldTaxonomy, ResolvedCorpus
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -71,10 +67,10 @@ class WindowConfig:
 
 @dataclass
 class EntityFieldMatrix:
-    """One entity x field array of the pipeline: X and P (sparse), RCA, U and
-    omega (dense). Layers derived from one X share its id lists."""
+    """One entity x field array of the pipeline: X, P, RCA, U or omega.
+    Layers derived from one X share its id lists."""
 
-    values: sparse.csr_matrix | np.ndarray
+    values: np.ndarray
     entity_ids: list[str]
     field_ids: list[str]
     window: TimeWindow
@@ -85,8 +81,6 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
     """X(t), each record contributing 1/(n_p * m_p): records inside the
     window, entities in order of their first record there, fields in taxonomy
     order."""
-    from scipy import sparse  # loaded only by the commands that build X
-
     keep = window.mask(corpus.year)
     entity, field_set = corpus.entity[keep], corpus.field_set[keep]
     codes, first, inverse = np.unique(entity, return_index=True, return_inverse=True)
@@ -101,19 +95,19 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
     set_start = np.cumsum(sizes) - sizes
     m_p = sizes[field_set]
     # cell k of a record is entry k of its field set
-    cell_in_record = np.arange(m_p.sum()) - np.repeat(np.cumsum(m_p) - m_p, m_p)
-    pos = np.repeat(set_start[field_set], m_p) + cell_in_record
-    cols = flat_cols[pos]
-    if (cols < 0).any():
+    pos = np.arange(m_p.sum()) + np.repeat(
+        set_start[field_set] - (np.cumsum(m_p) - m_p), m_p)
+    cells = flat_cols[pos]
+    if (cells < 0).any():
         raise ConfigError(
-            f"record references unknown field {flat[pos[np.argmax(cols < 0)]]!r}")
-    # fed in record order, so sum_duplicates adds each cell in that order
-    mat = sparse.csr_matrix(
-        (np.repeat(1.0 / (corpus.n_authors[keep] * m_p), m_p),
-         (np.repeat(rank[inverse], m_p), cols)),
-        shape=(len(codes), len(taxonomy)), dtype=np.float64,
-    )
-    mat.sum_duplicates()
+            f"record references unknown field {flat[pos[np.argmax(cells < 0)]]!r}")
+    shape = (len(codes), len(taxonomy))
+    cells += np.repeat(rank[inverse] * shape[1], m_p)  # row-major index in X
+    # bincount adds each cell's contributions in input order, record order;
+    # with no record it returns int64, hence the cast
+    mat = np.bincount(cells, minlength=shape[0] * shape[1],
+                      weights=np.repeat(1.0 / (corpus.n_authors[keep] * m_p), m_p))
+    mat = mat.astype(np.float64, copy=False).reshape(shape)
     entity_ids = [corpus.entity_ids[c] for c in codes[by_first].tolist()]
     return EntityFieldMatrix(mat, entity_ids, list(taxonomy.field_ids), window)
 
@@ -122,9 +116,5 @@ def presence_matrix(x: EntityFieldMatrix, theta: float) -> EntityFieldMatrix:
     """P(t): binary int8, P = 1 iff X > theta (strict)."""
     if not (np.isfinite(theta) and theta > 0):
         raise ConfigError(f"theta must be finite and > 0, got {theta}")
-    from scipy import sparse
-
-    mask = x.values > theta  # strict
-    vals = sparse.csr_matrix(mask, dtype=np.int8)
-    vals.eliminate_zeros()
-    return EntityFieldMatrix(vals, x.entity_ids, x.field_ids, x.window)
+    p = (x.values > theta).astype(np.int8)  # strict
+    return EntityFieldMatrix(p, x.entity_ids, x.field_ids, x.window)

@@ -30,7 +30,7 @@ TRANSITIONS = {
 def rca(x: EntityFieldMatrix) -> EntityFieldMatrix:
     """Balassa index: the entity's share of its own output in f over the
     global share of f. Zero-mass entities yield all-zero rows."""
-    dense = np.asarray(x.values.todense(), dtype=np.float64)
+    dense = x.values
     total = dense.sum()
     if total <= 0:
         raise ConfigError("total corpus mass is zero")

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from research_space.corpus import (
     _MANDATORY, FORMAT_PROFILES, YEAR_RANGE, EntityKind, FieldTaxonomy, MatchStats,
@@ -209,23 +208,19 @@ def rca_bruteforce(x):
 def contribution_matrix_loop(rows, taxonomy, window):
     """X(t) built record by record from (entity_id, field_ids, n_authors,
     year) rows, in the order the arrays of the columnar build must match:
-    entities by first record in the window, each record's cells in its field
-    order, duplicates summed by scipy in record order."""
-    from scipy import sparse
-
-    entity_index = {}
-    cells, vals = ([], []), []
+    entities by first record in the window, each cell adding its records'
+    contributions one at a time in record order."""
+    entity_index, cells = {}, []
     for entity_id, field_ids, n_authors, year in rows:
         if not window.start_year <= year <= window.end_year:
             continue
         i = entity_index.setdefault(entity_id, len(entity_index))
         for fid in field_ids:
-            cells[0].append(i)
-            cells[1].append(taxonomy.field_index[fid])
-            vals.append(1.0 / (n_authors * len(field_ids)))
-    mat = sparse.csr_matrix((vals, cells), shape=(len(entity_index), len(taxonomy)),
-                            dtype=np.float64)
-    mat.sum_duplicates()
+            cells.append((i, taxonomy.field_index[fid],
+                          1.0 / (n_authors * len(field_ids))))
+    mat = np.zeros((len(entity_index), len(taxonomy)))
+    for i, j, v in cells:
+        mat[i, j] += v
     return mat, list(entity_index)
 
 

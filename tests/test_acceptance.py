@@ -147,7 +147,7 @@ def test_acceptance_4_rca_global_invariance_and_single_entity():
         rows = [("only", ["F001"], 1, 2010), ("only", ["F002", "F003"], 2, 2010)]
         x1 = contribution_matrix(make_corpus(rows), taxonomy, TimeWindow(2010, 2010))
         r1 = rca(x1).values
-        published = x1.values.toarray()[0] > 0
+        published = x1.values[0] > 0
         np.testing.assert_allclose(r1[0, published], 1.0, atol=1e-12)
 
 
@@ -158,11 +158,10 @@ def test_acceptance_4_rca_per_entity_scale_invariance():
         taxonomy = make_taxonomy(6)
         x = _random_contribution(taxonomy, seed=405)
         base = rca(x).values.copy()
-        dense0 = x.values.toarray()
+        dense0 = x.values
         dense = dense0.copy()
         dense[0] *= 2.5
-        from scipy import sparse
-        x.values = sparse.csr_matrix(dense)
+        x.values = dense
         scaled = rca(x).values
         share_b = dense0.sum(axis=0) / dense0.sum()
         share_s = dense.sum(axis=0) / dense.sum()

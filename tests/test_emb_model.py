@@ -38,20 +38,16 @@ class TestBags:
         assert bags[0].tolist() == [0, 1, 2]
         assert bags[1].tolist() == [0]
 
-        # on a random P: the per-row nonzero columns, empty rows skipped,
-        # sorted even when P's CSR rows are not
+        # on a random P: the per-row nonzero columns, empty rows skipped
         rng = np.random.default_rng(4)
         arr = (rng.random((40, 9)) < 0.25).astype(np.int8)
         expected = [np.flatnonzero(row) for row in arr if row.any()]
-        p = presence_from_array(arr)
-        csr = p.values
-        for i in range(arr.shape[0]):
-            rng.shuffle(csr.indices[csr.indptr[i]:csr.indptr[i + 1]])
-        csr.has_sorted_indices = False
-        bags = build_bags(p)
+        bags = build_bags(presence_from_array(arr))
         assert len(bags) == len(expected)
         for got, want in zip(bags, expected):
             np.testing.assert_array_equal(got, want)
+
+        assert build_bags(presence_from_array(np.zeros((3, 4)))) == []
 
 
 class TestCosine:

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 import oracles
-from research_space.freq_model import copresence, proximity_freq
+from research_space.freq_model import _BLOCK_ROWS, copresence, proximity_freq
 from research_space.presence import EntityFieldMatrix, TimeWindow
 
 
 def presence_from_array(arr):
     arr = np.asarray(arr, dtype=np.int8)
     return EntityFieldMatrix(
-        values=sparse.csr_matrix(arr),
+        values=arr,
         entity_ids=[f"s{i}" for i in range(arr.shape[0])],
         field_ids=[f"F{j:03d}" for j in range(arr.shape[1])],
         window=TimeWindow(2000, 2010),
@@ -35,6 +34,16 @@ def test_copresence_matches_bruteforce():
     arr = (rng.random((20, 6)) < 0.4).astype(int)
     m = copresence(presence_from_array(arr))
     np.testing.assert_array_equal(m, oracles.copresence_bruteforce(arr))
+
+
+def test_copresence_exact_across_row_blocks():
+    # more rows than one block, and a last block that is only partly filled
+    rng = np.random.default_rng(12)
+    arr = (rng.random((2 * _BLOCK_ROWS + 123, 7)) < 0.6).astype(np.int8)
+    m = copresence(presence_from_array(arr))
+    brute = arr.astype(np.int64)
+    assert m.dtype == np.int64
+    np.testing.assert_array_equal(m, brute.T @ brute)
 
 
 def test_proximity_conditional_fraction():

@@ -45,7 +45,7 @@ class TestContributionMatrix:
     def test_single_record_split_mass(self, taxonomy6):
         corpus = make_corpus([("s1", ["F001", "F002"], 2, 2010)])
         x = contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010))
-        dense = x.values.toarray()
+        dense = x.values
         assert dense[0, 0] == pytest.approx(0.25)
         assert dense[0, 1] == pytest.approx(0.25)
         assert dense.sum() == pytest.approx(0.5)
@@ -53,14 +53,14 @@ class TestContributionMatrix:
     def test_identity_case(self, taxonomy6):
         corpus = make_corpus([("s1", ["F001"], 1, 2010)])
         x = contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010))
-        assert x.values.toarray()[0, 0] == 1.0
+        assert x.values[0, 0] == 1.0
 
     def test_additivity_of_duplicates(self, taxonomy6):
         one = make_corpus([("s1", ["F001", "F003"], 3, 2010)])
         two = make_corpus([("s1", ["F001", "F003"], 3, 2010)] * 2)
         x1 = contribution_matrix(one, taxonomy6, TimeWindow(2010, 2010))
         x2 = contribution_matrix(two, taxonomy6, TimeWindow(2010, 2010))
-        np.testing.assert_allclose(x2.values.toarray(), 2 * x1.values.toarray())
+        np.testing.assert_allclose(x2.values, 2 * x1.values)
 
     def test_window_filters_years(self, taxonomy6):
         corpus = make_corpus([
@@ -68,7 +68,7 @@ class TestContributionMatrix:
             ("s1", ["F002"], 1, 2010),
         ])
         x = contribution_matrix(corpus, taxonomy6, TimeWindow(2008, 2012))
-        dense = x.values.toarray()
+        dense = x.values
         assert dense[0, 0] == 0
         assert dense[0, 1] == 1.0
 
@@ -97,8 +97,8 @@ class TestContributionMatrix:
         right = contribution_matrix(corpus, taxonomy6, TimeWindow(2005, 2009))
 
         def as_map(x):
-            return {(x.entity_ids[i], x.field_ids[j]): v
-                    for (i, j), v in x.values.todok().items()}
+            return {(x.entity_ids[i], x.field_ids[j]): x.values[i, j]
+                    for i, j in zip(*np.nonzero(x.values))}
 
         combined = as_map(left)
         for k, v in as_map(right).items():
@@ -119,14 +119,29 @@ class TestContributionMatrix:
         x = contribution_matrix(make_corpus(rows), taxonomy, window)
         expected, entity_ids = contribution_matrix_loop(rows, taxonomy, window)
         assert x.entity_ids == entity_ids
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(x.values, name), getattr(expected, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert x.values.dtype == expected.dtype and x.values.shape == expected.shape
+        assert x.values.tobytes() == expected.tobytes()
+
+    def test_many_records_per_entity_summed_in_record_order(self):
+        # rows of 60 records, well past the lengths at which a sort of each
+        # row's cells (as scipy's sum_duplicates does) reorders the additions
+        taxonomy = make_taxonomy(6)
+        rng = np.random.default_rng(1)
+        rows = [(f"e{rng.integers(2)}",
+                 [taxonomy.field_ids[f]
+                  for f in rng.choice(6, int(rng.integers(1, 4)), replace=False)],
+                 int(rng.integers(1, 16)), 2010)
+                for _ in range(120)]
+        window = TimeWindow(2010, 2010)
+        x = contribution_matrix(make_corpus(rows), taxonomy, window)
+        expected, entity_ids = contribution_matrix_loop(rows, taxonomy, window)
+        assert x.entity_ids == entity_ids
+        assert x.values.tobytes() == expected.tobytes()
 
     def test_unknown_field_rejected_inside_window_only(self, taxonomy6):
         corpus = make_corpus([("s1", ["F001"], 1, 2010),
                               ("s1", ["F001", "F999"], 1, 2005)])
-        assert contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010)).values.nnz
+        assert contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010)).values.any()
         with pytest.raises(ConfigError, match="F999"):
             contribution_matrix(corpus, taxonomy6, TimeWindow(2005, 2010))
 
@@ -140,11 +155,11 @@ class TestPresenceMatrix:
 
     def test_above_threshold(self, taxonomy6):
         p = presence_matrix(self._x(taxonomy6, 0.06), theta=0.05)
-        assert p.values.toarray()[0, 0] == 1
+        assert p.values[0, 0] == 1
 
     def test_strict_inequality_at_boundary(self, taxonomy6):
         p = presence_matrix(self._x(taxonomy6, 0.05), theta=0.05)
-        assert p.values.toarray()[0, 0] == 0
+        assert p.values[0, 0] == 0
 
     def test_invalid_theta(self, taxonomy6):
         for theta in (0.0, float("nan"), float("inf")):
@@ -178,6 +193,6 @@ class TestPresenceMatrix:
         ]
         x = contribution_matrix(make_corpus(rows), taxonomy, TimeWindow(2010, 2010))
         lo, hi = sorted((t1, t2))
-        p_lo = presence_matrix(x, lo).values.toarray()
-        p_hi = presence_matrix(x, hi).values.toarray()
+        p_lo = presence_matrix(x, lo).values
+        p_hi = presence_matrix(x, hi).values
         assert np.all(p_hi <= p_lo)

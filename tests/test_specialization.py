@@ -77,7 +77,7 @@ class TestRca:
         ]
         x = x_from_rows(rows, taxonomy6)
         np.testing.assert_allclose(
-            rca(x).values, oracles.rca_bruteforce(x.values.toarray()), atol=1e-12
+            rca(x).values, oracles.rca_bruteforce(x.values), atol=1e-12
         )
 
     def test_row_share_invariant_under_entity_scaling(self, taxonomy6):
@@ -92,7 +92,7 @@ class TestRca:
         x = x_from_rows(rows, taxonomy6)
         scaled_rows = rows + [r for r in rows if r[0] == "s1"] * 2
         x2 = x_from_rows(scaled_rows, taxonomy6)
-        d1, d2 = x.values.toarray(), x2.values.toarray()
+        d1, d2 = x.values, x2.values
         np.testing.assert_allclose(d2[0] / d2[0].sum(), d1[0] / d1[0].sum(),
                                    atol=1e-12)
         share1 = d1.sum(axis=0) / d1.sum()
