@@ -22,16 +22,21 @@ SCHEMA_EMBEDDING = "embedding/1"
 MODEL_TAGS = ("frequentist", "embedding")
 
 CORPUS_COLUMNS = ("entity", "field_set", "n_authors", "year")
+PIECE_VALUES = 8192  # column values turned into text at a time by save_corpus
 
 
 def _write_atomic(path, text):
-    """Write ``text`` to a sibling temporary file, then rename it over
-    ``path``: a failed write leaves no partial file and any earlier artifact
-    unchanged."""
+    """Write ``text`` (a string, or strings) to a sibling temporary file, then
+    rename it over ``path``: a failed write leaves no partial file and any
+    earlier artifact unchanged."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        if isinstance(text, str):
+            tmp.write_text(text, encoding="utf-8")
+        else:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -54,21 +59,28 @@ def write_manifest(manifest: dict, path):
 
 def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
     """Write the corpus as four JSON lines: header, entity ids, field sets,
-    and the record columns."""
+    and the record columns, whose text is made PIECE_VALUES values at a time."""
     header = {
         "schema": SCHEMA_CORPUS,
         "kind": corpus.kind.value,
         "manifest_hash": mhash,
         "match_stats": vars(corpus.match_stats),
     }
-    lines = (
-        header,
-        {"entity_ids": corpus.entity_ids},
-        {"field_sets": [list(fields) for fields in corpus.field_sets]},
-        {name: getattr(corpus, name).tolist() for name in CORPUS_COLUMNS},
-    )
-    _write_atomic(path, "".join(json.dumps(obj, sort_keys=True) + "\n"
-                                for obj in lines))
+
+    def text():
+        for obj in (header, {"entity_ids": corpus.entity_ids},
+                    {"field_sets": [list(fields) for fields in corpus.field_sets]}):
+            yield json.dumps(obj, sort_keys=True) + "\n"
+        # the columns line as json.dumps(..., sort_keys=True) writes it
+        for k, name in enumerate(CORPUS_COLUMNS):  # already in sorted order
+            values = getattr(corpus, name)
+            yield ('{"' if k == 0 else '], "') + name + '": ['
+            for start in range(0, len(values), PIECE_VALUES):
+                piece = values[start:start + PIECE_VALUES].tolist()
+                yield ", " * (start > 0) + ", ".join(map(str, piece))
+        yield "]}\n"
+
+    _write_atomic(path, text())
 
 
 def _corpus_line(fh, path, line_no, keys):

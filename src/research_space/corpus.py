@@ -10,6 +10,8 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count, filterfalse, islice, repeat
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -39,6 +41,22 @@ class Intermediate:
     intermediate_id: str
     acronym: str
     macro_id: str
+
+
+def _tsv_rows(path, what, columns):
+    """The cells under ``columns`` of each row of the tab-separated ``what``
+    file, whose header must name them all."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter="\t")
+        if not set(columns).issubset(reader.fieldnames or ()):
+            raise ParseError(f"{what} file must have columns {', '.join(columns)}",
+                             path=path)
+        for row in reader:
+            cells = [row.get(name) for name in columns]
+            if None in cells:
+                raise ParseError("row has fewer cells than the header", path=path,
+                                 line=reader.line_num)
+            yield cells
 
 
 class FieldTaxonomy:
@@ -82,30 +100,13 @@ class FieldTaxonomy:
     def from_file(cls, path):
         """Load from delimited text with columns field_id, field_name,
         intermediate_id, intermediate_acronym, macro_id, macro_name."""
-        fields = []
-        intermediates = {}
-        macros = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, delimiter="\t")
-            required = {
-                "field_id", "field_name", "intermediate_id",
-                "intermediate_acronym", "macro_id", "macro_name",
-            }
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ParseError(
-                    f"taxonomy file must have columns {sorted(required)}", path=path
-                )
-            for i, row in enumerate(reader, start=2):
-                fields.append(
-                    TaxonomyField(
-                        row["field_id"], row["field_name"],
-                        row["intermediate_id"], row["macro_id"],
-                    )
-                )
-                intermediates[row["intermediate_id"]] = Intermediate(
-                    row["intermediate_id"], row["intermediate_acronym"], row["macro_id"]
-                )
-                macros[row["macro_id"]] = row["macro_name"]
+        fields, intermediates, macros = [], {}, {}
+        for fid, name, iid, acronym, mid, macro in _tsv_rows(path, "taxonomy", (
+                "field_id", "field_name", "intermediate_id", "intermediate_acronym",
+                "macro_id", "macro_name")):
+            fields.append(TaxonomyField(fid, name, iid, mid))
+            intermediates[iid] = Intermediate(iid, acronym, mid)
+            macros[mid] = macro
         if not fields:
             raise ParseError("taxonomy file has no rows", path=path)
         return cls(fields, intermediates, macros)
@@ -147,18 +148,8 @@ class VenueFieldMap:
         """Load from delimited text, columns venue_name, field_id (one row
         per venue-field pair)."""
         entries: dict[str, set[str]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, delimiter="\t")
-            if reader.fieldnames is None or not {"venue_name", "field_id"}.issubset(
-                reader.fieldnames
-            ):
-                raise ParseError(
-                    "venue map file must have columns venue_name, field_id", path=path
-                )
-            for row in reader:
-                entries.setdefault(normalize_venue(row["venue_name"]), set()).add(
-                    row["field_id"]
-                )
+        for venue, fid in _tsv_rows(path, "venue map", ("venue_name", "field_id")):
+            entries.setdefault(normalize_venue(venue), set()).add(fid)
         return cls({k: frozenset(v) for k, v in entries.items()})
 
 
@@ -172,13 +163,13 @@ def match_venue(name: str, vmap: VenueFieldMap):
     return None
 
 
-
-
 # --- record loading and aggregation ----------------------------------------
 
 _MANDATORY = ("researcher_id", "venue", "year", "n_authors")
 _TEXT_KEYS = ("researcher_id", "venue", "institution", "state")
+_KEYS = _MANDATORY + ("institution", "state")
 YEAR_RANGE = (1900, 2100)
+CHUNK_ROWS = 512  # records read, checked and coded in one pass over columns
 
 # The record key that names an entity of each kind.
 _ENTITY_KEY = {
@@ -207,40 +198,59 @@ FORMAT_PROFILES = {
 }
 
 
-def _rows(path, fmt):
-    """Yield (line number, row) for each record of the file: the decoded
-    value of a non-blank JSONL line, or a delimited row as a dict of
-    canonical keys."""
+def _chunks(path, fmt):
+    """Yield the file's records in chunks of at most CHUNK_ROWS: the physical
+    lines they start on, a list of values per key of ``_KEYS``, and a function
+    giving record i as ``_validate_record`` takes it."""
     if fmt == "jsonl":
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
+            numbered = enumerate(map(str.strip, fh), start=1)
+            while block := list(islice(numbered, CHUNK_ROWS)):
+                lines = [line_no for line_no, text in block if text]
+                texts = [text for _, text in block if text]
+                rows = []
+                try:  # extend keeps the values decoded before a bad line
+                    rows.extend(map(json.loads, texts))
                 except ValueError as e:  # JSONDecodeError, or an integer too long
-                    raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
-                yield line_no, raw
+                    raise ParseError(f"invalid JSON: {e}", path=path,
+                                     line=lines[len(rows)]) from None
+                dicts = [row if type(row) is dict else {} for row in rows]
+                yield lines, {key: list(map(dict.get, dicts, repeat(key)))
+                              for key in _KEYS}, rows.__getitem__
         return
 
     profile = FORMAT_PROFILES[fmt]
-    aliases = profile["aliases"]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=profile["delimiter"])
-        if reader.fieldnames is None:
+        reader = csv.reader(fh, delimiter=profile["delimiter"])
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty records file", path=path)
-        colmap = {}
-        for canonical in _MANDATORY + ("institution", "state"):
-            for cand in aliases.get(canonical, [canonical]):
-                if cand in reader.fieldnames:
-                    colmap[canonical] = cand
-                    break
-        missing = [k for k in _MANDATORY if k not in colmap]
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+        index = {key: next((at[name] for name in profile["aliases"].get(key, [key])
+                            if name in at), None) for key in _KEYS}
+        missing = [key for key in _MANDATORY if index[key] is None]
         if missing:
             raise ParseError(f"missing required columns {missing}", path=path)
-        for line_no, row in enumerate(reader, start=2):
-            yield line_no, {k: row.get(src) for k, src in colmap.items()}
+        end = reader.line_num
+        while block := [(reader.line_num, row) for row in islice(reader, CHUNK_ROWS)]:
+            # a record starts on the line after the previous row's last; blank
+            # rows are skipped, and the cells a short row lacks read None
+            ends = [end] + [line_no for line_no, _ in block]
+            lines = [prev + 1 for prev, (_, row) in zip(ends, block) if row]
+            end = ends[-1]
+            rows = [row if len(row) >= len(header) else row + [None] * len(header)
+                    for _, row in block if row]
+            cols = {key: list(map(itemgetter(i), rows)) if i is not None
+                    else [None] * len(rows) for key, i in index.items()}
+            yield lines, cols, lambda i, cols=cols: {k: c[i] for k, c in cols.items()}
+
+
+def _plain_ints(values, lo, hi):
+    """Each value as an int where it is an int (not a bool) or a short
+    ASCII-digit string, within [lo, hi]; else None."""
+    return [n if (type(v) is int or type(v) is str and v.isascii() and v.isdigit()
+                  and len(v) < 19) and lo <= (n := int(v)) <= hi else None
+            for v in values]
 
 
 def _text(raw: dict, key: str) -> str | None:
@@ -334,29 +344,37 @@ def resolve_corpus(path, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
     set_code: dict[tuple[str, ...], int] = {}
     hits = {}  # raw venue name -> (field-set code or None, MatchStats field)
     columns = entity, field_set, n_authors, year = [array("q") for _ in range(4)]
-    for line_no, raw in _rows(path, fmt):
-        try:
-            text, rec_year, rec_n_authors = _validate_record(raw)
-        except (ValueError, TypeError) as e:
-            issues.append((line_no, str(e)))
-            continue
-        venue = text["venue"]
-        if venue not in hits:
+    for lines, cols, raw in _chunks(path, fmt):
+        years = _plain_ints(cols["year"], *YEAR_RANGE)
+        authors = _plain_ints(cols["n_authors"], 1, 2**63 - 1)
+        valid = [type(r) is str and type(v) is str and r != "" and v != ""
+                 and y is not None and a is not None
+                 and (i is None or type(i) is str) and (s is None or type(s) is str)
+                 for r, v, _, _, i, s, y, a in zip(*cols.values(), years, authors)]
+        # _validate_record converts the other records or says why they are invalid
+        for i in compress(count(), map(not_, valid)):
+            try:
+                text, years[i], authors[i] = _validate_record(raw(i))
+            except (ValueError, TypeError) as e:
+                issues.append((lines[i], str(e)))
+                continue
+            cols["venue"][i], cols[key][i] = text["venue"], text[key]
+            valid[i] = True
+        venues = list(compress(cols["venue"], valid))
+        for venue in filterfalse(hits.__contains__, dict.fromkeys(venues)):
             hit = match_venue(venue, vmap)
             hits[venue] = (None, "unmatched") if hit is None else (
                 set_code.setdefault(tuple(sorted(hit[0])), len(set_code)), hit[1])
-        code, outcome = hits[venue]
-        stats[outcome] += 1
-        if code is None:
-            continue
-        eid = text[key]
-        if eid is None:
-            stats["missing_attribute"] += 1
-            continue
-        entity.append(entity_code.setdefault(eid, len(entity_code)))
-        field_set.append(code)
-        n_authors.append(rec_n_authors)
-        year.append(rec_year)
+        codes = [hits[venue][0] for venue in venues]
+        stats.update(hits[venue][1] for venue in venues)
+        eids = [e or None for e in compress(cols[key], valid)]  # "" is no entity
+        keep = [code is not None and e is not None for code, e in zip(codes, eids)]
+        stats["missing_attribute"] += len(codes) - codes.count(None) - sum(keep)
+        entity.extend(entity_code.setdefault(eid, len(entity_code))
+                      for eid in compress(eids, keep))
+        field_set.extend(compress(codes, keep))
+        n_authors.extend(compress(compress(authors, valid), keep))
+        year.extend(compress(compress(years, valid), keep))
     return ResolvedCorpus(
         list(entity_code), list(set_code),
         *(np.frombuffer(c, dtype=np.int64) for c in columns), kind,

@@ -474,7 +474,14 @@ def load_records(path, fmt="jsonl", year_range=YEAR_RANGE) -> LoadReport:
     profile = FORMAT_PROFILES[fmt]
     aliases = profile["aliases"]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=profile["delimiter"])
+        handed = []  # (number, text) of the lines the reader took since the last row
+
+        def numbered_lines():
+            for item in enumerate(fh, start=1):
+                handed.append(item)
+                yield item[1]
+
+        reader = csv.DictReader(numbered_lines(), delimiter=profile["delimiter"])
         if reader.fieldnames is None:
             raise ParseError("empty records file", path=path)
         colmap = {}
@@ -486,7 +493,11 @@ def load_records(path, fmt="jsonl", year_range=YEAR_RANGE) -> LoadReport:
         missing = [k for k in _MANDATORY if k not in colmap]
         if missing:
             raise ParseError(f"missing required columns {missing}", path=path)
-        for line_no, row in enumerate(reader, start=2):
+        handed.clear()
+        for row in reader:
+            # a row starts on the first line taken for it that is not blank
+            line_no = next(n for n, text in handed if text.strip("\r\n"))
+            handed.clear()
             raw = {k: row.get(src) for k, src in colmap.items()}
             try:
                 report.records.append(_validate_record(raw, line_no, year_range))

@@ -709,6 +709,26 @@ def test_json_integer_over_digit_limit_exits_1(pipeline, tmp_path, site):
     assert f"({bad}:{line_no})" in res.output
 
 
+@pytest.mark.parametrize("table", ["taxonomy", "venues"])
+def test_truncated_table_row_exits_1(pipeline, tmp_path, table):
+    # a taxonomy row without intermediate and macro cells once crashed
+    # backbone; a venue row without a field id read as an unknown field None
+    lines = pipeline[table].read_text().splitlines()
+    lines[2] = "\t".join(lines[2].split("\t")[:2 if table == "taxonomy" else 1])
+    bad = tmp_path / f"{table}.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    if table == "taxonomy":
+        args = ["backbone", "--phi", str(pipeline["phi_emb"]), "--taxonomy", str(bad)]
+    else:
+        args = ["ingest", "--records", str(pipeline["records"]), "--venue-map", str(bad),
+                "--taxonomy", str(pipeline["taxonomy"])]
+    res = pipeline["runner"].invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: row has fewer cells than the header ({bad}:3)" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_verbose_logs_epoch_losses_to_stderr_only(pipeline, tmp_path):
     out = tmp_path / "out"
     args = ["fit", "--corpus", str(pipeline["corpus"]),

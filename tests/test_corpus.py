@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from conftest import corpus_rows, make_taxonomy
+from research_space import corpus as corpus_mod
 from research_space.corpus import (
     EntityKind,
     VenueFieldMap,
@@ -16,7 +17,7 @@ from research_space.corpus import (
     resolve_corpus,
     venue_substrings,
 )
-from research_space.errors import ConfigError
+from research_space.errors import ConfigError, ParseError
 
 
 class TestVenueSubstrings:
@@ -209,6 +210,16 @@ class TestResolveCorpus:
         assert by_id["r1"][1] == ("F001", "F002")
         assert out.field_sets == [("F001", "F002"), ("F003",)]
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_empty_attribute_is_missing(self, tmp_path, fmt):
+        rows = [{**self.ROWS[0], "institution": ""}, self.ROWS[1]]
+        write = write_jsonl if fmt == "jsonl" else write_csv
+        out, issues = resolve_corpus(write(tmp_path / "records", rows),
+                                     VenueFieldMap({"Cell": {"F003"}, "Nature": {"F001"}}),
+                                     make_taxonomy(6), EntityKind.INSTITUTION, fmt=fmt)
+        assert (out.entity_ids, out.match_stats.missing_attribute, issues) == (
+            ["UFMG"], 1, [])
+
     def test_record_count_never_grows(self, inputs):
         records, vmap, taxonomy = inputs
         for kind in EntityKind:
@@ -237,35 +248,56 @@ def _maybe(key, values):
     return st.one_of(st.just({}), values.map(lambda v: {key: v}))
 
 
-# Rows valid and invalid in every way the two passes check, with string ids.
+# Rows valid and invalid in every way the two passes check, with string and
+# integer ids. Integer institutions and states are never 0, which the oracle
+# reads as absent.
 ROW = st.builds(
     lambda *parts: {k: v for part in parts for k, v in part.items()},
-    _maybe("researcher_id", st.sampled_from(["r1", "r2", "r3", "", " r1"])),
+    _maybe("researcher_id", st.sampled_from(["r1", "r2", "r3", "", " r1", 7, 0])),
     _maybe("venue", st.sampled_from(["Nature", "nature ", "Cell Reports-Cell",
                                      "Cell", "Unknown", ""])),
     _maybe("year", st.one_of(st.integers(1890, 2110),
                              st.sampled_from([2001.0, 2001.5, True, "2005", "x",
-                                              None]))),
+                                              None, " 2005", "2_005", "２００５",
+                                              10**30]))),
     _maybe("n_authors", st.one_of(st.integers(-1, 4),
-                                  st.sampled_from([2.0, 2.5, False, "3", None]))),
-    _maybe("institution", st.sampled_from([None, "", "UFMG", "USP"])),
-    _maybe("state", st.sampled_from([None, "", "MG", "SP"])),
+                                  st.sampled_from([2.0, 2.5, False, True, "3",
+                                                   None]))),
+    _maybe("institution", st.sampled_from([None, "", "UFMG", "USP", 5])),
+    _maybe("state", st.sampled_from([None, "", "MG", "SP", 31])),
 )
+# JSON values that are not objects, and where among the rows they go.
+NON_OBJECTS = st.lists(st.tuples(st.integers(0, 30),
+                                 st.sampled_from([[], [1, 2], "x", 5, None])),
+                       max_size=3)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(ROW, max_size=30), fmt=st.sampled_from(["jsonl", "csv"]),
-       kind=st.sampled_from(list(EntityKind)))
-def test_one_pass_equals_two_pass_oracle(tmp_path, rows, fmt, kind):
+@given(rows=st.lists(ROW, max_size=30), others=NON_OBJECTS,
+       fmt=st.sampled_from(["jsonl", "csv"]), kind=st.sampled_from(list(EntityKind)))
+def test_one_pass_equals_two_pass_oracle(tmp_path, monkeypatch, rows, others, fmt,
+                                         kind):
+    # chunks of 3 records, so that most examples cross chunk boundaries
+    monkeypatch.setattr(corpus_mod, "CHUNK_ROWS", 3)
+    rows = list(rows)
+    for at, value in others if fmt == "jsonl" else ():
+        rows.insert(at, value)
     write = write_jsonl if fmt == "jsonl" else write_csv
     path = write(tmp_path / f"records.{fmt}", rows)
     vmap = VenueFieldMap({"Nature": {"F002", "F001"}, "Cell": {"F003"}})
     taxonomy = make_taxonomy(6)
     out, issues = resolve_corpus(path, vmap, taxonomy, kind, fmt=fmt)
+    if fmt == "jsonl":  # the oracle reads objects only: it gets the others blank
+        path.write_text("".join((json.dumps(row) if isinstance(row, dict) else "")
+                                + "\n" for row in rows))
     report = oracles.load_records(path, fmt=fmt)
+    report.issues = sorted(report.issues + [
+        (line_no, f"record must be a JSON object, got {type(row).__name__}")
+        for line_no, row in enumerate(rows, start=1) if not isinstance(row, dict)])
     expected = oracles.resolve_records(report.records, vmap, taxonomy, kind)
-    assert (out.entity_ids, out.field_sets) == (expected.entity_ids,
+    # the oracle keeps integer institutions and states as ints
+    assert (out.entity_ids, out.field_sets) == (list(map(str, expected.entity_ids)),
                                                 expected.field_sets)
     for name in ("entity", "field_set", "n_authors", "year"):
         column = getattr(out, name)
@@ -273,6 +305,87 @@ def test_one_pass_equals_two_pass_oracle(tmp_path, rows, fmt, kind):
         np.testing.assert_array_equal(column, getattr(expected, name))
     assert (out.kind, out.match_stats) == (expected.kind, expected.match_stats)
     assert issues == report.issues
+
+
+class TestDelimitedRows:
+    """csv.reader columns read as csv.DictReader rows did, with warnings on
+    the physical line a row starts on."""
+
+    VMAP = VenueFieldMap({"Nature": {"F001"}, "Cell": {"F002"}})
+
+    def resolve(self, tmp_path, text):
+        path = tmp_path / "records.csv"
+        path.write_text(text, encoding="utf-8")
+        out, issues = resolve_corpus(path, self.VMAP, make_taxonomy(6),
+                                     EntityKind.STATE, fmt="csv")
+        report = oracles.load_records(path, fmt="csv")
+        expected = oracles.resolve_records(report.records, self.VMAP,
+                                           make_taxonomy(6), EntityKind.STATE)
+        assert corpus_rows(out) == corpus_rows(expected)
+        assert issues == report.issues
+        return corpus_rows(out), issues
+
+    HEADER = "researcher_id,venue,year,n_authors,state\n"
+
+    def test_blank_first_line_is_the_header(self, tmp_path):
+        with pytest.raises(ParseError, match="missing required columns"):
+            self.resolve(tmp_path, "\n" + self.HEADER + "r1,Nature,2010,2,MG\n")
+
+    def test_last_of_repeated_header_names_wins(self, tmp_path):
+        rows, _ = self.resolve(tmp_path, "researcher_id,venue,year,n_authors,state,"
+                               "state\nr1,Nature,2010,2,MG,SP\nr2,Cell,2011,1,RJ\n")
+        # a row too short for the last "state" reads None there
+        assert rows == [("SP", ("F001",), 2, 2010)]
+
+    def test_blank_rows_skipped_and_short_rows_read_none(self, tmp_path):
+        rows, issues = self.resolve(tmp_path, self.HEADER + "\nr1,Nature,2010,2,MG\n"
+                                    "\n\nr2,Cell,2011\nr3,Cell,2012,1\n")
+        assert rows == [("MG", ("F001",), 2, 2010)]
+        assert issues == [(6, "missing mandatory field 'n_authors'")]
+
+    def test_extra_cells_ignored(self, tmp_path):
+        rows, issues = self.resolve(tmp_path, self.HEADER + "r1,Nature,2010,2,MG,x,y\n")
+        assert (rows, issues) == ([("MG", ("F001",), 2, 2010)], [])
+
+    def test_warning_names_the_line_after_a_blank_line(self, tmp_path):
+        _, issues = self.resolve(tmp_path, self.HEADER + "r1,Nature,2010,2,MG\n\n"
+                                 "r2,Nature,abc,2,MG\n")
+        assert [line for line, _ in issues] == [4]
+
+    def test_warning_names_the_line_after_a_multi_line_venue(self, tmp_path):
+        _, issues = self.resolve(tmp_path, self.HEADER + 'r1,"Nature\nLetters",2010,'
+                                 "2,MG\nr2,Nature,abc,2,MG\nr3,Cell,2010,0,SP\n")
+        assert [line for line, _ in issues] == [4, 5]
+
+    def test_digit_string_over_the_conversion_limit_is_an_invalid_row(self, tmp_path):
+        _, issues = self.resolve(tmp_path, self.HEADER + f"r1,Nature,{'9' * 5000},2,MG\n")
+        assert [line for line, _ in issues] == [2]
+
+    def test_blank_lines_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "CHUNK_ROWS", 2)
+        _, issues = self.resolve(tmp_path, self.HEADER + "\n\n\n" + "r1,Nature,2010,"
+                                 "2,MG\n\n" * 3 + "r2,Nature,1800,2,MG\n")
+        assert issues == [(11, "year 1800 outside sane range [1900, 2100]")]
+
+
+def test_jsonl_lines_are_decoded_one_by_one(tmp_path):
+    # as one JSON array the three lines would give three objects
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a":[{}\n{}]}\n{},{}\n')
+    with pytest.raises(ParseError, match=r"invalid JSON: .*records\.jsonl:1\)"):
+        resolve_corpus(path, VenueFieldMap({}), make_taxonomy(6), EntityKind.SCIENTIST)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 512])
+def test_bad_json_names_its_line_inside_a_chunk(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(corpus_mod, "CHUNK_ROWS", chunk)
+    row = json.dumps({"researcher_id": "r1", "venue": "V", "year": 2001,
+                      "n_authors": 1})
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{row}\n\n{row}\n{{bad\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        resolve_corpus(path, VenueFieldMap({}), make_taxonomy(6), EntityKind.SCIENTIST)
+    assert err.value.line == 4
 
 
 def test_peak_memory_per_record_is_small(tmp_path):
