@@ -213,6 +213,7 @@ def load_proximity(path) -> ProximityMatrix:
             raise ParseError(f"unknown model {meta['model']!r}", path=path,
                              line=meta_line["model"])
         field_ids = line.rstrip("\n").split("\t")[1:]
+        first_row = line_no + 1
         n = len(field_ids)
         values = np.zeros((n, n))
         i = 0
@@ -236,6 +237,12 @@ def load_proximity(path) -> ProximityMatrix:
             i += 1
     if i < n:
         raise ParseError(f"{n - i} of {n} rows missing", path=path, line=line_no + 1)
+    if meta["model"] == "embedding":
+        differs = (values != values.T).any(axis=1)
+        if differs.any():
+            i = int(differs.argmax())
+            raise ParseError(f"embedding row {field_ids[i]!r} differs from its column",
+                             path=path, line=first_row + i)
     return ProximityMatrix(
         values=values,
         field_ids=field_ids,

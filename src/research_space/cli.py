@@ -319,22 +319,22 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
         )
     if level == "intermediate":
         phi = net.aggregate_to_intermediate(phi, taxonomy)
-    g = net.proximity_graph(phi, taxonomy, level=level)
+    g = net.proximity_graph(phi, taxonomy, level)
     if mode == "disparity":
         kept = net.disparity_filter(g, alpha)
     else:
         kept = net.mst_plus_threshold(g, p_threshold)
     partition = net.greedy_communities(kept)
-    labels = net.classify_edges(kept, partition)
+    net.classify_edges(kept, partition)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt in ("edgelist", "tsv"):
-        name, text = "backbone.tsv", net.export_edgelist(kept, labels)
+        name, text = "backbone.tsv", net.export_edgelist(kept)
     elif fmt == "xmlgraph":
-        name, text = "backbone.graphml", net.export_graphml(kept, labels)
+        name, text = "backbone.graphml", net.export_graphml(kept)
     else:
-        name, text = "backbone.dot", net.export_dot(kept, labels)
+        name, text = "backbone.dot", net.export_dot(kept)
     artifacts._write_atomic(out / name, text)
     part_lines = ["node\tcommunity"]
     for node in sorted(kept.nodes()):

@@ -169,6 +169,7 @@ _MANDATORY = ("researcher_id", "venue", "year", "n_authors")
 _TEXT_KEYS = ("researcher_id", "venue", "institution", "state")
 _KEYS = _MANDATORY + ("institution", "state")
 YEAR_RANGE = (1900, 2100)
+AUTHORS_MAX = 2**63 - 1  # n_authors is an int64 column
 CHUNK_ROWS = 512  # records read, checked and coded in one pass over columns
 
 # The record key that names an entity of each kind.
@@ -285,6 +286,8 @@ def _validate_record(raw) -> tuple[dict[str, str | None], int, int]:
     n_authors = int(raw["n_authors"])
     if n_authors < 1:
         raise ValueError(f"n_authors must be >= 1, got {n_authors}")
+    if n_authors > AUTHORS_MAX:
+        raise ValueError(f"n_authors {n_authors} exceeds {AUTHORS_MAX}")
     lo, hi = YEAR_RANGE
     if not lo <= year <= hi:
         raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
@@ -346,7 +349,7 @@ def resolve_corpus(path, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
     columns = entity, field_set, n_authors, year = [array("q") for _ in range(4)]
     for lines, cols, raw in _chunks(path, fmt):
         years = _plain_ints(cols["year"], *YEAR_RANGE)
-        authors = _plain_ints(cols["n_authors"], 1, 2**63 - 1)
+        authors = _plain_ints(cols["n_authors"], 1, AUTHORS_MAX)
         valid = [type(r) is str and type(v) is str and r != "" and v != ""
                  and y is not None and a is not None
                  and (i is None or type(i) is str) and (s is None or type(s) is str)

@@ -32,28 +32,19 @@ def macro_colors(taxonomy: FieldTaxonomy) -> dict[str, str]:
     return {m: MACRO_PALETTE[i % len(MACRO_PALETTE)] for i, m in enumerate(ids)}
 
 
-def proximity_graph(phi: ProximityMatrix, taxonomy: FieldTaxonomy | None = None,
-                    level: str = "field") -> nx.Graph:
+def proximity_graph(phi: ProximityMatrix, taxonomy: FieldTaxonomy,
+                    level: str) -> nx.Graph:
     """Undirected graph from a symmetric proximity matrix; positive weights,
-    no self-loops. Nodes carry label and macro-color attributes when a
-    taxonomy is given."""
-    if not phi.is_symmetric:
-        raise ConfigError(
-            "graph construction needs a symmetric proximity matrix "
-            "(the frequentist model is directed)"
-        )
+    no self-loops. Each node carries its taxonomy label and macro color."""
     g = nx.Graph()
-    colors = macro_colors(taxonomy) if taxonomy is not None else {}
+    colors = macro_colors(taxonomy)
     for fid in phi.field_ids:
-        attrs = {}
-        if taxonomy is not None:
-            if level == "field":
-                f = taxonomy.field(fid)
-                attrs = {"label": f.name, "color": colors[f.macro_id]}
-            else:
-                im = taxonomy.intermediates[fid]
-                attrs = {"label": im.acronym, "color": colors[im.macro_id]}
-        g.add_node(fid, **attrs)
+        if level == "field":
+            f = taxonomy.field(fid)
+            g.add_node(fid, label=f.name, color=colors[f.macro_id])
+        else:
+            im = taxonomy.intermediates[fid]
+            g.add_node(fid, label=im.acronym, color=colors[im.macro_id])
     ids = phi.field_ids
     for i, j in zip(*np.nonzero(np.triu(phi.values, 1) > 0)):
         g.add_edge(ids[i], ids[j], weight=float(phi.values[i, j]))
@@ -64,8 +55,6 @@ def aggregate_to_intermediate(phi: ProximityMatrix,
                               taxonomy: FieldTaxonomy) -> ProximityMatrix:
     """Proximity between intermediates as the mean of phi over their
     cross-field pairs, excluding the diagonal f' = f."""
-    if not phi.is_symmetric:
-        raise ConfigError("intermediate aggregation needs a symmetric proximity matrix")
     inter_ids = sorted(taxonomy.intermediates)
     iindex = {im: k for k, im in enumerate(inter_ids)}
     member = np.zeros((len(phi.field_ids), len(inter_ids)))
@@ -121,17 +110,6 @@ def disparity_filter(g: nx.Graph, alpha: float) -> nx.Graph:
     return kept
 
 
-def weighted_modularity(g: nx.Graph, communities: dict) -> float:
-    """Weighted Newman modularity of the partition ``communities`` (node ->
-    community id) via networkx; 0 on a graph without weight."""
-    if g.size(weight="weight") == 0:
-        return 0.0
-    blocks: dict = {}
-    for u in g:
-        blocks.setdefault(communities[u], set()).add(u)
-    return nx.community.modularity(g, blocks.values(), weight="weight")
-
-
 def greedy_communities(g: nx.Graph) -> Partition:
     """Clauset-Newman-Moore greedy modularity maximization (networkx
     ``greedy_modularity_communities``). A community's id is the position of
@@ -142,64 +120,53 @@ def greedy_communities(g: nx.Graph) -> Partition:
     index = {u: i for i, u in enumerate(sorted(g.nodes()))}
     if g.size(weight="weight") == 0:
         return Partition(communities=index, modularity=0.0)
+    blocks = nx.community.greedy_modularity_communities(g, weight="weight")
     communities = {}
-    for block in nx.community.greedy_modularity_communities(g, weight="weight"):
-        cid = min(index[u] for u in block)
-        communities.update(dict.fromkeys(block, cid))
-    return Partition(
-        communities=communities, modularity=weighted_modularity(g, communities)
-    )
+    for block in blocks:
+        communities.update(dict.fromkeys(block, min(index[u] for u in block)))
+    return Partition(communities=communities, modularity=nx.community.modularity(
+        g, blocks, weight="weight"))
 
 
-def classify_edges(g: nx.Graph, partition: Partition) -> dict:
-    """Label each edge intra or inter depending on whether its endpoints
+def classify_edges(g: nx.Graph, partition: Partition) -> None:
+    """Set each edge's ``group`` to intra or inter, by whether its endpoints
     share a community."""
-    labels = {}
-    for u, v in g.edges():
-        if u not in partition.communities or v not in partition.communities:
-            raise ConfigError(f"partition does not cover edge ({u}, {v})")
-        labels[(u, v)] = (
-            "intra" if partition.communities[u] == partition.communities[v] else "inter"
-        )
-    return labels
+    c = partition.communities
+    for u, v, d in g.edges(data=True):
+        d["group"] = "intra" if c[u] == c[v] else "inter"
 
 
 # --- exports --------------------------------------------------------------
 
-def export_edgelist(g: nx.Graph, labels: dict | None = None) -> str:
-    lines = []
-    for u, v, d in sorted(g.edges(data=True)):
-        label = labels.get((u, v), labels.get((v, u), "")) if labels else ""
-        lines.append(f"{u}\t{v}\t{d['weight']:.10g}\t{label}".rstrip())
+def export_edgelist(g: nx.Graph) -> str:
+    lines = [f"{u}\t{v}\t{d['weight']:.10g}\t{d['group']}"
+             for u, v, d in sorted(g.edges(data=True))]
     return "\n".join(lines) + "\n"
 
 
-def export_graphml(g: nx.Graph, labels: dict | None = None) -> str:
+def export_graphml(g: nx.Graph) -> str:
     """The GraphML document as ``nx.write_graphml`` writes it, with its XML
     declaration and UTF-8 text (``nx.generate_graphml`` drops the former and
     escapes non-ASCII labels)."""
-    out = g.copy()
-    if labels:
-        for (u, v), lab in labels.items():
-            out[u][v]["group"] = lab
     buf = io.BytesIO()
-    nx.write_graphml(out, buf)
+    nx.write_graphml(g, buf)
     return buf.getvalue().decode("utf-8")
 
 
-def export_dot(g: nx.Graph, labels: dict | None = None) -> str:
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def export_dot(g: nx.Graph) -> str:
     """Dot-language rendering input with macro-area colors and inter-edge
     highlighting."""
     lines = ["graph research_space {"]
-    for u, data in sorted(g.nodes(data=True)):
-        attrs = [f'label="{data.get("label", u)}"']
-        if "color" in data:
-            attrs.append('style=filled')
-            attrs.append(f'fillcolor="{data["color"]}"')
-        lines.append(f'  "{u}" [{", ".join(attrs)}];')
+    for u, d in sorted(g.nodes(data=True)):
+        lines.append(f'  {_dot_quoted(u)} [label={_dot_quoted(d["label"])}, '
+                     f'style=filled, fillcolor="{d["color"]}"];')
     for u, v, d in sorted(g.edges(data=True)):
-        label = labels.get((u, v), labels.get((v, u), "")) if labels else ""
-        color = "red" if label == "inter" else "black"
-        lines.append(f'  "{u}" -- "{v}" [weight={d["weight"]:.6g}, color={color}];')
+        color = "red" if d["group"] == "inter" else "black"
+        lines.append(f'  {_dot_quoted(u)} -- {_dot_quoted(v)} '
+                     f'[weight={d["weight"]:.6g}, color={color}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -413,9 +413,9 @@ class LoadReport:
 
 
 def _year_and_authors(raw: dict) -> tuple[int, int]:
-    """A record's integral ``year`` and ``n_authors`` (>= 1); booleans and
-    non-integral floats are rejected, integral floats and numeric strings
-    are converted."""
+    """A record's integral ``year`` and ``n_authors`` (1 to 2^63 - 1);
+    booleans and non-integral floats are rejected, integral floats and
+    numeric strings are converted."""
     for key in ("year", "n_authors"):
         value = raw[key]
         if isinstance(value, bool) or (isinstance(value, float)
@@ -425,6 +425,8 @@ def _year_and_authors(raw: dict) -> tuple[int, int]:
     n_authors = int(raw["n_authors"])
     if n_authors < 1:
         raise ValueError(f"n_authors must be >= 1, got {n_authors}")
+    if n_authors > 2**63 - 1:
+        raise ValueError(f"n_authors {n_authors} exceeds {2**63 - 1}")
     return year, n_authors
 
 

@@ -108,8 +108,10 @@ class TestMatrixArtifacts:
                                                    model_tag, start, span):
         field_ids, flat = table
         n = len(field_ids)
-        phi = ProximityMatrix(values=np.array(flat, dtype=np.float64).reshape(n, n),
-                              field_ids=field_ids, model_tag=model_tag,
+        values = np.array(flat, dtype=np.float64).reshape(n, n)
+        if model_tag == "embedding":  # an embedding matrix is symmetric
+            values = np.where(np.tri(n, k=-1, dtype=bool), values.T, values)
+        phi = ProximityMatrix(values=values, field_ids=field_ids, model_tag=model_tag,
                               window=TimeWindow(start, start + span))
         path = tmp_path_factory.getbasetemp() / "phi.tsv"
         artifacts.save_proximity(phi, path, mhash="abc")
@@ -119,6 +121,21 @@ class TestMatrixArtifacts:
         assert loaded.field_ids == field_ids
         assert loaded.model_tag == model_tag
         assert loaded.window == phi.window
+
+    def test_asymmetric_embedding_matrix_names_its_first_row(self, tmp_path):
+        values = np.full((3, 3), 0.5)
+        values[2, 0] = 0.99  # phi[F003][F001]; only the intermediate level reads it
+        phi = ProximityMatrix(values, ["F001", "F002", "F003"], "embedding",
+                              TimeWindow(2000, 2004))
+        path = tmp_path / "phi.tsv"
+        artifacts.save_proximity(phi, path)
+        with pytest.raises(ParseError, match="embedding row 'F001' differs from its "
+                                             "column") as err:
+            artifacts.load_proximity(path)
+        assert err.value.line == 6  # 4 comment lines, the field header, F001
+        phi.model_tag = "frequentist"
+        artifacts.save_proximity(phi, path)
+        assert artifacts.load_proximity(path).values[2, 0] == 0.99
 
     @given(ids.flatmap(lambda fids: st.tuples(
                st.just(fids), st.lists(st.lists(finite, min_size=3, max_size=3),

@@ -1,12 +1,14 @@
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
 import zlib
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -482,6 +484,53 @@ class TestBackbone:
         assert res.exit_code == 0, res.output
         dot = (tmp_path / "bb" / "backbone.dot").read_text()
         assert dot.startswith("graph")
+
+    def test_asymmetric_embedding_phi_exits_1(self, pipeline, tmp_path):
+        lines = pipeline["phi_emb"].read_text().splitlines()
+        cells = lines[7].split("\t")  # phi[F003][F001]
+        lines[7] = "\t".join([cells[0], "0.99", *cells[2:]])
+        bad = tmp_path / "phi.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        res = pipeline["runner"].invoke(main, [
+            "backbone", "--phi", str(bad), "--taxonomy", str(pipeline["taxonomy"]),
+            "--level", "intermediate", "--out", str(tmp_path / "bb"),
+        ])
+        assert res.exit_code == 1, res.output
+        assert f"embedding row 'F001' differs from its column ({bad}:6)" in res.output
+        assert not (tmp_path / "bb").exists()
+
+    def test_every_format_writes_one_backbone(self, pipeline, tmp_path):
+        def run(fmt):
+            out = tmp_path / fmt
+            res = pipeline["runner"].invoke(main, [
+                "backbone", "--phi", str(pipeline["phi_emb"]),
+                "--taxonomy", str(pipeline["taxonomy"]), "--mode", "mst-threshold",
+                "--level", "field", "--format", fmt, "--out", str(out),
+            ])
+            assert res.exit_code == 0, res.output
+            return out
+
+        tsv, graphml, dot = run("edgelist"), run("xmlgraph"), run("dot")
+        edges = {}  # (u, v) -> (weight as the edge list prints it, group)
+        for line in (tsv / "backbone.tsv").read_text().splitlines():
+            u, v, w, group = line.split("\t")
+            edges[u, v] = (w, group)
+        g = nx.read_graphml(graphml / "backbone.graphml")
+        assert {tuple(sorted(e)): (f"{d['weight']:.10g}", d["group"])
+                for *e, d in g.edges(data=True)} == edges
+        assert {d["group"] for _, _, d in g.edges(data=True)} == {"intra", "inter"}
+        dot_edges = {}
+        for line in (dot / "backbone.dot").read_text().splitlines():
+            if " -- " in line:
+                u, v, w, color = re.fullmatch(
+                    r'  "(.+)" -- "(.+)" \[weight=(.+), color=(red|black)\];', line
+                ).groups()
+                dot_edges[u, v] = (w, "inter" if color == "red" else "intra")
+        assert dot_edges == {e: (f"{g.edges[e]['weight']:.6g}", group)
+                             for e, (_, group) in edges.items()}
+        communities = {(out / "communities.tsv").read_bytes()
+                       for out in (tsv, graphml, dot)}
+        assert len(communities) == 1
 
     @pytest.mark.parametrize("level", ["field", "intermediate"])
     def test_phi_fields_missing_from_taxonomy_exit_2(self, pipeline, tmp_path, level):

@@ -127,6 +127,18 @@ class TestLoadRecords:
         assert issues[0][0] == 1
         assert "n_authors" in issues[0][1]
 
+    @pytest.mark.parametrize("fmt, too_many", [("jsonl", 10**29), ("jsonl", 2**63),
+                                                ("csv", "9" * 25), ("csv", str(2**63))])
+    def test_n_authors_over_int64_is_an_invalid_row(self, tmp_path, fmt, too_many):
+        rows = [{"researcher_id": "r1", "venue": "Nature", "year": 2010,
+                 "n_authors": n} for n in (too_many, 2**63 - 1)]
+        path = (write_jsonl if fmt == "jsonl" else write_csv)(tmp_path / "records", rows)
+        out, issues = resolve_corpus(path, VenueFieldMap({"Nature": {"F001"}}),
+                                     make_taxonomy(6), EntityKind.SCIENTIST, fmt=fmt)
+        assert issues == [(1 if fmt == "jsonl" else 2,
+                           f"n_authors {int(too_many)} exceeds {2**63 - 1}")]
+        assert out.n_authors.tolist() == [2**63 - 1]
+
     def test_missing_mandatory_field_reported(self, load):
         rows = [{"researcher_id": "r1", "year": 2010, "n_authors": 2}]
         out, issues = load(rows)
@@ -262,7 +274,7 @@ ROW = st.builds(
                                               10**30]))),
     _maybe("n_authors", st.one_of(st.integers(-1, 4),
                                   st.sampled_from([2.0, 2.5, False, True, "3",
-                                                   None]))),
+                                                   None, 10**29]))),
     _maybe("institution", st.sampled_from([None, "", "UFMG", "USP", 5])),
     _maybe("state", st.sampled_from([None, "", "MG", "SP", 31])),
 )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_taxonomy
+from research_space.corpus import FieldTaxonomy, Intermediate, TaxonomyField
 from research_space.errors import ConfigError
 from research_space.freq_model import ProximityMatrix
 from research_space.network_analysis import (
@@ -16,10 +17,10 @@ from research_space.network_analysis import (
     export_dot,
     export_edgelist,
     export_graphml,
+    Partition,
     greedy_communities,
     mst_plus_threshold,
     proximity_graph,
-    weighted_modularity,
 )
 from research_space.presence import TimeWindow
 
@@ -55,12 +56,6 @@ class TestAggregation:
         agg = aggregate_to_intermediate(sym_phi(vals), taxonomy)
         assert agg.values[0, 1] == pytest.approx(0.3)
         assert agg.values[0, 0] == pytest.approx(0.9)  # within-I1 pair mean
-
-    def test_directed_rejected(self):
-        taxonomy = make_taxonomy(2, fields_per_intermediate=1)
-        phi = ProximityMatrix(np.eye(2), ["F001", "F002"], "frequentist", WINDOW)
-        with pytest.raises(ConfigError):
-            aggregate_to_intermediate(phi, taxonomy)
 
     def test_symmetric_output(self):
         taxonomy = make_taxonomy(6, fields_per_intermediate=3)
@@ -190,7 +185,7 @@ class TestGreedyCommunities:
         g = two_cliques()
         part = greedy_communities(g)
         singleton = {n: i for i, n in enumerate(g.nodes())}
-        assert part.modularity >= weighted_modularity(g, singleton)
+        assert part.modularity >= oracles.modularity_pairwise(g, singleton)
 
     def test_near_optimal_on_small_graphs(self):
         graphs = [
@@ -213,9 +208,9 @@ class TestGreedyCommunities:
         with pytest.raises(ConfigError):
             greedy_communities(nx.Graph())
 
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 4))
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
-    def test_modularity_matches_pairwise_oracle(self, seed, n, n_communities):
+    def test_modularity_matches_pairwise_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
         g = nx.Graph()
         g.add_nodes_from(range(n))  # nodes left without edges stay isolated
@@ -223,9 +218,9 @@ class TestGreedyCommunities:
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
                     g.add_edge(i, j, weight=float(rng.uniform(0.01, 5.0)))
-        communities = {u: int(rng.integers(n_communities)) for u in g}
-        assert weighted_modularity(g, communities) == pytest.approx(
-            oracles.modularity_pairwise(g, communities), abs=1e-12
+        part = greedy_communities(g)
+        assert part.modularity == pytest.approx(
+            oracles.modularity_pairwise(g, part.communities), abs=1e-12
         )
 
     def test_deterministic(self):
@@ -238,23 +233,21 @@ class TestGreedyCommunities:
 class TestClassifyEdges:
     def test_intra_and_inter(self):
         g = two_cliques()
-        part = greedy_communities(g)
-        labels = classify_edges(g, part)
-        assert labels[(0, 4)] == "inter" or labels.get((4, 0)) == "inter"
-        assert labels[(0, 1)] == "intra"
+        classify_edges(g, greedy_communities(g))
+        assert g[4][0]["group"] == g[0][4]["group"] == "inter"
+        assert g[0][1]["group"] == "intra"
 
     def test_singleton_partition_all_inter(self):
         g = triangle()
-        from research_space.network_analysis import Partition
-        part = Partition({n: i for i, n in enumerate(g.nodes())}, 0.0)
-        labels = classify_edges(g, part)
-        assert set(labels.values()) == {"inter"}
+        classify_edges(g, Partition({n: i for i, n in enumerate(g.nodes())}, 0.0))
+        assert {d["group"] for _, _, d in g.edges(data=True)} == {"inter"}
 
-    def test_uncovered_node_rejected(self):
-        g = triangle()
-        from research_space.network_analysis import Partition
-        with pytest.raises(ConfigError):
-            classify_edges(g, Partition({"a": 0, "b": 0}, 0.0))
+
+def backbone_graph(phi, taxonomy, level="field"):
+    """The graph ``backbone`` exports: every edge kept, groups set."""
+    g = proximity_graph(phi, taxonomy, level)
+    classify_edges(g, greedy_communities(g))
+    return g
 
 
 class TestGraphAndExports:
@@ -265,35 +258,48 @@ class TestGraphAndExports:
             [0.5, 1.0, 0.2],
             [0.0, 0.2, 1.0],
         ]), field_ids=taxonomy.field_ids)
-        g = proximity_graph(phi, taxonomy)
+        g = proximity_graph(phi, taxonomy, "field")
         assert g.number_of_edges() == 2
         assert not list(nx.selfloop_edges(g))
         assert all("color" in g.nodes[n] for n in g)
 
-    def test_directed_phi_rejected(self):
-        phi = ProximityMatrix(np.eye(2), ["F001", "F002"], "frequentist", WINDOW)
-        with pytest.raises(ConfigError):
-            proximity_graph(phi)
-
     def test_edgelist_roundtrip_fields(self):
         g = triangle()
-        text = export_edgelist(g)
-        lines = [l.split("\t") for l in text.strip().splitlines()]
-        assert len(lines) == 3
-        assert {(a, b) for a, b, *_ in lines} == {("a", "b"), ("a", "c"), ("b", "c")}
+        classify_edges(g, Partition({n: i for i, n in enumerate(g.nodes())}, 0.0))
+        lines = [l.split("\t") for l in export_edgelist(g).strip().splitlines()]
+        assert lines == [["a", "b", "3", "inter"], ["a", "c", "2", "inter"],
+                         ["b", "c", "1", "inter"]]
+        # a backbone without edges is one empty line
+        assert export_edgelist(nx.Graph()) == "\n"
 
     def test_dot_export_marks_inter_red(self):
-        g = two_cliques()
-        part = greedy_communities(g)
-        labels = classify_edges(g, part)
-        dot = export_dot(g, labels)
-        assert "color=red" in dot
-        assert "color=black" in dot
+        # F001-F004 and F005-F008 are cliques, joined by one weaker edge
+        taxonomy = make_taxonomy(8, fields_per_intermediate=4)
+        vals = np.kron(np.eye(2), np.ones((4, 4)))
+        vals[0, 4] = vals[4, 0] = 0.5
+        dot = export_dot(backbone_graph(sym_phi(vals), taxonomy))
+        assert '  "F001" -- "F005" [weight=0.5, color=red];' in dot
+        assert '  "F001" -- "F002" [weight=1, color=black];' in dot
+        assert '  "F005" [label="Field 5", style=filled, fillcolor="#377eb8"];' in dot
         assert dot.startswith("graph research_space {")
+
+    def test_dot_export_escapes_quotes_and_backslashes(self):
+        taxonomy = FieldTaxonomy(
+            [TaxonomyField('F"1', r'Topic "A" \ B', "I1", "M1"),
+             TaxonomyField("F002", "Plain", "I1", "M1")],
+            {"I1": Intermediate("I1", "IN1", "M1")}, {"M1": "Macro"})
+        phi = sym_phi([[1.0, 0.5], [0.5, 1.0]], ['F"1', "F002"])
+        assert export_dot(backbone_graph(phi, taxonomy)).splitlines()[1:4] == [
+            r'  "F\"1" [label="Topic \"A\" \\ B", style=filled, fillcolor="#e41a1c"];',
+            '  "F002" [label="Plain", style=filled, fillcolor="#e41a1c"];',
+            r'  "F\"1" -- "F002" [weight=0.5, color=black];',
+        ]
 
     def test_graphml_export(self, tmp_path):
         g = triangle()
+        classify_edges(g, greedy_communities(g))
         path = tmp_path / "g.graphml"
         path.write_text(export_graphml(g), encoding="utf-8")
         back = nx.read_graphml(path)
         assert back.number_of_edges() == 3
+        assert {d["group"] for _, _, d in back.edges(data=True)} == {"intra"}
