@@ -151,6 +151,7 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         manifest["embedding_config"] = {
             "dim": dim, "epochs": epochs, "learning_rate": lr,
             "negatives_per_example": negatives, "margin": margin,
+            "bags_per_batch": emb_model.bags_per_batch(config),
         }
         bags = emb_model.build_bags(p)
         embedding = emb_model.train_embeddings(bags, config, p.field_ids, window)
@@ -277,6 +278,7 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             "excluded": len(auc) - len(rows),
         }
     if len(scored) == 2:
+        summary["test"] = "paired sign-flip"
         # a model that scores no entity leaves nothing to compare
         summary["p_value"] = (
             pe.compare_models(*scored, n_permutations=permutations, seed=seed)

@@ -14,6 +14,11 @@ from .presence import EntityFieldMatrix, TimeWindow
 
 logger = logging.getLogger(__name__)
 
+# Most bags one SGD update takes.
+BATCH_BAGS = 128
+# Most floats in one batch's (bags, 1 + negatives, dim) target block.
+BATCH_FLOATS = 1 << 18
+
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
@@ -52,37 +57,48 @@ def build_bags(p: EntityFieldMatrix) -> list[np.ndarray]:
     return np.split(cols, np.flatnonzero(np.diff(rows)) + 1) if len(cols) else []
 
 
-def hinge_loss_and_grads(input_vec, pos, negs, margin):
-    """Loss sum_n max(0, margin - cos(input, pos) + cos(input, neg_n)) and its
-    analytic gradients w.r.t. input, pos, and each negative, for all k
-    negatives at once. A zero-norm vector has cosine 0 by convention."""
-    targets = np.concatenate((pos[None, :], negs))  # row 0 is the positive
-    na = np.sqrt(input_vec @ input_vec)
-    nt = np.sqrt(np.einsum("ij,ij->i", targets, targets))
-    denom = na * nt
-    cos = np.divide(targets @ input_vec, denom, out=np.zeros(len(targets)),
-                    where=(na != 0.0) & (nt != 0.0))
-    hinge = margin - cos[0] + cos[1:]
+def bags_per_batch(config: EmbeddingConfig) -> int:
+    """Bags per SGD update: BATCH_BAGS, or fewer so that one batch's
+    (bags, 1 + negatives, dim) target block holds at most BATCH_FLOATS
+    floats; never fewer than one."""
+    per_bag = (1 + config.negatives_per_example) * config.dim
+    return max(1, min(BATCH_BAGS, BATCH_FLOATS // per_bag))
+
+
+def _inverse(x):
+    """1 / x, with 0 where x is 0."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x != 0.0)
+
+
+def hinge_loss_and_grads(inputs, targets, margin):
+    """Per-bag loss sum_n max(0, margin - cos(a, t_0) + cos(a, t_n)) for a
+    batch of inputs a (bags x dim) and targets (bags x (1 + k) x dim) whose
+    row 0 is the positive, with its analytic gradients w.r.t. the inputs and
+    every target. A zero-norm vector has cosine 0 and passes no gradient."""
+    na = np.sqrt(np.einsum("bd,bd->b", inputs, inputs))
+    nt = np.sqrt(np.einsum("btd,btd->bt", targets, targets))
+    inv = _inverse(na[:, None] * nt)
+    cos = np.einsum("bd,btd->bt", inputs, targets) * inv
+    hinge = margin - cos[:, :1] + cos[:, 1:]
     active = hinge > 0
-    n_active = np.count_nonzero(active)
-    if not n_active:
-        return 0.0, np.zeros_like(input_vec), np.zeros_like(pos), np.zeros_like(negs)
-    # d cos(input, t) / d input = t / denom - cos input / na^2, summed with
-    # weight -n_active for the positive and 1 for each active negative
-    weight = np.concatenate(([-n_active], active))
-    g_in = (weight / denom) @ targets - (weight @ cos) / (na * na) * input_vec
-    # d cos(input, t) / d t = input / denom - cos t / nt^2
-    d_t = np.outer(1.0 / denom, input_vec) - targets * (cos / (nt * nt))[:, None]
-    g_negs = np.where(active[:, None], d_t[1:], 0.0)
-    return float(hinge[active].sum()), g_in, -n_active * d_t[0], g_negs
+    # each active negative adds cos(a, t_n) - cos(a, t_0) to the loss
+    weight = np.concatenate((-active.sum(axis=1, keepdims=True), active), axis=1)
+    w_inv = weight * inv
+    w_cos = weight * cos
+    # d cos(a, t) / d a = t / (|a| |t|) - cos a / |a|^2, and likewise for t
+    g_in = (np.einsum("bt,btd->bd", w_inv, targets)
+            - (w_cos.sum(axis=1) * _inverse(na * na))[:, None] * inputs)
+    g_t = w_inv[:, :, None] * inputs[:, None, :]
+    g_t -= targets * (w_cos * _inverse(nt * nt))[:, :, None]
+    return np.where(active, hinge, 0.0).sum(axis=1), g_in, g_t
 
 
 def train_embeddings(bags, config: EmbeddingConfig, field_ids,
                      window: TimeWindow) -> FieldEmbedding:
-    """Single-threaded SGD over the bags (sorted field-index arrays) of at
-    least two fields, so that a positive has a context; the seed fully
-    determines the trajectory. Fields absent from all bags keep their
-    initialization."""
+    """Single-threaded minibatch SGD over the bags (sorted field-index
+    arrays) of at least two fields, so that a positive has a context; the
+    seed fully determines the trajectory. Fields absent from all bags keep
+    their initialization. A batch of one bag is the per-bag SGD step."""
     trainable = [b for b in bags if len(b) >= 2]
     if not trainable:
         raise TrainingError("no trainable bags (all bags have < 2 fields)")
@@ -90,45 +106,62 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
     n_fields = len(field_ids)
     vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
                           size=(n_fields, config.dim))
+    sizes = np.array([len(b) for b in trainable])
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate(trainable)
     # the j-th field outside a sorted bag is j plus the count of bag entries
     # b_i with b_i - i <= j; these shifts give the draws rng.choice would
     # make from np.setdiff1d(all fields, bag)
-    shifts = [b - np.arange(len(b)) for b in trainable]
+    shifts = flat - (np.arange(len(flat)) - np.repeat(starts, sizes))
+    batch = bags_per_batch(config)
 
-    total_steps = config.epochs * len(trainable)
-    step = 0
+    total_bags = config.epochs * len(trainable)
+    done = 0
     epoch_losses = []
     for _ in range(config.epochs):
         order = rng.permutation(len(trainable))
         epoch_loss = 0.0
-        for bi in order:
-            lr = config.learning_rate * (1.0 - step / total_steps)
-            step += 1
-            fields = trainable[bi]
-            pos_i = fields[rng.integers(len(fields))]
-            context = fields[fields != pos_i]
-            n_outside = n_fields - len(fields)
-            if n_outside == 0:
+        for lo in range(0, len(order), batch):
+            bi = order[lo:lo + batch]
+            lr = config.learning_rate * (1.0 - done / total_bags)
+            done += len(bi)
+            pos_at = starts[bi] + rng.integers(0, sizes[bi])
+            # a bag of every field has no negative and only draws its positive
+            keep = sizes[bi] < n_fields
+            bi, pos_at = bi[keep], pos_at[keep]
+            if not len(bi):
                 continue
-            j = rng.integers(0, n_outside, size=config.negatives_per_example)
-            neg_i = j + np.searchsorted(shifts[bi], j, side="right")
-            input_vec = vectors[context].sum(axis=0) / len(context)
-            loss, g_in, g_pos, g_negs = hinge_loss_and_grads(
-                input_vec, vectors[pos_i], vectors[neg_i], config.margin
-            )
-            epoch_loss += loss
-            if loss > 0:
-                # input is the context mean, so its gradient splits evenly
-                vectors[context] -= lr * g_in / len(context)
-                vectors[pos_i] -= lr * g_pos
-                # accumulate per unique negative (sampling is with replacement)
-                np.subtract.at(vectors, neg_i, lr * g_negs)
-                # max-norm projection of the touched rows; a repeated
-                # negative is written twice with the same projected row
-                touched = np.concatenate((context, [pos_i], neg_i))
-                norms = np.linalg.norm(vectors[touched], axis=1)
-                over = norms > 1.0
-                vectors[touched[over]] /= norms[over, None]
+            n = sizes[bi]
+            j = rng.integers(0, (n_fields - n)[:, None],
+                             size=(len(bi), config.negatives_per_example))
+            # the batch's bag entries, bag after bag; offsetting each bag's
+            # shifts by its batch position keeps one searchsorted per batch
+            first = np.cumsum(n) - n
+            member = np.arange(n.sum()) - np.repeat(first - starts[bi], n)
+            offset = np.arange(len(bi))[:, None] * (n_fields + 1)
+            key = shifts[member] + np.repeat(offset, n)
+            neg = j + np.searchsorted(key, j + offset, side="right") - first[:, None]
+            context = flat[member[member != np.repeat(pos_at, n)]]
+            inputs = np.add.reduceat(vectors[context], first - np.arange(len(bi)),
+                                     axis=0) / (n - 1)[:, None]
+            targets = np.concatenate((flat[pos_at][:, None], neg), axis=1)
+            loss, g_in, g_t = hinge_loss_and_grads(inputs, vectors[targets],
+                                                   config.margin)
+            epoch_loss += loss.sum()
+            # input is the context mean, so its gradient splits evenly; a row
+            # hit several times in the batch takes the sum of its gradients
+            rows = np.concatenate((context, targets.ravel()))
+            grads = np.concatenate((np.repeat(g_in / (n - 1)[:, None], n - 1, axis=0),
+                                    g_t.reshape(-1, config.dim)))
+            by_row = np.argsort(rows, kind="stable")
+            rows = rows[by_row]
+            runs = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            touched = rows[runs]
+            vectors[touched] -= lr * np.add.reduceat(grads[by_row], runs, axis=0)
+            # max-norm projection of the touched rows
+            norms = np.linalg.norm(vectors[touched], axis=1)
+            over = norms > 1.0
+            vectors[touched[over]] /= norms[over, None]
         epoch_losses.append(epoch_loss / len(trainable))
         logger.info("epoch %d/%d: mean hinge loss %.6g", len(epoch_losses),
                     config.epochs, epoch_losses[-1])

@@ -13,12 +13,16 @@ classifier ``classify_stage`` with its ``Stage`` enum and the letter array
 ``evaluate_transition`` is the per-model composition of candidate and
 realized masks and AUROC that ``evaluate`` replaced with masks built once
 per run, kept with its own transition table as the reference.
+``compare_models_pooled`` is the unpaired permutation test that the paired
+sign-flip ``compare_models`` replaced, kept as its power reference, and
+``sign_flip_p_exact`` enumerates every sign vector of a small paired sample.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -44,6 +48,33 @@ def auroc_pairwise(scores_pos, scores_neg):
             elif sp == sn:
                 total += 0.5
     return total / (len(scores_pos) * len(scores_neg))
+
+
+def compare_models_pooled(a, b, n_permutations, seed):
+    """Two-sided seeded permutation test on the difference of mean AUROC
+    that pools both lists and ignores their pairing."""
+    xa = np.asarray(a, dtype=np.float64)
+    xb = np.asarray(b, dtype=np.float64)
+    observed = abs(xa.mean() - xb.mean())
+    pooled = np.concatenate([xa, xb])
+    rng = np.random.default_rng(seed)
+    n_a = len(xa)
+    count = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(pooled)
+        if abs(perm[:n_a].mean() - perm[n_a:].mean()) >= observed:
+            count += 1
+    return (count + 1) / (n_permutations + 1)
+
+
+def sign_flip_p_exact(a, b):
+    """Share of all 2^n sign vectors s with |sum s (a - b)| >= |sum (a - b)|,
+    summed in Python in one fixed order, for a handful of pairs."""
+    d = [x - y for x, y in zip(a, b)]
+    observed = abs(sum(d))
+    hits = sum(abs(sum(s * x for s, x in zip(signs, d))) >= observed - 1e-12
+               for signs in itertools.product((1, -1), repeat=len(d)))
+    return hits / 2 ** len(d)
 
 
 def copresence_bruteforce(p_binary):
@@ -118,10 +149,10 @@ def max_modularity_exhaustive(g, modularity_fn):
 
 
 def finite_difference_grad(f, x, h=1e-6):
-    """Central finite differences of scalar f at vector x."""
+    """Central finite differences of scalar f at array x."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
-    for i in range(len(x)):
+    for i in np.ndindex(x.shape):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -386,6 +417,53 @@ def train_embeddings_loop(bags, config, field_ids):
                 np.subtract.at(vectors, neg_i, lr * g_negs)
                 touched = np.concatenate((context, [pos_i], neg_i))
                 _project_max_norm(vectors, np.unique(touched))
+        epoch_losses.append(epoch_loss / len(trainable))
+    return vectors, epoch_losses
+
+
+def train_embeddings_minibatch_loop(bags, config, field_ids, batch):
+    """Minibatch SGD one bag at a time: each bag of a batch takes its
+    gradients at the batch's starting vectors, the batch applies their sum
+    once and projects every row it touched. The positives of a whole batch
+    are drawn before its negatives; a bag of every field draws no negative."""
+    trainable = [b for b in bags if len(b) >= 2]
+    rng = np.random.default_rng(config.seed)
+    n_fields = len(field_ids)
+    vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
+                          size=(n_fields, config.dim))
+    all_fields = np.arange(n_fields)
+
+    total_bags = config.epochs * len(trainable)
+    done = 0
+    epoch_losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(trainable))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), batch):
+            members = [trainable[bi] for bi in order[lo:lo + batch]]
+            lr = config.learning_rate * (1.0 - done / total_bags)
+            done += len(members)
+            positives = [int(rng.choice(fields)) for fields in members]
+            update = np.zeros_like(vectors)
+            touched = set()
+            for fields, pos_i in zip(members, positives):
+                outside = np.setdiff1d(all_fields, fields, assume_unique=True)
+                if len(outside) == 0:
+                    continue
+                neg_i = rng.choice(outside, size=config.negatives_per_example,
+                                   replace=True)
+                context = fields[fields != pos_i]
+                loss, g_in, g_pos, g_negs = hinge_loss_and_grads_loop(
+                    vectors[context].mean(axis=0), vectors[pos_i], vectors[neg_i],
+                    config.margin
+                )
+                epoch_loss += loss
+                update[context] += g_in / len(context)
+                update[pos_i] += g_pos
+                np.add.at(update, neg_i, g_negs)
+                touched.update([*context.tolist(), pos_i, *neg_i.tolist()])
+            vectors -= lr * update
+            _project_max_norm(vectors, sorted(touched))
         epoch_losses.append(epoch_loss / len(trainable))
     return vectors, epoch_losses
 

@@ -91,17 +91,16 @@ def test_acceptance_3_embedding_gradient_and_planted_cooccurrence():
         margin = 0.5  # large margin keeps most random triples in the active region
         checked = 0
         while checked < 50:
-            a = rng.normal(size=6)
-            pos = rng.normal(size=6)
-            negs = rng.normal(size=(2, 6))
-            loss, g_in, g_pos, g_negs = emb_model.hinge_loss_and_grads(
-                a, pos, negs, margin
-            )
-            if loss == 0:
+            a = rng.normal(size=(1, 6))
+            targets = rng.normal(size=(1, 3, 6))  # the positive and 2 negatives
+            loss, g_in, g_t = emb_model.hinge_loss_and_grads(a, targets, margin)
+            if loss[0] == 0:
                 continue
             for analytic, point, wrap in (
-                (g_pos, pos, lambda v: emb_model.hinge_loss_and_grads(a, v, negs, margin)[0]),
-                (g_in, a, lambda v: emb_model.hinge_loss_and_grads(v, pos, negs, margin)[0]),
+                (g_t, targets,
+                 lambda v: emb_model.hinge_loss_and_grads(a, v, margin)[0].sum()),
+                (g_in, a,
+                 lambda v: emb_model.hinge_loss_and_grads(v, targets, margin)[0].sum()),
             ):
                 fd = oracles.finite_difference_grad(wrap, point)
                 denom = max(np.linalg.norm(fd), 1e-12)

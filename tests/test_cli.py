@@ -16,6 +16,7 @@ from click.testing import CliRunner
 import research_space
 import simulation
 from conftest import corpus_rows, make_corpus
+from research_space import emb_model
 from research_space import prediction_eval as pe
 from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
@@ -247,6 +248,12 @@ class TestFit:
         assert (tmp_path / "a" / "embeddings.tsv").read_bytes() == \
                (tmp_path / "b" / "embeddings.tsv").read_bytes()
 
+    def test_emb_manifest_names_the_batch_size(self, pipeline):
+        manifest = json.loads((pipeline["tmp"] / "phi_emb" / "manifest.json").read_text())
+        config = emb_model.EmbeddingConfig(dim=16, seed=7)
+        assert manifest["embedding_config"]["bags_per_batch"] == \
+               emb_model.bags_per_batch(config)
+
     def test_negative_theta_exits_2(self, pipeline, tmp_path):
         for theta in ("-1", "nan", "inf"):
             res = pipeline["runner"].invoke(main, [
@@ -333,7 +340,9 @@ class TestEvaluate:
         ])
         assert res.exit_code == 0, res.output
         summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
-        assert "p_value" in summary
+        assert summary["test"] == "paired sign-flip"
+        n = 200 + 1
+        assert summary["p_value"] * n == pytest.approx(round(summary["p_value"] * n))
         assert summary["frequentist"]["n"] > 0
         report = (tmp_path / "eval" / "auroc.tsv").read_text().splitlines()
         assert report[0] == "entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"

@@ -3,8 +3,11 @@ import pytest
 
 import oracles
 from oracles import cosine
+from research_space import emb_model
 from research_space.emb_model import (
+    BATCH_FLOATS,
     EmbeddingConfig,
+    bags_per_batch,
     build_bags,
     hinge_loss_and_grads,
     proximity_emb,
@@ -144,53 +147,63 @@ class TestGradients:
         rng = np.random.default_rng(17)
         margin = 0.05
         for _ in range(10):
-            a = rng.normal(size=5)
-            pos = rng.normal(size=5)
-            negs = rng.normal(size=(3, 5))
-            loss, g_in, g_pos, g_negs = hinge_loss_and_grads(a, pos, negs, margin)
-            if loss == 0:
-                continue
+            inputs = rng.normal(size=(4, 5))
+            targets = rng.normal(size=(4, 4, 5))  # the positive and 3 negatives
+            inputs[1] = 0.0  # a zero-norm context mean
+            targets[2, 3] = 0.0  # a zero-norm negative
+            # a bag with no active negative: cos 1 to its positive, -1 to each negative
+            targets[3, 0] = inputs[3]
+            targets[3, 1:] = -inputs[3]
+            loss, g_in, g_t = hinge_loss_and_grads(inputs, targets, margin)
+            assert loss[3] == 0.0
+            assert not g_in[3].any() and not g_t[3].any()
+            # a zero-norm vector has cosine 0 with everything and passes no
+            # gradient; the loss is not differentiable there, so skip it
+            assert not g_in[1].any() and not g_t[2, 3].any()
 
-            fd_pos = oracles.finite_difference_grad(
-                lambda v: hinge_loss_and_grads(a, v, negs, margin)[0], pos
-            )
-            np.testing.assert_allclose(g_pos, fd_pos, rtol=1e-4, atol=1e-8)
+            def total(inputs=inputs, targets=targets):
+                return hinge_loss_and_grads(inputs, targets, margin)[0].sum()
 
-            fd_in = oracles.finite_difference_grad(
-                lambda v: hinge_loss_and_grads(v, pos, negs, margin)[0], a
-            )
+            fd_in = oracles.finite_difference_grad(lambda v: total(inputs=v), inputs)
+            fd_t = oracles.finite_difference_grad(lambda v: total(targets=v), targets)
+            fd_in[1] = 0.0
+            fd_t[2, 3] = 0.0
             np.testing.assert_allclose(g_in, fd_in, rtol=1e-4, atol=1e-8)
+            np.testing.assert_allclose(g_t, fd_t, rtol=1e-4, atol=1e-8)
 
-            for n in range(3):
-                def f(v, n=n):
-                    nn = negs.copy()
-                    nn[n] = v
-                    return hinge_loss_and_grads(a, pos, nn, margin)[0]
-                fd_neg = oracles.finite_difference_grad(f, negs[n])
-                np.testing.assert_allclose(g_negs[n], fd_neg, rtol=1e-4, atol=1e-8)
+
+def random_training_case(seed):
+    """Random bags (a bag of every field for every third seed), config and
+    field ids, with at least one trainable bag."""
+    rng = np.random.default_rng(1000 + seed)
+    n_fields = int(rng.integers(3, 16))
+    bags = [np.sort(rng.choice(n_fields, size=rng.integers(1, n_fields),
+                               replace=False))
+            for _ in range(rng.integers(2, 15))]
+    if seed % 3 == 0:
+        bags.append(np.arange(n_fields))  # no field left to sample from
+    config = EmbeddingConfig(dim=int(rng.integers(4, 17)),
+                             epochs=int(rng.integers(1, 6)),
+                             negatives_per_example=int(rng.integers(1, 11)),
+                             seed=seed)
+    field_ids = [f"F{i:03d}" for i in range(n_fields)]
+    if not any(len(b) >= 2 for b in bags):
+        bags.append(np.array([0, n_fields - 1]))
+    return bags, config, field_ids
 
 
 class TestAgainstLoopTrainer:
-    """The vectorized step against the per-negative loop it replaced
-    (``oracles.train_embeddings_loop``): same RNG stream, same updates up to
-    float summation order."""
+    """The minibatch trainer with one bag per batch against the per-bag,
+    per-negative loop (``oracles.train_embeddings_loop``): same RNG stream,
+    same updates up to float summation order."""
+
+    @pytest.fixture(autouse=True)
+    def one_bag_per_batch(self, monkeypatch):
+        monkeypatch.setattr(emb_model, "BATCH_BAGS", 1)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_vectors_and_losses_match(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-        n_fields = int(rng.integers(3, 16))
-        bags = [np.sort(rng.choice(n_fields, size=rng.integers(1, n_fields),
-                                   replace=False))
-                for _ in range(rng.integers(2, 15))]
-        if seed % 3 == 0:
-            bags.append(np.arange(n_fields))  # no field left to sample from
-        config = EmbeddingConfig(dim=int(rng.integers(4, 17)),
-                                 epochs=int(rng.integers(1, 6)),
-                                 negatives_per_example=int(rng.integers(1, 11)),
-                                 seed=seed)
-        field_ids = [f"F{i:03d}" for i in range(n_fields)]
-        if not any(len(b) >= 2 for b in bags):
-            bags.append(np.array([0, n_fields - 1]))
+        bags, config, field_ids = random_training_case(seed)
         emb = train_embeddings(bags, config, field_ids, WINDOW)
         vectors, losses = oracles.train_embeddings_loop(bags, config, field_ids)
         np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
@@ -233,27 +246,60 @@ class TestAgainstLoopTrainer:
     def test_hinge_matches_loop(self, margin):
         # margin 5 makes every negative active, -5 none
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            k, dim = rng.integers(1, 11), rng.integers(2, 17)
-            a, pos = rng.normal(size=dim), rng.normal(size=dim)
-            negs = rng.normal(size=(k, dim))
-            got = hinge_loss_and_grads(a, pos, negs, margin)
-            want = oracles.hinge_loss_and_grads_loop(a, pos, negs, margin)
+        for _ in range(20):
+            bags, k, dim = rng.integers(1, 6), rng.integers(1, 11), rng.integers(2, 17)
+            inputs = rng.normal(size=(bags, dim))
+            targets = rng.normal(size=(bags, 1 + k, dim))
+            loss, g_in, g_t = hinge_loss_and_grads(inputs, targets, margin)
+            for b in range(bags):
+                want = oracles.hinge_loss_and_grads_loop(
+                    inputs[b], targets[b, 0], targets[b, 1:], margin)
+                got = (loss[b], g_in[b], g_t[b, 0], g_t[b, 1:])
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
             if margin < 0:
-                assert got[0] == 0.0
-            for g, w in zip(got, want):
-                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+                assert not loss.any()
 
     def test_zero_norm_vector_has_cosine_zero(self):
         # zero positive: every cosine with it is 0, so the hinge is
         # margin + cos(input, neg) for each negative, as with ``cosine``
-        # (the gradients w.r.t. a zero vector are undefined, in both)
-        a = np.array([1.0, 0.0])
-        negs = np.array([[1.0, 1.0], [-1.0, 0.0]])
+        a = np.array([[1.0, 0.0]])
+        targets = np.array([[[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0]]])
+        loss, _, g_t = hinge_loss_and_grads(a, targets, 0.05)
         with np.errstate(divide="ignore", invalid="ignore"):
-            loss, *_ = hinge_loss_and_grads(a, np.zeros(2), negs, 0.05)
-            want, *_ = oracles.hinge_loss_and_grads_loop(a, np.zeros(2), negs, 0.05)
-        assert loss == pytest.approx(0.05 + cosine(a, negs[0])) == want
+            want, *_ = oracles.hinge_loss_and_grads_loop(a[0], targets[0, 0],
+                                                         targets[0, 1:], 0.05)
+        assert loss[0] == pytest.approx(0.05 + cosine(a[0], targets[0, 1])) == want
+        assert not g_t[0, 0].any()
+
+
+class TestAgainstMinibatchLoop:
+    """Batches of several bags against ``oracles.train_embeddings_minibatch_loop``,
+    which takes each bag's gradients one at a time with setdiff1d negatives."""
+
+    @pytest.mark.parametrize("batch", [2, 3, 7, 64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectors_and_losses_match(self, monkeypatch, seed, batch):
+        monkeypatch.setattr(emb_model, "BATCH_BAGS", batch)
+        bags, config, field_ids = random_training_case(seed)
+        assert bags_per_batch(config) == batch
+        emb = train_embeddings(bags, config, field_ids, WINDOW)
+        vectors, losses = oracles.train_embeddings_minibatch_loop(
+            bags, config, field_ids, batch)
+        np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("dim,negatives", [(1, 1), (16, 10), (100, 10),
+                                               (300, 10000), (10**6, 1)])
+    def test_within_budget_and_at_least_one(self, dim, negatives):
+        config = EmbeddingConfig(dim=dim, negatives_per_example=negatives)
+        block = (1 + negatives) * dim
+        b = bags_per_batch(config)
+        assert 1 <= b <= emb_model.BATCH_BAGS
+        # one bag is the least a batch holds, even when it overruns the budget
+        assert b * block <= max(BATCH_FLOATS, block)
 
 
 class TestProximity:

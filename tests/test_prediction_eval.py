@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.stats import rankdata
+from scipy.stats import binom, rankdata
 
 import oracles
+import simulation
 from oracles import cv_sliding
 from research_space.errors import ConfigError
+from research_space.freq_model import ProximityMatrix
 from research_space.prediction_eval import (
     _midranks,
     auroc,
@@ -303,6 +305,79 @@ class TestCompareModels:
         p1 = compare_models(a, b, n_permutations=500, seed=7)
         p2 = compare_models(a, b, n_permutations=500, seed=7)
         assert p1 == p2
+
+
+    def test_non_finite_rejected(self):
+        # a NaN fails every comparison, which read as the smallest p-value
+        with pytest.raises(ConfigError, match="non-finite"):
+            compare_models([0.5, np.nan, 0.7], [0.5, 0.6, 0.7], n_permutations=200)
+        with pytest.raises(ConfigError, match="non-finite"):
+            compare_models([0.5, 0.6], [np.inf, 0.6], n_permutations=200)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ConfigError, match="differ in length"):
+            compare_models([0.5, 0.6, 0.7], [0.5, 0.6], n_permutations=200)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_exact_sign_flip_p(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random(10)
+        b = np.where(rng.random(10) < 0.3, a, a - 0.15 + 0.3 * rng.random(10))
+        p = compare_models(a, b, n_permutations=20000, seed=seed)
+        assert (p * 20001) == pytest.approx(round(p * 20001), abs=1e-6)
+        # 20,000 draws put the estimate within 0.0036 (one sd) of the exact p
+        assert p == pytest.approx(oracles.sign_flip_p_exact(a, b), abs=0.015)
+
+
+@pytest.fixture(scope="module")
+def planted():
+    """Taxonomy and corpus of 300 planted-relatedness scientists, and a
+    function from a field x field array to their 0A AUROCs, NaN-free."""
+    taxonomy, corpus, _ = simulation.simulate(n_scientists=300, seed=5)
+
+    def score(values):
+        phi = ProximityMatrix(values=values, field_ids=list(taxonomy.field_ids),
+                              model_tag="frequentist", window=simulation.FIT_WINDOW)
+        auc, _ = simulation.evaluate_zero_to_active(corpus, taxonomy, phi)
+        return auc
+
+    scored = ~np.isnan(score(simulation.planted_phi()))
+    return lambda values: score(values)[scored]
+
+
+def blurred_phi(weight, seed):
+    """The planted proximity mixed with uniform noise of the given weight."""
+    noise = np.random.default_rng(seed).random(simulation.planted_phi().shape)
+    return (1 - weight) * simulation.planted_phi() + weight * noise
+
+
+class TestCompareModelsGates:
+    def test_null_rejection_rate_is_calibrated(self, planted):
+        # one phi scored twice, each time with its own noise; swapping each
+        # entity's pair with probability 1/2 makes the two lists exchangeable
+        a, b = planted(blurred_phi(0.3, 1)), planted(blurred_phi(0.3, 2))
+        n_runs = 200
+        rejections = 0
+        for seed in range(n_runs):
+            swap = np.random.default_rng(seed).random(len(a)) < 0.5
+            p = compare_models(np.where(swap, b, a), np.where(swap, a, b),
+                               n_permutations=999, seed=seed)
+            rejections += p <= 0.05
+        low, high = binom.interval(0.99, n_runs, 0.05)
+        assert low <= rejections <= high
+
+    def test_rejects_at_least_as_often_as_the_pooled_test(self, planted):
+        better = planted(simulation.planted_phi())
+        worse = planted(blurred_phi(0.8, 0))
+        rng = np.random.default_rng(1)
+        paired = pooled = 0
+        for trial in range(100):
+            rows = rng.choice(len(better), size=30, replace=False)
+            paired += compare_models(better[rows], worse[rows],
+                                     n_permutations=200, seed=trial) <= 0.05
+            pooled += oracles.compare_models_pooled(better[rows], worse[rows],
+                                                    200, trial) <= 0.05
+        assert 0 < pooled <= paired < 100
 
 
 class TestCvSliding:
