@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import EntityKind, MatchStats, ResolvedCorpus
-from .errors import ParseError, utf8_input
+from .errors import ConfigError, ParseError, utf8_input
 from .freq_model import ProximityMatrix
 from .presence import TimeWindow
 
@@ -212,6 +212,10 @@ def load_proximity(path) -> ProximityMatrix:
         if meta["model"] not in MODEL_TAGS:
             raise ParseError(f"unknown model {meta['model']!r}", path=path,
                              line=meta_line["model"])
+        try:
+            window = TimeWindow.parse(meta["window"])
+        except ConfigError as e:
+            raise ParseError(str(e), path=path, line=meta_line["window"])
         field_ids = line.rstrip("\n").split("\t")[1:]
         first_row = line_no + 1
         n = len(field_ids)
@@ -247,7 +251,7 @@ def load_proximity(path) -> ProximityMatrix:
         values=values,
         field_ids=field_ids,
         model_tag=meta["model"],
-        window=TimeWindow.parse(meta["window"]),
+        window=window,
     )
 
 

@@ -45,6 +45,21 @@ def _check_fields(phi, taxonomy):
         raise ConfigError("proximity artifact and taxonomy field sets differ")
 
 
+def _contributions(resolved, taxonomy, window):
+    """X of the records in the window, which must hold at least one."""
+    x = contribution_matrix(resolved, taxonomy, window)
+    if not x.entity_ids:
+        raise ConfigError(f"no record of the corpus falls in window {window}")
+    return x
+
+
+def _rca(resolved, taxonomy, window):
+    """(entity_ids, RCA array) of the records in the window. X is freed on
+    return, before the caller builds anything more from the RCA."""
+    x = _contributions(resolved, taxonomy, window)
+    return x.entity_ids, spec_mod.rca(x.values)
+
+
 def _window(_ctx, _param, value):
     try:
         return TimeWindow.parse(value) if value is not None else None
@@ -129,9 +144,8 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         )
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
-    x = contribution_matrix(resolved, taxonomy, window)
-    p = presence_matrix(x, theta)
-    if not p.values.any():
+    p = presence_matrix(contribution_matrix(resolved, taxonomy, window).values, theta)
+    if not p.any():
         raise ResearchSpaceError(
             f"no entity has a present field in window {window} (theta {theta}); "
             "there is nothing to fit"
@@ -146,23 +160,25 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         "seed": seed,
     }
     if model == "freq":
-        phi = freq_model.proximity_freq(freq_model.copresence(p), p)
+        values = freq_model.proximity_freq(freq_model.copresence(p), p)
     else:
         manifest["embedding_config"] = {
             "dim": dim, "epochs": epochs, "learning_rate": lr,
             "negatives_per_example": negatives, "margin": margin,
             "bags_per_batch": emb_model.bags_per_batch(config),
         }
-        bags = emb_model.build_bags(p)
-        embedding = emb_model.train_embeddings(bags, config, p.field_ids, window)
-        phi = emb_model.proximity_emb(embedding)
+        embedding = emb_model.train_embeddings(p, config)
+        values = emb_model.proximity_emb(embedding.vectors)
+    phi = freq_model.ProximityMatrix(
+        values, list(taxonomy.field_ids),
+        "frequentist" if model == "freq" else "embedding", window)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mhash = artifacts.write_manifest(manifest, out / "manifest.json")
     artifacts.save_proximity(phi, out / "phi.tsv", mhash=mhash)
     if model == "emb":
         artifacts.save_embeddings(
-            embedding.vectors, embedding.field_ids, out / "embeddings.tsv", mhash=mhash
+            embedding.vectors, phi.field_ids, out / "embeddings.tsv", mhash=mhash
         )
     click.echo(f"wrote {out / 'phi.tsv'} ({phi.model_tag}, window {window})")
 
@@ -186,12 +202,13 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     phi = artifacts.load_proximity(phi_path)
     _check_fields(phi, taxonomy)
     kind = TransitionKind(transition)
-    r = spec_mod.rca(contribution_matrix(resolved, taxonomy, rca_window))
-    omega = spec_mod.density(spec_mod.indicator(r, kind), phi)
-    order, n_candidates = pe.rank_candidates(omega, pe.candidate_mask(r, kind))
-    row_of = {eid: i for i, eid in enumerate(omega.entity_ids)}
+    entity_ids, r = _rca(resolved, taxonomy, rca_window)
+    omega = spec_mod.density(spec_mod.indicator(r, kind), phi.values)
+    order, n_candidates = pe.rank_candidates(omega, pe.candidate_mask(r, kind),
+                                             phi.field_ids)
+    row_of = {eid: i for i, eid in enumerate(entity_ids)}
     lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
-    for eid in entities or omega.entity_ids:
+    for eid in entities or entity_ids:
         i = row_of.get(eid)
         if i is None:
             click.echo(f"warning: entity {eid!r} not found, skipped", err=True)
@@ -200,9 +217,9 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
             click.echo(f"note: entity {eid!r} has no candidate fields", err=True)
             continue
         for rank_no, j in enumerate(order[i, :min(top, n_candidates[i])], start=1):
-            fid = omega.field_ids[j]
+            fid = phi.field_ids[j]
             lines.append(f"{eid}\t{rank_no}\t{fid}\t{taxonomy.field(fid).name}"
-                         f"\t{omega.values[i, j]:.6f}")
+                         f"\t{omega[i, j]:.6f}")
     text = "\n".join(lines) + "\n"
     if out_path:
         artifacts._write_atomic(out_path, text)
@@ -252,24 +269,23 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     resolved = artifacts.load_corpus(corpus_path)
     kind = TransitionKind(transition)
 
-    r = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.rca_window))
+    entity_ids, r = _rca(resolved, taxonomy, windows.rca_window)
     u = spec_mod.indicator(r, kind)
-    r_after = spec_mod.rca(contribution_matrix(resolved, taxonomy, windows.test_window))
+    after_ids, r_after = _rca(resolved, taxonomy, windows.test_window)
     # which fields are ranked and which transitioned does not depend on phi
     cand = pe.candidate_mask(r, kind, full_u_zero=full_candidates)
-    realized = pe.realized_mask(r, r_after, kind)
+    realized = pe.realized_mask(r, entity_ids, r_after, after_ids, kind)
 
     lines = ["entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"]
     # entities with records in the test window only have no RCA to rank from
-    summary = {"test_window_only": len(set(r_after.entity_ids) - set(r.entity_ids))}
+    summary = {"test_window_only": len(set(after_ids) - set(entity_ids))}
     scored = []
     for phi in phis:
-        omega = spec_mod.density(u, phi)
-        auc, n_pos, n_neg = pe.auroc(omega.values, cand, realized)
+        auc, n_pos, n_neg = pe.auroc(spec_mod.density(u, phi.values), cand, realized)
         rows = np.flatnonzero(~np.isnan(auc))
         for i in rows:
             lines.append(
-                f"{omega.entity_ids[i]}\t{resolved.kind.value}\t{transition}"
+                f"{entity_ids[i]}\t{resolved.kind.value}\t{transition}"
                 f"\t{phi.model_tag}\t{auc[i]:.6f}\t{n_pos[i]}\t{n_neg[i]}"
             )
         scored.append(auc[rows])
@@ -314,7 +330,7 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     phi = artifacts.load_proximity(phi_path)
     _check_fields(phi, taxonomy)
-    if not phi.is_symmetric:
+    if phi.model_tag != "embedding":
         raise ConfigError(
             "backbone analysis needs the symmetric embedding proximity matrix; "
             "the frequentist matrix is directed"
@@ -363,13 +379,10 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
         if not len(resolved):
             raise ConfigError("corpus has no records")
         window = TimeWindow(int(resolved.year.min()), int(resolved.year.max()))
-    x = contribution_matrix(resolved, taxonomy, window)
-    if not x.entity_ids:
-        raise ConfigError(f"no record of the corpus falls in window {window}")
-    p = presence_matrix(x, theta)
+    p = presence_matrix(_contributions(resolved, taxonomy, window).values, theta)
 
     pub_counts = np.bincount(resolved.entity[window.mask(resolved.year)])
-    active_counts = p.values.sum(axis=1)
+    active_counts = p.sum(axis=1)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

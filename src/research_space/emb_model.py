@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .freq_model import ProximityMatrix
-from .presence import EntityFieldMatrix, TimeWindow
 
 logger = logging.getLogger(__name__)
 
@@ -44,17 +42,8 @@ class EmbeddingConfig:
 
 @dataclass
 class FieldEmbedding:
-    vectors: np.ndarray  # n_fields x dim
-    field_ids: list[str]
-    window: TimeWindow
+    vectors: np.ndarray  # n_fields x dim, in P's column order
     epoch_losses: list[float] = field(default_factory=list)
-
-
-def build_bags(p: EntityFieldMatrix) -> list[np.ndarray]:
-    """The sorted field indices of each entity with at least one present
-    field, in entity order: the non-empty rows of P."""
-    rows, cols = np.nonzero(p.values)
-    return np.split(cols, np.flatnonzero(np.diff(rows)) + 1) if len(cols) else []
 
 
 def bags_per_batch(config: EmbeddingConfig) -> int:
@@ -93,33 +82,35 @@ def hinge_loss_and_grads(inputs, targets, margin):
     return np.where(active, hinge, 0.0).sum(axis=1), g_in, g_t
 
 
-def train_embeddings(bags, config: EmbeddingConfig, field_ids,
-                     window: TimeWindow) -> FieldEmbedding:
-    """Single-threaded minibatch SGD over the bags (sorted field-index
-    arrays) of at least two fields, so that a positive has a context; the
-    seed fully determines the trajectory. Fields absent from all bags keep
-    their initialization. A batch of one bag is the per-bag SGD step."""
-    trainable = [b for b in bags if len(b) >= 2]
-    if not trainable:
+def train_embeddings(p: np.ndarray, config: EmbeddingConfig) -> FieldEmbedding:
+    """Single-threaded minibatch SGD over the bags of the presence array P:
+    the sorted field indices of each row with at least two present fields,
+    so that a positive has a context, in row order. The seed fully
+    determines the trajectory. Fields absent from all bags keep their
+    initialization. A batch of one bag is the per-bag SGD step."""
+    rows, flat = np.nonzero(p)  # row by row, each row's fields ascending
+    sizes = np.bincount(rows)
+    trainable = sizes >= 2
+    flat, sizes = flat[trainable[rows]], sizes[trainable]
+    n_bags = len(sizes)
+    if not n_bags:
         raise TrainingError("no trainable bags (all bags have < 2 fields)")
     rng = np.random.default_rng(config.seed)
-    n_fields = len(field_ids)
+    n_fields = p.shape[1]
     vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
                           size=(n_fields, config.dim))
-    sizes = np.array([len(b) for b in trainable])
     starts = np.cumsum(sizes) - sizes
-    flat = np.concatenate(trainable)
     # the j-th field outside a sorted bag is j plus the count of bag entries
     # b_i with b_i - i <= j; these shifts give the draws rng.choice would
     # make from np.setdiff1d(all fields, bag)
     shifts = flat - (np.arange(len(flat)) - np.repeat(starts, sizes))
     batch = bags_per_batch(config)
 
-    total_bags = config.epochs * len(trainable)
+    total_bags = config.epochs * n_bags
     done = 0
     epoch_losses = []
     for _ in range(config.epochs):
-        order = rng.permutation(len(trainable))
+        order = rng.permutation(n_bags)
         epoch_loss = 0.0
         for lo in range(0, len(order), batch):
             bi = order[lo:lo + batch]
@@ -162,34 +153,23 @@ def train_embeddings(bags, config: EmbeddingConfig, field_ids,
             norms = np.linalg.norm(vectors[touched], axis=1)
             over = norms > 1.0
             vectors[touched[over]] /= norms[over, None]
-        epoch_losses.append(epoch_loss / len(trainable))
+        epoch_losses.append(epoch_loss / n_bags)
         logger.info("epoch %d/%d: mean hinge loss %.6g", len(epoch_losses),
                     config.epochs, epoch_losses[-1])
 
-    return FieldEmbedding(
-        vectors=vectors,
-        field_ids=list(field_ids),
-        window=window,
-        epoch_losses=epoch_losses,
-    )
+    return FieldEmbedding(vectors, epoch_losses)
 
 
-def proximity_emb(e: FieldEmbedding) -> ProximityMatrix:
-    """phi_ff' = max(0, cos(vec_f, vec_f')); symmetric, diagonal 1 for
-    nonzero vectors."""
-    norms = np.linalg.norm(e.vectors, axis=1)
+def proximity_emb(vectors: np.ndarray) -> np.ndarray:
+    """phi_ff' = max(0, cos(vec_f, vec_f')) of the field vectors; symmetric,
+    diagonal 1 for nonzero vectors."""
+    norms = np.linalg.norm(vectors, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    unit = e.vectors / safe[:, None]
+    unit = vectors / safe[:, None]
     sims = unit @ unit.T
     sims[norms == 0, :] = 0.0
     sims[:, norms == 0] = 0.0
     phi = np.clip(sims, 0.0, None)
     np.fill_diagonal(phi, np.where(norms > 0, 1.0, 0.0))
     # symmetry can drift by float noise in the matmul
-    phi = (phi + phi.T) / 2.0
-    return ProximityMatrix(
-        values=phi,
-        field_ids=list(e.field_ids),
-        model_tag="embedding",
-        window=e.window,
-    )
+    return (phi + phi.T) / 2.0

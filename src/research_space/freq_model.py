@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .presence import EntityFieldMatrix, TimeWindow
+from .presence import TimeWindow
 
 _BLOCK_ROWS = 4096  # rows of P per float64 block in copresence
 
@@ -25,32 +25,23 @@ class ProximityMatrix:
     model_tag: str  # "frequentist" | "embedding"
     window: TimeWindow
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.model_tag == "embedding"
 
-
-def copresence(p: EntityFieldMatrix) -> np.ndarray:
+def copresence(p: np.ndarray) -> np.ndarray:
     """M_ff' = number of entities present in both f and f' (int64, symmetric,
-    M_ff = number of entities present in f), in ``p.field_ids`` order. The
+    M_ff = number of entities present in f), in P's column order. The
     float64 block products are integers below 2**53, so the sum is exact."""
-    m = np.zeros((p.values.shape[1],) * 2)
-    for start in range(0, len(p.values), _BLOCK_ROWS):
-        pb = p.values[start:start + _BLOCK_ROWS].astype(np.float64)
+    m = np.zeros((p.shape[1],) * 2)
+    for start in range(0, len(p), _BLOCK_ROWS):
+        pb = p[start:start + _BLOCK_ROWS].astype(np.float64)
         m += pb.T @ pb
     return m.astype(np.int64)
 
 
-def proximity_freq(m: np.ndarray, p: EntityFieldMatrix) -> ProximityMatrix:
+def proximity_freq(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """phi_ff' = M_ff' / (number of entities present in f'); columns with no
     present entity are 0 by convention."""
-    counts = p.values.sum(axis=0, dtype=np.float64)
+    counts = p.sum(axis=0, dtype=np.float64)
     phi = np.zeros_like(m, dtype=np.float64)
     nonzero = counts > 0
     phi[:, nonzero] = m[:, nonzero] / counts[nonzero]
-    return ProximityMatrix(
-        values=phi,
-        field_ids=list(p.field_ids),
-        model_tag="frequentist",
-        window=p.window,
-    )
+    return phi

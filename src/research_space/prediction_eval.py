@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .presence import EntityFieldMatrix
 from .specialization import TRANSITIONS, TransitionKind, indicator, stage_codes
 
 # Fewest permutations compare_models accepts.
@@ -15,44 +14,44 @@ MIN_PERMUTATIONS = 100
 SIGN_BLOCK = 1 << 16
 
 
-def candidate_mask(r: EntityFieldMatrix, kind: TransitionKind, full_u_zero=False):
-    """Entity x field mask of the fields ranked for one transition kind: those
-    in its source stage, or with full_u_zero every field with U = 0."""
+def candidate_mask(r: np.ndarray, kind: TransitionKind, full_u_zero=False):
+    """Entity x field mask, on the RCA array's axes, of the fields ranked for
+    one transition kind: those in its source stage, or with full_u_zero every
+    field with U = 0."""
     if full_u_zero:
-        return indicator(r, kind).values == 0
-    return stage_codes(r.values) == TRANSITIONS[kind][1]
+        return indicator(r, kind) == 0
+    return stage_codes(r) == TRANSITIONS[kind][1]
 
 
-def realized_mask(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
+def realized_mask(r_before: np.ndarray, before_ids, r_after: np.ndarray, after_ids,
                   kind: TransitionKind):
     """Entity x field mask, on r_before's entity axis, of the fields that went
     from the source stage in r_before to the target stage or above in
-    r_after; every realized transition is a candidate.
+    r_after; every realized transition is a candidate. The id lists name the
+    rows of the two RCA arrays, whose columns are the same fields.
 
     Entities missing from r_after count as all-zero rows there.
     """
-    if r_before.field_ids != r_after.field_ids:
-        raise ConfigError("RCA matrices use different field sets")
-    _, rows, after_rows = np.intersect1d(r_before.entity_ids, r_after.entity_ids,
+    _, rows, after_rows = np.intersect1d(before_ids, after_ids,
                                          assume_unique=True, return_indices=True)
-    after = np.zeros_like(r_before.values)
-    after[rows] = r_after.values[after_rows]
+    after = np.zeros_like(r_before)
+    after[rows] = r_after[after_rows]
     _, source, target = TRANSITIONS[kind]
-    return (stage_codes(r_before.values) == source) & (stage_codes(after) >= target)
+    return (stage_codes(r_before) == source) & (stage_codes(after) >= target)
 
 
-def rank_candidates(omega: EntityFieldMatrix, cand):
+def rank_candidates(omega: np.ndarray, cand, field_ids):
     """Candidate fields of every entity ranked by density.
 
-    cand is an entity x field mask on omega's axes, from candidate_mask.
-    Returns (order, n_candidates): row i's candidates are the field indices
-    order[i, :n_candidates[i]], by descending density with ties broken by
-    ascending field_id.
+    cand is an entity x field mask on omega's axes, from candidate_mask, and
+    field_ids names omega's columns. Returns (order, n_candidates): row i's
+    candidates are the field indices order[i, :n_candidates[i]], by
+    descending density with ties broken by ascending field_id.
     """
     # ties sort by field_id, whose order need not be the column order
-    position = {f: i for i, f in enumerate(sorted(omega.field_ids))}
-    id_rank = np.array([position[f] for f in omega.field_ids])
-    key = np.where(cand, -omega.values, np.inf)
+    position = {f: i for i, f in enumerate(sorted(field_ids))}
+    id_rank = np.array([position[f] for f in field_ids])
+    key = np.where(cand, -omega, np.inf)
     order = np.lexsort((np.broadcast_to(id_rank, key.shape), key), axis=-1)
     return order, cand.sum(axis=1)
 

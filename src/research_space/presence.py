@@ -67,13 +67,11 @@ class WindowConfig:
 
 @dataclass
 class EntityFieldMatrix:
-    """One entity x field array of the pipeline: X, P, RCA, U or omega.
-    Layers derived from one X share its id lists."""
+    """X(t) and its entity ids, one per row. Every later layer (P, RCA, U,
+    omega) is a plain array with X's rows and the taxonomy's fields."""
 
     values: np.ndarray
     entity_ids: list[str]
-    field_ids: list[str]
-    window: TimeWindow
 
 
 def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
@@ -109,12 +107,11 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
                       weights=np.repeat(1.0 / (corpus.n_authors[keep] * m_p), m_p))
     mat = mat.astype(np.float64, copy=False).reshape(shape)
     entity_ids = [corpus.entity_ids[c] for c in codes[by_first].tolist()]
-    return EntityFieldMatrix(mat, entity_ids, list(taxonomy.field_ids), window)
+    return EntityFieldMatrix(mat, entity_ids)
 
 
-def presence_matrix(x: EntityFieldMatrix, theta: float) -> EntityFieldMatrix:
-    """P(t): binary int8, P = 1 iff X > theta (strict)."""
+def presence_matrix(x: np.ndarray, theta: float) -> np.ndarray:
+    """P(t) of the X array: binary int8, P = 1 iff X > theta (strict)."""
     if not (np.isfinite(theta) and theta > 0):
         raise ConfigError(f"theta must be finite and > 0, got {theta}")
-    p = (x.values > theta).astype(np.int8)  # strict
-    return EntityFieldMatrix(p, x.entity_ids, x.field_ids, x.window)
+    return (x > theta).astype(np.int8)  # strict

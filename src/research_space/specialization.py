@@ -8,8 +8,6 @@ import enum
 import numpy as np
 
 from .errors import ConfigError
-from .freq_model import ProximityMatrix
-from .presence import EntityFieldMatrix
 
 
 class TransitionKind(enum.Enum):
@@ -27,10 +25,9 @@ TRANSITIONS = {
 }
 
 
-def rca(x: EntityFieldMatrix) -> EntityFieldMatrix:
-    """Balassa index: the entity's share of its own output in f over the
-    global share of f. Zero-mass entities yield all-zero rows."""
-    dense = x.values
+def rca(dense: np.ndarray) -> np.ndarray:
+    """Balassa index of an X array: the entity's share of its own output in f
+    over the global share of f. Zero-mass entities yield all-zero rows."""
     total = dense.sum()
     if total <= 0:
         raise ConfigError("total corpus mass is zero")
@@ -42,7 +39,7 @@ def rca(x: EntityFieldMatrix) -> EntityFieldMatrix:
     out[np.ix_(nz_rows, nz_fields)] = (
         dense[np.ix_(nz_rows, nz_fields)] / row_sums[nz_rows]
     ) / field_share[nz_fields]
-    return EntityFieldMatrix(out, x.entity_ids, x.field_ids, x.window)
+    return out
 
 
 def stage_codes(values) -> np.ndarray:
@@ -53,23 +50,21 @@ def stage_codes(values) -> np.ndarray:
     return (v > 0).astype(np.int8) + (v >= 0.5) + (v >= 1.0)
 
 
-def indicator(r: EntityFieldMatrix, kind: TransitionKind) -> EntityFieldMatrix:
+def indicator(r: np.ndarray, kind: TransitionKind) -> np.ndarray:
     """U_sf = 1[RCA > 0] for 0->A, 1[RCA > 1] for transitions to Developed."""
-    u = (r.values > TRANSITIONS[kind][0]).astype(np.int8)
-    return EntityFieldMatrix(u, r.entity_ids, r.field_ids, r.window)
+    return (r > TRANSITIONS[kind][0]).astype(np.int8)
 
 
-def density(u: EntityFieldMatrix, phi: ProximityMatrix) -> EntityFieldMatrix:
-    """omega_sf = sum_f' U_sf' phi_ff' / sum_f' phi_ff'.
+def density(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """omega_sf = sum_f' U_sf' phi_ff' / sum_f' phi_ff', for an indicator
+    array and the values of a proximity matrix on the same fields.
 
     The sum over f' includes f' = f, per the definition; rows of phi with
     zero total weight (isolated fields) yield omega = 0.
     """
-    if u.field_ids != phi.field_ids:
-        raise ConfigError("indicator and proximity matrices use different field sets")
-    row_sums = phi.values.sum(axis=1)  # per target field f
-    numer = u.values.astype(np.float64) @ phi.values.T
+    row_sums = phi.sum(axis=1)  # per target field f
+    numer = u.astype(np.float64) @ phi.T
     omega = np.zeros_like(numer)
     nz = row_sums > 0
     omega[:, nz] = numer[:, nz] / row_sums[nz]
-    return EntityFieldMatrix(omega, u.entity_ids, u.field_ids, u.window)
+    return omega

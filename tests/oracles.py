@@ -34,7 +34,6 @@ from research_space.corpus import (
 )
 from research_space.errors import ConfigError, ParseError, utf8_input
 from research_space.prediction_eval import auroc
-from research_space.presence import EntityFieldMatrix
 from research_space.specialization import TransitionKind, indicator, stage_codes
 
 
@@ -272,8 +271,8 @@ def classify_stage(rca_value: float) -> Stage:
 
 
 def stage_matrix(r) -> np.ndarray:
-    """Entity x field array of single-letter stage codes."""
-    return _STAGE_LETTERS[stage_codes(r.values)]
+    """Entity x field array of the single-letter stage codes of an RCA array."""
+    return _STAGE_LETTERS[stage_codes(r)]
 
 
 # Source stage code and lowest realized stage code per transition kind.
@@ -284,49 +283,44 @@ _TRANSITION_CODES = {
 }
 
 
-def _candidates(r_before: EntityFieldMatrix, kind: TransitionKind, full_u_zero: bool):
+def _candidates(r_before, kind: TransitionKind, full_u_zero: bool):
     """Entity x field mask of the fields ranked for one transition kind."""
     if full_u_zero:
-        return indicator(r_before, kind).values == 0
-    return stage_codes(r_before.values) == _TRANSITION_CODES[kind][0]
+        return indicator(r_before, kind) == 0
+    return stage_codes(r_before) == _TRANSITION_CODES[kind][0]
 
 
-def _masks(r_before: EntityFieldMatrix, r_after: EntityFieldMatrix,
-           kind: TransitionKind, full_u_zero: bool = False):
+def _masks(r_before, before_ids, r_after, after_ids, kind: TransitionKind,
+           full_u_zero: bool = False):
     """Candidate and realized-transition masks on r_before's entity axis;
     every realized transition is a candidate.
 
     Entities missing from r_after count as all-zero rows there.
     """
-    if r_before.field_ids != r_after.field_ids:
-        raise ConfigError("RCA matrices use different field sets")
-    _, rows, after_rows = np.intersect1d(r_before.entity_ids, r_after.entity_ids,
-                                         assume_unique=True, return_indices=True)
-    after = np.zeros_like(r_before.values)
-    after[rows] = r_after.values[after_rows]
+    row_of = {eid: i for i, eid in enumerate(after_ids)}
+    after = np.zeros_like(r_before)
+    for i, eid in enumerate(before_ids):
+        if eid in row_of:
+            after[i] = r_after[row_of[eid]]
     source, target = _TRANSITION_CODES[kind]
-    realized = ((stage_codes(r_before.values) == source)
+    realized = ((stage_codes(r_before) == source)
                 & (stage_codes(after) >= target))
     return _candidates(r_before, kind, full_u_zero), realized
 
 
-def _check_aligned(omega: EntityFieldMatrix, r_before: EntityFieldMatrix):
-    if omega.entity_ids != r_before.entity_ids or omega.field_ids != r_before.field_ids:
-        raise ConfigError("density and RCA matrices are not aligned")
-
-
-def evaluate_transition(omega: EntityFieldMatrix, r_before: EntityFieldMatrix,
-                        r_after: EntityFieldMatrix, kind: TransitionKind,
-                        full_u_zero: bool = False):
+def evaluate_transition(omega, r_before, before_ids, r_after, after_ids,
+                        kind: TransitionKind, full_u_zero: bool = False):
     """Per-entity AUROC for one transition kind, as (auroc, n_pos, n_neg) on
-    omega's entity axis.
+    omega's entity axis, which is r_before's: the rows of before_ids.
 
     auroc is NaN for the excluded entities: those without both a positive
     and a negative candidate.
     """
-    _check_aligned(omega, r_before)
-    cand, realized = _masks(r_before, r_after, kind, full_u_zero)
-    return auroc(omega.values, cand, realized)
+    if omega.shape != r_before.shape or r_before.shape[1] != r_after.shape[1]:
+        raise ConfigError("density and RCA matrices are not aligned")
+    cand, realized = _masks(r_before, before_ids, r_after, after_ids, kind,
+                            full_u_zero)
+    return auroc(omega, cand, realized)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -376,13 +370,19 @@ def _project_max_norm(vectors, indices):
             vectors[i] /= n
 
 
-def train_embeddings_loop(bags, config, field_ids):
+def presence_bags(p):
+    """The sorted field indices of each row of a presence array, row by row."""
+    return [np.flatnonzero(row) for row in p]
+
+
+def train_embeddings_loop(p, config):
     """The one-negative-at-a-time SGD trainer, kept verbatim apart from its
-    return value (vectors, epoch losses): setdiff1d negatives, a Python loop
-    per negative and per projected row."""
-    trainable = [b for b in bags if len(b) >= 2]
+    input (the presence array, whose rows of two fields or more it trains on)
+    and its return value (vectors, epoch losses): setdiff1d negatives, a
+    Python loop per negative and per projected row."""
+    trainable = [b for b in presence_bags(p) if len(b) >= 2]
     rng = np.random.default_rng(config.seed)
-    n_fields = len(field_ids)
+    n_fields = p.shape[1]
     vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
                           size=(n_fields, config.dim))
     all_fields = np.arange(n_fields)
@@ -421,14 +421,15 @@ def train_embeddings_loop(bags, config, field_ids):
     return vectors, epoch_losses
 
 
-def train_embeddings_minibatch_loop(bags, config, field_ids, batch):
-    """Minibatch SGD one bag at a time: each bag of a batch takes its
-    gradients at the batch's starting vectors, the batch applies their sum
-    once and projects every row it touched. The positives of a whole batch
-    are drawn before its negatives; a bag of every field draws no negative."""
-    trainable = [b for b in bags if len(b) >= 2]
+def train_embeddings_minibatch_loop(p, config, batch):
+    """Minibatch SGD one bag (presence row of two fields or more) at a time:
+    each bag of a batch takes its gradients at the batch's starting vectors,
+    the batch applies their sum once and projects every row it touched. The
+    positives of a whole batch are drawn before its negatives; a bag of every
+    field draws no negative."""
+    trainable = [b for b in presence_bags(p) if len(b) >= 2]
     rng = np.random.default_rng(config.seed)
-    n_fields = len(field_ids)
+    n_fields = p.shape[1]
     vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
                           size=(n_fields, config.dim))
     all_fields = np.arange(n_fields)

@@ -55,42 +55,46 @@ def simulate(n_scientists=500, n_fields=12, cluster_size=4, portfolio_size=3,
 
 
 def fit_both_models(corpus, taxonomy, theta=0.05, emb_seed=0):
+    """The frequentist and embedding proximity arrays of the fit window."""
     x = contribution_matrix(corpus, taxonomy, FIT_WINDOW)
-    p = presence_matrix(x, theta)
+    p = presence_matrix(x.values, theta)
     phi_freq = freq_model.proximity_freq(freq_model.copresence(p), p)
     config = emb_model.EmbeddingConfig(dim=16, epochs=10, seed=emb_seed)
-    bags = emb_model.build_bags(p)
-    embedding = emb_model.train_embeddings(bags, config, p.field_ids, FIT_WINDOW)
-    phi_emb = emb_model.proximity_emb(embedding)
+    embedding = emb_model.train_embeddings(p, config)
+    phi_emb = emb_model.proximity_emb(embedding.vectors)
     return phi_freq, phi_emb
 
 
 def evaluate_zero_to_active(corpus, taxonomy, phi):
+    """0A AUROCs of a proximity array on the fit window's entities, and the
+    density, RCA and entity ids they were scored from."""
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
     x_before = contribution_matrix(corpus, taxonomy, FIT_WINDOW)
     x_after = contribution_matrix(corpus, taxonomy, TEST_WINDOW)
-    r_before = spec_mod.rca(x_before)
-    r_after = spec_mod.rca(x_after)
+    r_before = spec_mod.rca(x_before.values)
+    r_after = spec_mod.rca(x_after.values)
     omega = spec_mod.density(spec_mod.indicator(r_before, kind), phi)
-    auc, _, _ = oracles.evaluate_transition(omega, r_before, r_after, kind)
-    return auc, (omega, r_before)
+    auc, _, _ = oracles.evaluate_transition(omega, r_before, x_before.entity_ids,
+                                            r_after, x_after.entity_ids, kind)
+    return auc, (omega, r_before, x_before.entity_ids)
 
 
-def shuffled_baseline(omega, r_before, positives, seed=1):
+def shuffled_baseline(omega, r_before, entity_ids, field_ids, positives, seed=1):
     """Mean AUROC when each entity's positive labels are re-drawn uniformly
     among its candidates, keeping the model's scores."""
     rng = np.random.default_rng(seed)
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
-    order, n_candidates = pe.rank_candidates(omega, pe.candidate_mask(r_before, kind))
-    cand = np.zeros(omega.values.shape, dtype=bool)
+    order, n_candidates = pe.rank_candidates(
+        omega, pe.candidate_mask(r_before, kind), field_ids)
+    cand = np.zeros(omega.shape, dtype=bool)
     fake = np.zeros_like(cand)
-    for i, eid in enumerate(omega.entity_ids):
+    for i, eid in enumerate(entity_ids):
         ranked = order[i, :n_candidates[i]]
         cand[i, ranked] = True
         true_pos = positives.get(eid, set())
-        n_pos = sum(omega.field_ids[j] in true_pos for j in ranked)
+        n_pos = sum(field_ids[j] in true_pos for j in ranked)
         if n_pos == 0 or n_pos == len(ranked):
             continue
         fake[i, rng.choice(ranked, size=n_pos, replace=False)] = True
-    auc, _, _ = pe.auroc(omega.values, cand, fake)
+    auc, _, _ = pe.auroc(omega, cand, fake)
     return float(np.mean(auc[~np.isnan(auc)]))

@@ -78,7 +78,7 @@ def test_acceptance_2_frequentist_oracle():
             n_e = int(rng.integers(1, 26))
             arr = (rng.random((n_e, 10)) < rng.uniform(0.1, 0.6)).astype(int)
             p = presence_from_array(arr)
-            phi = proximity_freq(copresence(p), p).values
+            phi = proximity_freq(copresence(p), p)
             np.testing.assert_array_equal(phi, oracles.proximity_freq_bruteforce(arr))
             counts = arr.sum(axis=0)
             lhs = phi * counts[None, :]
@@ -107,18 +107,17 @@ def test_acceptance_3_embedding_gradient_and_planted_cooccurrence():
                 assert np.linalg.norm(analytic - fd) / denom <= 1e-4
             checked += 1
 
-        fields = ["F000", "F001", "F002", "F003"]
         wins = 0
         for seed in range(100):
             bag_rng = np.random.default_rng(1000 + seed)
-            bags = []
+            p = np.zeros((30, 4), dtype=np.int8)  # four fields, 30 bags
             for i in range(30):
                 if bag_rng.random() < 0.5:
-                    bags.append(np.array([0, 1]))
+                    p[i, [0, 1]] = 1
                 else:
-                    bags.append(np.array([2, 3]))
+                    p[i, [2, 3]] = 1
             config = EmbeddingConfig(dim=8, epochs=5, seed=seed)
-            emb = train_embeddings(bags, config, fields, TimeWindow(2000, 2004))
+            emb = train_embeddings(p, config)
             v = emb.vectors
             if cosine(v[0], v[1]) > cosine(v[0], v[2]):
                 wins += 1
@@ -132,21 +131,22 @@ def _random_contribution(taxonomy, seed, n_entities=12):
         for f in rng.choice(len(taxonomy), size=3, replace=False):
             rows.append((f"s{s}", [taxonomy.field_ids[f]],
                          int(rng.integers(1, 5)), 2010))
-    return contribution_matrix(make_corpus(rows), taxonomy, TimeWindow(2010, 2010))
+    x = contribution_matrix(make_corpus(rows), taxonomy, TimeWindow(2010, 2010))
+    return x.values
 
 
 def test_acceptance_4_rca_global_invariance_and_single_entity():
     with criterion(4, "RCA global scale invariance + single-entity"):
         taxonomy = make_taxonomy(6)
         x = _random_contribution(taxonomy, seed=404)
-        base = rca(x).values.copy()
-        x.values = x.values * 3.14159
-        np.testing.assert_allclose(rca(x).values, base, atol=1e-12)
+        base = rca(x).copy()
+        np.testing.assert_allclose(rca(x * 3.14159), base, atol=1e-12)
 
         rows = [("only", ["F001"], 1, 2010), ("only", ["F002", "F003"], 2, 2010)]
-        x1 = contribution_matrix(make_corpus(rows), taxonomy, TimeWindow(2010, 2010))
-        r1 = rca(x1).values
-        published = x1.values[0] > 0
+        x1 = contribution_matrix(make_corpus(rows), taxonomy,
+                                 TimeWindow(2010, 2010)).values
+        r1 = rca(x1)
+        published = x1[0] > 0
         np.testing.assert_allclose(r1[0, published], 1.0, atol=1e-12)
 
 
@@ -155,13 +155,11 @@ def test_acceptance_4_rca_per_entity_scale_invariance():
     # under scaling one row; RCA itself moves, as the row shifts x_f / x.
     with criterion(4, "RCA per-entity scale invariance"):
         taxonomy = make_taxonomy(6)
-        x = _random_contribution(taxonomy, seed=405)
-        base = rca(x).values.copy()
-        dense0 = x.values
+        dense0 = _random_contribution(taxonomy, seed=405)
+        base = rca(dense0).copy()
         dense = dense0.copy()
         dense[0] *= 2.5
-        x.values = dense
-        scaled = rca(x).values
+        scaled = rca(dense)
         share_b = dense0.sum(axis=0) / dense0.sum()
         share_s = dense.sum(axis=0) / dense.sum()
         np.testing.assert_allclose(scaled * share_s, base * share_b,
@@ -242,10 +240,11 @@ def test_acceptance_8_planted_relatedness_end_to_end():
             assert len(scored), f"{tag}: no scored entities"
             means[tag] = float(np.mean(scored))
 
-        _, (omega, r_before) = simulation.evaluate_zero_to_active(
+        _, (omega, r_before, entity_ids) = simulation.evaluate_zero_to_active(
             corpus, taxonomy, phi_freq
         )
-        baseline = simulation.shuffled_baseline(omega, r_before, positives,
+        baseline = simulation.shuffled_baseline(omega, r_before, entity_ids,
+                                                taxonomy.field_ids, positives,
                                                 seed=809)
         assert abs(baseline - 0.5) <= 0.03, f"shuffled baseline {baseline:.3f}"
         for tag, mean in means.items():
@@ -283,14 +282,17 @@ def test_acceptance_9_full_dataset_first_setup():
         fit_w, rca_w, test_w = (TimeWindow(1999, 2013), TimeWindow(2011, 2013),
                                 TimeWindow(2014, 2016))
         x_fit = contribution_matrix(resolved, taxonomy, fit_w)
-        p = presence_matrix(x_fit, 0.05)
+        p = presence_matrix(x_fit.values, 0.05)
         phi = fm.proximity_freq(fm.copresence(p), p)
-        r_before = sm.rca(contribution_matrix(resolved, taxonomy, rca_w))
-        r_after = sm.rca(contribution_matrix(resolved, taxonomy, test_w))
+        x_before = contribution_matrix(resolved, taxonomy, rca_w)
+        x_after = contribution_matrix(resolved, taxonomy, test_w)
+        r_before = sm.rca(x_before.values)
         kind = sm.TransitionKind.ZERO_TO_ACTIVE
         u = sm.indicator(r_before, kind)
         omega = sm.density(u, phi)
-        auc, _, _ = evaluate_transition(omega, r_before, r_after, kind)
+        auc, _, _ = evaluate_transition(omega, r_before, x_before.entity_ids,
+                                        sm.rca(x_after.values), x_after.entity_ids,
+                                        kind)
         mean = summarize(auc[~np.isnan(auc)])["mean"]
         assert abs(mean - 0.879) <= 0.02, f"frequentist scientists 0A mean {mean}"
 
@@ -302,6 +304,7 @@ def test_acceptance_10_backbone_edge_counts():
     from research_space import network_analysis as net
     from research_space.corpus import EntityKind, FieldTaxonomy, VenueFieldMap, \
         resolve_corpus
+    from research_space.freq_model import ProximityMatrix
     from research_space.presence import presence_matrix
 
     with criterion(10, "backbone edge counts"):
@@ -314,11 +317,10 @@ def test_acceptance_10_backbone_edge_counts():
         for (start, end), n_edges in expected.items():
             window = TimeWindow(start, end)
             x = contribution_matrix(resolved, taxonomy, window)
-            p = presence_matrix(x, 0.10)
-            bags = emb_model.build_bags(p)
-            emb = train_embeddings(bags, EmbeddingConfig(seed=0), p.field_ids,
-                                   window)
-            phi = emb_model.proximity_emb(emb)
+            p = presence_matrix(x.values, 0.10)
+            emb = train_embeddings(p, EmbeddingConfig(seed=0))
+            phi = ProximityMatrix(emb_model.proximity_emb(emb.vectors),
+                                  list(taxonomy.field_ids), "embedding", window)
             agg = net.aggregate_to_intermediate(phi, taxonomy)
             g = net.proximity_graph(agg, taxonomy, level="intermediate")
             kept = net.disparity_filter(g, 0.20)

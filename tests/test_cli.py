@@ -37,6 +37,12 @@ PHI_CORRUPTIONS = {
     "unknown_model": (lambda lines: ["# model: bogus" if l.startswith("# model") else l
                                      for l in lines],
                       lambda n: 2),
+    "bad_window": (lambda lines: ["# window: abc" if l.startswith("# window") else l
+                                  for l in lines],
+                   lambda n: 3),
+    "reversed_window": (lambda lines: ["# window: 2012:2000" if l.startswith("# window")
+                                       else l for l in lines],
+                        lambda n: 3),
 }
 
 # Corruptions of the header line of a saved corpus.jsonl.
@@ -247,6 +253,7 @@ class TestFit:
                (tmp_path / "b" / "phi.tsv").read_bytes()
         assert (tmp_path / "a" / "embeddings.tsv").read_bytes() == \
                (tmp_path / "b" / "embeddings.tsv").read_bytes()
+        assert load_proximity(tmp_path / "a" / "phi.tsv").model_tag == "embedding"
 
     def test_emb_manifest_names_the_batch_size(self, pipeline):
         manifest = json.loads((pipeline["tmp"] / "phi_emb" / "manifest.json").read_text())
@@ -324,6 +331,19 @@ class TestPredict:
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
         assert "--top" in res.output
+        assert not out.exists()
+
+    def test_rca_window_without_records_exits_2(self, pipeline, tmp_path):
+        out = tmp_path / "pred.tsv"
+        res = pipeline["runner"].invoke(main, [
+            "predict", "--phi", str(pipeline["phi_freq"]),
+            "--corpus", str(pipeline["corpus"]),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--rca-window", "1990:1991", "--transition", "0A", "--out", str(out),
+        ])
+        assert res.exit_code == 2, res.output
+        assert ("config error: no record of the corpus falls in window 1990:1991"
+                in res.output)
         assert not out.exists()
 
 
@@ -450,6 +470,24 @@ class TestEvaluate:
         assert with_new["test_window_only"] == 2
         # they are neither scored nor excluded
         assert with_new["frequentist"] == base["frequentist"]
+
+    def test_test_window_without_records_exits_2(self, pipeline, tmp_path):
+        # the corpus up to the fit window's end: nothing falls in the test window
+        truncated = tmp_path / "truncated.jsonl"
+        base = load_corpus(pipeline["corpus"])
+        save_corpus(make_corpus([r for r in corpus_rows(base) if r[3] <= 2004],
+                                base.kind, base.match_stats), truncated)
+        out = tmp_path / "eval"
+        res = pipeline["runner"].invoke(main, [
+            "evaluate", "--phi-a", str(pipeline["phi_freq"]),
+            "--corpus", str(truncated), "--taxonomy", str(pipeline["taxonomy"]),
+            "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+            "--transition", "0A", "--out", str(out),
+        ])
+        assert res.exit_code == 2, res.output
+        assert ("config error: no record of the corpus falls in window 2005:2007"
+                in res.output)
+        assert not out.exists()
 
     def test_window_mismatch_with_artifact_rejected(self, pipeline, tmp_path):
         res = pipeline["runner"].invoke(main, [

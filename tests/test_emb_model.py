@@ -8,20 +8,22 @@ from research_space.emb_model import (
     BATCH_FLOATS,
     EmbeddingConfig,
     bags_per_batch,
-    build_bags,
     hinge_loss_and_grads,
     proximity_emb,
     train_embeddings,
 )
 from research_space.errors import ConfigError, TrainingError
-from research_space.presence import TimeWindow
-from test_freq_model import presence_from_array
-
-WINDOW = TimeWindow(2000, 2010)
-FIELD_IDS = ["F000", "F001", "F002"]
 
 
-def cooccurrence_bags(n=30, seed=0):
+def presence_of(bags, n_fields):
+    """The int8 presence array whose rows are the bags, in order."""
+    p = np.zeros((len(bags), n_fields), dtype=np.int8)
+    for i, bag in enumerate(bags):
+        p[i, bag] = 1
+    return p
+
+
+def cooccurrence_presence(n=30, seed=0):
     """f0 and f1 always co-occur; f2 appears alone or with a fourth field."""
     rng = np.random.default_rng(seed)
     bags = []
@@ -30,27 +32,35 @@ def cooccurrence_bags(n=30, seed=0):
             bags.append(np.array([0, 1]))
         else:
             bags.append(np.array([2, 3]))
-    return bags
+    return presence_of(bags, 4)
+
+
+def assert_same_training(emb, vectors, losses):
+    np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
 
 
 class TestBags:
     def test_bag_sizes(self):
-        p = presence_from_array([[1, 1, 1], [1, 0, 0], [0, 0, 0]])
-        bags = build_bags(p)
-        assert len(bags) == 2  # empty row emits no bag
-        assert bags[0].tolist() == [0, 1, 2]
-        assert bags[1].tolist() == [0]
+        # the bags are the rows of two fields or more, in row order: an
+        # empty or one-field row trains nothing and draws no random number
+        p = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1]],
+                     dtype=np.int8)
+        config = EmbeddingConfig(dim=4, epochs=3, seed=6)
+        emb = train_embeddings(p, config)
+        alone = train_embeddings(p[[0, 3]], config)
+        np.testing.assert_array_equal(emb.vectors, alone.vectors)
+        assert emb.epoch_losses == alone.epoch_losses
 
-        # on a random P: the per-row nonzero columns, empty rows skipped
+        # on a random P: the per-row nonzero columns of the loop trainer
         rng = np.random.default_rng(4)
         arr = (rng.random((40, 9)) < 0.25).astype(np.int8)
-        expected = [np.flatnonzero(row) for row in arr if row.any()]
-        bags = build_bags(presence_from_array(arr))
-        assert len(bags) == len(expected)
-        for got, want in zip(bags, expected):
-            np.testing.assert_array_equal(got, want)
+        assert_same_training(train_embeddings(arr, config),
+                             *oracles.train_embeddings_minibatch_loop(
+                                 arr, config, bags_per_batch(config)))
 
-        assert build_bags(presence_from_array(np.zeros((3, 4)))) == []
+        with pytest.raises(TrainingError):
+            train_embeddings(np.zeros((3, 4), dtype=np.int8), config)
 
 
 class TestCosine:
@@ -80,60 +90,50 @@ class TestTraining:
                 EmbeddingConfig(margin=bad)
 
     def test_no_trainable_bags(self):
-        bags = [np.array([0])]
-        with pytest.raises(TrainingError):
-            train_embeddings(bags, EmbeddingConfig(dim=4, seed=1), FIELD_IDS, WINDOW)
+        for p in ([[1, 0, 0]], np.zeros((0, 3))):
+            with pytest.raises(TrainingError):
+                train_embeddings(np.asarray(p, dtype=np.int8),
+                                 EmbeddingConfig(dim=4, seed=1))
 
     def test_zero_epochs_keeps_init(self):
-        bags = cooccurrence_bags()
-        fields = FIELD_IDS + ["F003"]
         config = EmbeddingConfig(dim=8, epochs=0, seed=5)
-        emb = train_embeddings(bags, config, fields, WINDOW)
+        emb = train_embeddings(cooccurrence_presence(), config)
         rng = np.random.default_rng(5)
         expected = rng.uniform(-1 / 8, 1 / 8, size=(4, 8))
         np.testing.assert_array_equal(emb.vectors, expected)
 
     def test_determinism(self):
-        bags = cooccurrence_bags()
-        fields = FIELD_IDS + ["F003"]
+        p = cooccurrence_presence()
         config = EmbeddingConfig(dim=8, epochs=3, seed=42)
-        a = train_embeddings(bags, config, fields, WINDOW)
-        b = train_embeddings(bags, config, fields, WINDOW)
+        a = train_embeddings(p, config)
+        b = train_embeddings(p, config)
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_planted_cooccurrence_separates(self):
-        bags = cooccurrence_bags(n=40, seed=3)
-        fields = FIELD_IDS + ["F003"]
         config = EmbeddingConfig(dim=8, epochs=10, seed=3)
-        emb = train_embeddings(bags, config, fields, WINDOW)
+        emb = train_embeddings(cooccurrence_presence(n=40, seed=3), config)
         v = emb.vectors
         assert cosine(v[0], v[1]) > cosine(v[0], v[2])
 
     def test_epoch_loss_non_increasing(self):
-        bags = cooccurrence_bags(n=40, seed=9)
-        fields = FIELD_IDS + ["F003"]
         config = EmbeddingConfig(dim=8, epochs=8, seed=9)
-        emb = train_embeddings(bags, config, fields, WINDOW)
+        emb = train_embeddings(cooccurrence_presence(n=40, seed=9), config)
         losses = emb.epoch_losses
         # allow 5% headroom for SGD noise
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier * 1.05 + 1e-9
 
     def test_max_norm_projection(self):
-        bags = cooccurrence_bags(n=40, seed=1)
-        fields = FIELD_IDS + ["F003"]
-        emb = train_embeddings(
-            bags, EmbeddingConfig(dim=8, epochs=10, seed=1), fields, WINDOW
-        )
+        emb = train_embeddings(cooccurrence_presence(n=40, seed=1),
+                               EmbeddingConfig(dim=8, epochs=10, seed=1))
         norms = np.linalg.norm(emb.vectors, axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
 
     def test_untouched_fields_keep_init(self):
-        bags = [np.array([0, 1])] * 10
-        fields = FIELD_IDS + ["F003", "F004"]
+        p = presence_of([np.array([0, 1])] * 10, 5)
         config = EmbeddingConfig(dim=4, epochs=2, seed=2,
                                  negatives_per_example=1)
-        emb = train_embeddings(bags, config, fields, WINDOW)
+        emb = train_embeddings(p, config)
         rng = np.random.default_rng(2)
         init = rng.uniform(-1 / 4, 1 / 4, size=(5, 4))
         # fields 0 and 1 are trained; some of 2..4 get hit as negatives, but
@@ -173,8 +173,8 @@ class TestGradients:
 
 
 def random_training_case(seed):
-    """Random bags (a bag of every field for every third seed), config and
-    field ids, with at least one trainable bag."""
+    """A presence array of random bags (a bag of every field for every third
+    seed), with at least one trainable bag, and a config."""
     rng = np.random.default_rng(1000 + seed)
     n_fields = int(rng.integers(3, 16))
     bags = [np.sort(rng.choice(n_fields, size=rng.integers(1, n_fields),
@@ -186,10 +186,9 @@ def random_training_case(seed):
                              epochs=int(rng.integers(1, 6)),
                              negatives_per_example=int(rng.integers(1, 11)),
                              seed=seed)
-    field_ids = [f"F{i:03d}" for i in range(n_fields)]
     if not any(len(b) >= 2 for b in bags):
         bags.append(np.array([0, n_fields - 1]))
-    return bags, config, field_ids
+    return presence_of(bags, n_fields), config
 
 
 class TestAgainstLoopTrainer:
@@ -203,22 +202,34 @@ class TestAgainstLoopTrainer:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_vectors_and_losses_match(self, seed):
-        bags, config, field_ids = random_training_case(seed)
-        emb = train_embeddings(bags, config, field_ids, WINDOW)
-        vectors, losses = oracles.train_embeddings_loop(bags, config, field_ids)
-        np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
+        p, config = random_training_case(seed)
+        assert_same_training(train_embeddings(p, config),
+                             *oracles.train_embeddings_loop(p, config))
 
     def test_bag_of_every_field_is_skipped_in_the_stream(self):
         # only the full bag and one pair: the full bag's step draws its
         # positive and nothing more, as the loop trainer does
-        bags = [np.arange(5), np.array([1, 3])]
+        p = presence_of([np.arange(5), np.array([1, 3])], 5)
         config = EmbeddingConfig(dim=6, epochs=4, negatives_per_example=3, seed=8)
-        field_ids = [f"F{i:03d}" for i in range(5)]
-        emb = train_embeddings(bags, config, field_ids, WINDOW)
-        vectors, losses = oracles.train_embeddings_loop(bags, config, field_ids)
-        np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
+        assert_same_training(train_embeddings(p, config),
+                             *oracles.train_embeddings_loop(p, config))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_empty_and_one_field_rows_between_bags(self, seed):
+        # the trainable rows of a random case with empty and one-field rows
+        # put before, between and after them
+        p, config = random_training_case(seed)
+        rng = np.random.default_rng(seed)
+        filler = presence_of([[] if k % 2 else [int(rng.integers(p.shape[1]))]
+                              for k in range(len(p) + 1)], p.shape[1])
+        mixed = np.empty((2 * len(p) + 1, p.shape[1]), dtype=np.int8)
+        mixed[1::2], mixed[::2] = p, filler
+        emb = train_embeddings(mixed, config)
+        assert_same_training(emb, *oracles.train_embeddings_loop(mixed, config))
+        # the filler rows leave the bags and their order as they were
+        alone = train_embeddings(p, config)
+        np.testing.assert_array_equal(emb.vectors, alone.vectors)
+        assert emb.epoch_losses == alone.epoch_losses
 
     def test_shifted_draws_equal_setdiff_draws(self):
         rng = np.random.default_rng(11)
@@ -281,13 +292,10 @@ class TestAgainstMinibatchLoop:
     @pytest.mark.parametrize("seed", range(6))
     def test_vectors_and_losses_match(self, monkeypatch, seed, batch):
         monkeypatch.setattr(emb_model, "BATCH_BAGS", batch)
-        bags, config, field_ids = random_training_case(seed)
+        p, config = random_training_case(seed)
         assert bags_per_batch(config) == batch
-        emb = train_embeddings(bags, config, field_ids, WINDOW)
-        vectors, losses = oracles.train_embeddings_minibatch_loop(
-            bags, config, field_ids, batch)
-        np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(emb.epoch_losses, losses, rtol=0, atol=1e-10)
+        assert_same_training(train_embeddings(p, config),
+                             *oracles.train_embeddings_minibatch_loop(p, config, batch))
 
 
 class TestBatchSize:
@@ -303,30 +311,22 @@ class TestBatchSize:
 
 
 class TestProximity:
-    def _embedding(self, vectors):
-        from research_space.emb_model import FieldEmbedding
-        return FieldEmbedding(
-            vectors=np.asarray(vectors, dtype=float),
-            field_ids=[f"F{i:03d}" for i in range(len(vectors))],
-            window=WINDOW,
-        )
-
     def test_negative_cosine_clipped(self):
-        phi = proximity_emb(self._embedding([[1.0, 0.0], [-1.0, 0.3]]))
-        assert phi.values[0, 1] == 0.0
+        phi = proximity_emb(np.array([[1.0, 0.0], [-1.0, 0.3]]))
+        assert phi[0, 1] == 0.0
 
     def test_positive_cosine_passthrough(self):
-        phi = proximity_emb(self._embedding([[1.0, 0.0], [1.0, 1.0]]))
-        assert phi.values[0, 1] == pytest.approx(1 / np.sqrt(2))
+        phi = proximity_emb(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        assert phi[0, 1] == pytest.approx(1 / np.sqrt(2))
 
     def test_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(4)
-        phi = proximity_emb(self._embedding(rng.normal(size=(6, 4))))
-        np.testing.assert_allclose(phi.values, phi.values.T)
-        np.testing.assert_allclose(np.diag(phi.values), 1.0)
-        assert phi.is_symmetric
+        phi = proximity_emb(rng.normal(size=(6, 4)))
+        # exactly symmetric, as load_proximity demands of an embedding matrix
+        np.testing.assert_array_equal(phi, phi.T)
+        np.testing.assert_allclose(np.diag(phi), 1.0)
 
     def test_zero_vector_rows(self):
-        phi = proximity_emb(self._embedding([[0.0, 0.0], [1.0, 0.0]]))
-        assert phi.values[0, 1] == 0.0
-        assert phi.values[0, 0] == 0.0
+        phi = proximity_emb(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert phi[0, 1] == 0.0
+        assert phi[0, 0] == 0.0

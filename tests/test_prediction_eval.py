@@ -9,7 +9,6 @@ import oracles
 import simulation
 from oracles import cv_sliding
 from research_space.errors import ConfigError
-from research_space.freq_model import ProximityMatrix
 from research_space.prediction_eval import (
     _midranks,
     auroc,
@@ -20,35 +19,31 @@ from research_space.prediction_eval import (
     realized_mask,
     summarize,
 )
-from research_space.presence import EntityFieldMatrix, TimeWindow
 from research_space.specialization import TransitionKind
 
-W1 = TimeWindow(2011, 2013)
-W2 = TimeWindow(2014, 2016)
 # RCA values on and between the stage bounds 0, 0.5 and 1.
 RCA_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
 
 
-def rca_matrix(vals, window=W1, entity_ids=None):
+def rca_matrix(vals, entity_ids=None):
+    """An RCA array and the ids of its rows, s0, s1, ... by default."""
     vals = np.asarray(vals, dtype=float)
-    ids = entity_ids or [f"s{i}" for i in range(vals.shape[0])]
-    fids = [f"F{j}" for j in range(vals.shape[1])]
-    return EntityFieldMatrix(vals, ids, fids, window)
+    return vals, entity_ids or [f"s{i}" for i in range(vals.shape[0])]
 
 
 def evaluate_transition(omega, before, after, kind, full_u_zero=False):
     """AUROC per entity of before's axis, composed as the evaluate command
-    does: candidate and realized masks, then auroc."""
-    return auroc(omega.values, candidate_mask(before, kind, full_u_zero),
-                 realized_mask(before, after, kind))
+    does: candidate and realized masks, then auroc. before and after are
+    (RCA array, entity ids) pairs."""
+    r, ids = before
+    return auroc(omega, candidate_mask(r, kind, full_u_zero),
+                 realized_mask(r, ids, *after, kind))
 
 
 def transitions(before, after, kind, omega_rows=None):
     """evaluate_transition on before's axis; omega defaults to zeros."""
-    values = np.zeros_like(before.values) if omega_rows is None else omega_rows
-    omega = EntityFieldMatrix(np.asarray(values, dtype=float), before.entity_ids,
-                              before.field_ids, W1)
-    return evaluate_transition(omega, before, after, kind)
+    values = np.zeros_like(before[0]) if omega_rows is None else omega_rows
+    return evaluate_transition(np.asarray(values, dtype=float), before, after, kind)
 
 
 class TestDetectTransitions:
@@ -58,14 +53,14 @@ class TestDetectTransitions:
 
     def test_zero_to_active(self):
         before = rca_matrix([[0.0, 1.0]])
-        after = rca_matrix([[0.4, 1.0]], W2)
+        after = rca_matrix([[0.4, 1.0]])
         # F0 is the only 0A candidate
         _, n_pos, n_neg = transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
         assert (n_pos.tolist(), n_neg.tolist()) == ([1], [0])
 
     def test_nascent_to_developed(self):
         before = rca_matrix([[0.3, 0.3]])
-        after = rca_matrix([[1.5, 0.9]], W2)
+        after = rca_matrix([[1.5, 0.9]])
         auc, n_pos, n_neg = transitions(before, after,
                                         TransitionKind.NASCENT_TO_DEVELOPED,
                                         [[1.0, 0.0]])
@@ -75,53 +70,46 @@ class TestDetectTransitions:
 
     def test_intermediate_to_developed(self):
         before = rca_matrix([[0.6, 0.3]])
-        after = rca_matrix([[1.0, 2.0]], W2)
+        after = rca_matrix([[1.0, 2.0]])
         # F1 reaches Developed from Nascent, which is not an ID transition
         _, n_pos, n_neg = transitions(before, after,
                                       TransitionKind.INTERMEDIATE_TO_DEVELOPED)
         assert (n_pos.tolist(), n_neg.tolist()) == ([1], [0])
 
-    def test_mismatched_fields_rejected(self):
-        before = rca_matrix([[0.0]])
-        after = rca_matrix([[0.0, 1.0]], W2)
-        with pytest.raises(ConfigError):
-            transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
-
 
 class TestRankCandidates:
     def _setup(self, rca_rows, omega_rows, field_ids=None):
-        r = rca_matrix(rca_rows)
-        if field_ids is not None:
-            r = EntityFieldMatrix(r.values, r.entity_ids, field_ids, W1)
-        omega = EntityFieldMatrix(np.array(omega_rows, dtype=float), r.entity_ids,
-                                  r.field_ids, W1)
-        return omega, r
+        """omega, RCA and the field ids of their columns, F0, F1, ... by
+        default."""
+        r = np.asarray(rca_rows, dtype=float)
+        field_ids = field_ids or [f"F{j}" for j in range(r.shape[1])]
+        return np.array(omega_rows, dtype=float), r, field_ids
 
     @staticmethod
-    def _ranked(omega, r, kind, full_u_zero=False):
+    def _ranked(omega, r, field_ids, kind, full_u_zero=False):
         """Each entity's ranked (field_id, density) pairs."""
-        order, n_candidates = rank_candidates(omega,
-                                              candidate_mask(r, kind, full_u_zero))
-        return [[(omega.field_ids[j], float(omega.values[i, j]))
+        order, n_candidates = rank_candidates(
+            omega, candidate_mask(r, kind, full_u_zero), field_ids)
+        return [[(field_ids[j], float(omega[i, j]))
                  for j in order[i, :n_candidates[i]]]
-                for i in range(len(omega.entity_ids))]
+                for i in range(len(omega))]
 
     def test_no_candidates(self):
-        omega, r = self._setup([[1.0, 2.0]], [[0.5, 0.5]])
+        omega, r, field_ids = self._setup([[1.0, 2.0]], [[0.5, 0.5]])
         _, n_candidates = rank_candidates(
-            omega, candidate_mask(r, TransitionKind.ZERO_TO_ACTIVE))
+            omega, candidate_mask(r, TransitionKind.ZERO_TO_ACTIVE), field_ids)
         assert n_candidates.tolist() == [0]
 
     def test_tie_breaks_on_field_id(self):
-        omega, r = self._setup([[0.0, 0.0, 0.0, 1.5]], [[0.7, 0.2, 0.7, 0.9]])
-        ranked = self._ranked(omega, r, TransitionKind.ZERO_TO_ACTIVE)
+        omega, r, fids = self._setup([[0.0, 0.0, 0.0, 1.5]], [[0.7, 0.2, 0.7, 0.9]])
+        ranked = self._ranked(omega, r, fids, TransitionKind.ZERO_TO_ACTIVE)
         assert [f for f, _ in ranked[0]] == ["F0", "F2", "F1"]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
         scores = rng.random(5).round(1)  # rounding forces some ties
-        omega, r = self._setup([[0.0] * 5], [scores.tolist()])
-        ranked = self._ranked(omega, r, TransitionKind.ZERO_TO_ACTIVE)
+        omega, r, fids = self._setup([[0.0] * 5], [scores.tolist()])
+        ranked = self._ranked(omega, r, fids, TransitionKind.ZERO_TO_ACTIVE)
         expected = sorted(
             [(f"F{j}", float(scores[j])) for j in range(5)],
             key=lambda kv: (-kv[1], kv[0]),
@@ -129,15 +117,15 @@ class TestRankCandidates:
         assert ranked[0] == expected
 
     def test_source_stage_restriction(self):
-        omega, r = self._setup([[0.0, 0.3, 0.7, 1.5]], [[0.1, 0.2, 0.3, 0.4]])
-        nd = self._ranked(omega, r, TransitionKind.NASCENT_TO_DEVELOPED)
+        omega, r, fids = self._setup([[0.0, 0.3, 0.7, 1.5]], [[0.1, 0.2, 0.3, 0.4]])
+        nd = self._ranked(omega, r, fids, TransitionKind.NASCENT_TO_DEVELOPED)
         assert [f for f, _ in nd[0]] == ["F1"]
-        id_ = self._ranked(omega, r, TransitionKind.INTERMEDIATE_TO_DEVELOPED)
+        id_ = self._ranked(omega, r, fids, TransitionKind.INTERMEDIATE_TO_DEVELOPED)
         assert [f for f, _ in id_[0]] == ["F2"]
 
     def test_full_u_zero_flag(self):
-        omega, r = self._setup([[0.0, 0.3, 0.7, 1.5]], [[0.1, 0.2, 0.3, 0.4]])
-        nd = self._ranked(omega, r, TransitionKind.NASCENT_TO_DEVELOPED,
+        omega, r, fids = self._setup([[0.0, 0.3, 0.7, 1.5]], [[0.1, 0.2, 0.3, 0.4]])
+        nd = self._ranked(omega, r, fids, TransitionKind.NASCENT_TO_DEVELOPED,
                           full_u_zero=True)
         # whole U=0 set: everything with RCA <= 1
         assert {f for f, _ in nd[0]} == {"F0", "F1", "F2"}
@@ -153,7 +141,7 @@ class TestRankCandidates:
         field_ids = [f"F{j}" for j in rng.permutation(n_fields) + 1]
         rca_vals = rng.choice(RCA_GRID, (n_entities, n_fields))
         scores = rng.integers(0, 5, (n_entities, n_fields)) / 4.0  # tie-heavy
-        omega, r = self._setup(rca_vals, scores, field_ids)
+        omega, r, fids = self._setup(rca_vals, scores, field_ids)
         stage = TestEvaluateTransition._is_candidate
         expected = [
             sorted(((field_ids[j], float(scores[i, j])) for j in range(n_fields)
@@ -161,7 +149,7 @@ class TestRankCandidates:
                    key=lambda kv: (-kv[1], kv[0]))
             for i in range(n_entities)
         ]
-        assert self._ranked(omega, r, kind, full_u_zero) == expected
+        assert self._ranked(omega, r, fids, kind, full_u_zero) == expected
 
 
 def auroc_row(scores, positives, cand=None):
@@ -336,9 +324,7 @@ def planted():
     taxonomy, corpus, _ = simulation.simulate(n_scientists=300, seed=5)
 
     def score(values):
-        phi = ProximityMatrix(values=values, field_ids=list(taxonomy.field_ids),
-                              model_tag="frequentist", window=simulation.FIT_WINDOW)
-        auc, _ = simulation.evaluate_zero_to_active(corpus, taxonomy, phi)
+        auc, _ = simulation.evaluate_zero_to_active(corpus, taxonomy, values)
         return auc
 
     scored = ~np.isnan(score(simulation.planted_phi()))
@@ -421,10 +407,9 @@ class TestEvaluateTransition:
         before = rca_matrix([[0.0, 0.0, 0.0, 1.2],
                              [0.0, 0.0, 0.0, 1.2]])
         after = rca_matrix([[2.0, 0.0, 0.0, 1.2],
-                            [0.0, 2.0, 0.0, 1.2]], W2)
-        omega = EntityFieldMatrix(np.array([[0.9, 0.1, 0.1, 0.0],
-                                            [0.1, 0.9, 0.1, 0.0]]),
-                                  before.entity_ids, before.field_ids, W1)
+                            [0.0, 2.0, 0.0, 1.2]])
+        omega = np.array([[0.9, 0.1, 0.1, 0.0],
+                          [0.1, 0.9, 0.1, 0.0]])
         auc, _, _ = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
@@ -432,9 +417,8 @@ class TestEvaluateTransition:
 
     def test_entities_without_events_counted(self):
         before = rca_matrix([[0.0, 1.2]])
-        after = rca_matrix([[0.0, 1.2]], W2)
-        omega = EntityFieldMatrix(np.array([[0.5, 0.5]]),
-                                  before.entity_ids, before.field_ids, W1)
+        after = rca_matrix([[0.0, 1.2]])
+        omega = np.array([[0.5, 0.5]])
         auc, _, _ = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
         )
@@ -461,10 +445,9 @@ class TestEvaluateTransition:
         after_ids = [str(e) for e in rng.permutation(ids) if rng.random() < 0.8]
         before = rca_matrix(rng.choice(RCA_GRID, (len(before_ids), n_fields)),
                             entity_ids=before_ids)
-        after = rca_matrix(rng.choice(RCA_GRID, (len(after_ids), n_fields)), W2,
+        after = rca_matrix(rng.choice(RCA_GRID, (len(after_ids), n_fields)),
                            entity_ids=after_ids)
-        omega = EntityFieldMatrix(rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0,
-                                  before.entity_ids, before.field_ids, W1)
+        omega = rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0
         return before, after, omega
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
@@ -474,7 +457,8 @@ class TestEvaluateTransition:
         # masks built once per run score each entity as the per-model
         # composition did
         before, after, omega = self._random_case(seed)
-        expected = oracles.evaluate_transition(omega, before, after, kind, full_u_zero)
+        expected = oracles.evaluate_transition(omega, *before, *after, kind,
+                                               full_u_zero)
         got = evaluate_transition(omega, before, after, kind, full_u_zero)
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
@@ -484,16 +468,16 @@ class TestEvaluateTransition:
     @settings(max_examples=150, deadline=None)
     def test_matches_pairwise_oracle_per_entity(self, seed, kind, full_u_zero):
         before, after, omega = self._random_case(seed)
-        before_ids, after_ids = before.entity_ids, after.entity_ids
-        n_fields = len(before.field_ids)
+        (before_rca, before_ids), (after_rca, after_ids) = before, after
+        n_fields = before_rca.shape[1]
         auc, n_pos, n_neg = evaluate_transition(omega, before, after, kind,
                                                 full_u_zero=full_u_zero)
         kept = np.flatnonzero(~np.isnan(auc))
 
-        after_rows = dict(zip(after_ids, after.values))
+        after_rows = dict(zip(after_ids, after_rca))
         scored = []
         for i, eid in enumerate(before_ids):
-            b = before.values[i]
+            b = before_rca[i]
             a = after_rows.get(eid, np.zeros(n_fields))
             cand = [j for j in range(n_fields)
                     if self._is_candidate(b[j], kind, full_u_zero)]
@@ -505,7 +489,7 @@ class TestEvaluateTransition:
             neg = [j for j in cand if j not in pos]
             if pos and neg:
                 scored.append((eid, len(pos), len(neg), oracles.auroc_pairwise(
-                    omega.values[i, pos], omega.values[i, neg])))
+                    omega[i, pos], omega[i, neg])))
         assert len(auc) == len(before_ids)
         assert [(before_ids[i], n_pos[i], n_neg[i]) for i in kept] == \
             [s[:3] for s in scored]

@@ -97,7 +97,7 @@ class TestContributionMatrix:
         right = contribution_matrix(corpus, taxonomy6, TimeWindow(2005, 2009))
 
         def as_map(x):
-            return {(x.entity_ids[i], x.field_ids[j]): x.values[i, j]
+            return {(x.entity_ids[i], taxonomy6.field_ids[j]): x.values[i, j]
                     for i, j in zip(*np.nonzero(x.values))}
 
         combined = as_map(left)
@@ -150,16 +150,16 @@ class TestPresenceMatrix:
     def _x(self, taxonomy, value):
         corpus = make_corpus([("s1", ["F001"], 1, 2010)] * 1)
         x = contribution_matrix(corpus, taxonomy, TimeWindow(2010, 2010))
-        x.values = x.values * value
-        return x
+        return x.values * value
 
     def test_above_threshold(self, taxonomy6):
         p = presence_matrix(self._x(taxonomy6, 0.06), theta=0.05)
-        assert p.values[0, 0] == 1
+        assert p.dtype == np.int8
+        assert p[0, 0] == 1
 
     def test_strict_inequality_at_boundary(self, taxonomy6):
         p = presence_matrix(self._x(taxonomy6, 0.05), theta=0.05)
-        assert p.values[0, 0] == 0
+        assert p[0, 0] == 0
 
     def test_invalid_theta(self, taxonomy6):
         for theta in (0.0, float("nan"), float("inf")):
@@ -174,9 +174,9 @@ class TestPresenceMatrix:
                 rows.append((f"s{s}", [taxonomy6.field_ids[f]],
                              int(rng.integers(1, 5)), 2010))
         corpus = make_corpus(rows)
-        x = contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010))
+        x = contribution_matrix(corpus, taxonomy6, TimeWindow(2010, 2010)).values
         counts = [
-            presence_matrix(x, theta).values.sum()
+            presence_matrix(x, theta).sum()
             for theta in (0.025, 0.05, 0.10, 0.20, 0.40)
         ]
         assert counts == sorted(counts, reverse=True)
@@ -193,6 +193,6 @@ class TestPresenceMatrix:
         ]
         x = contribution_matrix(make_corpus(rows), taxonomy, TimeWindow(2010, 2010))
         lo, hi = sorted((t1, t2))
-        p_lo = presence_matrix(x, lo).values
-        p_hi = presence_matrix(x, hi).values
+        p_lo = presence_matrix(x.values, lo)
+        p_hi = presence_matrix(x.values, hi)
         assert np.all(p_hi <= p_lo)
