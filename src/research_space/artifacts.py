@@ -216,6 +216,8 @@ def load_proximity(path) -> ProximityMatrix:
             window = TimeWindow.parse(meta["window"])
         except ConfigError as e:
             raise ParseError(str(e), path=path, line=meta_line["window"])
+        if not line.startswith("field_id\t"):
+            raise ParseError("expected the field_id header row", path=path, line=line_no)
         field_ids = line.rstrip("\n").split("\t")[1:]
         first_row = line_no + 1
         n = len(field_ids)

@@ -4,6 +4,7 @@ with persisted artifacts so each stage re-runs independently."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import sys
@@ -46,18 +47,21 @@ def _check_fields(phi, taxonomy):
 
 
 def _contributions(resolved, taxonomy, window):
-    """X of the records in the window, which must hold at least one."""
-    x = contribution_matrix(resolved, taxonomy, window)
-    if not x.entity_ids:
+    """(n_records, X) of the records in the window, which must hold at least
+    one: each corpus entity's record count there, and X on the corpus's
+    entity axis."""
+    n_records = np.bincount(resolved.entity[window.mask(resolved.year)],
+                            minlength=len(resolved.entity_ids))
+    if not n_records.any():
         raise ConfigError(f"no record of the corpus falls in window {window}")
-    return x
+    return n_records, contribution_matrix(resolved, taxonomy, window)
 
 
 def _rca(resolved, taxonomy, window):
-    """(entity_ids, RCA array) of the records in the window. X is freed on
+    """(n_records, RCA array) of the records in the window. X is freed on
     return, before the caller builds anything more from the RCA."""
-    x = _contributions(resolved, taxonomy, window)
-    return x.entity_ids, spec_mod.rca(x.values)
+    n_records, x = _contributions(resolved, taxonomy, window)
+    return n_records, spec_mod.rca(x)
 
 
 def _window(_ctx, _param, value):
@@ -144,7 +148,7 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         )
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     resolved = artifacts.load_corpus(corpus_path)
-    p = presence_matrix(contribution_matrix(resolved, taxonomy, window).values, theta)
+    p = presence_matrix(contribution_matrix(resolved, taxonomy, window), theta)
     if not p.any():
         raise ResearchSpaceError(
             f"no entity has a present field in window {window} (theta {theta}); "
@@ -202,16 +206,21 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     phi = artifacts.load_proximity(phi_path)
     _check_fields(phi, taxonomy)
     kind = TransitionKind(transition)
-    entity_ids, r = _rca(resolved, taxonomy, rca_window)
-    omega = spec_mod.density(spec_mod.indicator(r, kind), phi.values)
-    order, n_candidates = pe.rank_candidates(omega, pe.candidate_mask(r, kind),
-                                             phi.field_ids)
-    row_of = {eid: i for i, eid in enumerate(entity_ids)}
+    n_records, r = _rca(resolved, taxonomy, rca_window)
+    u, cand = spec_mod.indicator(r, kind), pe.candidate_mask(r, kind)
+    del r
+    omega = spec_mod.density(u, phi.values)
+    order, n_candidates = pe.rank_candidates(omega, cand, phi.field_ids)
+    row_of = {eid: i for i, eid in enumerate(resolved.entity_ids)}
     lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
-    for eid in entities or entity_ids:
+    for eid in entities or itertools.compress(resolved.entity_ids, n_records):
         i = row_of.get(eid)
         if i is None:
             click.echo(f"warning: entity {eid!r} not found, skipped", err=True)
+            continue
+        if not n_records[i]:
+            click.echo(f"warning: entity {eid!r} has no record in window "
+                       f"{rca_window}, skipped", err=True)
             continue
         if not n_candidates[i]:
             click.echo(f"note: entity {eid!r} has no candidate fields", err=True)
@@ -269,29 +278,31 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     resolved = artifacts.load_corpus(corpus_path)
     kind = TransitionKind(transition)
 
-    entity_ids, r = _rca(resolved, taxonomy, windows.rca_window)
+    n_records, r = _rca(resolved, taxonomy, windows.rca_window)
     u = spec_mod.indicator(r, kind)
-    after_ids, r_after = _rca(resolved, taxonomy, windows.test_window)
+    n_after, r_after = _rca(resolved, taxonomy, windows.test_window)
     # which fields are ranked and which transitioned does not depend on phi
     cand = pe.candidate_mask(r, kind, full_u_zero=full_candidates)
-    realized = pe.realized_mask(r, entity_ids, r_after, after_ids, kind)
+    realized = pe.realized_mask(r, r_after, kind)
+    del r, r_after
+    in_rca = n_records > 0
 
     lines = ["entity_id\tkind\ttransition\tmodel\tauroc\tn_pos\tn_neg"]
     # entities with records in the test window only have no RCA to rank from
-    summary = {"test_window_only": len(set(after_ids) - set(entity_ids))}
+    summary = {"test_window_only": int(np.count_nonzero(n_after[~in_rca]))}
     scored = []
     for phi in phis:
         auc, n_pos, n_neg = pe.auroc(spec_mod.density(u, phi.values), cand, realized)
-        rows = np.flatnonzero(~np.isnan(auc))
+        rows = np.flatnonzero(in_rca & ~np.isnan(auc))
         for i in rows:
             lines.append(
-                f"{entity_ids[i]}\t{resolved.kind.value}\t{transition}"
+                f"{resolved.entity_ids[i]}\t{resolved.kind.value}\t{transition}"
                 f"\t{phi.model_tag}\t{auc[i]:.6f}\t{n_pos[i]}\t{n_neg[i]}"
             )
         scored.append(auc[rows])
         summary[phi.model_tag] = {
             **(pe.summarize(auc[rows]) if len(rows) else {"n": 0}),
-            "excluded": len(auc) - len(rows),
+            "excluded": int(in_rca.sum()) - len(rows),
         }
     if len(scored) == 2:
         summary["test"] = "paired sign-flip"
@@ -379,15 +390,14 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
         if not len(resolved):
             raise ConfigError("corpus has no records")
         window = TimeWindow(int(resolved.year.min()), int(resolved.year.max()))
-    p = presence_matrix(_contributions(resolved, taxonomy, window).values, theta)
-
-    pub_counts = np.bincount(resolved.entity[window.mask(resolved.year)])
-    active_counts = p.sum(axis=1)
+    n_records, x = _contributions(resolved, taxonomy, window)
+    in_window = n_records > 0
+    active_counts = presence_matrix(x, theta).sum(axis=1)[in_window]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, values in (
-        ("ccdf_publications.tsv", pub_counts[pub_counts > 0]),
+        ("ccdf_publications.tsv", n_records[in_window]),
         ("ccdf_active_fields.tsv", active_counts.tolist()),
     ):
         lines = ["value\tccdf"]

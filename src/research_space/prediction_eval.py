@@ -23,21 +23,12 @@ def candidate_mask(r: np.ndarray, kind: TransitionKind, full_u_zero=False):
     return stage_codes(r) == TRANSITIONS[kind][1]
 
 
-def realized_mask(r_before: np.ndarray, before_ids, r_after: np.ndarray, after_ids,
-                  kind: TransitionKind):
-    """Entity x field mask, on r_before's entity axis, of the fields that went
-    from the source stage in r_before to the target stage or above in
-    r_after; every realized transition is a candidate. The id lists name the
-    rows of the two RCA arrays, whose columns are the same fields.
-
-    Entities missing from r_after count as all-zero rows there.
-    """
-    _, rows, after_rows = np.intersect1d(before_ids, after_ids,
-                                         assume_unique=True, return_indices=True)
-    after = np.zeros_like(r_before)
-    after[rows] = r_after[after_rows]
+def realized_mask(r_before: np.ndarray, r_after: np.ndarray, kind: TransitionKind):
+    """Entity x field mask of the fields that went from the source stage in
+    r_before to the target stage or above in r_after, two RCA arrays on the
+    same axes; every realized transition is a candidate."""
     _, source, target = TRANSITIONS[kind]
-    return (stage_codes(r_before) == source) & (stage_codes(after) >= target)
+    return (stage_codes(r_before) == source) & (stage_codes(r_after) >= target)
 
 
 def rank_candidates(omega: np.ndarray, cand, field_ids):

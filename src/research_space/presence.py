@@ -65,26 +65,13 @@ class WindowConfig:
             raise ConfigError("fit window span must be >= RCA window span")
 
 
-@dataclass
-class EntityFieldMatrix:
-    """X(t) and its entity ids, one per row. Every later layer (P, RCA, U,
-    omega) is a plain array with X's rows and the taxonomy's fields."""
-
-    values: np.ndarray
-    entity_ids: list[str]
-
-
 def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
-                        window: TimeWindow) -> EntityFieldMatrix:
-    """X(t), each record contributing 1/(n_p * m_p): records inside the
-    window, entities in order of their first record there, fields in taxonomy
-    order."""
+                        window: TimeWindow) -> np.ndarray:
+    """X(t), each record inside the window contributing 1/(n_p * m_p): one
+    row per entity of the corpus, in corpus.entity_ids order, all zero for an
+    entity with no record in the window; fields in taxonomy order."""
     keep = window.mask(corpus.year)
-    entity, field_set = corpus.entity[keep], corpus.field_set[keep]
-    codes, first, inverse = np.unique(entity, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
+    field_set = corpus.field_set[keep]
     # every field set's taxonomy columns once, as one flat array (-1: unknown)
     flat = [fid for fields in corpus.field_sets for fid in fields]
     flat_cols = np.array([taxonomy.field_index.get(fid, -1) for fid in flat],
@@ -99,15 +86,13 @@ def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,
     if (cells < 0).any():
         raise ConfigError(
             f"record references unknown field {flat[pos[np.argmax(cells < 0)]]!r}")
-    shape = (len(codes), len(taxonomy))
-    cells += np.repeat(rank[inverse] * shape[1], m_p)  # row-major index in X
+    shape = (len(corpus.entity_ids), len(taxonomy))
+    cells += np.repeat(corpus.entity[keep] * shape[1], m_p)  # row-major index in X
     # bincount adds each cell's contributions in input order, record order;
     # with no record it returns int64, hence the cast
     mat = np.bincount(cells, minlength=shape[0] * shape[1],
                       weights=np.repeat(1.0 / (corpus.n_authors[keep] * m_p), m_p))
-    mat = mat.astype(np.float64, copy=False).reshape(shape)
-    entity_ids = [corpus.entity_ids[c] for c in codes[by_first].tolist()]
-    return EntityFieldMatrix(mat, entity_ids)
+    return mat.astype(np.float64, copy=False).reshape(shape)
 
 
 def presence_matrix(x: np.ndarray, theta: float) -> np.ndarray:

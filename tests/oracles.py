@@ -12,7 +12,8 @@ classifier ``classify_stage`` with its ``Stage`` enum and the letter array
 ``cosine``, and the sliding-window coefficient of variation ``cv_sliding``.
 ``evaluate_transition`` is the per-model composition of candidate and
 realized masks and AUROC that ``evaluate`` replaced with masks built once
-per run, kept with its own transition table as the reference.
+per run, kept with its own transition table and its own alignment of the
+two windows' RCA rows by entity id as the reference.
 ``compare_models_pooled`` is the unpaired permutation test that the paired
 sign-flip ``compare_models`` replaced, kept as its power reference, and
 ``sign_flip_p_exact`` enumerates every sign vector of a small paired sample.
@@ -237,8 +238,8 @@ def rca_bruteforce(x):
 
 def contribution_matrix_loop(rows, taxonomy, window):
     """X(t) built record by record from (entity_id, field_ids, n_authors,
-    year) rows, in the order the arrays of the columnar build must match:
-    entities by first record in the window, each cell adding its records'
+    year) rows, and the ids of its rows: the entities with a record in the
+    window, by first record there, each cell adding its records'
     contributions one at a time in record order."""
     entity_index, cells = {}, []
     for entity_id, field_ids, n_authors, year in rows:

@@ -56,8 +56,7 @@ def simulate(n_scientists=500, n_fields=12, cluster_size=4, portfolio_size=3,
 
 def fit_both_models(corpus, taxonomy, theta=0.05, emb_seed=0):
     """The frequentist and embedding proximity arrays of the fit window."""
-    x = contribution_matrix(corpus, taxonomy, FIT_WINDOW)
-    p = presence_matrix(x.values, theta)
+    p = presence_matrix(contribution_matrix(corpus, taxonomy, FIT_WINDOW), theta)
     phi_freq = freq_model.proximity_freq(freq_model.copresence(p), p)
     config = emb_model.EmbeddingConfig(dim=16, epochs=10, seed=emb_seed)
     embedding = emb_model.train_embeddings(p, config)
@@ -66,17 +65,16 @@ def fit_both_models(corpus, taxonomy, theta=0.05, emb_seed=0):
 
 
 def evaluate_zero_to_active(corpus, taxonomy, phi):
-    """0A AUROCs of a proximity array on the fit window's entities, and the
-    density, RCA and entity ids they were scored from."""
+    """0A AUROCs of a proximity array on the corpus's entities, every one of
+    which has records in the fit window, and the density, RCA and entity ids
+    they were scored from."""
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
-    x_before = contribution_matrix(corpus, taxonomy, FIT_WINDOW)
-    x_after = contribution_matrix(corpus, taxonomy, TEST_WINDOW)
-    r_before = spec_mod.rca(x_before.values)
-    r_after = spec_mod.rca(x_after.values)
+    r_before = spec_mod.rca(contribution_matrix(corpus, taxonomy, FIT_WINDOW))
+    r_after = spec_mod.rca(contribution_matrix(corpus, taxonomy, TEST_WINDOW))
     omega = spec_mod.density(spec_mod.indicator(r_before, kind), phi)
-    auc, _, _ = oracles.evaluate_transition(omega, r_before, x_before.entity_ids,
-                                            r_after, x_after.entity_ids, kind)
-    return auc, (omega, r_before, x_before.entity_ids)
+    ids = corpus.entity_ids
+    auc, _, _ = oracles.evaluate_transition(omega, r_before, ids, r_after, ids, kind)
+    return auc, (omega, r_before, ids)
 
 
 def shuffled_baseline(omega, r_before, entity_ids, field_ids, positives, seed=1):

@@ -43,6 +43,8 @@ PHI_CORRUPTIONS = {
     "reversed_window": (lambda lines: ["# window: 2012:2000" if l.startswith("# window")
                                        else l for l in lines],
                         lambda n: 3),
+    "header_only": (lambda lines: lines[:4], lambda n: 5),
+    "bad_field_header": (lambda lines: lines[:4] + ["bogus"] + lines[5:], lambda n: 5),
 }
 
 # Corruptions of the header line of a saved corpus.jsonl.
@@ -118,6 +120,14 @@ def write_pipeline_inputs(tmp_path, n_scientists=40, seed=5):
                 "institution": f"Inst{zlib.crc32(entity_id.encode()) % 3}",
             }) + "\n")
     return tax_path, vmap_path, rec_path, positives
+
+
+def extended_corpus(pipeline, path, extra_rows):
+    """Save the pipeline's corpus with extra_rows appended to path."""
+    base = load_corpus(pipeline["corpus"])
+    save_corpus(make_corpus(corpus_rows(base) + extra_rows, base.kind, base.match_stats),
+                path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +328,25 @@ class TestPredict:
         assert res.exit_code == 0
         assert "not found" in res.output
 
+    def test_entity_without_records_in_window_warns_why(self, pipeline, tmp_path):
+        # OLD1 is in the corpus, with its only record before the RCA window
+        corpus = extended_corpus(pipeline, tmp_path / "extended.jsonl",
+                                 [("OLD1", ("F001",), 1, 2000)])
+        out = tmp_path / "pred.tsv"
+        res = pipeline["runner"].invoke(main, [
+            "predict", "--phi", str(pipeline["phi_freq"]), "--corpus", str(corpus),
+            "--taxonomy", str(pipeline["taxonomy"]),
+            "--rca-window", "2002:2004", "--transition", "0A",
+            "--entity", "OLD1", "--entity", "NOBODY", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "warning: entity 'OLD1' has no record in window 2002:2004, skipped",
+            "warning: entity 'NOBODY' not found, skipped",
+        ]
+        assert out.read_text() == "entity_id\trank\tfield_id\tfield_name\tdensity\n"
+
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_below_one_exits_2(self, pipeline, tmp_path, top):
         out = tmp_path / "pred.tsv"
@@ -449,11 +478,8 @@ class TestEvaluate:
         assert not out.exists()
 
     def test_test_window_only_entities_counted(self, pipeline, tmp_path):
-        extended = tmp_path / "extended.jsonl"
-        base = load_corpus(pipeline["corpus"])
-        rows = corpus_rows(base) + [(eid, ("F001",), 1, 2006)
-                                    for eid in ("NEW1", "NEW2")]
-        save_corpus(make_corpus(rows, base.kind, base.match_stats), extended)
+        extended = extended_corpus(pipeline, tmp_path / "extended.jsonl",
+                                   [(eid, ("F001",), 1, 2006) for eid in ("NEW1", "NEW2")])
         summaries = []
         for corpus in (pipeline["corpus"], extended):
             out = tmp_path / corpus.stem
@@ -470,6 +496,31 @@ class TestEvaluate:
         assert with_new["test_window_only"] == 2
         # they are neither scored nor excluded
         assert with_new["frequentist"] == base["frequentist"]
+
+    def test_entities_before_rca_window_are_left_out(self, pipeline, tmp_path):
+        # OLD1's only record precedes the RCA window: it has no RCA to rank
+        # from and no test-window record, so every output stays as it was
+        extended = extended_corpus(pipeline, tmp_path / "extended.jsonl",
+                                   [("OLD1", ("F001",), 1, 2000)])
+        outputs = []
+        for corpus in (pipeline["corpus"], extended):
+            out = tmp_path / corpus.stem
+            for argv in (["evaluate", "--phi-a", str(pipeline["phi_freq"]),
+                          "--fit", "2000:2004", "--rca", "2002:2004",
+                          "--test", "2005:2007", "--out", str(out)],
+                         ["predict", "--phi", str(pipeline["phi_freq"]),
+                          "--rca-window", "2002:2004", "--out", str(out / "pred.tsv")]):
+                res = pipeline["runner"].invoke(main, [
+                    *argv, "--corpus", str(corpus),
+                    "--taxonomy", str(pipeline["taxonomy"]), "--transition", "0A"])
+                assert res.exit_code == 0, res.output
+            outputs.append([(out / name).read_text()
+                            for name in ("auroc.tsv", "summary.json", "pred.tsv")])
+        base, with_old = outputs
+        assert with_old == base
+        summary = json.loads(with_old[1])
+        assert (summary["test_window_only"], summary["frequentist"]["excluded"]) == (0, 0)
+        assert "OLD1" not in with_old[0] + with_old[2]
 
     def test_test_window_without_records_exits_2(self, pipeline, tmp_path):
         # the corpus up to the fit window's end: nothing falls in the test window

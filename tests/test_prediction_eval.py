@@ -25,24 +25,19 @@ from research_space.specialization import TransitionKind
 RCA_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
 
 
-def rca_matrix(vals, entity_ids=None):
-    """An RCA array and the ids of its rows, s0, s1, ... by default."""
-    vals = np.asarray(vals, dtype=float)
-    return vals, entity_ids or [f"s{i}" for i in range(vals.shape[0])]
-
-
 def evaluate_transition(omega, before, after, kind, full_u_zero=False):
-    """AUROC per entity of before's axis, composed as the evaluate command
-    does: candidate and realized masks, then auroc. before and after are
-    (RCA array, entity ids) pairs."""
-    r, ids = before
-    return auroc(omega, candidate_mask(r, kind, full_u_zero),
-                 realized_mask(r, ids, *after, kind))
+    """AUROC per entity, composed as the evaluate command does: candidate and
+    realized masks, then auroc. omega and the RCA arrays before and after
+    share their axes."""
+    return auroc(omega, candidate_mask(before, kind, full_u_zero),
+                 realized_mask(before, after, kind))
 
 
 def transitions(before, after, kind, omega_rows=None):
-    """evaluate_transition on before's axis; omega defaults to zeros."""
-    values = np.zeros_like(before[0]) if omega_rows is None else omega_rows
+    """evaluate_transition of two RCA arrays given as lists; omega defaults
+    to zeros."""
+    before, after = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
+    values = np.zeros_like(before) if omega_rows is None else omega_rows
     return evaluate_transition(np.asarray(values, dtype=float), before, after, kind)
 
 
@@ -52,15 +47,15 @@ class TestDetectTransitions:
     of 1 mean that F0, and only F0, transitioned."""
 
     def test_zero_to_active(self):
-        before = rca_matrix([[0.0, 1.0]])
-        after = rca_matrix([[0.4, 1.0]])
+        before = [[0.0, 1.0]]
+        after = [[0.4, 1.0]]
         # F0 is the only 0A candidate
         _, n_pos, n_neg = transitions(before, after, TransitionKind.ZERO_TO_ACTIVE)
         assert (n_pos.tolist(), n_neg.tolist()) == ([1], [0])
 
     def test_nascent_to_developed(self):
-        before = rca_matrix([[0.3, 0.3]])
-        after = rca_matrix([[1.5, 0.9]])
+        before = [[0.3, 0.3]]
+        after = [[1.5, 0.9]]
         auc, n_pos, n_neg = transitions(before, after,
                                         TransitionKind.NASCENT_TO_DEVELOPED,
                                         [[1.0, 0.0]])
@@ -69,8 +64,8 @@ class TestDetectTransitions:
         assert auc.tolist() == [1.0]
 
     def test_intermediate_to_developed(self):
-        before = rca_matrix([[0.6, 0.3]])
-        after = rca_matrix([[1.0, 2.0]])
+        before = [[0.6, 0.3]]
+        after = [[1.0, 2.0]]
         # F1 reaches Developed from Nascent, which is not an ID transition
         _, n_pos, n_neg = transitions(before, after,
                                       TransitionKind.INTERMEDIATE_TO_DEVELOPED)
@@ -404,10 +399,10 @@ class TestCvSliding:
 class TestEvaluateTransition:
     def test_perfect_fixture_gives_auroc_one(self):
         # densities are built so the transitioned field outranks the rest
-        before = rca_matrix([[0.0, 0.0, 0.0, 1.2],
-                             [0.0, 0.0, 0.0, 1.2]])
-        after = rca_matrix([[2.0, 0.0, 0.0, 1.2],
-                            [0.0, 2.0, 0.0, 1.2]])
+        before = np.array([[0.0, 0.0, 0.0, 1.2],
+                           [0.0, 0.0, 0.0, 1.2]])
+        after = np.array([[2.0, 0.0, 0.0, 1.2],
+                          [0.0, 2.0, 0.0, 1.2]])
         omega = np.array([[0.9, 0.1, 0.1, 0.0],
                           [0.1, 0.9, 0.1, 0.0]])
         auc, _, _ = evaluate_transition(
@@ -416,8 +411,8 @@ class TestEvaluateTransition:
         assert auc.tolist() == [1.0, 1.0]
 
     def test_entities_without_events_counted(self):
-        before = rca_matrix([[0.0, 1.2]])
-        after = rca_matrix([[0.0, 1.2]])
+        before = np.array([[0.0, 1.2]])
+        after = np.array([[0.0, 1.2]])
         omega = np.array([[0.5, 0.5]])
         auc, _, _ = evaluate_transition(
             omega, before, after, TransitionKind.ZERO_TO_ACTIVE
@@ -436,48 +431,60 @@ class TestEvaluateTransition:
 
     @staticmethod
     def _random_case(seed):
-        """RCA before and after on partly shared, shuffled entity axes, and
-        tie-heavy densities on before's axis."""
+        """The ids of a corpus's entities; RCA before and after as (array,
+        entity ids) pairs on partly shared, shuffled subsets of them; and
+        tie-heavy densities on the corpus's entity axis."""
         rng = np.random.default_rng(seed)
         n_fields = int(rng.integers(1, 9))
         ids = [f"s{i}" for i in range(int(rng.integers(1, 12)))]
-        before_ids = [e for e in ids if rng.random() < 0.8]
+        before_ids = [str(e) for e in rng.permutation(ids) if rng.random() < 0.8]
         after_ids = [str(e) for e in rng.permutation(ids) if rng.random() < 0.8]
-        before = rca_matrix(rng.choice(RCA_GRID, (len(before_ids), n_fields)),
-                            entity_ids=before_ids)
-        after = rca_matrix(rng.choice(RCA_GRID, (len(after_ids), n_fields)),
-                           entity_ids=after_ids)
-        omega = rng.integers(0, 5, (len(before_ids), n_fields)) / 4.0
-        return before, after, omega
+        before = rng.choice(RCA_GRID, (len(before_ids), n_fields)), before_ids
+        after = rng.choice(RCA_GRID, (len(after_ids), n_fields)), after_ids
+        omega = rng.integers(0, 5, (len(ids), n_fields)) / 4.0
+        return ids, before, after, omega
+
+    @staticmethod
+    def _on_axis(ids, r, r_ids):
+        """r's rows moved to the axis of ids, all zero for an id not in r_ids."""
+        out = np.zeros((len(ids), r.shape[1]))
+        out[[ids.index(e) for e in r_ids]] = r
+        return out
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_masks_match_reference_composition(self, seed, kind, full_u_zero):
-        # masks built once per run score each entity as the per-model
-        # composition did
-        before, after, omega = self._random_case(seed)
-        expected = oracles.evaluate_transition(omega, *before, *after, kind,
+        # masks built once per run on the corpus's entity axis score each
+        # entity of the RCA window as the per-model composition, which aligns
+        # the two windows by entity id, did
+        ids, before, after, omega = self._random_case(seed)
+        rows = [ids.index(e) for e in before[1]]
+        expected = oracles.evaluate_transition(omega[rows], *before, *after, kind,
                                                full_u_zero)
-        got = evaluate_transition(omega, before, after, kind, full_u_zero)
+        got = evaluate_transition(omega, self._on_axis(ids, *before),
+                                  self._on_axis(ids, *after), kind, full_u_zero)
         for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
+            np.testing.assert_array_equal(g[rows], e)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from(list(TransitionKind)),
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_pairwise_oracle_per_entity(self, seed, kind, full_u_zero):
-        before, after, omega = self._random_case(seed)
-        (before_rca, before_ids), (after_rca, after_ids) = before, after
-        n_fields = before_rca.shape[1]
-        auc, n_pos, n_neg = evaluate_transition(omega, before, after, kind,
-                                                full_u_zero=full_u_zero)
-        kept = np.flatnonzero(~np.isnan(auc))
+        ids, before, after, omega = self._random_case(seed)
+        n_fields = omega.shape[1]
+        auc, n_pos, n_neg = evaluate_transition(
+            omega, self._on_axis(ids, *before), self._on_axis(ids, *after), kind,
+            full_u_zero=full_u_zero)
+        before_rows, after_rows = (dict(zip(r_ids, r)) for r, r_ids in (before, after))
+        # as in the evaluate command, only entities of the RCA window count
+        kept = [i for i in np.flatnonzero(~np.isnan(auc)) if ids[i] in before_rows]
 
-        after_rows = dict(zip(after_ids, after_rca))
         scored = []
-        for i, eid in enumerate(before_ids):
-            b = before_rca[i]
+        for i, eid in enumerate(ids):
+            if eid not in before_rows:
+                continue
+            b = before_rows[eid]
             a = after_rows.get(eid, np.zeros(n_fields))
             cand = [j for j in range(n_fields)
                     if self._is_candidate(b[j], kind, full_u_zero)]
@@ -490,8 +497,8 @@ class TestEvaluateTransition:
             if pos and neg:
                 scored.append((eid, len(pos), len(neg), oracles.auroc_pairwise(
                     omega[i, pos], omega[i, neg])))
-        assert len(auc) == len(before_ids)
-        assert [(before_ids[i], n_pos[i], n_neg[i]) for i in kept] == \
+        assert len(auc) == len(ids)
+        assert [(ids[i], n_pos[i], n_neg[i]) for i in kept] == \
             [s[:3] for s in scored]
         for i, (*_, expected) in zip(kept, scored):
             assert auc[i] == pytest.approx(expected, abs=1e-12)

@@ -17,7 +17,7 @@ WINDOW = TimeWindow(2010, 2010)
 
 def x_from_rows(rows, taxonomy):
     """The X array of the rows, entities in order of their first record."""
-    return contribution_matrix(make_corpus(rows), taxonomy, WINDOW).values
+    return contribution_matrix(make_corpus(rows), taxonomy, WINDOW)
 
 
 class TestRca:
