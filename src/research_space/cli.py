@@ -336,7 +336,7 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
 def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
              out_dir):
     """Extract a field-network backbone and its communities."""
-    from . import network_analysis as net  # networkx is loaded only here
+    from . import network_analysis as net  # imported only when backbone runs
 
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
     phi = artifacts.load_proximity(phi_path)
@@ -348,30 +348,28 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
         )
     if level == "intermediate":
         phi = net.aggregate_to_intermediate(phi, taxonomy)
-    g = net.proximity_graph(phi, taxonomy, level)
+    ids, w = phi.field_ids, net.proximity_graph(phi)
     if mode == "disparity":
-        kept = net.disparity_filter(g, alpha)
+        kept = net.disparity_filter(w, alpha)
     else:
-        kept = net.mst_plus_threshold(g, p_threshold)
-    partition = net.greedy_communities(kept)
-    net.classify_edges(kept, partition)
+        kept = net.mst_plus_threshold(w, p_threshold)
+    labels, modularity = net.greedy_communities(kept, ids)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    styles = net.node_styles(taxonomy, ids, level)
     if fmt in ("edgelist", "tsv"):
-        name, text = "backbone.tsv", net.export_edgelist(kept)
+        name, text = "backbone.tsv", net.export_edgelist(kept, labels, ids)
     elif fmt == "xmlgraph":
-        name, text = "backbone.graphml", net.export_graphml(kept)
+        name, text = "backbone.graphml", net.export_graphml(kept, labels, ids, styles)
     else:
-        name, text = "backbone.dot", net.export_dot(kept)
+        name, text = "backbone.dot", net.export_dot(kept, labels, ids, styles)
     artifacts._write_atomic(out / name, text)
-    part_lines = ["node\tcommunity"]
-    for node in sorted(kept.nodes()):
-        part_lines.append(f"{node}\t{partition.communities[node]}")
-    artifacts._write_atomic(out / "communities.tsv", "\n".join(part_lines) + "\n")
+    rows = "".join(f"{u}\t{c}\n" for u, c in sorted(zip(ids, labels.tolist())))
+    artifacts._write_atomic(out / "communities.tsv", "node\tcommunity\n" + rows)
     click.echo(
-        f"backbone: {kept.number_of_nodes()} nodes, {kept.number_of_edges()} edges, "
-        f"modularity {partition.modularity:.4f}"
+        f"backbone: {len(ids)} nodes, {np.count_nonzero(kept) // 2} edges, "
+        f"modularity {modularity:.4f}"
     )
 
 

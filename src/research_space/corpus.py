@@ -44,8 +44,8 @@ class Intermediate:
 
 
 def _tsv_rows(path, what, columns):
-    """The cells under ``columns`` of each row of the tab-separated ``what``
-    file, whose header must name them all."""
+    """(line, cells) of each row of the tab-separated ``what`` file: its line
+    number and its cells under ``columns``, which the header must name."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
         if not set(columns).issubset(reader.fieldnames or ()):
@@ -56,7 +56,7 @@ def _tsv_rows(path, what, columns):
             if None in cells:
                 raise ParseError("row has fewer cells than the header", path=path,
                                  line=reader.line_num)
-            yield cells
+            yield reader.line_num, cells
 
 
 class FieldTaxonomy:
@@ -99,11 +99,17 @@ class FieldTaxonomy:
     @utf8_input
     def from_file(cls, path):
         """Load from delimited text with columns field_id, field_name,
-        intermediate_id, intermediate_acronym, macro_id, macro_name."""
+        intermediate_id, intermediate_acronym, macro_id, macro_name. The first
+        four go into GraphML, so XML 1.0's forbidden characters are rejected."""
         fields, intermediates, macros = [], {}, {}
-        for fid, name, iid, acronym, mid, macro in _tsv_rows(path, "taxonomy", (
+        for line, (fid, name, iid, acronym, mid, macro) in _tsv_rows(path, "taxonomy", (
                 "field_id", "field_name", "intermediate_id", "intermediate_acronym",
                 "macro_id", "macro_name")):
+            bad = re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]",
+                            "".join((fid, name, iid, acronym)))
+            if bad:
+                raise ParseError(f"taxonomy text holds {bad[0]!r}, which XML 1.0 "
+                                 "forbids", path=path, line=line)
             fields.append(TaxonomyField(fid, name, iid, mid))
             intermediates[iid] = Intermediate(iid, acronym, mid)
             macros[mid] = macro
@@ -148,7 +154,7 @@ class VenueFieldMap:
         """Load from delimited text, columns venue_name, field_id (one row
         per venue-field pair)."""
         entries: dict[str, set[str]] = {}
-        for venue, fid in _tsv_rows(path, "venue map", ("venue_name", "field_id")):
+        for _, (venue, fid) in _tsv_rows(path, "venue map", ("venue_name", "field_id")):
             entries.setdefault(normalize_venue(venue), set()).add(fid)
         return cls({k: frozenset(v) for k, v in entries.items()})
 

@@ -1,13 +1,12 @@
 """Field networks from proximity matrices: visualization graphs (MST plus
 threshold), disparity-filter backbones, intermediate-level aggregation, and
-greedy modularity communities."""
+greedy modularity communities. A graph is one symmetric weight array on phi's
+field axis, 0 where two fields share no edge; networkx only writes GraphML."""
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .corpus import FieldTaxonomy
@@ -21,34 +20,23 @@ MACRO_PALETTE = [
 ]
 
 
-@dataclass
-class Partition:
-    communities: dict  # node -> community id
-    modularity: float
+def node_styles(taxonomy: FieldTaxonomy, ids: list[str],
+                level: str) -> list[tuple[str, str]]:
+    """(label, color) of each node: its field name or intermediate acronym,
+    and its macro area's color."""
+    colors = {m: MACRO_PALETTE[i % len(MACRO_PALETTE)]
+              for i, m in enumerate(sorted(taxonomy.macros))}
+    if level == "field":
+        return [(f.name, colors[f.macro_id]) for f in map(taxonomy.field, ids)]
+    return [(im.acronym, colors[im.macro_id])
+            for im in map(taxonomy.intermediates.__getitem__, ids)]
 
 
-def macro_colors(taxonomy: FieldTaxonomy) -> dict[str, str]:
-    ids = sorted(taxonomy.macros)
-    return {m: MACRO_PALETTE[i % len(MACRO_PALETTE)] for i, m in enumerate(ids)}
-
-
-def proximity_graph(phi: ProximityMatrix, taxonomy: FieldTaxonomy,
-                    level: str) -> nx.Graph:
-    """Undirected graph from a symmetric proximity matrix; positive weights,
-    no self-loops. Each node carries its taxonomy label and macro color."""
-    g = nx.Graph()
-    colors = macro_colors(taxonomy)
-    for fid in phi.field_ids:
-        if level == "field":
-            f = taxonomy.field(fid)
-            g.add_node(fid, label=f.name, color=colors[f.macro_id])
-        else:
-            im = taxonomy.intermediates[fid]
-            g.add_node(fid, label=im.acronym, color=colors[im.macro_id])
-    ids = phi.field_ids
-    for i, j in zip(*np.nonzero(np.triu(phi.values, 1) > 0)):
-        g.add_edge(ids[i], ids[j], weight=float(phi.values[i, j]))
-    return g
+def proximity_graph(phi: ProximityMatrix) -> np.ndarray:
+    """The weight array of a symmetric proximity matrix: its positive
+    off-diagonal entries."""
+    upper = np.triu(np.where(phi.values > 0, phi.values, 0.0), 1)
+    return upper + upper.T
 
 
 def aggregate_to_intermediate(phi: ProximityMatrix,
@@ -71,83 +59,117 @@ def aggregate_to_intermediate(phi: ProximityMatrix,
     )
 
 
-def mst_plus_threshold(g: nx.Graph, p: float) -> nx.Graph:
-    """Maximum spanning forest plus all edges with weight > p."""
+def _strength(w):
+    """Each node's summed edge weight, added left to right in Python as
+    networkx's ``G.degree(weight=...)`` adds it."""
+    return np.array([sum(row) for row in w.tolist()])
+
+
+def mst_plus_threshold(w: np.ndarray, p: float) -> np.ndarray:
+    """Maximum spanning forest plus all edges with weight > p. Kruskal takes
+    the edges by descending weight, equal weights in row-major order, as
+    ``nx.maximum_spanning_edges`` does."""
     if np.isnan(p):
         raise ConfigError("threshold p must not be NaN")
-    kept = nx.Graph()
-    kept.add_nodes_from(g.nodes(data=True))
-    for u, v, data in nx.maximum_spanning_edges(g, data=True):
-        kept.add_edge(u, v, **data)
-    for u, v, data in g.edges(data=True):
-        if data["weight"] > p:
-            kept.add_edge(u, v, **data)
-    return kept
+    keep, tree = w > p, list(range(len(w)))
+    i, j = np.nonzero(np.triu(w, 1))
+    by_weight = np.argsort(-w[i, j], kind="stable")
+    for u, v in zip(i[by_weight].tolist(), j[by_weight].tolist()):
+        a, b = tree[u], tree[v]
+        if a != b:  # the edge joins two trees of the forest
+            keep[u, v] = keep[v, u] = True
+            tree = [a if t == b else t for t in tree]
+    return np.where(keep, w, 0.0)
 
 
-def disparity_pvalue(weight: float, strength: float, degree: int) -> float:
-    """Significance of an edge seen from one endpoint:
-    (1 - w/s)^(k-1); degree-1 endpoints contribute 1."""
-    if degree <= 1:
-        return 1.0
-    return (1.0 - weight / strength) ** (degree - 1)
+def disparity_pvalue(weight, strength, degree):
+    """Significance of an edge seen from one endpoint, elementwise:
+    (1 - w/s)^(k-1); degree-1 endpoints contribute 1. ``np.float_power``
+    rounds as Python's ``**`` does, where ``np.power`` may not."""
+    return np.where(degree > 1,
+                    np.float_power(1.0 - weight / strength, degree - 1), 1.0)
 
 
-def disparity_filter(g: nx.Graph, alpha: float) -> nx.Graph:
+def disparity_filter(w: np.ndarray, alpha: float) -> np.ndarray:
     """Keep edges significant at level alpha from at least one endpoint."""
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    strength = dict(g.degree(weight="weight"))
-    degree = dict(g.degree())
-    kept = nx.Graph()
-    kept.add_nodes_from(g.nodes(data=True))
-    for u, v, data in g.edges(data=True):
-        w = data["weight"]
-        p_u = disparity_pvalue(w, strength[u], degree[u])
-        p_v = disparity_pvalue(w, strength[v], degree[v])
-        if p_u < alpha or p_v < alpha:
-            kept.add_edge(u, v, **data)
-    return kept
+    strength, degree = _strength(w)[:, None], np.count_nonzero(w, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # nodes without edges
+        significant = disparity_pvalue(w, strength, degree) < alpha  # seen from row i
+    return np.where((w > 0) & (significant | significant.T), w, 0.0)
 
 
-def greedy_communities(g: nx.Graph) -> Partition:
-    """Clauset-Newman-Moore greedy modularity maximization (networkx
-    ``greedy_modularity_communities``). A community's id is the position of
-    its smallest node in sorted node order; exact ties between candidate
-    merges break in networkx's order."""
-    if g.number_of_nodes() == 0:
+def greedy_communities(w: np.ndarray, ids: list[str]) -> tuple[np.ndarray, float]:
+    """Clauset-Newman-Moore greedy modularity maximization as networkx's
+    ``greedy_modularity_communities`` runs it, on the dense array dq of the
+    modularity gains of merging two adjacent communities, nodes in sorted id
+    order. Each step merges the first maximum of dq in row-major order, u into
+    v, which is how networkx's heaps break ties, until no gain is >= 0. A
+    community's id is the position of its smallest node id in sorted order;
+    returns each node's community id and the partition's modularity."""
+    n = len(w)
+    if n == 0:
         raise ConfigError("cannot detect communities on an empty graph")
-    index = {u: i for i, u in enumerate(sorted(g.nodes()))}
-    if g.size(weight="weight") == 0:
-        return Partition(communities=index, modularity=0.0)
-    blocks = nx.community.greedy_modularity_communities(g, weight="weight")
-    communities = {}
-    for block in blocks:
-        communities.update(dict.fromkeys(block, min(index[u] for u in block)))
-    return Partition(communities=communities, modularity=nx.community.modularity(
-        g, blocks, weight="weight"))
-
-
-def classify_edges(g: nx.Graph, partition: Partition) -> None:
-    """Set each edge's ``group`` to intra or inter, by whether its endpoints
-    share a community."""
-    c = partition.communities
-    for u, v, d in g.edges(data=True):
-        d["group"] = "intra" if c[u] == c[v] else "inter"
+    order = np.array(sorted(range(n), key=ids.__getitem__))
+    strength = _strength(w)
+    if not strength.any():
+        return np.argsort(order), 0.0  # each node its own community
+    m = sum(strength.tolist()) / 2
+    q0 = 1 / m
+    a = (strength * q0 * 0.5)[order]  # each community's share of 2m
+    ws = w[np.ix_(order, order)]
+    dq = np.where(ws > 0, q0 * ws - 2 * np.outer(a, a), -np.inf)
+    community = np.arange(n)
+    while True:
+        u, v = divmod(int(np.argmax(dq)), n)
+        if dq[u, v] < 0:  # also when no two communities are adjacent
+            break
+        dq[u, v] = dq[v, u] = -np.inf
+        du, dv = dq[u], dq[v]
+        # networkx's updates for a neighbor of both, of u only and of v only
+        row = np.where(du > -np.inf, np.where(dv > -np.inf, dv + du, du - 2 * (a[v] * a)),
+                       dv - 2 * (a[u] * a))
+        dq[v], dq[:, v] = row, row
+        dq[u], dq[:, u] = -np.inf, -np.inf
+        a[v] += a[u]
+        community[community == u] = v
+    first, members = np.unique(community, return_index=True, return_inverse=True)[1:]
+    labels = first[members][np.argsort(order)]
+    same = labels[:, None] == labels[None, :]
+    shares = np.bincount(labels, weights=strength) / (2 * m)
+    return labels, float(w[same].sum() / (2 * m) - (shares ** 2).sum())
 
 
 # --- exports --------------------------------------------------------------
 
-def export_edgelist(g: nx.Graph) -> str:
-    lines = [f"{u}\t{v}\t{d['weight']:.10g}\t{d['group']}"
-             for u, v, d in sorted(g.edges(data=True))]
+def _groups(kept, labels, ids):
+    """(u, v, weight, group) of each kept edge i < j in row-major order; the
+    group is intra or inter, by whether its endpoints share a community."""
+    i, j = np.nonzero(np.triu(kept, 1))
+    intra = (labels[i] == labels[j]).tolist()
+    return [(ids[a], ids[b], wt, "intra" if same else "inter") for a, b, wt, same
+            in zip(i.tolist(), j.tolist(), kept[i, j].tolist(), intra)]
+
+
+def export_edgelist(kept: np.ndarray, labels: np.ndarray, ids: list[str]) -> str:
+    lines = [f"{u}\t{v}\t{w:.10g}\t{group}"
+             for u, v, w, group in sorted(_groups(kept, labels, ids))]
     return "\n".join(lines) + "\n"
 
 
-def export_graphml(g: nx.Graph) -> str:
+def export_graphml(kept: np.ndarray, labels: np.ndarray, ids: list[str],
+                   styles: list[tuple[str, str]]) -> str:
     """The GraphML document as ``nx.write_graphml`` writes it, with its XML
     declaration and UTF-8 text (``nx.generate_graphml`` drops the former and
-    escapes non-ASCII labels)."""
+    escapes non-ASCII labels). Edges are written in row-major order."""
+    import networkx as nx  # the only use of networkx in the package
+
+    g = nx.Graph()
+    g.add_nodes_from((u, {"label": label, "color": color})
+                     for u, (label, color) in zip(ids, styles))
+    g.add_edges_from((u, v, {"weight": w, "group": group})
+                     for u, v, w, group in _groups(kept, labels, ids))
     buf = io.BytesIO()
     nx.write_graphml(g, buf)
     return buf.getvalue().decode("utf-8")
@@ -157,16 +179,17 @@ def _dot_quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: nx.Graph) -> str:
+def export_dot(kept: np.ndarray, labels: np.ndarray, ids: list[str],
+               styles: list[tuple[str, str]]) -> str:
     """Dot-language rendering input with macro-area colors and inter-edge
     highlighting."""
     lines = ["graph research_space {"]
-    for u, d in sorted(g.nodes(data=True)):
-        lines.append(f'  {_dot_quoted(u)} [label={_dot_quoted(d["label"])}, '
-                     f'style=filled, fillcolor="{d["color"]}"];')
-    for u, v, d in sorted(g.edges(data=True)):
-        color = "red" if d["group"] == "inter" else "black"
+    for u, (label, color) in sorted(zip(ids, styles)):
+        lines.append(f'  {_dot_quoted(u)} [label={_dot_quoted(label)}, '
+                     f'style=filled, fillcolor="{color}"];')
+    for u, v, w, group in sorted(_groups(kept, labels, ids)):
+        color = "red" if group == "inter" else "black"
         lines.append(f'  {_dot_quoted(u)} -- {_dot_quoted(v)} '
-                     f'[weight={d["weight"]:.6g}, color={color}];')
+                     f'[weight={w:.6g}, color={color}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,10 @@ two windows' RCA rows by entity id as the reference.
 ``compare_models_pooled`` is the unpaired permutation test that the paired
 sign-flip ``compare_models`` replaced, kept as its power reference, and
 ``sign_flip_p_exact`` enumerates every sign vector of a small paired sample.
+``disparity_filter_nx``, ``mst_plus_threshold_nx`` and
+``greedy_communities_nx`` are the networkx-graph backbone layers that the
+package replaced with layers on one weight array, kept as references on the
+graph ``nx_graph`` builds from that array.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+import networkx as nx
 import numpy as np
 
 from research_space.corpus import (
@@ -115,37 +120,84 @@ def all_partitions(items):
         yield smaller + [[first]]
 
 
-def modularity_pairwise(g, communities):
+def modularity_pairwise(w, labels):
     """Q = (1/2m) sum_ij [A_ij - k_i k_j / 2m] delta(c_i, c_j) over all node
-    pairs, with the weighted adjacency A filled in from the edge list."""
-    nodes = list(g.nodes())
-    index = {u: i for i, u in enumerate(nodes)}
-    a = np.zeros((len(nodes), len(nodes)))
-    for u, v, d in g.edges(data=True):
-        a[index[u], index[v]] += d["weight"]
-        a[index[v], index[u]] += d["weight"]
-    k = a.sum(axis=1)
+    pairs of the weight array A, one community label per node."""
+    k = w.sum(axis=1)
     two_m = k.sum()
     if two_m == 0:
         return 0.0
     q = 0.0
-    for i, u in enumerate(nodes):
-        for j, v in enumerate(nodes):
-            if communities[u] == communities[v]:
-                q += a[i, j] - k[i] * k[j] / two_m
+    for i in range(len(w)):
+        for j in range(len(w)):
+            if labels[i] == labels[j]:
+                q += w[i, j] - k[i] * k[j] / two_m
     return q / two_m
 
 
-def max_modularity_exhaustive(g, modularity_fn):
+def max_modularity_exhaustive(w, modularity_fn):
     """Best modularity over all partitions; feasible for <= 8 nodes."""
     best = -np.inf
-    for parts in all_partitions(list(g.nodes())):
-        communities = {}
+    for parts in all_partitions(range(len(w))):
+        labels = np.empty(len(w), dtype=int)
         for cid, block in enumerate(parts):
-            for node in block:
-                communities[node] = cid
-        best = max(best, modularity_fn(g, communities))
+            labels[block] = cid
+        best = max(best, modularity_fn(w, labels))
     return best
+
+
+def nx_graph(w, ids):
+    """The graph of a weight array: nodes in axis order, edges i < j added in
+    row-major order, so each node's neighbors, and the sum of their weights
+    that networkx takes as its strength, come in axis order."""
+    g = nx.Graph()
+    g.add_nodes_from(ids)
+    for i, j in zip(*np.nonzero(np.triu(w, 1))):
+        g.add_edge(ids[i], ids[j], weight=float(w[i, j]))
+    return g
+
+
+def mst_plus_threshold_nx(g, p):
+    """Maximum spanning forest plus all edges with weight > p."""
+    kept = nx.Graph()
+    kept.add_nodes_from(g.nodes(data=True))
+    for u, v, data in nx.maximum_spanning_edges(g, data=True):
+        kept.add_edge(u, v, **data)
+    for u, v, data in g.edges(data=True):
+        if data["weight"] > p:
+            kept.add_edge(u, v, **data)
+    return kept
+
+
+def disparity_filter_nx(g, alpha):
+    """Keep edges significant at level alpha from at least one endpoint,
+    (1 - w/s)^(k-1) < alpha, degree-1 endpoints contributing 1."""
+    strength = dict(g.degree(weight="weight"))
+    degree = dict(g.degree())
+
+    def pvalue(weight, u):
+        return (1.0 - weight / strength[u]) ** (degree[u] - 1) if degree[u] > 1 else 1.0
+
+    kept = nx.Graph()
+    kept.add_nodes_from(g.nodes(data=True))
+    for u, v, data in g.edges(data=True):
+        if pvalue(data["weight"], u) < alpha or pvalue(data["weight"], v) < alpha:
+            kept.add_edge(u, v, **data)
+    return kept
+
+
+def greedy_communities_nx(g):
+    """(node -> community id, modularity) from networkx's
+    ``greedy_modularity_communities``; a community's id is the position of its
+    smallest node in sorted node order."""
+    index = {u: i for i, u in enumerate(sorted(g.nodes()))}
+    if g.size(weight="weight") == 0:
+        return index, 0.0
+    blocks = nx.community.greedy_modularity_communities(g, weight="weight")
+    communities = {}
+    for block in blocks:
+        communities.update(dict.fromkeys(block, min(index[u] for u in block)))
+    return communities, nx.community.modularity(g, blocks, weight="weight")
 
 
 def finite_difference_grad(f, x, h=1e-6):

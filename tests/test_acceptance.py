@@ -28,7 +28,7 @@ from research_space.prediction_eval import auroc
 from research_space.presence import TimeWindow, contribution_matrix
 from research_space.specialization import rca
 from test_freq_model import presence_from_array
-from test_network_analysis import two_cliques
+from test_network_analysis import graph, n_edges, nx_weights, two_cliques
 
 
 @contextmanager
@@ -184,45 +184,42 @@ def test_acceptance_6_disparity_filter():
     with criterion(6, "disparity filter closed forms + monotonicity"):
         assert abs(disparity_pvalue(1.0, 2.0, 2) - 0.5) <= 1e-12
         assert abs(disparity_pvalue(0.97, 1.0, 10) - 0.03 ** 9) <= 1e-12 * 0.03 ** 9 + 1e-25
-        g = nx.Graph()
-        g.add_edge("m", "a", weight=1.0)
-        g.add_edge("m", "b", weight=1.0)
-        assert disparity_filter(g, 0.51).number_of_edges() == 2
-        assert disparity_filter(g, 0.5).number_of_edges() == 0  # strict p < alpha
+        w, _ = graph([("m", "a", 1.0), ("m", "b", 1.0)])
+        assert n_edges(disparity_filter(w, 0.51)) == 2
+        assert n_edges(disparity_filter(w, 0.5)) == 0  # strict p < alpha
 
         rng = np.random.default_rng(606)
-        big = nx.Graph()
+        big = np.zeros((15, 15))
         for i in range(15):
             for j in range(i + 1, 15):
                 if rng.random() < 0.4:
-                    big.add_edge(i, j, weight=float(rng.random()) + 0.01)
+                    big[i, j] = big[j, i] = float(rng.random()) + 0.01
         prev = set()
         for alpha in np.linspace(0.02, 0.98, 25):
-            edges = {tuple(sorted(e)) for e in disparity_filter(big, alpha).edges()}
+            kept = disparity_filter(big, alpha)
+            edges = set(zip(*np.nonzero(np.triu(kept, 1))))
             assert prev <= edges
             prev = edges
 
 
 def test_acceptance_7_community_detection():
     with criterion(7, "greedy community detection"):
-        part = greedy_communities(two_cliques(4))
-        comms = {frozenset(n for n, c in part.communities.items() if c == cid)
-                 for cid in set(part.communities.values())}
+        labels, _ = greedy_communities(*two_cliques(4))
+        comms = {frozenset(np.flatnonzero(labels == cid).tolist())
+                 for cid in set(labels.tolist())}
         assert comms == {frozenset(range(4)), frozenset(range(4, 8))}
 
         fixtures = [
             two_cliques(3),
             two_cliques(4),
-            nx.path_graph(6),
-            nx.cycle_graph(8),
-            nx.star_graph(6),
-            nx.complete_graph(5),
+            nx_weights(nx.path_graph(6)),
+            nx_weights(nx.cycle_graph(8)),
+            nx_weights(nx.star_graph(6)),
+            nx_weights(nx.complete_graph(5)),
         ]
-        for g in fixtures:
-            for u, v in g.edges():
-                g[u][v].setdefault("weight", 1.0)
-            got = greedy_communities(g).modularity
-            best = oracles.max_modularity_exhaustive(g, oracles.modularity_pairwise)
+        for w, ids in fixtures:
+            _, got = greedy_communities(w, ids)
+            best = oracles.max_modularity_exhaustive(w, oracles.modularity_pairwise)
             assert got >= best - 0.05, f"Q {got} too far below optimum {best}"
 
 
@@ -320,6 +317,5 @@ def test_acceptance_10_backbone_edge_counts():
             phi = ProximityMatrix(emb_model.proximity_emb(emb.vectors),
                                   list(taxonomy.field_ids), "embedding", window)
             agg = net.aggregate_to_intermediate(phi, taxonomy)
-            g = net.proximity_graph(agg, taxonomy, level="intermediate")
-            kept = net.disparity_filter(g, 0.20)
-            assert abs(kept.number_of_edges() - n_edges) <= 5
+            kept = net.disparity_filter(net.proximity_graph(agg), 0.20)
+            assert abs(np.count_nonzero(np.triu(kept, 1)) - n_edges) <= 5

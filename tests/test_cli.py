@@ -876,6 +876,26 @@ def test_truncated_table_row_exits_1(pipeline, tmp_path, table):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+@pytest.mark.parametrize("char", ["\x01", "\x1f", "\ufffe", "\uffff"])
+def test_taxonomy_text_xml_forbids_exits_1(pipeline, tmp_path, column, char):
+    # a field name holding \x01 once passed every command, and the GraphML
+    # that backbone wrote could not be read back
+    lines = pipeline["taxonomy"].read_text().splitlines()
+    cells = lines[2].split("\t")
+    cells[column] += char
+    lines[2] = "\t".join(cells)
+    bad = tmp_path / "taxonomy.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    res = pipeline["runner"].invoke(main, [
+        "backbone", "--phi", str(pipeline["phi_emb"]), "--taxonomy", str(bad),
+        "--format", "xmlgraph", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert (f"error: taxonomy text holds {char!r}, which XML 1.0 forbids ({bad}:3)"
+            in res.output)
+    assert not (tmp_path / "out").exists()
+
+
 def test_verbose_logs_epoch_losses_to_stderr_only(pipeline, tmp_path):
     out = tmp_path / "out"
     args = ["fit", "--corpus", str(pipeline["corpus"]),
@@ -985,6 +1005,28 @@ def test_no_command_loads_scipy(pipeline, tmp_path):
     np.testing.assert_array_equal(
         load_proximity(tmp_path / "fit-freq" / "phi.tsv").values,
         load_proximity(pipeline["phi_freq"]).values)
+
+
+# Runs one CLI command in-process and reports on stderr whether networkx was
+# loaded by the time it exited.
+NETWORKX_PROBE = """import sys
+from research_space.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print("networkx loaded:", "networkx" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_graphml_backbones_load_networkx(pipeline, tmp_path):
+    for fmt, loaded in (("tsv", False), ("dot", False), ("xmlgraph", True)):
+        res = subprocess.run([sys.executable, "-c", NETWORKX_PROBE, "backbone",
+                              "--phi", str(pipeline["phi_emb"]),
+                              "--taxonomy", str(pipeline["taxonomy"]),
+                              "--format", fmt, "--out", str(tmp_path / fmt)],
+                             env=_src_env(), capture_output=True, text=True)
+        assert res.returncode == 0, (fmt, res.stderr)
+        assert res.stderr.splitlines()[-1] == f"networkx loaded: {loaded}", fmt
 
 
 def test_fixture_records_do_not_depend_on_hash_seed(tmp_path):

@@ -11,15 +11,14 @@ from research_space.errors import ConfigError
 from research_space.freq_model import ProximityMatrix
 from research_space.network_analysis import (
     aggregate_to_intermediate,
-    classify_edges,
     disparity_filter,
     disparity_pvalue,
     export_dot,
     export_edgelist,
     export_graphml,
-    Partition,
     greedy_communities,
     mst_plus_threshold,
+    node_styles,
     proximity_graph,
 )
 from research_space.presence import TimeWindow
@@ -66,188 +65,275 @@ class TestAggregation:
         np.testing.assert_allclose(agg.values, agg.values.T)
 
 
+def graph(edges, ids=None):
+    """(weight array, ids) of the undirected ``edges`` (u, v, weight). The
+    axis holds ``ids``, or else the nodes in order of first appearance."""
+    ids = list(ids or dict.fromkeys(u for e in edges for u in e[:2]))
+    index = {u: i for i, u in enumerate(ids)}
+    w = np.zeros((len(ids), len(ids)))
+    for u, v, weight in edges:
+        w[index[u], index[v]] = w[index[v], index[u]] = weight
+    return w, ids
+
+
+def edge_set(w, ids):
+    """The edges of a weight array as frozensets of node ids."""
+    return {frozenset((ids[i], ids[j])) for i, j in zip(*np.nonzero(np.triu(w, 1)))}
+
+
+def n_edges(w):
+    return np.count_nonzero(np.triu(w, 1))
+
+
 def triangle(w12=3.0, w13=2.0, w23=1.0):
-    g = nx.Graph()
-    g.add_edge("a", "b", weight=w12)
-    g.add_edge("a", "c", weight=w13)
-    g.add_edge("b", "c", weight=w23)
-    return g
+    return graph([("a", "b", w12), ("a", "c", w13), ("b", "c", w23)])
 
 
 class TestMstPlusThreshold:
     def test_mst_only(self):
-        kept = mst_plus_threshold(triangle(), p=float("inf"))
-        weights = sorted(d["weight"] for _, _, d in kept.edges(data=True))
-        assert weights == [2.0, 3.0]
+        kept = mst_plus_threshold(triangle()[0], p=float("inf"))
+        assert sorted(kept[np.nonzero(np.triu(kept, 1))]) == [2.0, 3.0]
 
     def test_threshold_vacuous(self):
-        kept = mst_plus_threshold(triangle(), p=0.0)
-        assert kept.number_of_edges() == 3
+        kept = mst_plus_threshold(triangle()[0], p=0.0)
+        assert n_edges(kept) == 3
 
     def test_spans_every_component(self):
-        g = triangle()
-        g.add_edge("x", "y", weight=0.1)
-        kept = mst_plus_threshold(g, p=float("inf"))
-        assert nx.number_connected_components(kept) == nx.number_connected_components(g)
-        assert kept.has_edge("x", "y")
+        w, ids = graph([("a", "b", 3.0), ("a", "c", 2.0), ("b", "c", 1.0),
+                        ("x", "y", 0.1)])
+        kept = mst_plus_threshold(w, p=float("inf"))
+        assert (nx.number_connected_components(oracles.nx_graph(kept, ids))
+                == nx.number_connected_components(oracles.nx_graph(w, ids)))
+        assert kept[ids.index("x"), ids.index("y")] == 0.1
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ConfigError):
-            mst_plus_threshold(triangle(), p=float("nan"))
+            mst_plus_threshold(triangle()[0], p=float("nan"))
 
 
 class TestDisparityFilter:
     def test_degree_two_equal_weights(self):
         # p = (1 - 0.5)^1 = 0.5 from the middle node
-        g = nx.Graph()
-        g.add_edge("m", "a", weight=1.0)
-        g.add_edge("m", "b", weight=1.0)
+        w, _ = graph([("m", "a", 1.0), ("m", "b", 1.0)])
         assert disparity_pvalue(1.0, 2.0, 2) == pytest.approx(0.5, abs=1e-12)
-        assert disparity_filter(g, alpha=0.6).number_of_edges() == 2
-        assert disparity_filter(g, alpha=0.4).number_of_edges() == 0
+        assert n_edges(disparity_filter(w, alpha=0.6)) == 2
+        assert n_edges(disparity_filter(w, alpha=0.4)) == 0
 
     def test_dominant_star_edge(self):
-        g = nx.Graph()
-        g.add_edge("hub", "big", weight=0.97)
-        for i in range(9):
-            g.add_edge("hub", f"leaf{i}", weight=0.03 / 9)
+        w, ids = graph([("hub", "big", 0.97)]
+                       + [("hub", f"leaf{i}", 0.03 / 9) for i in range(9)])
         p = disparity_pvalue(0.97, 1.0, 10)
         assert p == pytest.approx(0.03 ** 9, rel=1e-12)
-        kept = disparity_filter(g, alpha=0.05)
-        assert kept.has_edge("hub", "big")
+        kept = disparity_filter(w, alpha=0.05)
+        assert kept[ids.index("hub"), ids.index("big")] == 0.97
 
     def test_degree_one_convention(self):
-        g = nx.Graph()
-        g.add_edge("a", "b", weight=5.0)
+        w, _ = graph([("a", "b", 5.0)])
         assert disparity_pvalue(5.0, 5.0, 1) == 1.0
         # both endpoints have degree 1 -> p = 1 from both sides, never kept
-        assert disparity_filter(g, alpha=0.99).number_of_edges() == 0
+        assert n_edges(disparity_filter(w, alpha=0.99)) == 0
+
+    def test_pvalue_is_elementwise(self):
+        np.testing.assert_array_equal(
+            disparity_pvalue(np.array([1.0, 0.97, 5.0]), np.array([2.0, 1.0, 5.0]),
+                             np.array([2, 10, 1])),
+            [(1 - 1.0 / 2.0) ** 1, (1 - 0.97 / 1.0) ** 9, 1.0])
+
+    def test_pvalue_rounds_as_python_pow(self):
+        rng = np.random.default_rng(3)
+        weight, strength = rng.random(2000), 1.0 + rng.random(2000)
+        degree = rng.integers(2, 250, 2000)
+        np.testing.assert_array_equal(
+            disparity_pvalue(weight, strength, degree),
+            [(1.0 - x / s) ** (int(k) - 1) for x, s, k in zip(weight, strength, degree)])
 
     def test_alpha_validation(self):
         with pytest.raises(ConfigError):
-            disparity_filter(triangle(), alpha=0.0)
+            disparity_filter(triangle()[0], alpha=0.0)
         with pytest.raises(ConfigError):
-            disparity_filter(triangle(), alpha=1.0)
+            disparity_filter(triangle()[0], alpha=1.0)
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(5)
-        g = nx.Graph()
-        for i in range(12):
-            for j in range(i + 1, 12):
-                if rng.random() < 0.5:
-                    g.add_edge(i, j, weight=float(rng.random()) + 0.01)
+        upper = np.triu(rng.random((12, 12)) < 0.5, 1) * (rng.random((12, 12)) + 0.01)
+        w = upper + upper.T
         prev = set()
         for alpha in (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95):
-            edges = {tuple(sorted(e)) for e in disparity_filter(g, alpha).edges()}
+            edges = edge_set(disparity_filter(w, alpha), range(12))
             assert prev <= edges
             prev = edges
 
     def test_nodes_preserved(self):
-        g = triangle()
-        kept = disparity_filter(g, alpha=0.01)
-        assert set(kept.nodes()) == set(g.nodes())
+        w, _ = triangle()
+        kept = disparity_filter(w, alpha=0.01)
+        assert kept.shape == w.shape
+        np.testing.assert_array_equal(kept, kept.T)
 
 
 def two_cliques(k=4, bridge_weight=1.0):
-    g = nx.Graph()
-    for offset in (0, k):
-        for i in range(k):
-            for j in range(i + 1, k):
-                g.add_edge(offset + i, offset + j, weight=1.0)
-    g.add_edge(0, k, weight=bridge_weight)
-    return g
+    """Two k-cliques of unit weight, N00..N(k-1) and Nk..N(2k-1), joined by
+    one edge N00-Nk."""
+    w = np.kron(np.eye(2), np.ones((k, k))) - np.eye(2 * k)
+    w[0, k] = w[k, 0] = bridge_weight
+    return w, [f"N{i:02d}" for i in range(2 * k)]
+
+
+def nx_weights(g):
+    """(weight array, ids) of a networkx graph on nodes 0..n-1, edges without
+    a weight weighing 1."""
+    n = g.number_of_nodes()
+    return nx.to_numpy_array(g, nodelist=range(n)), [f"N{i:02d}" for i in range(n)]
 
 
 class TestGreedyCommunities:
     def test_two_cliques_recovered(self):
-        g = two_cliques()
-        part = greedy_communities(g)
-        comms = {frozenset(n for n, c in part.communities.items() if c == cid)
-                 for cid in set(part.communities.values())}
+        labels, _ = greedy_communities(*two_cliques())
+        comms = {frozenset(np.flatnonzero(labels == cid).tolist())
+                 for cid in set(labels.tolist())}
         assert comms == {frozenset(range(4)), frozenset(range(4, 8))}
         # a community's id is the position of its smallest node in sorted order
-        assert part.communities == {n: 0 if n < 4 else 4 for n in range(8)}
+        assert labels.tolist() == [0] * 4 + [4] * 4
 
     def test_single_clique_one_community(self):
-        g = nx.complete_graph(5)
-        nx.set_edge_attributes(g, 1.0, "weight")
-        part = greedy_communities(g)
-        assert len(set(part.communities.values())) == 1
+        labels, _ = greedy_communities(np.ones((5, 5)) - np.eye(5), list("abcde"))
+        assert len(set(labels.tolist())) == 1
 
     def test_disconnected_components_stay_apart(self):
-        g = nx.Graph()
-        g.add_edge("a", "b", weight=1.0)
-        g.add_edge("c", "d", weight=1.0)
-        part = greedy_communities(g)
-        assert part.communities["a"] != part.communities["c"]
+        labels, _ = greedy_communities(*graph([("a", "b", 1.0), ("c", "d", 1.0)]))
+        assert labels[0] != labels[2]
 
     def test_q_beats_singleton_partition(self):
-        g = two_cliques()
-        part = greedy_communities(g)
-        singleton = {n: i for i, n in enumerate(g.nodes())}
-        assert part.modularity >= oracles.modularity_pairwise(g, singleton)
+        _, q = greedy_communities(*two_cliques())
+        w = two_cliques()[0]
+        assert q >= oracles.modularity_pairwise(w, np.arange(len(w)))
 
     def test_near_optimal_on_small_graphs(self):
         graphs = [
             two_cliques(3),
             two_cliques(4),
-            nx.path_graph(6),
-            nx.cycle_graph(7),
-            nx.karate_club_graph().subgraph(range(8)).copy(),
+            nx_weights(nx.path_graph(6)),
+            nx_weights(nx.cycle_graph(7)),
+            nx_weights(nx.karate_club_graph().subgraph(range(8))),
         ]
-        for g in graphs:
-            for u, v in g.edges():
-                g[u][v].setdefault("weight", 1.0)
-            if g.number_of_edges() == 0:
+        for w, ids in graphs:
+            if not w.any():
                 continue
-            part = greedy_communities(g)
-            best = oracles.max_modularity_exhaustive(g, oracles.modularity_pairwise)
-            assert part.modularity >= best - 0.05
+            _, q = greedy_communities(w, ids)
+            best = oracles.max_modularity_exhaustive(w, oracles.modularity_pairwise)
+            assert q >= best - 0.05
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ConfigError):
-            greedy_communities(nx.Graph())
+            greedy_communities(np.zeros((0, 0)), [])
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
     def test_modularity_matches_pairwise_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
-        g = nx.Graph()
-        g.add_nodes_from(range(n))  # nodes left without edges stay isolated
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.4:
-                    g.add_edge(i, j, weight=float(rng.uniform(0.01, 5.0)))
-        part = greedy_communities(g)
-        assert part.modularity == pytest.approx(
-            oracles.modularity_pairwise(g, part.communities), abs=1e-12
+        # nodes left without edges stay isolated
+        upper = np.triu(rng.random((n, n)) < 0.4, 1) * rng.uniform(0.01, 5.0, (n, n))
+        w = upper + upper.T
+        labels, q = greedy_communities(w, [f"N{i:02d}" for i in range(n)])
+        assert q == pytest.approx(
+            oracles.modularity_pairwise(w, labels), abs=1e-12
         )
 
     def test_deterministic(self):
-        g = two_cliques()
-        a = greedy_communities(g)
-        b = greedy_communities(g)
-        assert a.communities == b.communities
+        a, _ = greedy_communities(*two_cliques())
+        b, _ = greedy_communities(*two_cliques())
+        np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(weight array, ids) of up to 30 nodes in up to 3 components, with
+    continuous weights, unit weights (ties everywhere) or weights 1-3, some
+    nodes isolated, and ids in sorted or shuffled order on the axis."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    component = rng.integers(0, draw(st.integers(1, 3)), n)
+    isolated = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    linked = ((component[:, None] == component[None, :])
+              & ~isolated[:, None] & ~isolated[None, :]
+              & (rng.random((n, n)) < draw(st.sampled_from([0.15, 0.4, 0.8]))))
+    weights = draw(st.sampled_from([
+        rng.uniform(0.01, 5.0, (n, n)), np.ones((n, n)), rng.integers(1, 4, (n, n))]))
+    upper = np.triu(linked, 1) * weights
+    ids = [f"F{i:03d}" for i in range(n)]
+    if draw(st.booleans()):
+        ids = [ids[i] for i in rng.permutation(n)]
+    return upper + upper.T, ids
+
+
+class TestNetworkxParity:
+    """The array layers against the networkx-graph layers they replaced."""
+
+    @given(weighted_graphs(), st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_disparity_filter_keeps_the_reference_edges(self, graph_ids, alpha):
+        w, ids = graph_ids
+        reference = oracles.disparity_filter_nx(oracles.nx_graph(w, ids), alpha)
+        assert edge_set(disparity_filter(w, alpha), ids) == {
+            frozenset(e) for e in reference.edges()}
+
+    @given(weighted_graphs(), st.floats(0.0, 6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_mst_plus_threshold_keeps_the_reference_edges(self, graph_ids, p):
+        w, ids = graph_ids
+        reference = oracles.mst_plus_threshold_nx(oracles.nx_graph(w, ids), p)
+        assert edge_set(mst_plus_threshold(w, p), ids) == {
+            frozenset(e) for e in reference.edges()}
+
+    @given(weighted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_communities_match_the_reference(self, graph_ids):
+        w, ids = graph_ids
+        communities, modularity = oracles.greedy_communities_nx(oracles.nx_graph(w, ids))
+        labels, q = greedy_communities(w, ids)
+        assert dict(zip(ids, labels.tolist())) == communities
+        assert q == pytest.approx(modularity, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backbone_communities_match_the_reference(self, seed):
+        # phi-like weights on 80 nodes in shuffled id order, then each backbone
+        rng = np.random.default_rng(seed)
+        a = rng.random((80, 80)) ** 4
+        w = np.triu(a + a.T, 1)
+        w = w + w.T
+        ids = [f"F{i:03d}" for i in rng.permutation(80)]
+        for kept in (disparity_filter(w, 0.2), mst_plus_threshold(w, 1.0)):
+            communities, modularity = oracles.greedy_communities_nx(
+                oracles.nx_graph(kept, ids))
+            labels, q = greedy_communities(kept, ids)
+            assert dict(zip(ids, labels.tolist())) == communities
+            assert q == pytest.approx(modularity, abs=1e-12)
 
 
 class TestClassifyEdges:
+    """An exported edge is intra or inter by whether its endpoints share a
+    community."""
+
+    @staticmethod
+    def groups(w, labels, ids):
+        rows = (line.split("\t") for line in export_edgelist(w, labels, ids).splitlines())
+        return {frozenset((u, v)): group for u, v, _, group in rows}
+
     def test_intra_and_inter(self):
-        g = two_cliques()
-        classify_edges(g, greedy_communities(g))
-        assert g[4][0]["group"] == g[0][4]["group"] == "inter"
-        assert g[0][1]["group"] == "intra"
+        w, ids = two_cliques()
+        groups = self.groups(w, greedy_communities(w, ids)[0], ids)
+        assert groups[frozenset(("N04", "N00"))] == "inter"
+        assert groups[frozenset(("N00", "N01"))] == "intra"
 
     def test_singleton_partition_all_inter(self):
-        g = triangle()
-        classify_edges(g, Partition({n: i for i, n in enumerate(g.nodes())}, 0.0))
-        assert {d["group"] for _, _, d in g.edges(data=True)} == {"inter"}
+        w, ids = triangle()
+        assert set(self.groups(w, np.arange(3), ids).values()) == {"inter"}
 
 
 def backbone_graph(phi, taxonomy, level="field"):
-    """The graph ``backbone`` exports: every edge kept, groups set."""
-    g = proximity_graph(phi, taxonomy, level)
-    classify_edges(g, greedy_communities(g))
-    return g
+    """The export arguments of ``backbone`` keeping every edge."""
+    w = proximity_graph(phi)
+    return (w, greedy_communities(w, phi.field_ids)[0], phi.field_ids,
+            node_styles(taxonomy, phi.field_ids, level))
 
 
 class TestGraphAndExports:
@@ -258,26 +344,27 @@ class TestGraphAndExports:
             [0.5, 1.0, 0.2],
             [0.0, 0.2, 1.0],
         ]), field_ids=taxonomy.field_ids)
-        g = proximity_graph(phi, taxonomy, "field")
-        assert g.number_of_edges() == 2
-        assert not list(nx.selfloop_edges(g))
-        assert all("color" in g.nodes[n] for n in g)
+        w = proximity_graph(phi)
+        assert n_edges(w) == 2
+        assert not np.diag(w).any()
+        assert all(color.startswith("#")
+                   for _, color in node_styles(taxonomy, phi.field_ids, "field"))
 
     def test_edgelist_roundtrip_fields(self):
-        g = triangle()
-        classify_edges(g, Partition({n: i for i, n in enumerate(g.nodes())}, 0.0))
-        lines = [l.split("\t") for l in export_edgelist(g).strip().splitlines()]
+        w, ids = triangle()
+        lines = [l.split("\t") for l in export_edgelist(w, np.arange(3), ids)
+                 .strip().splitlines()]
         assert lines == [["a", "b", "3", "inter"], ["a", "c", "2", "inter"],
                          ["b", "c", "1", "inter"]]
         # a backbone without edges is one empty line
-        assert export_edgelist(nx.Graph()) == "\n"
+        assert export_edgelist(np.zeros((0, 0)), np.zeros(0, dtype=int), []) == "\n"
 
     def test_dot_export_marks_inter_red(self):
         # F001-F004 and F005-F008 are cliques, joined by one weaker edge
         taxonomy = make_taxonomy(8, fields_per_intermediate=4)
         vals = np.kron(np.eye(2), np.ones((4, 4)))
         vals[0, 4] = vals[4, 0] = 0.5
-        dot = export_dot(backbone_graph(sym_phi(vals), taxonomy))
+        dot = export_dot(*backbone_graph(sym_phi(vals), taxonomy))
         assert '  "F001" -- "F005" [weight=0.5, color=red];' in dot
         assert '  "F001" -- "F002" [weight=1, color=black];' in dot
         assert '  "F005" [label="Field 5", style=filled, fillcolor="#377eb8"];' in dot
@@ -289,17 +376,19 @@ class TestGraphAndExports:
              TaxonomyField("F002", "Plain", "I1", "M1")],
             {"I1": Intermediate("I1", "IN1", "M1")}, {"M1": "Macro"})
         phi = sym_phi([[1.0, 0.5], [0.5, 1.0]], ['F"1', "F002"])
-        assert export_dot(backbone_graph(phi, taxonomy)).splitlines()[1:4] == [
+        assert export_dot(*backbone_graph(phi, taxonomy)).splitlines()[1:4] == [
             r'  "F\"1" [label="Topic \"A\" \\ B", style=filled, fillcolor="#e41a1c"];',
             '  "F002" [label="Plain", style=filled, fillcolor="#e41a1c"];',
             r'  "F\"1" -- "F002" [weight=0.5, color=black];',
         ]
 
     def test_graphml_export(self, tmp_path):
-        g = triangle()
-        classify_edges(g, greedy_communities(g))
+        w, ids = triangle()
+        labels = greedy_communities(w, ids)[0]
         path = tmp_path / "g.graphml"
-        path.write_text(export_graphml(g), encoding="utf-8")
+        path.write_text(export_graphml(w, labels, ids, [("A", "#e41a1c")] * 3),
+                        encoding="utf-8")
         back = nx.read_graphml(path)
         assert back.number_of_edges() == 3
         assert {d["group"] for _, _, d in back.edges(data=True)} == {"intra"}
+        assert back.nodes["a"] == {"label": "A", "color": "#e41a1c"}
