@@ -94,6 +94,8 @@ def _corpus_line(fh, path, line_no, keys):
         obj = json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep", path=path, line=line_no)
     if not (isinstance(obj, dict) and sorted(obj) == sorted(keys)
             and all(isinstance(obj[k], list) for k in keys)):
         raise ParseError(f"expected a JSON object of the lists {', '.join(keys)}",
@@ -115,6 +117,8 @@ def load_corpus(path) -> ResolvedCorpus:
             header = json.loads(header_line)
         except ValueError as e:  # JSONDecodeError, or an integer too long to convert
             raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
+        except RecursionError:
+            raise ParseError("invalid JSON: nesting too deep", path=path, line=1)
         schema = header.get("schema") if isinstance(header, dict) else None
         if schema == "corpus/1":
             raise ParseError(f"this is a corpus/1 file; run ingest again to write "
@@ -176,6 +180,14 @@ def load_corpus(path) -> ResolvedCorpus:
                           kind=kind, match_stats=stats, **columns)
 
 
+def _value_rows(ids, values):
+    """One TSV line per id: the id, then its row of ``values``, each as
+    ``%.17g``, which reads back bit-identical; one format per row."""
+    values = np.asarray(values)
+    form = "%s\t" + "\t".join(["%.17g"] * values.shape[-1])
+    return [form % (fid, *row.tolist()) for fid, row in zip(ids, values)]
+
+
 def save_proximity(phi: ProximityMatrix, path, mhash=""):
     lines = [
         f"# schema: {SCHEMA_PROXIMITY}",
@@ -183,9 +195,8 @@ def save_proximity(phi: ProximityMatrix, path, mhash=""):
         f"# window: {phi.window}",
         f"# manifest_hash: {mhash}",
         "field_id\t" + "\t".join(phi.field_ids),
+        *_value_rows(phi.field_ids, phi.values),
     ]
-    for i, fid in enumerate(phi.field_ids):
-        lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in phi.values[i]))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -258,7 +269,6 @@ def load_proximity(path) -> ProximityMatrix:
 
 
 def save_embeddings(vectors, field_ids, path, mhash=""):
-    lines = [f"# schema: {SCHEMA_EMBEDDING}", f"# manifest_hash: {mhash}"]
-    for fid, vec in zip(field_ids, vectors):
-        lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec))
+    lines = [f"# schema: {SCHEMA_EMBEDDING}", f"# manifest_hash: {mhash}",
+             *_value_rows(field_ids, vectors)]
     _write_atomic(path, "\n".join(lines) + "\n")

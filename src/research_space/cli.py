@@ -212,6 +212,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     omega = spec_mod.density(u, phi.values)
     order, n_candidates = pe.rank_candidates(omega, cand, phi.field_ids)
     row_of = {eid: i for i, eid in enumerate(resolved.entity_ids)}
+    names = [taxonomy.field(fid).name for fid in phi.field_ids]
     lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
     for eid in entities or itertools.compress(resolved.entity_ids, n_records):
         i = row_of.get(eid)
@@ -225,10 +226,9 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
         if not n_candidates[i]:
             click.echo(f"note: entity {eid!r} has no candidate fields", err=True)
             continue
-        for rank_no, j in enumerate(order[i, :min(top, n_candidates[i])], start=1):
-            fid = phi.field_ids[j]
-            lines.append(f"{eid}\t{rank_no}\t{fid}\t{taxonomy.field(fid).name}"
-                         f"\t{omega[i, j]:.6f}")
+        cols = order[i, :min(top, n_candidates[i])].tolist()
+        for rank_no, j, w in zip(itertools.count(1), cols, omega[i, cols].tolist()):
+            lines.append(f"{eid}\t{rank_no}\t{phi.field_ids[j]}\t{names[j]}\t{w:.6f}")
     text = "\n".join(lines) + "\n"
     if out_path:
         artifacts._write_atomic(out_path, text)

@@ -100,16 +100,17 @@ class FieldTaxonomy:
     def from_file(cls, path):
         """Load from delimited text with columns field_id, field_name,
         intermediate_id, intermediate_acronym, macro_id, macro_name. The first
-        four go into GraphML, so XML 1.0's forbidden characters are rejected."""
+        four go into TSV rows and GraphML, so a tab, LF or CR and XML 1.0's
+        forbidden characters are rejected."""
         fields, intermediates, macros = [], {}, {}
         for line, (fid, name, iid, acronym, mid, macro) in _tsv_rows(path, "taxonomy", (
                 "field_id", "field_name", "intermediate_id", "intermediate_acronym",
                 "macro_id", "macro_name")):
-            bad = re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]",
-                            "".join((fid, name, iid, acronym)))
+            bad = re.search("[\x00-\x1f\ufffe\uffff]", "".join((fid, name, iid, acronym)))
             if bad:
-                raise ParseError(f"taxonomy text holds {bad[0]!r}, which XML 1.0 "
-                                 "forbids", path=path, line=line)
+                why = "a TSV cell cannot hold" if bad[0] in "\t\n\r" else "XML 1.0 forbids"
+                raise ParseError(f"taxonomy text holds {bad[0]!r}, which {why}",
+                                 path=path, line=line)
             fields.append(TaxonomyField(fid, name, iid, mid))
             intermediates[iid] = Intermediate(iid, acronym, mid)
             macros[mid] = macro
@@ -177,6 +178,7 @@ _KEYS = _MANDATORY + ("institution", "state")
 YEAR_RANGE = (1900, 2100)
 AUTHORS_MAX = 2**63 - 1  # n_authors is an int64 column
 CHUNK_ROWS = 512  # records read, checked and coded in one pass over columns
+_SCAN = json.JSONDecoder().scan_once  # (value, end) of the JSON text at an index
 
 # The record key that names an entity of each kind.
 _ENTITY_KEY = {
@@ -205,6 +207,21 @@ FORMAT_PROFILES = {
 }
 
 
+def _loads(texts, lines, path):
+    """json.loads of each stripped line in ``texts``; the first bad one raises
+    ParseError naming its line in ``lines``."""
+    values = []
+    try:  # extend keeps the values decoded before a bad line
+        values.extend(map(json.loads, texts))
+    except ValueError as e:  # JSONDecodeError, or an integer too long
+        raise ParseError(f"invalid JSON: {e}", path=path,
+                         line=lines[len(values)]) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep", path=path,
+                         line=lines[len(values)]) from None
+    return values
+
+
 def _chunks(path, fmt):
     """Yield the file's records in chunks of at most CHUNK_ROWS: the physical
     lines they start on, a list of values per key of ``_KEYS``, and a function
@@ -215,12 +232,18 @@ def _chunks(path, fmt):
             while block := list(islice(numbered, CHUNK_ROWS)):
                 lines = [line_no for line_no, text in block if text]
                 texts = [text for _, text in block if text]
-                rows = []
-                try:  # extend keeps the values decoded before a bad line
-                    rows.extend(map(json.loads, texts))
-                except ValueError as e:  # JSONDecodeError, or an integer too long
-                    raise ParseError(f"invalid JSON: {e}", path=path,
-                                     line=lines[len(rows)]) from None
+                # the scanner that json.loads wraps: at a bad line it stops
+                # map (StopIteration), raises, or ends short of the line's end,
+                # and json.loads decodes that chunk again for its error message
+                scanned = []
+                try:
+                    scanned.extend(map(_SCAN, texts, repeat(0)))
+                except (ValueError, RecursionError):
+                    pass
+                if list(map(itemgetter(1), scanned)) == list(map(len, texts)):
+                    rows = list(map(itemgetter(0), scanned))
+                else:
+                    rows = _loads(texts, lines, path)
                 dicts = [row if type(row) is dict else {} for row in rows]
                 yield lines, {key: list(map(dict.get, dicts, repeat(key)))
                               for key in _KEYS}, rows.__getitem__

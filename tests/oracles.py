@@ -17,6 +17,9 @@ two windows' RCA rows by entity id as the reference.
 ``compare_models_pooled`` is the unpaired permutation test that the paired
 sign-flip ``compare_models`` replaced, kept as its power reference, and
 ``sign_flip_p_exact`` enumerates every sign vector of a small paired sample.
+``save_proximity_per_value`` and ``save_embeddings_per_value`` are the
+artifact writers that formatted each value with its own f-string, kept as
+the byte reference of the writers that format a row at a time.
 ``disparity_filter_nx``, ``mst_plus_threshold_nx`` and
 ``greedy_communities_nx`` are the networkx-graph backbone layers that the
 package replaced with layers on one weight array, kept as references on the
@@ -30,10 +33,12 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 
+from research_space.artifacts import SCHEMA_EMBEDDING, SCHEMA_PROXIMITY
 from research_space.corpus import (
     _MANDATORY, FORMAT_PROFILES, YEAR_RANGE, EntityKind, FieldTaxonomy, MatchStats,
     ResolvedCorpus, VenueFieldMap, match_venue,
@@ -688,3 +693,23 @@ def resolve_records(records, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
         *(np.array(c, dtype=np.int64) for c in (entity, field_set, n_authors, year)),
         kind, stats,
     )
+
+
+def save_proximity_per_value(phi, path, mhash=""):
+    lines = [
+        f"# schema: {SCHEMA_PROXIMITY}",
+        f"# model: {phi.model_tag}",
+        f"# window: {phi.window}",
+        f"# manifest_hash: {mhash}",
+        "field_id\t" + "\t".join(phi.field_ids),
+    ]
+    for i, fid in enumerate(phi.field_ids):
+        lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in phi.values[i]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def save_embeddings_per_value(vectors, field_ids, path, mhash=""):
+    lines = [f"# schema: {SCHEMA_EMBEDDING}", f"# manifest_hash: {mhash}"]
+    for fid, vec in zip(field_ids, vectors):
+        lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

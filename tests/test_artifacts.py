@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_corpus
 from research_space import artifacts
 from research_space.corpus import EntityKind, MatchStats, ResolvedCorpus
@@ -152,6 +153,48 @@ class TestMatrixArtifacts:
         assert [l.split("\t")[0] for l in lines] == field_ids
         parsed = np.array([[float(v) for v in l.split("\t")[1:]] for l in lines])
         assert parsed.tobytes() == vectors.tobytes()
+
+
+# Every float64, with the edge cases named: signed zeros, the smallest
+# subnormal, the largest finite value, values that need all 17 digits, and
+# the non-finite values the writers format but the loaders reject.
+any_float = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+     0.30000000000000004, 1 / 3, 2 / 3, 1e23, float("inf"), float("nan")])
+
+
+class TestWriterParity:
+    """The writers that format a row at a time write the bytes of the
+    per-value writers kept in ``oracles``."""
+
+    @given(ids.flatmap(lambda fids: st.tuples(st.just(fids), st.lists(
+               any_float, min_size=len(fids) ** 2, max_size=len(fids) ** 2))))
+    @example((["F001"], [-0.0]))
+    @example((["F001", "F002"], [5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1e-310]))
+    @settings(max_examples=200, deadline=None)
+    def test_save_proximity(self, tmp_path_factory, table):
+        field_ids, flat = table
+        n = len(field_ids)
+        phi = ProximityMatrix(np.array(flat, dtype=np.float64).reshape(n, n), field_ids,
+                              "frequentist", TimeWindow(2000, 2012))
+        base = tmp_path_factory.getbasetemp()
+        artifacts.save_proximity(phi, base / "phi.tsv", mhash="abc")
+        oracles.save_proximity_per_value(phi, base / "phi_oracle.tsv", mhash="abc")
+        assert (base / "phi.tsv").read_bytes() == (base / "phi_oracle.tsv").read_bytes()
+
+    @given(ids.flatmap(lambda fids: st.integers(1, 7).flatmap(lambda dim: st.tuples(
+               st.just(fids), st.lists(st.lists(any_float, min_size=dim, max_size=dim),
+                                       min_size=len(fids), max_size=len(fids))))))
+    @example((["F001"], [[-0.0, 5e-324, 1.7976931348623157e308]]))
+    @settings(max_examples=200, deadline=None)
+    def test_save_embeddings(self, tmp_path_factory, table):
+        field_ids, rows = table
+        vectors = np.array(rows, dtype=np.float64)  # fields x dim, rarely square
+        base = tmp_path_factory.getbasetemp()
+        artifacts.save_embeddings(vectors, field_ids, base / "emb.tsv", mhash="abc")
+        oracles.save_embeddings_per_value(vectors, field_ids, base / "emb_oracle.tsv",
+                                          mhash="abc")
+        assert (base / "emb.tsv").read_bytes() == (base / "emb_oracle.tsv").read_bytes()
 
 
 def _unserializable_corpus():

@@ -856,6 +856,30 @@ def test_json_integer_over_digit_limit_exits_1(pipeline, tmp_path, site):
     assert f"({bad}:{line_no})" in res.output
 
 
+@pytest.mark.parametrize("site", ["records_line", "corpus_header", "corpus_columns"])
+def test_json_nested_too_deep_exits_1(pipeline, tmp_path, site):
+    # the decoders raise RecursionError, neither JSONDecodeError nor ValueError
+    deep = "[" * 100_000 + "]" * 100_000
+    bad = tmp_path / "input.jsonl"
+    if site == "records_line":
+        lines = pipeline["records"].read_text().splitlines()
+        line_no = 2
+        args = ["ingest", "--records", str(bad), "--venue-map", str(pipeline["venues"]),
+                "--taxonomy", str(pipeline["taxonomy"])]
+    else:
+        lines = pipeline["corpus"].read_text().splitlines()
+        line_no = 1 if site == "corpus_header" else 4
+        args = ["export-stats", "--corpus", str(bad),
+                "--taxonomy", str(pipeline["taxonomy"])]
+    lines[line_no - 1] = lines[line_no - 1][:-1] + f', "deep": {deep}}}'
+    bad.write_text("\n".join(lines) + "\n")
+    res = pipeline["runner"].invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: invalid JSON: nesting too deep ({bad}:{line_no})" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("table", ["taxonomy", "venues"])
 def test_truncated_table_row_exits_1(pipeline, tmp_path, table):
     # a taxonomy row without intermediate and macro cells once crashed
@@ -893,6 +917,28 @@ def test_taxonomy_text_xml_forbids_exits_1(pipeline, tmp_path, column, char):
     assert res.exit_code == 1, res.output
     assert (f"error: taxonomy text holds {char!r}, which XML 1.0 forbids ({bad}:3)"
             in res.output)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_taxonomy_text_breaking_tsv_rows_exits_1(pipeline, tmp_path, column, char):
+    # a quoted field name "Field<TAB>1" once passed ingest and fit, and
+    # predict wrote its rows with 6 cells under a 5-column header
+    lines = pipeline["taxonomy"].read_text().splitlines()
+    cells = lines[2].split("\t")
+    cells[column] = f'"{cells[column]}{char}1"'
+    lines[2] = "\t".join(cells)
+    bad = tmp_path / "taxonomy.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    res = pipeline["runner"].invoke(main, [
+        "ingest", "--records", str(pipeline["records"]), "--venue-map",
+        str(pipeline["venues"]), "--taxonomy", str(bad), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    # the line a row ends on, as for every taxonomy row error
+    line = 3 if char == "\t" else 4
+    assert (f"error: taxonomy text holds {char!r}, which a TSV cell cannot hold "
+            f"({bad}:{line})" in res.output)
     assert not (tmp_path / "out").exists()
 
 

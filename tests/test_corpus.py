@@ -303,10 +303,16 @@ def test_one_pass_equals_two_pass_oracle(tmp_path, monkeypatch, rows, others, fm
     if fmt == "jsonl":  # the oracle reads objects only: it gets the others blank
         path.write_text("".join((json.dumps(row) if isinstance(row, dict) else "")
                                 + "\n" for row in rows))
+    non_objects = [(line_no, f"record must be a JSON object, got {type(row).__name__}")
+                   for line_no, row in enumerate(rows, start=1)
+                   if not isinstance(row, dict)]
+    assert_same_as_oracle(out, issues, path, fmt, vmap, taxonomy, kind, non_objects)
+
+
+def assert_same_as_oracle(out, issues, path, fmt, vmap, taxonomy, kind, extra_issues=()):
+    """``resolve_corpus``'s corpus and issues are the two-pass oracle's, which
+    decodes JSONL with json.loads, plus ``extra_issues``."""
     report = oracles.load_records(path, fmt=fmt)
-    report.issues = sorted(report.issues + [
-        (line_no, f"record must be a JSON object, got {type(row).__name__}")
-        for line_no, row in enumerate(rows, start=1) if not isinstance(row, dict)])
     expected = oracles.resolve_records(report.records, vmap, taxonomy, kind)
     # the oracle keeps integer institutions and states as ints
     assert (out.entity_ids, out.field_sets) == (list(map(str, expected.entity_ids)),
@@ -316,7 +322,54 @@ def test_one_pass_equals_two_pass_oracle(tmp_path, monkeypatch, rows, others, fm
         assert column.dtype == np.int64
         np.testing.assert_array_equal(column, getattr(expected, name))
     assert (out.kind, out.match_stats) == (expected.kind, expected.match_stats)
-    assert issues == report.issues
+    assert issues == sorted(report.issues + list(extra_issues))
+
+
+def _escaped(key):
+    """A JSON string of ``key`` whose first character is a \\u escape."""
+    return f'"\\u{ord(key[0]):04x}{key[1:]}"'
+
+
+# JSON text of the values of each record key, with \u escapes (a lone
+# surrogate among them), the constants NaN and Infinity, integer-valued
+# floats and numbers that overflow to inf.
+# Floats stay out of the text keys, which the oracle would read as strings.
+RAW_VALUES = {
+    "researcher_id": ['"r1"', '"r\\u0031"', '"\\u00e9"', '"\\ud83d\\ude00"', '"\\ud800"',
+                      "7", '""'],
+    "venue": ['"Nature"', '"N\\u0061ture"', '"Cell"', '"Caf\\u00e9"', '"Unknown"'],
+    "year": ["2001", "2001.0", "2.001e3", "2001E0", "2001.5", '"2005"', "NaN",
+             "Infinity", "-Infinity", "1e400", "null"],
+    "n_authors": ["1", "2.0", "1E0", "-0.0", "3", "NaN", "Infinity", "true"],
+    "institution": ['"UFMG"', '"\\u0055SP"', "null", '""', "5"],
+    "state": ['"MG"', '"S\\u0050"', "null", "31"],
+    "extra": ["NaN", '[1, {"a": -Infinity}]', '"\\u0000"', '"\\udc00"', "{}"],
+}
+PAIR = st.sampled_from(sorted(RAW_VALUES)).flatmap(lambda key: st.tuples(
+    st.sampled_from([json.dumps(key), _escaped(key)]), st.sampled_from(RAW_VALUES[key])))
+# Each mandatory key once, between pairs that may repeat any key (the last wins).
+RAW_OBJECT = st.tuples(
+    st.lists(PAIR, max_size=3),
+    st.tuples(*(st.tuples(st.just(json.dumps(key)), st.sampled_from(RAW_VALUES[key]))
+                for key in ("researcher_id", "venue", "year", "n_authors"))),
+    st.lists(PAIR, max_size=3),
+).map(lambda parts: "{" + ", ".join(f"{k}: {v}" for part in parts
+                                     for k, v in part) + "}")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(RAW_OBJECT, max_size=20), chunk=st.sampled_from([1, 3, 512]),
+       kind=st.sampled_from(list(EntityKind)))
+def test_scanned_lines_equal_json_loads_oracle(tmp_path, monkeypatch, lines, chunk,
+                                               kind):
+    monkeypatch.setattr(corpus_mod, "CHUNK_ROWS", chunk)
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    vmap = VenueFieldMap({"Nature": {"F002", "F001"}, "Café": {"F003"}})
+    taxonomy = make_taxonomy(6)
+    out, issues = resolve_corpus(path, vmap, taxonomy, kind)
+    assert_same_as_oracle(out, issues, path, "jsonl", vmap, taxonomy, kind)
 
 
 class TestDelimitedRows:
@@ -397,6 +450,24 @@ def test_bad_json_names_its_line_inside_a_chunk(tmp_path, monkeypatch, chunk):
     path.write_text(f"{row}\n\n{row}\n{{bad\n{row}\n")
     with pytest.raises(ParseError) as err:
         resolve_corpus(path, VenueFieldMap({}), make_taxonomy(6), EntityKind.SCIENTIST)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 512])
+@pytest.mark.parametrize("bad", ["{bad", "{} {}", "\ufeff{}", "[1", "9" * 5000],
+                         ids=["bad_object", "extra_data", "byte_order_mark", "truncated",
+                              "long_integer"])
+def test_bad_json_line_gives_json_loads_error(tmp_path, monkeypatch, chunk, bad):
+    monkeypatch.setattr(corpus_mod, "CHUNK_ROWS", chunk)
+    row = json.dumps({"researcher_id": "r1", "venue": "V", "year": 2001,
+                      "n_authors": 1})
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"{row}\n\n{row}\n{bad}\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as expected:
+        json.loads(bad)
+    with pytest.raises(ParseError) as err:
+        resolve_corpus(path, VenueFieldMap({}), make_taxonomy(6), EntityKind.SCIENTIST)
+    assert str(err.value) == f"invalid JSON: {expected.value} ({path}:4)"
     assert err.value.line == 4
 
 
