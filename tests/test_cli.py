@@ -765,6 +765,95 @@ def test_bad_option_exits_2_before_any_io(pipeline, tmp_path, command, option, v
     assert not out.exists()
 
 
+def _valid_args(pipeline, out):
+    """Arguments each command accepts, writing to out."""
+    taxonomy, corpus = str(pipeline["taxonomy"]), str(pipeline["corpus"])
+    files = ["--corpus", corpus, "--taxonomy", taxonomy]
+    return {
+        "ingest": ["--records", str(pipeline["records"]),
+                   "--venue-map", str(pipeline["venues"]), "--taxonomy", taxonomy],
+        "fit": [*files, "--window", "2000:2004", "--model", "freq"],
+        "predict": ["--phi", str(pipeline["phi_freq"]), *files,
+                    "--rca-window", "2002:2004", "--transition", "0A"],
+        "evaluate": ["--phi-a", str(pipeline["phi_freq"]), *files, "--fit", "2000:2004",
+                     "--rca", "2002:2004", "--test", "2005:2007", "--transition", "0A"],
+        "backbone": ["--phi", str(pipeline["phi_emb"]), "--taxonomy", taxonomy],
+        "export-stats": [*files, "--window", "2000:2007"],
+    }, ["--out", str(out)]
+
+
+def _replace(args, option, value):
+    """args with the value of option replaced by value."""
+    args = list(args)
+    args[args.index(option) + 1] = value
+    return args
+
+
+def _rename(args, option, new):
+    """args with option renamed to new."""
+    return [new if a == option else a for a in args]
+
+
+ALL_COMMANDS = ["ingest", "fit", "predict", "evaluate", "backbone", "export-stats"]
+WINDOW_OPTIONS = [("fit", "--window"), ("predict", "--rca-window"),
+                  ("evaluate", "--fit"), ("evaluate", "--rca"), ("evaluate", "--test"),
+                  ("export-stats", "--window")]
+# (case id, command or None for the bare group, change of its valid arguments)
+BAD_ARGUMENTS = [
+    *[(f"{c}-missing-taxonomy", c,
+       lambda a: [x for i, x in enumerate(a)
+                  if "--taxonomy" not in (x, a[i - 1] if i else None)])
+      for c in ALL_COMMANDS],
+    *[(f"{c}-unknown-option", c, lambda a: [*a, "--bogus", "1"]) for c in ALL_COMMANDS],
+    *[(f"{c}-abbreviated-taxonomy", c, lambda a: _rename(a, "--taxonomy", "--tax"))
+      for c in ALL_COMMANDS],
+    ("evaluate-abbreviated-phi", "evaluate", lambda a: _rename(a, "--phi-a", "--phi")),
+    *[(f"{c}-extra-argument", c, lambda a: [*a, "extra"]) for c in ALL_COMMANDS],
+    ("ingest-bad-kind", "ingest", lambda a: [*a, "--kind", "galaxy"]),
+    ("ingest-bad-format", "ingest", lambda a: [*a, "--format", "xml"]),
+    ("fit-bad-model", "fit", lambda a: _replace(a, "--model", "nope")),
+    ("predict-bad-transition", "predict", lambda a: _replace(a, "--transition", "0Z")),
+    ("evaluate-bad-transition", "evaluate", lambda a: _replace(a, "--transition", "0Z")),
+    ("backbone-bad-mode", "backbone", lambda a: [*a, "--mode", "mst"]),
+    ("backbone-bad-level", "backbone", lambda a: [*a, "--level", "macro"]),
+    ("backbone-bad-format", "backbone", lambda a: [*a, "--format", "svg"]),
+    ("fit-non-integer-dim", "fit", lambda a: [*a, "--dim", "1.5"]),
+    ("fit-negative-seed", "fit", lambda a: [*a, "--seed", "-1"]),
+    ("evaluate-negative-seed", "evaluate", lambda a: [*a, "--seed", "-1"]),
+    ("predict-zero-top", "predict", lambda a: [*a, "--top", "0"]),
+    *[(f"{c}{o}-{w}", c, lambda a, o=o, w=w: _replace(a, o, w))
+      for c, o in WINDOW_OPTIONS for w in ("2012", "a:b", "2012:2000")],
+    ("no-command", None, lambda a: []),
+    ("no-command-verbose", None, lambda a: ["-v"]),
+    ("unknown-command", None, lambda a: ["bogus", *a]),
+]
+
+
+@pytest.mark.parametrize("command,change", [case[1:] for case in BAD_ARGUMENTS],
+                         ids=[case[0] for case in BAD_ARGUMENTS])
+def test_bad_arguments_exit_2_without_output(pipeline, tmp_path, command, change):
+    out = tmp_path / "out"
+    valid, out_args = _valid_args(pipeline, out)
+    args = change(valid.get(command, valid["fit"]) + out_args)
+    res = pipeline["runner"].invoke(main, args if command is None else [command, *args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_double_verbose_reaches_debug(pipeline, tmp_path):
+    valid, out_args = _valid_args(pipeline, tmp_path / "out")
+    logger = logging.getLogger("research_space")
+    try:
+        res = pipeline["runner"].invoke(main, ["-vv", "fit", *valid["fit"], *out_args])
+        assert res.exit_code == 0, res.output
+        assert logger.getEffectiveLevel() == logging.DEBUG
+    finally:
+        logger.handlers = []
+        logger.setLevel(logging.NOTSET)
+
+
 @pytest.mark.parametrize("bad", ["directory", "not_utf8"])
 @pytest.mark.parametrize("command,option", [
     ("ingest", "--records"), ("ingest", "--venue-map"), ("ingest", "--taxonomy"),
