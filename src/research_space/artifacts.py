@@ -4,7 +4,6 @@ hash so pipeline stages can be re-run independently."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -44,6 +43,8 @@ def _write_atomic(path, text):
 
 
 def manifest_hash(manifest: dict) -> str:
+    import hashlib  # only ingest and fit hash; the other commands skip its load
+
     canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 

@@ -3,17 +3,18 @@ with persisted artifacts so each stage re-runs independently."""
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
-from . import artifacts, corpus as corpus_mod, emb_model, freq_model
+from . import artifacts, corpus as corpus_mod, freq_model
 from . import prediction_eval as pe
 from . import specialization as spec_mod
 from .corpus import FORMAT_PROFILES, EntityKind, FieldTaxonomy, VenueFieldMap
@@ -31,10 +32,10 @@ def pipeline_command(fn):
             return fn(*args, **kwargs)
         except (ConfigError, FileExistsError, FileNotFoundError, IsADirectoryError,
                 NotADirectoryError, PermissionError) as e:
-            click.echo(f"config error: {e}", err=True)
+            print(f"config error: {e}", file=sys.stderr)
             sys.exit(2)
         except ResearchSpaceError as e:
-            click.echo(f"error: {e}", err=True)
+            print(f"error: {e}", file=sys.stderr)
             sys.exit(1)
 
     return wrapper
@@ -64,33 +65,48 @@ def _rca(resolved, taxonomy, window):
     return n_records, spec_mod.rca(x)
 
 
-def _window(_ctx, _param, value):
+def _window(text):
+    """argparse type of a START:END window option."""
     try:
-        return TimeWindow.parse(value) if value is not None else None
+        return TimeWindow.parse(text)
     except ConfigError as e:
-        raise click.BadParameter(str(e))
+        raise argparse.ArgumentTypeError(str(e))
 
 
-@click.group()
-@click.option("-v", "--verbose", count=True,
-              help="Log progress to stderr: -v for INFO, -vv for DEBUG.")
-def main(verbose):
-    """Build research spaces from publication records and predict field entry."""
-    logger = logging.getLogger(__package__)
-    logger.setLevel(max(logging.DEBUG, logging.WARNING - 10 * verbose))
-    # one handler on this invocation's stderr, however often main runs
-    logger.handlers = [logging.StreamHandler()]
+def _int_at_least(low):
+    """argparse type of an integer option that must be at least low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
-@main.command()
-@click.option("--records", required=True, type=click.Path())
-@click.option("--venue-map", "venue_map_path", required=True, type=click.Path())
-@click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
-@click.option("--kind", type=click.Choice([k.value for k in EntityKind]),
-              default="scientist")
-@click.option("--format", "fmt", type=click.Choice(sorted(FORMAT_PROFILES)),
-              default="jsonl")
-@click.option("--out", "out_dir", required=True, type=click.Path())
+def _option(*flags, **kwargs):
+    """One option: add_argument's arguments, with its default shown in --help."""
+    if kwargs.get("default") is not None:
+        kwargs.setdefault("help", "default: %(default)s")
+    return flags, kwargs
+
+
+def _command(*options):
+    """Make fn a subcommand, named like fn with '-' for '_', taking options."""
+    def register(fn):
+        fn.options = options
+        return fn
+    return register
+
+
+@_command(
+    _option("--records", required=True),
+    _option("--venue-map", dest="venue_map_path", required=True),
+    _option("--taxonomy", dest="taxonomy_path", required=True),
+    _option("--kind", choices=[k.value for k in EntityKind], default="scientist"),
+    _option("--format", dest="fmt", choices=sorted(FORMAT_PROFILES), default="jsonl"),
+    _option("--out", dest="out_dir", required=True),
+)
 @pipeline_command
 def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     """Resolve venues and aggregate records into an entity corpus."""
@@ -100,7 +116,7 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
         records, vmap, taxonomy, EntityKind(kind), fmt=fmt
     )
     for line_no, msg in issues:
-        click.echo(f"warning: line {line_no}: {msg}", err=True)
+        print(f"warning: line {line_no}: {msg}", file=sys.stderr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -117,31 +133,34 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     artifacts._write_atomic(out / "match_report.json",
                             json.dumps(match_report, indent=2, sort_keys=True) + "\n")
     total = max(stats.total, 1)
-    click.echo(
+    print(
         f"resolved {len(resolved)} records "
         f"(exact {stats.exact / total:.1%}, "
         f"exact+approx {(stats.exact + stats.approximate) / total:.1%})"
     )
 
 
-@main.command()
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
-@click.option("--window", required=True, callback=_window)
-@click.option("--theta", default=0.05, show_default=True)
-@click.option("--model", required=True, type=click.Choice(["freq", "emb"]))
-@click.option("--dim", default=100, show_default=True)
-@click.option("--epochs", default=10, show_default=True)
-@click.option("--lr", default=0.05, show_default=True)
-@click.option("--negatives", default=10, show_default=True)
-@click.option("--margin", default=0.05, show_default=True)
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@_command(
+    _option("--corpus", dest="corpus_path", required=True),
+    _option("--taxonomy", dest="taxonomy_path", required=True),
+    _option("--window", required=True, type=_window),
+    _option("--theta", type=float, default=0.05),
+    _option("--model", required=True, choices=["freq", "emb"]),
+    _option("--dim", type=int, default=100),
+    _option("--epochs", type=int, default=10),
+    _option("--lr", type=float, default=0.05),
+    _option("--negatives", type=int, default=10),
+    _option("--margin", type=float, default=0.05),
+    _option("--seed", type=_int_at_least(0), default=0),
+    _option("--out", dest="out_dir", required=True),
+)
 @pipeline_command
 def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         negatives, margin, seed, out_dir):
     """Fit a proximity matrix (frequentist or embedding) on a time window."""
     if model == "emb":
+        from . import emb_model  # imported only when an embedding is fit
+
         config = emb_model.EmbeddingConfig(
             dim=dim, epochs=epochs, learning_rate=lr,
             negatives_per_example=negatives, margin=margin, seed=seed,
@@ -184,19 +203,20 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         artifacts.save_embeddings(
             embedding.vectors, phi.field_ids, out / "embeddings.tsv", mhash=mhash
         )
-    click.echo(f"wrote {out / 'phi.tsv'} ({phi.model_tag}, window {window})")
+    print(f"wrote {out / 'phi.tsv'} ({phi.model_tag}, window {window})")
 
 
-@main.command()
-@click.option("--phi", "phi_path", required=True, type=click.Path())
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
-@click.option("--rca-window", "rca_window", required=True, callback=_window)
-@click.option("--transition", required=True,
-              type=click.Choice(sorted(k.value for k in TransitionKind)))
-@click.option("--top", default=10, show_default=True, type=click.IntRange(min=1))
-@click.option("--entity", "entities", multiple=True)
-@click.option("--out", "out_path", type=click.Path())
+@_command(
+    _option("--phi", dest="phi_path", required=True),
+    _option("--corpus", dest="corpus_path", required=True),
+    _option("--taxonomy", dest="taxonomy_path", required=True),
+    _option("--rca-window", required=True, type=_window),
+    _option("--transition", required=True,
+            choices=sorted(k.value for k in TransitionKind)),
+    _option("--top", type=_int_at_least(1), default=10),
+    _option("--entity", dest="entities", action="append"),
+    _option("--out", dest="out_path"),
+)
 @pipeline_command
 def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
             entities, out_path):
@@ -217,14 +237,14 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     for eid in entities or itertools.compress(resolved.entity_ids, n_records):
         i = row_of.get(eid)
         if i is None:
-            click.echo(f"warning: entity {eid!r} not found, skipped", err=True)
+            print(f"warning: entity {eid!r} not found, skipped", file=sys.stderr)
             continue
         if not n_records[i]:
-            click.echo(f"warning: entity {eid!r} has no record in window "
-                       f"{rca_window}, skipped", err=True)
+            print(f"warning: entity {eid!r} has no record in window "
+                  f"{rca_window}, skipped", file=sys.stderr)
             continue
         if not n_candidates[i]:
-            click.echo(f"note: entity {eid!r} has no candidate fields", err=True)
+            print(f"note: entity {eid!r} has no candidate fields", file=sys.stderr)
             continue
         cols = order[i, :min(top, n_candidates[i])].tolist()
         for rank_no, j, w in zip(itertools.count(1), cols, omega[i, cols].tolist()):
@@ -233,24 +253,25 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     if out_path:
         artifacts._write_atomic(out_path, text)
     else:
-        click.echo(text, nl=False)
+        print(text, end="")
 
 
-@main.command()
-@click.option("--phi-a", "phi_a_path", required=True, type=click.Path())
-@click.option("--phi-b", "phi_b_path", type=click.Path())
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
-@click.option("--fit", "fit_window", required=True, callback=_window)
-@click.option("--rca", "rca_window", required=True, callback=_window)
-@click.option("--test", "test_window", required=True, callback=_window)
-@click.option("--transition", required=True,
-              type=click.Choice(sorted(k.value for k in TransitionKind)))
-@click.option("--full-candidates", is_flag=True,
-              help="Rank the whole U=0 set instead of source-stage fields.")
-@click.option("--permutations", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@_command(
+    _option("--phi-a", dest="phi_a_path", required=True),
+    _option("--phi-b", dest="phi_b_path"),
+    _option("--corpus", dest="corpus_path", required=True),
+    _option("--taxonomy", dest="taxonomy_path", required=True),
+    _option("--fit", dest="fit_window", required=True, type=_window),
+    _option("--rca", dest="rca_window", required=True, type=_window),
+    _option("--test", dest="test_window", required=True, type=_window),
+    _option("--transition", required=True,
+            choices=sorted(k.value for k in TransitionKind)),
+    _option("--full-candidates", action="store_true",
+            help="Rank the whole U=0 set instead of source-stage fields."),
+    _option("--permutations", type=int, default=10000),
+    _option("--seed", type=_int_at_least(0), default=0),
+    _option("--out", dest="out_dir", required=True),
+)
 @pipeline_command
 def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
              rca_window, test_window, transition, full_candidates, permutations,
@@ -316,22 +337,20 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     artifacts._write_atomic(out / "auroc.tsv", "\n".join(lines) + "\n")
     artifacts._write_atomic(out / "summary.json",
                             json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    click.echo(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True))
 
 
-@main.command()
-@click.option("--phi", "phi_path", required=True, type=click.Path())
-@click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
-@click.option("--mode", type=click.Choice(["disparity", "mst-threshold"]),
-              default="disparity", show_default=True)
-@click.option("--alpha", default=0.20, show_default=True)
-@click.option("--p", "p_threshold", default=0.35, show_default=True)
-@click.option("--level", type=click.Choice(["field", "intermediate"]),
-              default="intermediate", show_default=True)
-@click.option("--format", "fmt",
-              type=click.Choice(["edgelist", "xmlgraph", "dot", "tsv"]),
-              default="edgelist", show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@_command(
+    _option("--phi", dest="phi_path", required=True),
+    _option("--taxonomy", dest="taxonomy_path", required=True),
+    _option("--mode", choices=["disparity", "mst-threshold"], default="disparity"),
+    _option("--alpha", type=float, default=0.20),
+    _option("--p", dest="p_threshold", type=float, default=0.35),
+    _option("--level", choices=["field", "intermediate"], default="intermediate"),
+    _option("--format", dest="fmt", choices=["edgelist", "xmlgraph", "dot", "tsv"],
+            default="edgelist"),
+    _option("--out", dest="out_dir", required=True),
+)
 @pipeline_command
 def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
              out_dir):
@@ -367,18 +386,19 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     artifacts._write_atomic(out / name, text)
     rows = "".join(f"{u}\t{c}\n" for u, c in sorted(zip(ids, labels.tolist())))
     artifacts._write_atomic(out / "communities.tsv", "node\tcommunity\n" + rows)
-    click.echo(
+    print(
         f"backbone: {len(ids)} nodes, {np.count_nonzero(kept) // 2} edges, "
         f"modularity {modularity:.4f}"
     )
 
 
-@main.command("export-stats")
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
-@click.option("--taxonomy", "taxonomy_path", required=True, type=click.Path())
-@click.option("--window", callback=_window)
-@click.option("--theta", default=0.05, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@_command(
+    _option("--corpus", dest="corpus_path", required=True),
+    _option("--taxonomy", dest="taxonomy_path", required=True),
+    _option("--window", type=_window),
+    _option("--theta", type=float, default=0.05),
+    _option("--out", dest="out_dir", required=True),
+)
 @pipeline_command
 def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
     """Emit plot-ready CCDF tables of per-entity publication and field counts."""
@@ -402,7 +422,40 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
         for v, c in pe.ccdf(values):
             lines.append(f"{v:.10g}\t{c:.10g}")
         artifacts._write_atomic(out / name, "\n".join(lines) + "\n")
-    click.echo(f"wrote CCDF tables to {out}")
+    print(f"wrote CCDF tables to {out}")
+
+
+def main(args=None, prog_name=None):
+    """Build research spaces from publication records and predict field entry."""
+    parser = argparse.ArgumentParser(prog=prog_name or "research-space",
+                                     description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("-v", "--verbose", action="count", default=0,
+                        help="Log progress to stderr: -v for INFO, -vv for DEBUG.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for fn in (ingest, fit, predict, evaluate, backbone, export_stats):
+        sub = commands.add_parser(fn.__name__.replace("_", "-"), help=fn.__doc__,
+                                  description=fn.__doc__, allow_abbrev=False)
+        for flags, kwargs in fn.options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=fn)
+    options = vars(parser.parse_args(args))
+    del options["command"]
+    verbose, run = options.pop("verbose"), options.pop("run")
+
+    logger = logging.getLogger(__package__)
+    logger.setLevel(max(logging.DEBUG, logging.WARNING - 10 * verbose))
+    # one handler on this invocation's stderr, however often main runs
+    logger.handlers = [logging.StreamHandler()]
+    try:
+        run(**options)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit 1 without a traceback, and keep
+        # the interpreter's final flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,12 @@ class EmbeddingConfig:
             raise ConfigError("negatives_per_example must be positive")
         if not (np.isfinite(self.margin) and self.margin > 0):
             raise ConfigError("margin must be finite and positive")
+        if (1 + self.negatives_per_example) * self.dim > BATCH_FLOATS:
+            raise ConfigError(
+                f"one bag's target block, (1 + negatives_per_example "
+                f"{self.negatives_per_example}) x dim {self.dim} floats, exceeds "
+                f"{BATCH_FLOATS}"
+            )
 
 
 @dataclass
@@ -49,9 +55,9 @@ class FieldEmbedding:
 def bags_per_batch(config: EmbeddingConfig) -> int:
     """Bags per SGD update: BATCH_BAGS, or fewer so that one batch's
     (bags, 1 + negatives, dim) target block holds at most BATCH_FLOATS
-    floats; never fewer than one."""
+    floats; the config allows at least one."""
     per_bag = (1 + config.negatives_per_example) * config.dim
-    return max(1, min(BATCH_BAGS, BATCH_FLOATS // per_bag))
+    return min(BATCH_BAGS, BATCH_FLOATS // per_bag)
 
 
 def _inverse(x):

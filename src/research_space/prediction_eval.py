@@ -89,9 +89,25 @@ def summarize(values) -> dict:
     vals = np.asarray(values, dtype=np.float64)
     if not len(vals):
         raise ConfigError("cannot summarize an empty result list")
-    q1, med, q3 = np.quantile(vals, [0.25, 0.5, 0.75])  # linear interpolation
-    return {"mean": float(vals.mean()), "median": float(med), "q1": float(q1),
-            "q3": float(q3), "n": len(vals)}
+    q1, med, q3 = _quartiles(np.sort(vals))
+    return {"mean": float(vals.mean()), "median": med, "q1": q1, "q3": q3,
+            "n": len(vals)}
+
+
+def _quartiles(s):
+    """Quartiles of a sorted non-empty array, interpolated as np.quantile's
+    default linear method does it, bit for bit, without np.quantile's load
+    of numpy.ma."""
+    n = len(s)
+    result = []
+    for q in (0.25, 0.5, 0.75):
+        virtual = (n - 1) * q
+        i = int(virtual)
+        gamma = virtual - i
+        a, b = float(s[i]), float(s[min(i + 1, n - 1)])
+        diff = b - a
+        result.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return result
 
 
 def compare_models(a, b, n_permutations: int = 10000, seed: int = 0) -> float:

@@ -232,6 +232,11 @@ def quantiles_sorted_oracle(values, qs):
     return out
 
 
+def quartiles_np(values):
+    """q1, median and q3 by np.quantile's default linear method."""
+    return np.quantile(np.asarray(values, dtype=np.float64), [0.25, 0.5, 0.75]).tolist()
+
+
 def cv_sliding(covariate, values, window_size):
     """Coefficient of variation over sliding windows of the covariate order.
 

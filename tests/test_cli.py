@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import os
@@ -11,7 +13,6 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import research_space
 import simulation
@@ -21,6 +22,49 @@ from research_space import prediction_eval as pe
 from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
 from research_space.errors import ParseError
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies every write to a shared log."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def write(self, text):
+        self.log.write(text)
+        return super().write(text)
+
+
+class Result:
+    """One in-process CLI run: its exit code, stdout, stderr, both
+    interleaved as output, and the exception it ended with, if any (a
+    SystemExit of a nonzero code counts; one of code 0 does not)."""
+
+    def __init__(self, exit_code, stdout, stderr, output, exception):
+        self.exit_code, self.exception = exit_code, exception
+        self.stdout, self.stderr, self.output = stdout, stderr, output
+        self.stdout_bytes = stdout.encode()
+
+
+class Runner:
+    """Runs the CLI's main on an argument list in this process, with stdout
+    and stderr captured, and never raises."""
+
+    def invoke(self, main, args):
+        log = io.StringIO()
+        out, err = _Tee(log), _Tee(log)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as e:
+                code = e.code or 0
+                exception = e if code else None
+            except Exception as e:
+                code, exception = 1, e
+        return Result(code, out.getvalue(), err.getvalue(), log.getvalue(), exception)
+
 
 # Corruptions of a saved phi.tsv, and the line the error must name given the
 # intact file's line count n (4 comment lines, the field header, one row per field).
@@ -135,7 +179,7 @@ def pipeline(tmp_path_factory):
     """Run ingest + freq/emb fits once; commands under test reuse the artifacts."""
     tmp_path = tmp_path_factory.mktemp("pipeline")
     tax_path, vmap_path, rec_path, _ = write_pipeline_inputs(tmp_path)
-    runner = CliRunner()
+    runner = Runner()
     res = runner.invoke(main, [
         "ingest", "--records", str(rec_path), "--venue-map", str(vmap_path),
         "--taxonomy", str(tax_path), "--kind", "scientist",
@@ -738,6 +782,9 @@ def test_bad_window_exits_2_without_traceback(pipeline, tmp_path, command, optio
     ("ingest", "--format", "nope"),
     ("fit", "--seed", "-1"),
     ("evaluate", "--seed", "-1"),
+    ("fit", "--dim", "100000000000"),
+    ("fit", "--negatives", "100000000000"),
+    ("fit", "--dim", "99999999999999999999"),
 ])
 def test_bad_option_exits_2_before_any_io(pipeline, tmp_path, command, option, value):
     # an unreadable corpus or taxonomy would exit 1 if it were loaded before
@@ -1092,76 +1139,68 @@ def test_cli_import_loads_neither_scipy_stats_nor_networkx():
     assert "--mode" in res.stdout
 
 
-# Runs one CLI command in-process and reports on stderr whether scipy was
-# loaded by the time it exited.
-SCIPY_PROBE = """import sys
+# Runs one CLI command in-process and prints, as the last line of stderr,
+# which of the modules an import budget watches it had loaded when it exited.
+IMPORT_PROBE = """import sys
 from research_space.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    print("scipy loaded:", "scipy" in sys.modules, file=sys.stderr)
+    print(sorted(m for m in ("click", "numpy.ma", "scipy", "research_space.emb_model",
+                             "hashlib", "networkx") if m in sys.modules),
+          file=sys.stderr)
 """
 
 
-def test_no_command_loads_scipy(pipeline, tmp_path):
+def test_import_budget(pipeline, tmp_path):
+    # no command loads click, numpy.ma or scipy; each other watched module is
+    # loaded only by the commands that use it: the embedding by fit --model
+    # emb, networkx by the GraphML writer, and hashlib by the manifest hash of
+    # ingest and fit, and by what networkx and numpy.random (the two-phi
+    # evaluate's permutation test) import themselves
     taxonomy, corpus = str(pipeline["taxonomy"]), str(pipeline["corpus"])
     phi_freq, phi_emb = str(pipeline["phi_freq"]), str(pipeline["phi_emb"])
     fit = ["fit", "--corpus", corpus, "--taxonomy", taxonomy, "--window", "2000:2004"]
     evaluate = ["evaluate", "--phi-a", phi_freq, "--corpus", corpus,
                 "--taxonomy", taxonomy, "--fit", "2000:2004", "--rca", "2002:2004",
                 "--test", "2005:2007", "--transition", "0A", "--permutations", "100"]
-    commands = {
-        "ingest": ["ingest", "--records", str(pipeline["records"]),
-                   "--venue-map", str(pipeline["venues"]), "--taxonomy", taxonomy],
-        "fit-freq": [*fit, "--model", "freq"],
-        "fit-emb": [*fit, "--model", "emb", "--dim", "8", "--epochs", "2"],
-        "predict": ["predict", "--phi", phi_freq, "--corpus", corpus,
-                    "--taxonomy", taxonomy, "--rca-window", "2002:2004",
-                    "--transition", "0A"],
-        "evaluate-one-phi": evaluate,
-        "evaluate-two-phi": [*evaluate, "--phi-b", phi_emb],
-        "disparity": ["backbone", "--phi", phi_emb, "--taxonomy", taxonomy,
-                      "--mode", "disparity"],
-        "mst-threshold": ["backbone", "--phi", phi_emb, "--taxonomy", taxonomy,
-                          "--mode", "mst-threshold", "--level", "field"],
-        "export-stats": ["export-stats", "--corpus", corpus, "--taxonomy", taxonomy],
+    backbone = ["backbone", "--phi", phi_emb, "--taxonomy", taxonomy]
+    commands = {  # name: (arguments, the watched modules it loads)
+        "help": (["--help"], []),
+        "ingest": (["ingest", "--records", str(pipeline["records"]),
+                    "--venue-map", str(pipeline["venues"]), "--taxonomy", taxonomy],
+                   ["hashlib"]),
+        "fit-freq": ([*fit, "--model", "freq"], ["hashlib"]),
+        "fit-emb": ([*fit, "--model", "emb", "--dim", "8", "--epochs", "2"],
+                    ["hashlib", "research_space.emb_model"]),
+        "predict": (["predict", "--phi", phi_freq, "--corpus", corpus,
+                     "--taxonomy", taxonomy, "--rca-window", "2002:2004",
+                     "--transition", "0A"], []),
+        "evaluate-one-phi": (evaluate, []),
+        "evaluate-two-phi": ([*evaluate, "--phi-b", phi_emb], ["hashlib"]),
+        "disparity-tsv": ([*backbone, "--mode", "disparity", "--format", "tsv"], []),
+        "mst-threshold-dot": ([*backbone, "--mode", "mst-threshold", "--level", "field",
+                               "--format", "dot"], []),
+        "disparity-xmlgraph": ([*backbone, "--format", "xmlgraph"],
+                               ["hashlib", "networkx"]),
+        "export-stats": (["export-stats", "--corpus", corpus, "--taxonomy", taxonomy],
+                         []),
     }
-    for name, args in commands.items():
+    for name, (args, loaded) in commands.items():
         out = tmp_path / name
         if name == "predict":  # predict writes one file, the others a directory
             out = tmp_path / "predictions.tsv"
-        res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args,
-                              "--out", str(out)],
+        if name != "help":
+            args = [*args, "--out", str(out)]
+        res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
                              env=_src_env(), capture_output=True, text=True)
         assert res.returncode == 0, (name, res.stderr)
-        assert res.stderr.splitlines()[-1] == "scipy loaded: False", name
-        assert out.is_file() or any(out.iterdir()), name
+        assert res.stderr.splitlines()[-1] == str(loaded), name
+        assert name == "help" or out.is_file() or any(out.iterdir()), name
     # the manifest hash differs (no --seed), the values do not
     np.testing.assert_array_equal(
         load_proximity(tmp_path / "fit-freq" / "phi.tsv").values,
         load_proximity(pipeline["phi_freq"]).values)
-
-
-# Runs one CLI command in-process and reports on stderr whether networkx was
-# loaded by the time it exited.
-NETWORKX_PROBE = """import sys
-from research_space.cli import main
-try:
-    main(sys.argv[1:])
-finally:
-    print("networkx loaded:", "networkx" in sys.modules, file=sys.stderr)
-"""
-
-
-def test_only_graphml_backbones_load_networkx(pipeline, tmp_path):
-    for fmt, loaded in (("tsv", False), ("dot", False), ("xmlgraph", True)):
-        res = subprocess.run([sys.executable, "-c", NETWORKX_PROBE, "backbone",
-                              "--phi", str(pipeline["phi_emb"]),
-                              "--taxonomy", str(pipeline["taxonomy"]),
-                              "--format", fmt, "--out", str(tmp_path / fmt)],
-                             env=_src_env(), capture_output=True, text=True)
-        assert res.returncode == 0, (fmt, res.stderr)
-        assert res.stderr.splitlines()[-1] == f"networkx loaded: {loaded}", fmt
 
 
 def test_fixture_records_do_not_depend_on_hash_seed(tmp_path):

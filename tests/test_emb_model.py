@@ -300,14 +300,23 @@ class TestAgainstMinibatchLoop:
 
 class TestBatchSize:
     @pytest.mark.parametrize("dim,negatives", [(1, 1), (16, 10), (100, 10),
-                                               (300, 10000), (10**6, 1)])
+                                               (BATCH_FLOATS // 2, 1)])
     def test_within_budget_and_at_least_one(self, dim, negatives):
         config = EmbeddingConfig(dim=dim, negatives_per_example=negatives)
         block = (1 + negatives) * dim
         b = bags_per_batch(config)
         assert 1 <= b <= emb_model.BATCH_BAGS
-        # one bag is the least a batch holds, even when it overruns the budget
-        assert b * block <= max(BATCH_FLOATS, block)
+        assert b * block <= BATCH_FLOATS
+
+    @pytest.mark.parametrize("dim,negatives", [(300, 10000), (10**6, 1),
+                                               (BATCH_FLOATS // 2 + 1, 1),
+                                               (1, BATCH_FLOATS), (10**20, 10)])
+    def test_one_bag_over_budget_rejected(self, dim, negatives):
+        # one bag's target block would not fit in a batch
+        with pytest.raises(ConfigError) as err:
+            EmbeddingConfig(dim=dim, negatives_per_example=negatives)
+        assert f"negatives_per_example {negatives})" in str(err.value)
+        assert f"dim {dim} floats" in str(err.value)
 
 
 class TestProximity:

@@ -245,6 +245,21 @@ class TestSummarize:
         assert s["median"] == pytest.approx(med, abs=1e-12)
         assert s["q3"] == pytest.approx(q3, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0),
+                              st.sampled_from([0.0, 1.0, 0.5, 5e-324, 1e-310])),
+                    min_size=1, max_size=30))
+    @example([0.3])
+    @example([0.3, 0.7])
+    @example([0.1, 0.9, 0.4])
+    @example([0.6] * 7)
+    @example([0.0, 1.0, 0.0, 1.0, 1.0])
+    @example([5e-324, 0.0, 1e-310, 5e-324])
+    def test_quartiles_equal_np_quantile_bit_for_bit(self, values):
+        s = summarize(np.array(values))
+        assert [s[k].hex() for k in ("q1", "median", "q3")] == \
+               [q.hex() for q in oracles.quartiles_np(values)]
+
     def test_permutation_invariant(self):
         vals = np.array([0.2, 0.9, 0.5, 0.7])
         a = summarize(vals)
