@@ -96,8 +96,8 @@ def summarize(values) -> dict:
 
 def _quartiles(s):
     """Quartiles of a sorted non-empty array, interpolated as np.quantile's
-    default linear method does it, bit for bit, without np.quantile's load
-    of numpy.ma."""
+    default linear method does it, bit for bit on non-negative finite values
+    such as AUROCs, without np.quantile's load of numpy.ma."""
     n = len(s)
     result = []
     for q in (0.25, 0.5, 0.75):
