@@ -829,6 +829,12 @@ def _valid_args(pipeline, out):
     }, ["--out", str(out)]
 
 
+def _drop(args, option):
+    """args without option and its value."""
+    i = args.index(option)
+    return args[:i] + args[i + 2:]
+
+
 def _replace(args, option, value):
     """args with the value of option replaced by value."""
     args = list(args)
@@ -847,9 +853,7 @@ WINDOW_OPTIONS = [("fit", "--window"), ("predict", "--rca-window"),
                   ("export-stats", "--window")]
 # (case id, command or None for the bare group, change of its valid arguments)
 BAD_ARGUMENTS = [
-    *[(f"{c}-missing-taxonomy", c,
-       lambda a: [x for i, x in enumerate(a)
-                  if "--taxonomy" not in (x, a[i - 1] if i else None)])
+    *[(f"{c}-missing-taxonomy", c, lambda a: _drop(a, "--taxonomy"))
       for c in ALL_COMMANDS],
     *[(f"{c}-unknown-option", c, lambda a: [*a, "--bogus", "1"]) for c in ALL_COMMANDS],
     *[(f"{c}-abbreviated-taxonomy", c, lambda a: _rename(a, "--taxonomy", "--tax"))
