@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -1156,12 +1157,26 @@ finally:
 """
 
 
-def test_import_budget(pipeline, tmp_path):
-    # no command loads click, numpy.ma or scipy; each other watched module is
-    # loaded only by the commands that use it: the embedding by fit --model
-    # emb, networkx by the GraphML writer, and hashlib by the manifest hash of
-    # ingest and fit, and by what networkx and numpy.random (the two-phi
-    # evaluate's permutation test) import themselves
+# The import budget: the watched modules each command loads. No command loads
+# click, numpy.ma or scipy; each other watched module is loaded only by the
+# commands that use it: the embedding by fit --model emb, networkx by the
+# GraphML writer, and hashlib by the manifest hash of ingest and fit, and by
+# what networkx and numpy.random (the two-phi evaluate's permutation test)
+# import themselves.
+IMPORT_BUDGET = {
+    "help": [], "ingest": ["hashlib"], "fit-freq": ["hashlib"],
+    "fit-emb": ["hashlib", "research_space.emb_model"], "predict": [],
+    "evaluate-one-phi": [], "evaluate-two-phi": ["hashlib"], "disparity-tsv": [],
+    "mst-threshold-dot": [], "disparity-xmlgraph": ["hashlib", "networkx"],
+    "export-stats": [],
+}
+
+
+@pytest.fixture(scope="module")
+def import_probes(pipeline, tmp_path_factory):
+    """Run every command once under IMPORT_PROBE; name: (its output path, the
+    finished process)."""
+    tmp_path = tmp_path_factory.mktemp("import_probes")
     taxonomy, corpus = str(pipeline["taxonomy"]), str(pipeline["corpus"])
     phi_freq, phi_emb = str(pipeline["phi_freq"]), str(pipeline["phi_emb"])
     fit = ["fit", "--corpus", corpus, "--taxonomy", taxonomy, "--window", "2000:2004"]
@@ -1169,41 +1184,59 @@ def test_import_budget(pipeline, tmp_path):
                 "--taxonomy", taxonomy, "--fit", "2000:2004", "--rca", "2002:2004",
                 "--test", "2005:2007", "--transition", "0A", "--permutations", "100"]
     backbone = ["backbone", "--phi", phi_emb, "--taxonomy", taxonomy]
-    commands = {  # name: (arguments, the watched modules it loads)
-        "help": (["--help"], []),
-        "ingest": (["ingest", "--records", str(pipeline["records"]),
-                    "--venue-map", str(pipeline["venues"]), "--taxonomy", taxonomy],
-                   ["hashlib"]),
-        "fit-freq": ([*fit, "--model", "freq"], ["hashlib"]),
-        "fit-emb": ([*fit, "--model", "emb", "--dim", "8", "--epochs", "2"],
-                    ["hashlib", "research_space.emb_model"]),
-        "predict": (["predict", "--phi", phi_freq, "--corpus", corpus,
-                     "--taxonomy", taxonomy, "--rca-window", "2002:2004",
-                     "--transition", "0A"], []),
-        "evaluate-one-phi": (evaluate, []),
-        "evaluate-two-phi": ([*evaluate, "--phi-b", phi_emb], ["hashlib"]),
-        "disparity-tsv": ([*backbone, "--mode", "disparity", "--format", "tsv"], []),
-        "mst-threshold-dot": ([*backbone, "--mode", "mst-threshold", "--level", "field",
-                               "--format", "dot"], []),
-        "disparity-xmlgraph": ([*backbone, "--format", "xmlgraph"],
-                               ["hashlib", "networkx"]),
-        "export-stats": (["export-stats", "--corpus", corpus, "--taxonomy", taxonomy],
-                         []),
+    commands = {
+        "help": ["--help"],
+        "ingest": ["ingest", "--records", str(pipeline["records"]),
+                   "--venue-map", str(pipeline["venues"]), "--taxonomy", taxonomy],
+        "fit-freq": [*fit, "--model", "freq"],
+        "fit-emb": [*fit, "--model", "emb", "--dim", "8", "--epochs", "2"],
+        "predict": ["predict", "--phi", phi_freq, "--corpus", corpus,
+                    "--taxonomy", taxonomy, "--rca-window", "2002:2004",
+                    "--transition", "0A"],
+        "evaluate-one-phi": evaluate,
+        "evaluate-two-phi": [*evaluate, "--phi-b", phi_emb],
+        "disparity-tsv": [*backbone, "--mode", "disparity", "--format", "tsv"],
+        "mst-threshold-dot": [*backbone, "--mode", "mst-threshold", "--level", "field",
+                              "--format", "dot"],
+        "disparity-xmlgraph": [*backbone, "--format", "xmlgraph"],
+        "export-stats": ["export-stats", "--corpus", corpus, "--taxonomy", taxonomy],
     }
-    for name, (args, loaded) in commands.items():
+    assert commands.keys() == IMPORT_BUDGET.keys()
+    probes = {}
+    for name, args in commands.items():
         out = tmp_path / name
         if name == "predict":  # predict writes one file, the others a directory
             out = tmp_path / "predictions.tsv"
         if name != "help":
             args = [*args, "--out", str(out)]
-        res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
-                             env=_src_env(), capture_output=True, text=True)
-        assert res.returncode == 0, (name, res.stderr)
-        assert res.stderr.splitlines()[-1] == str(loaded), name
+        probes[name] = (out, subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *args],
+            env=_src_env(), capture_output=True, text=True))
+    return probes
+
+
+def _loaded(res):
+    assert res.returncode == 0, res.stderr
+    return ast.literal_eval(res.stderr.splitlines()[-1])
+
+
+def test_no_command_loads_scipy(import_probes):
+    for name, (_, res) in import_probes.items():
+        assert "scipy" not in _loaded(res), name
+
+
+def test_only_graphml_backbones_load_networkx(import_probes):
+    for name, (_, res) in import_probes.items():
+        assert ("networkx" in _loaded(res)) == (name == "disparity-xmlgraph"), name
+
+
+def test_import_budget(import_probes, pipeline):
+    for name, (out, res) in import_probes.items():
+        assert _loaded(res) == IMPORT_BUDGET[name], name
         assert name == "help" or out.is_file() or any(out.iterdir()), name
     # the manifest hash differs (no --seed), the values do not
     np.testing.assert_array_equal(
-        load_proximity(tmp_path / "fit-freq" / "phi.tsv").values,
+        load_proximity(import_probes["fit-freq"][0] / "phi.tsv").values,
         load_proximity(pipeline["phi_freq"]).values)
 
 
