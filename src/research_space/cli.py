@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import os
@@ -230,25 +229,34 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     u, cand = spec_mod.indicator(r, kind), pe.candidate_mask(r, kind)
     del r
     omega = spec_mod.density(u, phi.values)
-    order, n_candidates = pe.rank_candidates(omega, cand, phi.field_ids)
-    row_of = {eid: i for i, eid in enumerate(resolved.entity_ids)}
-    names = [taxonomy.field(fid).name for fid in phi.field_ids]
-    lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
-    for eid in entities or itertools.compress(resolved.entity_ids, n_records):
-        i = row_of.get(eid)
-        if i is None:
+    top = min(top, len(phi.field_ids))  # before numpy sees it: --top is unbounded
+    order, n_candidates = pe.rank_candidates(omega, cand, phi.field_ids, top)
+    if entities:
+        row_of = {eid: i for i, eid in enumerate(resolved.entity_ids)}
+        rows = np.array([row_of.get(eid, -1) for eid in entities], dtype=np.intp)
+    else:
+        rows = np.flatnonzero(n_records)
+    in_window = (rows >= 0) & (n_records[rows] > 0)
+    ranked = in_window & (n_candidates[rows] > 0)
+    for j in np.flatnonzero(~ranked).tolist():  # in the order asked
+        eid = entities[j] if entities else resolved.entity_ids[rows[j]]
+        if rows[j] < 0:
             print(f"warning: entity {eid!r} not found, skipped", file=sys.stderr)
-            continue
-        if not n_records[i]:
+        elif not in_window[j]:
             print(f"warning: entity {eid!r} has no record in window "
                   f"{rca_window}, skipped", file=sys.stderr)
-            continue
-        if not n_candidates[i]:
+        else:
             print(f"note: entity {eid!r} has no candidate fields", file=sys.stderr)
-            continue
-        cols = order[i, :min(top, n_candidates[i])].tolist()
-        for rank_no, j, w in zip(itertools.count(1), cols, omega[i, cols].tolist()):
-            lines.append(f"{eid}\t{rank_no}\t{phi.field_ids[j]}\t{names[j]}\t{w:.6f}")
+    # one line per entity asked and rank shown, with its row and column
+    which, rank = np.nonzero(in_window[:, None]
+                             & (n_candidates[rows, None] > np.arange(top)))
+    cells = rows[which]
+    cols = order[cells, rank]
+    labels = [f"{fid}\t{taxonomy.field(fid).name}" for fid in phi.field_ids]
+    lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
+    lines += ["%s\t%d\t%s\t%.6f" % line for line in zip(
+        map(resolved.entity_ids.__getitem__, cells.tolist()), (rank + 1).tolist(),
+        map(labels.__getitem__, cols.tolist()), omega[cells, cols].tolist())]
     text = "\n".join(lines) + "\n"
     if out_path:
         artifacts._write_atomic(out_path, text)
@@ -315,11 +323,10 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     for phi in phis:
         auc, n_pos, n_neg = pe.auroc(spec_mod.density(u, phi.values), cand, realized)
         rows = np.flatnonzero(in_rca & ~np.isnan(auc))
-        for i in rows:
-            lines.append(
-                f"{resolved.entity_ids[i]}\t{resolved.kind.value}\t{transition}"
-                f"\t{phi.model_tag}\t{auc[i]:.6f}\t{n_pos[i]}\t{n_neg[i]}"
-            )
+        labels = f"{resolved.kind.value}\t{transition}\t{phi.model_tag}"
+        lines += ["%s\t%s\t%.6f\t%d\t%d" % (resolved.entity_ids[i], labels, *scores)
+                  for i, *scores in zip(rows.tolist(), auc[rows].tolist(),
+                                        n_pos[rows].tolist(), n_neg[rows].tolist())]
         scored.append(auc[rows])
         summary[phi.model_tag] = {
             **(pe.summarize(auc[rows]) if len(rows) else {"n": 0}),

@@ -33,13 +33,9 @@ def rca(dense: np.ndarray) -> np.ndarray:
         raise ConfigError("total corpus mass is zero")
     row_sums = dense.sum(axis=1, keepdims=True)
     field_share = dense.sum(axis=0) / total  # global share per field
-    out = np.zeros_like(dense)
-    nz_rows = row_sums[:, 0] > 0
-    nz_fields = field_share > 0
-    out[np.ix_(nz_rows, nz_fields)] = (
-        dense[np.ix_(nz_rows, nz_fields)] / row_sums[nz_rows]
-    ) / field_share[nz_fields]
-    return out
+    keep = (row_sums > 0) & (field_share > 0)
+    out = np.divide(dense, row_sums, out=np.zeros_like(dense), where=keep)
+    return np.divide(out, field_share, out=out, where=keep)
 
 
 def stage_codes(values) -> np.ndarray:
@@ -64,7 +60,4 @@ def density(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """
     row_sums = phi.sum(axis=1)  # per target field f
     numer = u.astype(np.float64) @ phi.T
-    omega = np.zeros_like(numer)
-    nz = row_sums > 0
-    omega[:, nz] = numer[:, nz] / row_sums[nz]
-    return omega
+    return np.divide(numer, row_sums, out=np.zeros_like(numer), where=row_sums > 0)

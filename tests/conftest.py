@@ -11,6 +11,11 @@ from research_space.corpus import (
 )
 
 
+def same_bits(a, b):
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def make_taxonomy(n_fields=6, fields_per_intermediate=3):
     """Small synthetic 3-level taxonomy: F001.., I1.., two macro areas."""
     fields = []

@@ -24,6 +24,13 @@ the byte reference of the writers that format a row at a time.
 ``greedy_communities_nx`` are the networkx-graph backbone layers that the
 package replaced with layers on one weight array, kept as references on the
 graph ``nx_graph`` builds from that array.
+``midranks`` and ``auroc_midranks`` are the AUROC from row-wise midranks
+that the pair count from the positive cells replaced, and
+``rank_candidates_lexsort`` the full-row lexsort that the top k by partition
+replaced; ``rca_ix`` and ``density_ix`` are the bodies that gathered and
+scattered the nonzero rows and columns; ``predict_loop`` is the predict
+writer that took one entity at a time. All are kept as the bit-for-bit and
+byte-for-byte references of their replacements.
 """
 
 from __future__ import annotations
@@ -718,3 +725,99 @@ def save_embeddings_per_value(vectors, field_ids, path, mhash=""):
     for fid, vec in zip(field_ids, vectors):
         lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def midranks(a):
+    """Row-wise 1-based ranks of a 2-D float array, tied values sharing the
+    mean of their ranks; NaN entries are left out and stay NaN."""
+    order = np.argsort(a, axis=1, kind="stable")  # NaN sorts last
+    s = np.take_along_axis(a, order, axis=1)
+    n = a.shape[1]
+    pos = np.broadcast_to(np.arange(n), a.shape)
+    first = np.ones(a.shape, dtype=bool)  # starts a tie group
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    last = np.ones(a.shape, dtype=bool)  # ends a tie group
+    last[:, :-1] = first[:, 1:]
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=1)
+    end = np.minimum.accumulate(np.where(last, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    mid = np.where(np.isnan(s), np.nan, (start + end + 2) / 2.0)
+    ranks = np.empty_like(mid)
+    np.put_along_axis(ranks, order, mid, axis=1)
+    return ranks
+
+
+def auroc_midranks(scores, cand, pos):
+    """Row-wise Mann-Whitney AUROC from the midranks of each row's
+    candidates, as (auroc, n_pos, n_neg); NaN where a row lacks a positive
+    or a negative candidate."""
+    ranks = midranks(np.where(cand, scores, np.nan))
+    n_pos = pos.sum(axis=1)
+    n_neg = cand.sum(axis=1) - n_pos
+    u_stat = np.where(pos, ranks, 0.0).sum(axis=1) - n_pos * (n_pos + 1) / 2.0
+    pairs = n_pos * n_neg
+    auc = np.divide(u_stat, pairs, out=np.full(len(pairs), np.nan), where=pairs > 0)
+    return auc, n_pos, n_neg
+
+
+def rank_candidates_lexsort(omega, cand, field_ids):
+    """(order, n_candidates): row i's candidates are the field indices
+    order[i, :n_candidates[i]], by descending density, ties by field_id."""
+    position = {f: i for i, f in enumerate(sorted(field_ids))}
+    id_rank = np.array([position[f] for f in field_ids])
+    key = np.where(cand, -omega, np.inf)
+    order = np.lexsort((np.broadcast_to(id_rank, key.shape), key), axis=-1)
+    return order, cand.sum(axis=1)
+
+
+def rca_ix(dense):
+    """Balassa index with the nonzero rows and columns gathered and scattered."""
+    total = dense.sum()
+    if total <= 0:
+        raise ConfigError("total corpus mass is zero")
+    row_sums = dense.sum(axis=1, keepdims=True)
+    field_share = dense.sum(axis=0) / total
+    out = np.zeros_like(dense)
+    nz_rows = row_sums[:, 0] > 0
+    nz_fields = field_share > 0
+    out[np.ix_(nz_rows, nz_fields)] = (
+        dense[np.ix_(nz_rows, nz_fields)] / row_sums[nz_rows]
+    ) / field_share[nz_fields]
+    return out
+
+
+def density_ix(u, phi):
+    """Relatedness density with the columns of positive phi row sums gathered
+    and scattered."""
+    row_sums = phi.sum(axis=1)
+    numer = u.astype(np.float64) @ phi.T
+    omega = np.zeros_like(numer)
+    nz = row_sums > 0
+    omega[:, nz] = numer[:, nz] / row_sums[nz]
+    return omega
+
+
+def predict_loop(entity_ids, n_records, omega, cand, field_ids, names, top,
+                 entities, rca_window):
+    """(TSV, stderr) of the predict command, written one entity at a time:
+    the asked entities, or every entity with records in the RCA window, each
+    with its top candidates or a warning or note of why it was skipped."""
+    order, n_candidates = rank_candidates_lexsort(omega, cand, field_ids)
+    row_of = {eid: i for i, eid in enumerate(entity_ids)}
+    lines = ["entity_id\trank\tfield_id\tfield_name\tdensity"]
+    err = []
+    for eid in entities or itertools.compress(entity_ids, n_records):
+        i = row_of.get(eid)
+        if i is None:
+            err.append(f"warning: entity {eid!r} not found, skipped\n")
+            continue
+        if not n_records[i]:
+            err.append(f"warning: entity {eid!r} has no record in window "
+                       f"{rca_window}, skipped\n")
+            continue
+        if not n_candidates[i]:
+            err.append(f"note: entity {eid!r} has no candidate fields\n")
+            continue
+        cols = order[i, :min(top, n_candidates[i])].tolist()
+        for rank_no, j, w in zip(itertools.count(1), cols, omega[i, cols].tolist()):
+            lines.append(f"{eid}\t{rank_no}\t{field_ids[j]}\t{names[j]}\t{w:.6f}")
+    return "\n".join(lines) + "\n", "".join(err)

@@ -15,14 +15,18 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import oracles
 import research_space
 import simulation
 from conftest import corpus_rows, make_corpus
-from research_space import emb_model
+from research_space import cli, emb_model
 from research_space import prediction_eval as pe
 from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
+from research_space.corpus import FieldTaxonomy
 from research_space.errors import ParseError
+from research_space.presence import TimeWindow
+from research_space.specialization import TransitionKind, density, indicator
 
 
 class _Tee(io.StringIO):
@@ -391,6 +395,54 @@ class TestPredict:
             "warning: entity 'NOBODY' not found, skipped",
         ]
         assert out.read_text() == "entity_id\trank\tfield_id\tfield_name\tdensity\n"
+
+    @pytest.mark.parametrize("transition", ["0A", "ND", "ID"])
+    @pytest.mark.parametrize("entities", [None, ["S0001", "NOBODY", "OLD1", "ALL1",
+                                                 "ONE1", "S0000", "S0001"]])
+    def test_matches_per_entity_loop(self, pipeline, tmp_path, transition, entities):
+        # OLD1's only record is before the RCA window; ALL1 is active in every
+        # field, so it has no 0A candidate; ONE1's one field has RCA above 1,
+        # so it has no Nascent or Intermediate field to rank
+        taxonomy = FieldTaxonomy.from_file(pipeline["taxonomy"])
+        corpus = extended_corpus(pipeline, tmp_path / "extended.jsonl", [
+            ("OLD1", ("F001",), 1, 2000), ("ONE1", ("F001",), 1, 2003),
+            *[("ALL1", (fid,), 1, 2003) for fid in taxonomy.field_ids]])
+        resolved, phi = load_corpus(corpus), load_proximity(pipeline["phi_freq"])
+        kind = TransitionKind(transition)
+        n_records, r = cli._rca(resolved, taxonomy, TimeWindow(2002, 2004))
+        expected, warnings = oracles.predict_loop(
+            resolved.entity_ids, n_records, density(indicator(r, kind), phi.values),
+            pe.candidate_mask(r, kind), phi.field_ids,
+            [taxonomy.field(fid).name for fid in phi.field_ids], 3, entities,
+            "2002:2004")
+        args = ["predict", "--phi", str(pipeline["phi_freq"]), "--corpus", str(corpus),
+                "--taxonomy", str(pipeline["taxonomy"]), "--rca-window", "2002:2004",
+                "--transition", transition, "--top", "3",
+                *[a for eid in entities or () for a in ("--entity", eid)]]
+        if entities:
+            assert all(why in warnings for why in ("not found", "no record", "no candidate"))
+        res = pipeline["runner"].invoke(main, args)
+        assert (res.exit_code, res.stdout_bytes, res.stderr) == \
+            (0, expected.encode(), warnings)
+        out = tmp_path / "pred.tsv"
+        res = pipeline["runner"].invoke(main, [*args, "--out", str(out)])
+        assert (res.exit_code, res.stdout, res.stderr) == (0, "", warnings)
+        assert out.read_bytes() == expected.encode()
+
+    def test_top_beyond_int64_equals_top_of_all_fields(self, pipeline):
+        # numpy raises OverflowError on a Python int beyond int64
+        texts = []
+        for top in ("99999999999999999999", "250"):
+            res = pipeline["runner"].invoke(main, [
+                "predict", "--phi", str(pipeline["phi_freq"]),
+                "--corpus", str(pipeline["corpus"]),
+                "--taxonomy", str(pipeline["taxonomy"]),
+                "--rca-window", "2002:2004", "--transition", "0A", "--top", top,
+            ])
+            assert res.exit_code == 0, res.output
+            texts.append(res.stdout_bytes)
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) > 1
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_below_one_exits_2(self, pipeline, tmp_path, top):

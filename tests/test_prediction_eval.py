@@ -7,10 +7,11 @@ from scipy.stats import binom, rankdata
 
 import oracles
 import simulation
+from conftest import same_bits
 from oracles import cv_sliding
+from research_space import prediction_eval
 from research_space.errors import ConfigError
 from research_space.prediction_eval import (
-    _midranks,
     auroc,
     candidate_mask,
     ccdf,
@@ -23,6 +24,18 @@ from research_space.specialization import TransitionKind
 
 # RCA values on and between the stage bounds 0, 0.5 and 1.
 RCA_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+
+
+@st.composite
+def scored_masks(draw, min_fields=0):
+    """Tie-heavy scores, negatives and zeros of both signs among them, with a
+    candidate mask and positives among the candidates, all of one entity x
+    field shape, which may be empty."""
+    shape = draw(st.integers(0, 9)), draw(st.integers(min_fields, 9))
+    scores = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(
+        [-1.5, -0.0, 0.0, 0.25, 0.5, 2.0])))
+    cand = draw(hnp.arrays(np.bool_, shape))
+    return scores, cand, draw(hnp.arrays(np.bool_, shape)) & cand
 
 
 def evaluate_transition(omega, before, after, kind, full_u_zero=False):
@@ -84,7 +97,7 @@ class TestRankCandidates:
     def _ranked(omega, r, field_ids, kind, full_u_zero=False):
         """Each entity's ranked (field_id, density) pairs."""
         order, n_candidates = rank_candidates(
-            omega, candidate_mask(r, kind, full_u_zero), field_ids)
+            omega, candidate_mask(r, kind, full_u_zero), field_ids, len(field_ids))
         return [[(field_ids[j], float(omega[i, j]))
                  for j in order[i, :n_candidates[i]]]
                 for i in range(len(omega))]
@@ -92,7 +105,7 @@ class TestRankCandidates:
     def test_no_candidates(self):
         omega, r, field_ids = self._setup([[1.0, 2.0]], [[0.5, 0.5]])
         _, n_candidates = rank_candidates(
-            omega, candidate_mask(r, TransitionKind.ZERO_TO_ACTIVE), field_ids)
+            omega, candidate_mask(r, TransitionKind.ZERO_TO_ACTIVE), field_ids, 1)
         assert n_candidates.tolist() == [0]
 
     def test_tie_breaks_on_field_id(self):
@@ -145,6 +158,24 @@ class TestRankCandidates:
             for i in range(n_entities)
         ]
         assert self._ranked(omega, r, fids, kind, full_u_zero) == expected
+
+    @given(scored_masks(min_fields=1), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_top_k_equals_lexsort_oracle(self, case, data):
+        """Ties at the k-th score, field ids not in column order ("F10" sorts
+        before "F2"), fewer candidates than top, and top above the field
+        count."""
+        omega, cand, _ = case
+        n_fields = omega.shape[1]
+        field_ids = [f"F{j + 1}" for j in data.draw(st.permutations(range(n_fields)))]
+        top = data.draw(st.integers(1, n_fields + 3))
+        order, n_candidates = rank_candidates(omega, cand, field_ids, top)
+        expected, n_expected = oracles.rank_candidates_lexsort(omega, cand, field_ids)
+        assert n_candidates.tolist() == n_expected.tolist()
+        assert order.shape == (len(omega), min(top, n_fields))
+        for i, n in enumerate(n_expected.tolist()):
+            k = min(top, n)
+            assert order[i, :k].tolist() == expected[i, :k].tolist()
 
 
 def auroc_row(scores, positives, cand=None):
@@ -205,7 +236,35 @@ class TestAuroc:
         if nan_row < len(a):
             a[nan_row] = np.nan
         expected = rankdata(a, axis=1, nan_policy="omit")
-        assert np.array_equal(_midranks(a), expected, equal_nan=True)
+        assert np.array_equal(oracles.midranks(a), expected, equal_nan=True)
+
+    @given(scored_masks(), st.sampled_from([1, 2, 3, prediction_eval.AUROC_BLOCK]))
+    @example((np.zeros((0, 4)), np.zeros((0, 4), bool), np.zeros((0, 4), bool)), 1)
+    @example((np.zeros((3, 0)), np.zeros((3, 0), bool), np.zeros((3, 0), bool)), 1)
+    @example((np.array([[-0.0, 0.0, 0.0, 0.5]]), np.ones((1, 4), bool),
+              np.array([[True, False, True, False]])), 1)
+    @example((np.array([[0.5, 1.0], [0.5, 1.0]]), np.ones((2, 2), bool),
+              np.array([[True, True], [False, False]])), 2)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_midrank_oracle_bit_for_bit(self, case, block):
+        """Rows with no positive or no negative, and blocks of 1-3 positive
+        cells, across which U adds up."""
+        scores, cand, pos = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prediction_eval, "AUROC_BLOCK", block)
+            got = auroc(scores, cand, pos)
+        expected = oracles.auroc_midranks(scores, cand, pos)
+        assert all(same_bits(g, e) for g, e in zip(got, expected, strict=True))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_candidate_score_rejected(self, bad):
+        # pair counts would score a NaN positive as losing every pair
+        with pytest.raises(ConfigError, match="not finite"):
+            auroc_row([0.9, bad, 0.1], {0})
+        with pytest.raises(ConfigError, match="not finite"):
+            auroc_row([bad, 0.5, 0.1], {0})
+        # a score outside the candidates is never compared
+        assert auroc_row([0.9, bad, 0.1], {0}, cand=[True, False, True])[0] == 1.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import make_corpus
+from conftest import make_corpus, same_bits
 from research_space.presence import TimeWindow, contribution_matrix
 from oracles import Stage, classify_stage, stage_matrix
+from research_space.errors import ConfigError
 from research_space.specialization import (
     TransitionKind,
     density,
@@ -13,6 +17,22 @@ from research_space.specialization import (
 )
 
 WINDOW = TimeWindow(2010, 2010)
+
+# Values of X and phi cells: zeros of both signs, and negatives that make a
+# row or column sum zero or below.
+CELLS = st.sampled_from([0.0, -0.0, 0.0, 0.5, 1.0, 3.25, 0.1, -0.5, -1.0])
+MATRICES = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   min_side=0, max_side=7),
+                      elements=CELLS)
+
+
+@st.composite
+def indicator_and_phi(draw):
+    """An entity x field indicator array and a field x field phi."""
+    n = draw(st.integers(1, 7))
+    u = draw(hnp.arrays(np.int8, (draw(st.integers(0, 5)), n),
+                        elements=st.integers(0, 1)))
+    return u, draw(hnp.arrays(np.float64, (n, n), elements=CELLS))
 
 
 def x_from_rows(rows, taxonomy):
@@ -88,6 +108,21 @@ class TestRca:
         x = x_from_rows(rows, taxonomy6)
         base = rca(x).copy()
         np.testing.assert_allclose(rca(x * 7.5), base, atol=1e-12)
+
+    @given(MATRICES)
+    @example(np.array([[1.0, 0.0], [0.0, 0.0]]))  # a zero-mass row, a zero-share field
+    @example(np.array([[-0.0, 2.0], [0.0, 0.0]]))
+    @example(np.array([[1.0, -1.0], [0.5, 1.0]]))  # a zero-share field with mass
+    @example(np.zeros((0, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_gather_scatter_oracle_bit_for_bit(self, x):
+        try:
+            expected = oracles.rca_ix(x)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="mass is zero"):
+                rca(x)
+            return
+        assert same_bits(rca(x), expected)
 
 
 class TestStages:
@@ -181,3 +216,12 @@ class TestDensity:
             u, phi = self._inputs(u_row, phi_vals)
             omega = density(u, phi)
             assert np.all(omega >= 0) and np.all(omega <= 1 + 1e-12)
+
+    @given(indicator_and_phi())
+    @example((np.ones((2, 2), np.int8), np.array([[0.5, -0.5], [1.0, 0.0]])))
+    @example((np.ones((1, 2), np.int8), np.array([[-1.0, 0.5], [0.0, -0.0]])))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_gather_scatter_oracle_bit_for_bit(self, case):
+        """phi rows summing to zero or below, as embedding cosines can."""
+        u, phi = case
+        assert same_bits(density(u, phi), oracles.density_ix(u, phi))
