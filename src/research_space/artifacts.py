@@ -24,7 +24,7 @@ CORPUS_COLUMNS = ("entity", "field_set", "n_authors", "year")
 PIECE_VALUES = 8192  # column values turned into text at a time by save_corpus
 
 
-def _write_atomic(path, text):
+def write_atomic(path, text):
     """Write ``text`` (a string, or strings) to a sibling temporary file, then
     rename it over ``path``: a failed write leaves no partial file and any
     earlier artifact unchanged."""
@@ -42,20 +42,23 @@ def _write_atomic(path, text):
         raise
 
 
-def manifest_hash(manifest: dict) -> str:
+def write_json(path, obj) -> str:
+    """Write ``obj`` as indented JSON with sorted keys, atomically; return
+    the text written."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text)
+    return text
+
+
+def write_manifest(manifest: dict, path) -> str:
+    """Write the manifest with its hash, the first 16 hex digits of the
+    sha256 of its compact JSON, added; return the hash."""
     import hashlib  # only ingest and fit hash; the other commands skip its load
 
     canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def write_manifest(manifest: dict, path):
-    manifest = dict(manifest)
-    manifest["manifest_hash"] = manifest_hash(
-        {k: v for k, v in manifest.items() if k != "manifest_hash"}
-    )
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest["manifest_hash"]
+    mhash = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    write_json(path, {**manifest, "manifest_hash": mhash})
+    return mhash
 
 
 def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
@@ -81,7 +84,7 @@ def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
                 yield ", " * (start > 0) + ", ".join(map(str, piece))
         yield "]}\n"
 
-    _write_atomic(path, text())
+    write_atomic(path, text())
 
 
 def _corpus_line(fh, path, line_no, keys):
@@ -198,7 +201,7 @@ def save_proximity(phi: ProximityMatrix, path, mhash=""):
         "field_id\t" + "\t".join(phi.field_ids),
         *_value_rows(phi.field_ids, phi.values),
     ]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 @utf8_input
@@ -272,4 +275,4 @@ def load_proximity(path) -> ProximityMatrix:
 def save_embeddings(vectors, field_ids, path, mhash=""):
     lines = [f"# schema: {SCHEMA_EMBEDDING}", f"# manifest_hash: {mhash}",
              *_value_rows(field_ids, vectors)]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -4,8 +4,6 @@ with persisted artifacts so each stage re-runs independently."""
 from __future__ import annotations
 
 import argparse
-import functools
-import json
 import logging
 import os
 import sys
@@ -18,26 +16,8 @@ from . import prediction_eval as pe
 from . import specialization as spec_mod
 from .corpus import FORMAT_PROFILES, EntityKind, FieldTaxonomy, VenueFieldMap
 from .errors import ConfigError, ResearchSpaceError
-from .presence import TimeWindow, WindowConfig, contribution_matrix, presence_matrix
+from .presence import TimeWindow, check_windows, contribution_matrix, presence_matrix
 from .specialization import TransitionKind
-
-
-def pipeline_command(fn):
-    """Map toolkit errors to exit codes: config/usage -> 2, runtime -> 1."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ConfigError, FileExistsError, FileNotFoundError, IsADirectoryError,
-                NotADirectoryError, PermissionError) as e:
-            print(f"config error: {e}", file=sys.stderr)
-            sys.exit(2)
-        except ResearchSpaceError as e:
-            print(f"error: {e}", file=sys.stderr)
-            sys.exit(1)
-
-    return wrapper
 
 
 def _check_fields(phi, taxonomy):
@@ -106,7 +86,6 @@ def _command(*options):
     _option("--format", dest="fmt", choices=sorted(FORMAT_PROFILES), default="jsonl"),
     _option("--out", dest="out_dir", required=True),
 )
-@pipeline_command
 def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     """Resolve venues and aggregate records into an entity corpus."""
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
@@ -129,8 +108,7 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     stats = resolved.match_stats
     match_report = {**vars(stats), "invalid_rows": len(issues),
                     "resolved_records": len(resolved)}
-    artifacts._write_atomic(out / "match_report.json",
-                            json.dumps(match_report, indent=2, sort_keys=True) + "\n")
+    artifacts.write_json(out / "match_report.json", match_report)
     total = max(stats.total, 1)
     print(
         f"resolved {len(resolved)} records "
@@ -153,7 +131,6 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     _option("--seed", type=_int_at_least(0), default=0),
     _option("--out", dest="out_dir", required=True),
 )
-@pipeline_command
 def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         negatives, margin, seed, out_dir):
     """Fit a proximity matrix (frequentist or embedding) on a time window."""
@@ -182,11 +159,10 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         "seed": seed,
     }
     if model == "freq":
-        values = freq_model.proximity_freq(freq_model.copresence(p), p)
+        values = freq_model.proximity_freq(freq_model.copresence(p))
     else:
         manifest["embedding_config"] = {
-            "dim": dim, "epochs": epochs, "learning_rate": lr,
-            "negatives_per_example": negatives, "margin": margin,
+            **{k: v for k, v in vars(config).items() if k != "seed"},
             "bags_per_batch": emb_model.bags_per_batch(config),
         }
         embedding = emb_model.train_embeddings(p, config)
@@ -216,7 +192,6 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
     _option("--entity", dest="entities", action="append"),
     _option("--out", dest="out_path"),
 )
-@pipeline_command
 def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
             entities, out_path):
     """Rank candidate new fields per entity by relatedness density."""
@@ -259,7 +234,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
         map(labels.__getitem__, cols.tolist()), omega[cells, cols].tolist())]
     text = "\n".join(lines) + "\n"
     if out_path:
-        artifacts._write_atomic(out_path, text)
+        artifacts.write_atomic(out_path, text)
     else:
         print(text, end="")
 
@@ -280,22 +255,19 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     _option("--seed", type=_int_at_least(0), default=0),
     _option("--out", dest="out_dir", required=True),
 )
-@pipeline_command
 def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
              rca_window, test_window, transition, full_candidates, permutations,
              seed, out_dir):
     """Score predicted transitions against the test window with AUROC."""
-    windows = WindowConfig(fit_window, rca_window, test_window)  # validates
+    check_windows(fit_window, rca_window, test_window)
     if phi_b_path and permutations < pe.MIN_PERMUTATIONS:
         raise ConfigError(f"--permutations must be >= {pe.MIN_PERMUTATIONS} "
                           f"to compare two models, got {permutations}")
     phis = [artifacts.load_proximity(path) for path in (phi_a_path, phi_b_path) if path]
     for phi in phis:
-        if str(phi.window) != str(windows.fit_window):
+        if str(phi.window) != str(fit_window):
             raise ConfigError(
-                f"proximity artifact window {phi.window} differs from --fit "
-                f"{windows.fit_window}"
-            )
+                f"proximity artifact window {phi.window} differs from --fit {fit_window}")
     if len(phis) == 2 and phis[0].model_tag == phis[1].model_tag:
         raise ConfigError(
             f"--phi-a {phi_a_path} and --phi-b {phi_b_path} are both "
@@ -307,9 +279,9 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     resolved = artifacts.load_corpus(corpus_path)
     kind = TransitionKind(transition)
 
-    n_records, r = _rca(resolved, taxonomy, windows.rca_window)
+    n_records, r = _rca(resolved, taxonomy, rca_window)
     u = spec_mod.indicator(r, kind)
-    n_after, r_after = _rca(resolved, taxonomy, windows.test_window)
+    n_after, r_after = _rca(resolved, taxonomy, test_window)
     # which fields are ranked and which transitioned does not depend on phi
     cand = pe.candidate_mask(r, kind, full_u_zero=full_candidates)
     realized = pe.realized_mask(r, r_after, kind)
@@ -341,10 +313,8 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts._write_atomic(out / "auroc.tsv", "\n".join(lines) + "\n")
-    artifacts._write_atomic(out / "summary.json",
-                            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    artifacts.write_atomic(out / "auroc.tsv", "\n".join(lines) + "\n")
+    print(artifacts.write_json(out / "summary.json", summary), end="")
 
 
 @_command(
@@ -358,7 +328,6 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             default="edgelist"),
     _option("--out", dest="out_dir", required=True),
 )
-@pipeline_command
 def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
              out_dir):
     """Extract a field-network backbone and its communities."""
@@ -390,9 +359,9 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
         name, text = "backbone.graphml", net.export_graphml(kept, labels, ids, styles)
     else:
         name, text = "backbone.dot", net.export_dot(kept, labels, ids, styles)
-    artifacts._write_atomic(out / name, text)
+    artifacts.write_atomic(out / name, text)
     rows = "".join(f"{u}\t{c}\n" for u, c in sorted(zip(ids, labels.tolist())))
-    artifacts._write_atomic(out / "communities.tsv", "node\tcommunity\n" + rows)
+    artifacts.write_atomic(out / "communities.tsv", "node\tcommunity\n" + rows)
     print(
         f"backbone: {len(ids)} nodes, {np.count_nonzero(kept) // 2} edges, "
         f"modularity {modularity:.4f}"
@@ -406,7 +375,6 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     _option("--theta", type=float, default=0.05),
     _option("--out", dest="out_dir", required=True),
 )
-@pipeline_command
 def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
     """Emit plot-ready CCDF tables of per-entity publication and field counts."""
     taxonomy = FieldTaxonomy.from_file(taxonomy_path)
@@ -425,10 +393,8 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
         ("ccdf_publications.tsv", n_records[in_window]),
         ("ccdf_active_fields.tsv", active_counts.tolist()),
     ):
-        lines = ["value\tccdf"]
-        for v, c in pe.ccdf(values):
-            lines.append(f"{v:.10g}\t{c:.10g}")
-        artifacts._write_atomic(out / name, "\n".join(lines) + "\n")
+        lines = ["value\tccdf", *(f"{v:.10g}\t{c:.10g}" for v, c in pe.ccdf(values))]
+        artifacts.write_atomic(out / name, "\n".join(lines) + "\n")
     print(f"wrote CCDF tables to {out}")
 
 
@@ -453,8 +419,16 @@ def main(args=None, prog_name=None):
     logger.setLevel(max(logging.DEBUG, logging.WARNING - 10 * verbose))
     # one handler on this invocation's stderr, however often main runs
     logger.handlers = [logging.StreamHandler()]
+    # toolkit errors to exit codes: config or usage -> 2, runtime -> 1
     try:
         run(**options)
+    except (ConfigError, FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        sys.exit(2)
+    except ResearchSpaceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         sys.exit(1)

@@ -74,7 +74,6 @@ class FieldTaxonomy:
         if len(set(self.field_ids)) != len(self.field_ids):
             raise ConfigError("duplicate field_id in taxonomy")
         self.field_index = {fid: i for i, fid in enumerate(self.field_ids)}
-        self._by_id = {f.field_id: f for f in self.fields}
         for f in self.fields:
             if f.intermediate_id not in self.intermediates:
                 raise ConfigError(
@@ -90,10 +89,7 @@ class FieldTaxonomy:
         return len(self.fields)
 
     def field(self, field_id) -> TaxonomyField:
-        return self._by_id[field_id]
-
-    def intermediate_of(self, field_id) -> str:
-        return self._by_id[field_id].intermediate_id
+        return self.fields[self.field_index[field_id]]
 
     @classmethod
     @utf8_input

@@ -168,14 +168,11 @@ def train_embeddings(p: np.ndarray, config: EmbeddingConfig) -> FieldEmbedding:
 
 def proximity_emb(vectors: np.ndarray) -> np.ndarray:
     """phi_ff' = max(0, cos(vec_f, vec_f')) of the field vectors; symmetric,
-    diagonal 1 for nonzero vectors."""
+    diagonal 1 for nonzero vectors, rows of +0.0 for zero ones. einsum's own
+    loop sums each dot product in one fixed order, unlike a threaded BLAS, so
+    phi is exactly symmetric and its bytes do not depend on the thread count."""
     norms = np.linalg.norm(vectors, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = vectors / safe[:, None]
-    sims = unit @ unit.T
-    sims[norms == 0, :] = 0.0
-    sims[:, norms == 0] = 0.0
-    phi = np.clip(sims, 0.0, None)
+    unit = vectors / np.where(norms > 0, norms, 1.0)[:, None]
+    phi = np.clip(np.einsum("id,jd->ij", unit, unit), 0.0, None)
     np.fill_diagonal(phi, np.where(norms > 0, 1.0, 0.0))
-    # symmetry can drift by float noise in the matmul
-    return (phi + phi.T) / 2.0
+    return phi

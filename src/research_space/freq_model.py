@@ -37,11 +37,8 @@ def copresence(p: np.ndarray) -> np.ndarray:
     return m.astype(np.int64)
 
 
-def proximity_freq(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """phi_ff' = M_ff' / (number of entities present in f'); columns with no
-    present entity are 0 by convention."""
-    counts = p.sum(axis=0, dtype=np.float64)
-    phi = np.zeros_like(m, dtype=np.float64)
-    nonzero = counts > 0
-    phi[:, nonzero] = m[:, nonzero] / counts[nonzero]
-    return phi
+def proximity_freq(m: np.ndarray) -> np.ndarray:
+    """phi_ff' = M_ff' / M_f'f', M's diagonal counting the entities present
+    in each field; columns with no present entity are 0 by convention."""
+    counts = np.diag(m)
+    return np.divide(m, counts, out=np.zeros(m.shape), where=counts > 0)

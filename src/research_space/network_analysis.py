@@ -46,7 +46,7 @@ def aggregate_to_intermediate(phi: ProximityMatrix,
     inter_ids = sorted(taxonomy.intermediates)
     iindex = {im: k for k, im in enumerate(inter_ids)}
     member = np.zeros((len(phi.field_ids), len(inter_ids)))
-    cols = [iindex[taxonomy.intermediate_of(fid)] for fid in phi.field_ids]
+    cols = [iindex[taxonomy.field(fid).intermediate_id] for fid in phi.field_ids]
     member[np.arange(len(cols)), cols] = 1.0
     off_diagonal = phi.values - np.diag(np.diag(phi.values))
     sums = member.T @ off_diagonal @ member

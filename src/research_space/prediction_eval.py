@@ -145,9 +145,7 @@ def compare_models(a, b, n_permutations: int = 10000, seed: int = 0) -> float:
 
 def ccdf(values):
     """Complementary CDF P(X >= x) at each distinct observed value."""
-    vals = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(vals)
-    if n == 0:
-        return []
-    uniq, first_idx = np.unique(vals, return_index=True)
-    return [(float(x), float((n - i) / n)) for x, i in zip(uniq, first_idx)]
+    uniq, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
+    n = counts.sum()
+    at_least = n - np.cumsum(counts) + counts
+    return [(float(x), float(k / n)) for x, k in zip(uniq, at_least)]

@@ -43,26 +43,17 @@ class TimeWindow:
         return f"{self.start_year}:{self.end_year}"
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    """Fitting, RCA-estimation, and prediction-testing windows.
-
-    Fit and RCA windows end at the same year t, the test window starts at
-    t+1, and the fit span is at least the RCA span. So the test window
-    never overlaps the other two.
-    """
-
-    fit_window: TimeWindow
-    rca_window: TimeWindow
-    test_window: TimeWindow
-
-    def __post_init__(self):
-        if self.fit_window.end_year != self.rca_window.end_year:
-            raise ConfigError("fit and RCA windows must end at the same year")
-        if self.test_window.start_year != self.fit_window.end_year + 1:
-            raise ConfigError("test window must start the year after the fit window ends")
-        if self.fit_window.span < self.rca_window.span:
-            raise ConfigError("fit window span must be >= RCA window span")
+def check_windows(fit: TimeWindow, rca: TimeWindow, test: TimeWindow):
+    """Check the fitting, RCA-estimation and prediction-testing windows: fit
+    and RCA windows end at the same year t, the test window starts at t+1,
+    and the fit span is at least the RCA span. So the test window never
+    overlaps the other two."""
+    if fit.end_year != rca.end_year:
+        raise ConfigError("fit and RCA windows must end at the same year")
+    if test.start_year != fit.end_year + 1:
+        raise ConfigError("test window must start the year after the fit window ends")
+    if fit.span < rca.span:
+        raise ConfigError("fit window span must be >= RCA window span")
 
 
 def contribution_matrix(corpus: ResolvedCorpus, taxonomy: FieldTaxonomy,

@@ -119,6 +119,23 @@ def proximity_freq_bruteforce(p_binary):
     return phi
 
 
+def proximity_freq_by_presence(m, p):
+    """phi_ff' = M_ff' / (number of entities present in f'), the counts taken
+    from the presence array P itself; columns with no present entity are 0."""
+    counts = p.sum(axis=0, dtype=np.float64)
+    phi = np.zeros_like(m, dtype=np.float64)
+    nonzero = counts > 0
+    phi[:, nonzero] = m[:, nonzero] / counts[nonzero]
+    return phi
+
+
+def ccdf_count_loop(values):
+    """(x, share of the values >= x) at each distinct value x, ascending, by
+    counting over all values for each one."""
+    vals = [float(v) for v in values]
+    return [(x, sum(v >= x for v in vals) / len(vals)) for x in sorted(set(vals))]
+
+
 def all_partitions(items):
     """Every set partition of items (Bell-number enumeration)."""
     items = list(items)

@@ -57,7 +57,7 @@ def simulate(n_scientists=500, n_fields=12, cluster_size=4, portfolio_size=3,
 def fit_both_models(corpus, taxonomy, theta=0.05, emb_seed=0):
     """The frequentist and embedding proximity arrays of the fit window."""
     p = presence_matrix(contribution_matrix(corpus, taxonomy, FIT_WINDOW), theta)
-    phi_freq = freq_model.proximity_freq(freq_model.copresence(p), p)
+    phi_freq = freq_model.proximity_freq(freq_model.copresence(p))
     config = emb_model.EmbeddingConfig(dim=16, epochs=10, seed=emb_seed)
     embedding = emb_model.train_embeddings(p, config)
     phi_emb = emb_model.proximity_emb(embedding.vectors)

@@ -78,7 +78,7 @@ def test_acceptance_2_frequentist_oracle():
             n_e = int(rng.integers(1, 26))
             arr = (rng.random((n_e, 10)) < rng.uniform(0.1, 0.6)).astype(int)
             p = presence_from_array(arr)
-            phi = proximity_freq(copresence(p), p)
+            phi = proximity_freq(copresence(p))
             np.testing.assert_array_equal(phi, oracles.proximity_freq_bruteforce(arr))
             counts = arr.sum(axis=0)
             lhs = phi * counts[None, :]
@@ -277,7 +277,7 @@ def test_acceptance_9_full_dataset_first_setup():
         fit_w, rca_w, test_w = (TimeWindow(1999, 2013), TimeWindow(2011, 2013),
                                 TimeWindow(2014, 2016))
         p = presence_matrix(contribution_matrix(resolved, taxonomy, fit_w), 0.05)
-        phi = fm.proximity_freq(fm.copresence(p), p)
+        phi = fm.proximity_freq(fm.copresence(p))
         x_before = contribution_matrix(resolved, taxonomy, rca_w)
         r_before = sm.rca(x_before)
         kind = sm.TransitionKind.ZERO_TO_ACTIVE

@@ -19,7 +19,7 @@ import oracles
 import research_space
 import simulation
 from conftest import corpus_rows, make_corpus
-from research_space import cli, emb_model
+from research_space import artifacts, cli, emb_model
 from research_space import prediction_eval as pe
 from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
@@ -1335,3 +1335,34 @@ def test_interrupted_summary_write_keeps_earlier_summary(pipeline, tmp_path,
     assert isinstance(res.exception, OSError), res.output
     assert (out / "summary.json").read_bytes() == earlier
     assert sorted(p.name for p in out.iterdir()) == ["auroc.tsv", "summary.json"]
+
+
+def test_interrupt_inside_a_command_exits_1_with_aborted(pipeline, tmp_path,
+                                                         monkeypatch):
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(artifacts, "load_corpus", interrupt)
+    res = pipeline["runner"].invoke(main, [
+        "export-stats", "--corpus", str(pipeline["corpus"]),
+        "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path / "stats"),
+    ])
+    assert res.exit_code == 1
+    assert (res.stdout, res.stderr) == ("", "\nAborted!\n")
+    assert not (tmp_path / "stats").exists()
+
+
+def test_closed_stdout_exits_1_without_output(pipeline):
+    args = ["predict", "--phi", str(pipeline["phi_freq"]),
+            "--corpus", str(pipeline["corpus"]), "--taxonomy", str(pipeline["taxonomy"]),
+            "--rca-window", "2002:2004", "--transition", "0A"]
+    # the table outgrows stdout's buffer, so the write fails inside the command
+    expected = pipeline["runner"].invoke(main, args)
+    assert expected.exit_code == 0 and len(expected.stdout) > io.DEFAULT_BUFFER_SIZE
+    proc = subprocess.Popen([sys.executable, "-m", "research_space.cli", *args],
+                            env=_src_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()  # long before the child has loaded its inputs
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (1, b"")

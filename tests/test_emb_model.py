@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import research_space
 from oracles import cosine
 from research_space import emb_model
 from research_space.emb_model import (
@@ -339,3 +347,38 @@ class TestProximity:
         phi = proximity_emb(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert phi[0, 1] == 0.0
         assert phi[0, 0] == 0.0
+
+    @given(st.integers(1, 30), st.integers(1, 130), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_symmetric_and_zero_rows_positive_zero(self, n_fields, dim, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n_fields, dim))
+        vectors[rng.random(n_fields) < 0.2] = 0.0
+        phi = proximity_emb(vectors)
+        assert phi.tobytes() == phi.T.copy().tobytes()
+        zero = ~vectors.any(axis=1)
+        assert not np.signbit(phi[zero]).any()
+        assert not phi[zero].any()
+
+
+# Prints the sha256 of proximity_emb of seeded (250, 100) vectors.
+PROXIMITY_HASH = """import hashlib
+import numpy as np
+from research_space.emb_model import proximity_emb
+vectors = np.random.default_rng(3).normal(size=(250, 100))
+print(hashlib.sha256(proximity_emb(vectors).tobytes()).hexdigest())
+"""
+
+
+def test_proximity_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(research_space.__file__).resolve().parents[1])
+    hashes = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        res = subprocess.run([sys.executable, "-c", PROXIMITY_HASH], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        hashes.add(res.stdout)
+    assert len(hashes) == 1, hashes

@@ -581,3 +581,14 @@ class TestEvaluateTransition:
 def test_ccdf_basic():
     table = ccdf([1, 1, 2, 3])
     assert table == [(1.0, 1.0), (2.0, 0.5), (3.0, 0.25)]
+
+
+@given(st.lists(st.one_of(st.integers(0, 5), st.floats(-1e6, 1e6)), max_size=40))
+@example([])
+@example([7])
+@example([2, 2, 2])
+@settings(max_examples=200, deadline=None)
+def test_ccdf_matches_count_loop(values):
+    table = ccdf(values)
+    assert all(type(x) is float and type(c) is float for x, c in table)
+    assert table == oracles.ccdf_count_loop(values)

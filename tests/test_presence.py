@@ -8,7 +8,7 @@ from oracles import contribution_matrix_loop
 from research_space.errors import ConfigError
 from research_space.presence import (
     TimeWindow,
-    WindowConfig,
+    check_windows,
     contribution_matrix,
     presence_matrix,
 )
@@ -27,7 +27,7 @@ def test_window_rejects_reversed():
 
 
 def test_window_config_valid():
-    WindowConfig(TimeWindow(1999, 2013), TimeWindow(2011, 2013), TimeWindow(2014, 2016))
+    check_windows(TimeWindow(1999, 2013), TimeWindow(2011, 2013), TimeWindow(2014, 2016))
 
 
 @pytest.mark.parametrize("fit,rca,test", [
@@ -38,7 +38,7 @@ def test_window_config_valid():
 ])
 def test_window_config_invalid(fit, rca, test):
     with pytest.raises(ConfigError):
-        WindowConfig(*(TimeWindow.parse(w) for w in (fit, rca, test)))
+        check_windows(*(TimeWindow.parse(w) for w in (fit, rca, test)))
 
 
 def assert_matches_record_loop(rows, taxonomy, window):

@@ -1,7 +1,8 @@
 """The package keeps no public function, class or method that nothing in the
 package names, and no defaulted parameter that no call in the package
 passes: what no command reaches is deleted, or kept in ``tests/oracles.py``
-when a suite still needs it."""
+when a suite still needs it. No module reaches into another module's
+``_``-prefixed names: what a module shares is public."""
 
 import ast
 from pathlib import Path
@@ -84,3 +85,30 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
         if not any(_passes(call, position, param) for call in calls.get(node.name, []))
     ]
     assert not never_passed, f"defaults no call in the package overrides: {never_passed}"
+
+
+def _private_names(tree):
+    """Each ``_``-prefixed, non-dunder name the tree takes from another
+    package module: imported by name, or read as an attribute of a module
+    imported from the package."""
+    modules, found = {}, []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith(
+                "research_space")):
+            for alias in n.names:
+                if n.module in (None, "research_space"):  # package modules
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append(f"from {'.' * n.level}{n.module} import {alias.name}")
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules and n.attr.startswith("_")
+                and not n.attr.startswith("__")):
+            found.append(f"{modules[n.value.id]}.{n.attr}")
+    return found
+
+
+def test_no_module_names_another_modules_private_attribute():
+    private = {module: names for module, tree in _trees().items()
+               if (names := _private_names(tree))}
+    assert not private, f"private names used across modules: {private}"
