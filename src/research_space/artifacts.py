@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import EntityKind, MatchStats, ResolvedCorpus
-from .errors import ConfigError, ParseError, utf8_input
+from .errors import ConfigError, ParseError, json_value, utf8_input
 from .freq_model import ProximityMatrix
 from .presence import TimeWindow
 
@@ -94,12 +94,7 @@ def _corpus_line(fh, path, line_no, keys):
     if not text.strip():
         raise ParseError(f"missing the line of {', '.join(keys)}", path=path,
                          line=line_no)
-    try:
-        obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
-        raise ParseError(f"invalid JSON: {e}", path=path, line=line_no)
-    except RecursionError:
-        raise ParseError("invalid JSON: nesting too deep", path=path, line=line_no)
+    obj = json_value(text, path, line_no)
     if not (isinstance(obj, dict) and sorted(obj) == sorted(keys)
             and all(isinstance(obj[k], list) for k in keys)):
         raise ParseError(f"expected a JSON object of the lists {', '.join(keys)}",
@@ -116,13 +111,7 @@ def load_corpus(path) -> ResolvedCorpus:
     """Read a corpus/2 file, validating each table and column once; the first
     bad entry is named by its index."""
     with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError as e:  # JSONDecodeError, or an integer too long to convert
-            raise ParseError(f"invalid corpus header: {e}", path=path, line=1)
-        except RecursionError:
-            raise ParseError("invalid JSON: nesting too deep", path=path, line=1)
+        header = json_value(fh.readline(), path, 1)
         schema = header.get("schema") if isinstance(header, dict) else None
         if schema == "corpus/1":
             raise ParseError(f"this is a corpus/1 file; run ingest again to write "

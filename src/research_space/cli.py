@@ -201,7 +201,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     _check_fields(phi, taxonomy)
     kind = TransitionKind(transition)
     n_records, r = _rca(resolved, taxonomy, rca_window)
-    u, cand = spec_mod.indicator(r, kind), pe.candidate_mask(r, kind)
+    u, cand = spec_mod.indicator(r, kind), spec_mod.candidate_mask(r, kind)
     del r
     omega = spec_mod.density(u, phi.values)
     top = min(top, len(phi.field_ids))  # before numpy sees it: --top is unbounded
@@ -283,8 +283,8 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
     u = spec_mod.indicator(r, kind)
     n_after, r_after = _rca(resolved, taxonomy, test_window)
     # which fields are ranked and which transitioned does not depend on phi
-    cand = pe.candidate_mask(r, kind, full_u_zero=full_candidates)
-    realized = pe.realized_mask(r, r_after, kind)
+    cand = spec_mod.candidate_mask(r, kind, full_u_zero=full_candidates)
+    realized = spec_mod.realized_mask(r, r_after, kind)
     del r, r_after
     in_rca = n_records > 0
 
@@ -341,9 +341,10 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
             "backbone analysis needs the symmetric embedding proximity matrix; "
             "the frequentist matrix is directed"
         )
+    ids, values = phi.field_ids, phi.values
     if level == "intermediate":
-        phi = net.aggregate_to_intermediate(phi, taxonomy)
-    ids, w = phi.field_ids, net.proximity_graph(phi)
+        ids, values = net.aggregate_to_intermediate(values, taxonomy)
+    w = net.proximity_graph(values)
     if mode == "disparity":
         kept = net.disparity_filter(w, alpha)
     else:

@@ -15,7 +15,7 @@ from operator import itemgetter, not_
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, utf8_input
+from .errors import ConfigError, ParseError, json_value, utf8_input
 
 SPLIT_CHARS = ".;:/-"
 _SPLIT_RE = re.compile("[" + re.escape(SPLIT_CHARS) + "]")
@@ -33,12 +33,10 @@ class TaxonomyField:
     field_id: str
     name: str
     intermediate_id: str
-    macro_id: str
 
 
 @dataclass(frozen=True)
 class Intermediate:
-    intermediate_id: str
     acronym: str
     macro_id: str
 
@@ -48,15 +46,19 @@ def _tsv_rows(path, what, columns):
     number and its cells under ``columns``, which the header must name."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
-        if not set(columns).issubset(reader.fieldnames or ()):
-            raise ParseError(f"{what} file must have columns {', '.join(columns)}",
-                             path=path)
-        for row in reader:
-            cells = [row.get(name) for name in columns]
-            if None in cells:
-                raise ParseError("row has fewer cells than the header", path=path,
-                                 line=reader.line_num)
-            yield reader.line_num, cells
+        try:
+            if not set(columns).issubset(reader.fieldnames or ()):
+                raise ParseError(f"{what} file must have columns {', '.join(columns)}",
+                                 path=path)
+            for row in reader:
+                cells = [row.get(name) for name in columns]
+                if None in cells:
+                    raise ParseError("row has fewer cells than the header", path=path,
+                                     line=reader.line_num)
+                yield reader.line_num, cells
+        except csv.Error as e:  # the DictReader's line_num lags behind its reader's
+            raise ParseError(f"malformed {what} file: {e}", path=path,
+                             line=reader.reader.line_num) from None
 
 
 class FieldTaxonomy:
@@ -76,14 +78,12 @@ class FieldTaxonomy:
         self.field_index = {fid: i for i, fid in enumerate(self.field_ids)}
         for f in self.fields:
             if f.intermediate_id not in self.intermediates:
-                raise ConfigError(
-                    f"field {f.field_id} references unknown intermediate {f.intermediate_id}"
-                )
-        for im in self.intermediates.values():
+                raise ConfigError(f"field {f.field_id} references unknown intermediate "
+                                  f"{f.intermediate_id}")
+        for iid, im in self.intermediates.items():
             if im.macro_id not in self.macros:
-                raise ConfigError(
-                    f"intermediate {im.intermediate_id} references unknown macro {im.macro_id}"
-                )
+                raise ConfigError(f"intermediate {iid} references unknown macro "
+                                  f"{im.macro_id}")
 
     def __len__(self):
         return len(self.fields)
@@ -97,7 +97,8 @@ class FieldTaxonomy:
         """Load from delimited text with columns field_id, field_name,
         intermediate_id, intermediate_acronym, macro_id, macro_name. The first
         four go into TSV rows and GraphML, so a tab, LF or CR and XML 1.0's
-        forbidden characters are rejected."""
+        forbidden characters are rejected, as is a row that contradicts an
+        earlier row on an intermediate or a macro area."""
         fields, intermediates, macros = [], {}, {}
         for line, (fid, name, iid, acronym, mid, macro) in _tsv_rows(path, "taxonomy", (
                 "field_id", "field_name", "intermediate_id", "intermediate_acronym",
@@ -107,9 +108,15 @@ class FieldTaxonomy:
                 why = "a TSV cell cannot hold" if bad[0] in "\t\n\r" else "XML 1.0 forbids"
                 raise ParseError(f"taxonomy text holds {bad[0]!r}, which {why}",
                                  path=path, line=line)
-            fields.append(TaxonomyField(fid, name, iid, mid))
-            intermediates[iid] = Intermediate(iid, acronym, mid)
-            macros[mid] = macro
+            fields.append(TaxonomyField(fid, name, iid))
+            im = Intermediate(acronym, mid)
+            if (old := intermediates.setdefault(iid, im)) != im:
+                raise ParseError(f"intermediate {iid} is {acronym!r} in {mid}, but an "
+                                 f"earlier row has {old.acronym!r} in {old.macro_id}",
+                                 path=path, line=line)
+            if (old := macros.setdefault(mid, macro)) != macro:
+                raise ParseError(f"macro area {mid} is named {macro!r}, but an earlier "
+                                 f"row names it {old!r}", path=path, line=line)
         if not fields:
             raise ParseError("taxonomy file has no rows", path=path)
         return cls(fields, intermediates, macros)
@@ -203,21 +210,6 @@ FORMAT_PROFILES = {
 }
 
 
-def _loads(texts, lines, path):
-    """json.loads of each stripped line in ``texts``; the first bad one raises
-    ParseError naming its line in ``lines``."""
-    values = []
-    try:  # extend keeps the values decoded before a bad line
-        values.extend(map(json.loads, texts))
-    except ValueError as e:  # JSONDecodeError, or an integer too long
-        raise ParseError(f"invalid JSON: {e}", path=path,
-                         line=lines[len(values)]) from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nesting too deep", path=path,
-                         line=lines[len(values)]) from None
-    return values
-
-
 def _chunks(path, fmt):
     """Yield the file's records in chunks of at most CHUNK_ROWS: the physical
     lines they start on, a list of values per key of ``_KEYS``, and a function
@@ -230,7 +222,7 @@ def _chunks(path, fmt):
                 texts = [text for _, text in block if text]
                 # the scanner that json.loads wraps: at a bad line it stops
                 # map (StopIteration), raises, or ends short of the line's end,
-                # and json.loads decodes that chunk again for its error message
+                # and json_value decodes that chunk again for its error message
                 scanned = []
                 try:
                     scanned.extend(map(_SCAN, texts, repeat(0)))
@@ -239,7 +231,7 @@ def _chunks(path, fmt):
                 if list(map(itemgetter(1), scanned)) == list(map(len, texts)):
                     rows = list(map(itemgetter(0), scanned))
                 else:
-                    rows = _loads(texts, lines, path)
+                    rows = list(map(json_value, texts, repeat(path), lines))
                 dicts = [row if type(row) is dict else {} for row in rows]
                 yield lines, {key: list(map(dict.get, dicts, repeat(key)))
                               for key in _KEYS}, rows.__getitem__
@@ -248,27 +240,31 @@ def _chunks(path, fmt):
     profile = FORMAT_PROFILES[fmt]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=profile["delimiter"])
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty records file", path=path)
-        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last
-        index = {key: next((at[name] for name in profile["aliases"].get(key, [key])
-                            if name in at), None) for key in _KEYS}
-        missing = [key for key in _MANDATORY if index[key] is None]
-        if missing:
-            raise ParseError(f"missing required columns {missing}", path=path)
-        end = reader.line_num
-        while block := [(reader.line_num, row) for row in islice(reader, CHUNK_ROWS)]:
-            # a record starts on the line after the previous row's last; blank
-            # rows are skipped, and the cells a short row lacks read None
-            ends = [end] + [line_no for line_no, _ in block]
-            lines = [prev + 1 for prev, (_, row) in zip(ends, block) if row]
-            end = ends[-1]
-            rows = [row if len(row) >= len(header) else row + [None] * len(header)
-                    for _, row in block if row]
-            cols = {key: list(map(itemgetter(i), rows)) if i is not None
-                    else [None] * len(rows) for key, i in index.items()}
-            yield lines, cols, lambda i, cols=cols: {k: c[i] for k, c in cols.items()}
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty records file", path=path)
+            at = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+            index = {key: next((at[name] for name in profile["aliases"].get(key, [key])
+                                if name in at), None) for key in _KEYS}
+            missing = [key for key in _MANDATORY if index[key] is None]
+            if missing:
+                raise ParseError(f"missing required columns {missing}", path=path)
+            end = reader.line_num
+            while block := [(reader.line_num, row) for row in islice(reader, CHUNK_ROWS)]:
+                # a record starts on the line after the previous row's last; blank
+                # rows are skipped, and the cells a short row lacks read None
+                ends = [end] + [line_no for line_no, _ in block]
+                lines = [prev + 1 for prev, (_, row) in zip(ends, block) if row]
+                end = ends[-1]
+                rows = [row if len(row) >= len(header) else row + [None] * len(header)
+                        for _, row in block if row]
+                cols = {key: list(map(itemgetter(i), rows)) if i is not None
+                        else [None] * len(rows) for key, i in index.items()}
+                yield lines, cols, lambda i, cols=cols: {k: c[i] for k, c in cols.items()}
+        except csv.Error as e:  # caught once per file, not per row
+            raise ParseError(f"malformed records file: {e}", path=path,
+                             line=reader.line_num) from None
 
 
 def _plain_ints(values, lo, hi):

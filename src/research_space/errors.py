@@ -4,6 +4,7 @@ Config/usage problems map to CLI exit code 2, everything else to 1.
 """
 
 import functools
+import json
 
 
 class ResearchSpaceError(Exception):
@@ -27,6 +28,16 @@ class ParseError(ResearchSpaceError):
                 loc += f":{line}"
             loc = f" ({loc})"
         super().__init__(f"{message}{loc}")
+
+
+def json_value(text, path, line):
+    """json.loads of ``text``, or a ParseError naming ``path`` and ``line``."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+        raise ParseError(f"invalid JSON: {e}", path=path, line=line) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep", path=path, line=line) from None
 
 
 class TrainingError(ResearchSpaceError):

@@ -11,7 +11,6 @@ import numpy as np
 
 from .corpus import FieldTaxonomy
 from .errors import ConfigError
-from .freq_model import ProximityMatrix
 
 # one color per macro area, assigned in taxonomy order
 MACRO_PALETTE = [
@@ -27,36 +26,32 @@ def node_styles(taxonomy: FieldTaxonomy, ids: list[str],
     colors = {m: MACRO_PALETTE[i % len(MACRO_PALETTE)]
               for i, m in enumerate(sorted(taxonomy.macros))}
     if level == "field":
-        return [(f.name, colors[f.macro_id]) for f in map(taxonomy.field, ids)]
+        return [(f.name, colors[taxonomy.intermediates[f.intermediate_id].macro_id])
+                for f in map(taxonomy.field, ids)]
     return [(im.acronym, colors[im.macro_id])
             for im in map(taxonomy.intermediates.__getitem__, ids)]
 
 
-def proximity_graph(phi: ProximityMatrix) -> np.ndarray:
-    """The weight array of a symmetric proximity matrix: its positive
-    off-diagonal entries."""
-    upper = np.triu(np.where(phi.values > 0, phi.values, 0.0), 1)
-    return upper + upper.T
+def proximity_graph(values: np.ndarray) -> np.ndarray:
+    """The positive off-diagonal entries of an exactly symmetric proximity array."""
+    w = np.where(values > 0, values, 0.0)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
-def aggregate_to_intermediate(phi: ProximityMatrix,
-                              taxonomy: FieldTaxonomy) -> ProximityMatrix:
-    """Proximity between intermediates as the mean of phi over their
-    cross-field pairs, excluding the diagonal f' = f."""
+def aggregate_to_intermediate(values: np.ndarray, taxonomy: FieldTaxonomy):
+    """(intermediate ids, values): the proximity between intermediates, in
+    sorted id order, as the mean of a proximity array on the taxonomy's fields
+    over their cross-field pairs, excluding the diagonal f' = f."""
     inter_ids = sorted(taxonomy.intermediates)
-    iindex = {im: k for k, im in enumerate(inter_ids)}
-    member = np.zeros((len(phi.field_ids), len(inter_ids)))
-    cols = [iindex[taxonomy.field(fid).intermediate_id] for fid in phi.field_ids]
-    member[np.arange(len(cols)), cols] = 1.0
-    off_diagonal = phi.values - np.diag(np.diag(phi.values))
+    member = np.eye(len(inter_ids))[[inter_ids.index(f.intermediate_id)
+                                     for f in taxonomy.fields]]
+    off_diagonal = values - np.diag(np.diag(values))
     sums = member.T @ off_diagonal @ member
     sums = (sums + sums.T) / 2  # BLAS sums the two triangles in different orders
     sizes = member.sum(axis=0)
     pairs = np.outer(sizes, sizes) - np.diag(sizes)
-    out = np.divide(sums, pairs, out=np.zeros_like(sums), where=pairs > 0)
-    return ProximityMatrix(
-        values=out, field_ids=inter_ids, model_tag="embedding", window=phi.window
-    )
+    return inter_ids, np.divide(sums, pairs, out=np.zeros_like(sums), where=pairs > 0)
 
 
 def _strength(w):

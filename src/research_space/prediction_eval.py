@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .specialization import TRANSITIONS, TransitionKind, indicator, stage_codes
 
 # Fewest permutations compare_models accepts.
 MIN_PERMUTATIONS = 100
@@ -14,23 +13,6 @@ MIN_PERMUTATIONS = 100
 SIGN_BLOCK = 1 << 16
 # Positive cells whose rows of scores auroc compares at once.
 AUROC_BLOCK = 1 << 14
-
-
-def candidate_mask(r: np.ndarray, kind: TransitionKind, full_u_zero=False):
-    """Entity x field mask, on the RCA array's axes, of the fields ranked for
-    one transition kind: those in its source stage, or with full_u_zero every
-    field with U = 0."""
-    if full_u_zero:
-        return indicator(r, kind) == 0
-    return stage_codes(r) == TRANSITIONS[kind][1]
-
-
-def realized_mask(r_before: np.ndarray, r_after: np.ndarray, kind: TransitionKind):
-    """Entity x field mask of the fields that went from the source stage in
-    r_before to the target stage or above in r_after, two RCA arrays on the
-    same axes; every realized transition is a candidate."""
-    _, source, target = TRANSITIONS[kind]
-    return (stage_codes(r_before) == source) & (stage_codes(r_after) >= target)
 
 
 def rank_candidates(omega: np.ndarray, cand, field_ids, top: int):

@@ -1,5 +1,5 @@
-"""Revealed comparative advantage, development stages, transition indicator
-matrices, and relatedness densities."""
+"""Revealed comparative advantage, development stages, transition indicators,
+candidate and realized masks, and relatedness densities."""
 
 from __future__ import annotations
 
@@ -49,6 +49,23 @@ def stage_codes(values) -> np.ndarray:
 def indicator(r: np.ndarray, kind: TransitionKind) -> np.ndarray:
     """U_sf = 1[RCA > 0] for 0->A, 1[RCA > 1] for transitions to Developed."""
     return (r > TRANSITIONS[kind][0]).astype(np.int8)
+
+
+def candidate_mask(r: np.ndarray, kind: TransitionKind, full_u_zero=False):
+    """Entity x field mask, on the RCA array's axes, of the fields ranked for
+    one transition kind: those in its source stage, or with full_u_zero every
+    field with U = 0."""
+    if full_u_zero:
+        return indicator(r, kind) == 0
+    return stage_codes(r) == TRANSITIONS[kind][1]
+
+
+def realized_mask(r_before: np.ndarray, r_after: np.ndarray, kind: TransitionKind):
+    """Entity x field mask of the fields that went from the source stage in
+    r_before to the target stage or above in r_after, two RCA arrays on the
+    same axes; every realized transition is a candidate."""
+    _, source, target = TRANSITIONS[kind]
+    return (stage_codes(r_before) == source) & (stage_codes(r_after) >= target)
 
 
 def density(u: np.ndarray, phi: np.ndarray) -> np.ndarray:

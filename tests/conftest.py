@@ -24,13 +24,10 @@ def make_taxonomy(n_fields=6, fields_per_intermediate=3):
     for k in range(n_inter):
         iid = f"I{k + 1}"
         mid = "M1" if k < (n_inter + 1) // 2 else "M2"
-        intermediates[iid] = Intermediate(iid, f"IN{k + 1}", mid)
+        intermediates[iid] = Intermediate(f"IN{k + 1}", mid)
     for i in range(n_fields):
         iid = f"I{i // fields_per_intermediate + 1}"
-        fields.append(
-            TaxonomyField(f"F{i + 1:03d}", f"Field {i + 1}", iid,
-                          intermediates[iid].macro_id)
-        )
+        fields.append(TaxonomyField(f"F{i + 1:03d}", f"Field {i + 1}", iid))
     macros = {"M1": "Macro One", "M2": "Macro Two"}
     return FieldTaxonomy(fields, intermediates, macros)
 

@@ -24,6 +24,9 @@ the byte reference of the writers that format a row at a time.
 ``greedy_communities_nx`` are the networkx-graph backbone layers that the
 package replaced with layers on one weight array, kept as references on the
 graph ``nx_graph`` builds from that array.
+``proximity_graph_triu`` is the ``proximity_graph`` body that added the
+positive upper triangle to its transpose, kept as the bit-for-bit reference
+of the body that zeroes the diagonal of an exactly symmetric array.
 ``midranks`` and ``auroc_midranks`` are the AUROC from row-wise midranks
 that the pair count from the positive cells replaced, and
 ``rank_candidates_lexsort`` the full-row lexsort that the top k by partition
@@ -184,6 +187,13 @@ def nx_graph(w, ids):
     for i, j in zip(*np.nonzero(np.triu(w, 1))):
         g.add_edge(ids[i], ids[j], weight=float(w[i, j]))
     return g
+
+
+def proximity_graph_triu(values):
+    """The weight array of a symmetric proximity array: the upper triangle of
+    its positive entries plus that triangle's transpose."""
+    upper = np.triu(np.where(values > 0, values, 0.0), 1)
+    return upper + upper.T
 
 
 def mst_plus_threshold_nx(g, p):

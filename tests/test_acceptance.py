@@ -316,6 +316,6 @@ def test_acceptance_10_backbone_edge_counts():
             emb = train_embeddings(p, EmbeddingConfig(seed=0))
             phi = ProximityMatrix(emb_model.proximity_emb(emb.vectors),
                                   list(taxonomy.field_ids), "embedding", window)
-            agg = net.aggregate_to_intermediate(phi, taxonomy)
+            _, agg = net.aggregate_to_intermediate(phi.values, taxonomy)
             kept = net.disparity_filter(net.proximity_graph(agg), 0.20)
             assert abs(np.count_nonzero(np.triu(kept, 1)) - n_edges) <= 5

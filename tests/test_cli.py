@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -18,12 +19,12 @@ import pytest
 import oracles
 import research_space
 import simulation
-from conftest import corpus_rows, make_corpus
+from conftest import corpus_rows, make_corpus, make_taxonomy
 from research_space import artifacts, cli, emb_model
-from research_space import prediction_eval as pe
+from research_space import specialization as spec_mod
 from research_space.artifacts import load_corpus, load_proximity, save_corpus
 from research_space.cli import main
-from research_space.corpus import FieldTaxonomy
+from research_space.corpus import EntityKind, FieldTaxonomy, VenueFieldMap, resolve_corpus
 from research_space.errors import ParseError
 from research_space.presence import TimeWindow
 from research_space.specialization import TransitionKind, density, indicator
@@ -140,7 +141,7 @@ def write_taxonomy_file(taxonomy, path):
     for f in taxonomy.fields:
         im = taxonomy.intermediates[f.intermediate_id]
         lines.append(
-            f"{f.field_id}\t{f.name}\t{im.intermediate_id}\t{im.acronym}"
+            f"{f.field_id}\t{f.name}\t{f.intermediate_id}\t{im.acronym}"
             f"\t{im.macro_id}\t{taxonomy.macros[im.macro_id]}"
         )
     path.write_text("\n".join(lines) + "\n")
@@ -412,7 +413,7 @@ class TestPredict:
         n_records, r = cli._rca(resolved, taxonomy, TimeWindow(2002, 2004))
         expected, warnings = oracles.predict_loop(
             resolved.entity_ids, n_records, density(indicator(r, kind), phi.values),
-            pe.candidate_mask(r, kind), phi.field_ids,
+            spec_mod.candidate_mask(r, kind), phi.field_ids,
             [taxonomy.field(fid).name for fid in phi.field_ids], 3, entities,
             "2002:2004")
         args = ["predict", "--phi", str(pipeline["phi_freq"]), "--corpus", str(corpus),
@@ -505,7 +506,7 @@ class TestEvaluate:
         calls = {"candidate_mask": 0, "realized_mask": 0}
 
         def counted(name):
-            fn = getattr(pe, name)
+            fn = getattr(spec_mod, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -513,7 +514,7 @@ class TestEvaluate:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(pe, name, counted(name))
+            monkeypatch.setattr(spec_mod, name, counted(name))
         per_run = []
         for phis in (["--phi-a", str(pipeline["phi_freq"])],
                      ["--phi-a", str(pipeline["phi_freq"]),
@@ -1134,6 +1135,123 @@ def test_taxonomy_text_breaking_tsv_rows_exits_1(pipeline, tmp_path, column, cha
             f"({bad}:{line})" in res.output)
     assert not (tmp_path / "out").exists()
 
+
+
+# A taxonomy row that disagrees with the row before it on a fact of its
+# intermediate or macro area: its cells, and the error it must give. Rows 2
+# and 3 are F001 and F002, both in intermediate I1 (acronym IN1) of M1.
+TAXONOMY_CONFLICTS = {
+    "acronym": ({3: "OTHER"},
+                "intermediate I1 is 'OTHER' in M1, but an earlier row has 'IN1' in M1"),
+    "macro_id": ({4: "M2", 5: "Macro Two"},
+                 "intermediate I1 is 'IN1' in M2, but an earlier row has 'IN1' in M1"),
+    "macro_name": ({5: "Other"},
+                   "macro area M1 is named 'Other', but an earlier row names it "
+                   "'Macro One'"),
+}
+
+
+@pytest.mark.parametrize("conflict", TAXONOMY_CONFLICTS)
+def test_taxonomy_row_disagreeing_with_an_earlier_row_exits_1(pipeline, tmp_path,
+                                                              conflict):
+    # rows F1 I1 AAA M1 and F2 I1 BBB M2 once loaded, and F1 took the macro
+    # area M1 while I1 took M2, so the two backbone levels colored I1 apart
+    cells_at, message = TAXONOMY_CONFLICTS[conflict]
+    lines = pipeline["taxonomy"].read_text().splitlines()
+    cells = lines[2].split("\t")
+    for column, text in cells_at.items():
+        cells[column] = text
+    lines[2] = "\t".join(cells)
+    bad = tmp_path / "taxonomy.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = pipeline["runner"].invoke(main, [
+        "backbone", "--phi", str(pipeline["phi_emb"]), "--taxonomy", str(bad),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: {message} ({bad}:3)" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_taxonomy_repeating_consistent_rows_loads(tmp_path):
+    # each intermediate's and macro area's facts repeat on each of its rows
+    taxonomy = make_taxonomy(12, fields_per_intermediate=4)
+    write_taxonomy_file(taxonomy, tmp_path / "taxonomy.tsv")
+    loaded = FieldTaxonomy.from_file(tmp_path / "taxonomy.tsv")
+    assert len(loaded.fields) > len(loaded.intermediates) > len(loaded.macros)
+    assert (loaded.fields, loaded.intermediates, loaded.macros) == (
+        taxonomy.fields, taxonomy.intermediates, taxonomy.macros)
+
+
+BIG_CELL = "x" * 200_000  # over the csv module's default field_size_limit
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "zenodo"])
+def test_oversized_record_cell_exits_1(pipeline, tmp_path, fmt):
+    # a cell over the limit once ended in a traceback of _csv.Error
+    sep = "\t" if fmt == "tsv" else ","
+    rows = [("researcher_id", "venue", "year", "n_authors"), ("r1", "V", "2001", "1"),
+            ("r2", BIG_CELL, "2001", "1"), ("r3", "V", "2001", "1")]
+    bad = tmp_path / "records.txt"
+    bad.write_text("".join(sep.join(row) + "\n" for row in rows))
+    res = pipeline["runner"].invoke(main, [
+        "ingest", "--records", str(bad), "--format", fmt,
+        "--venue-map", str(pipeline["venues"]), "--taxonomy", str(pipeline["taxonomy"]),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert (f"error: malformed records file: field larger than field limit "
+            f"({csv.field_size_limit()}) ({bad}:3)" in res.output)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("table, column, what", [("venues", 0, "venue map"),
+                                                 ("taxonomy", 1, "taxonomy")])
+def test_oversized_table_cell_exits_1(pipeline, tmp_path, table, column, what):
+    lines = pipeline[table].read_text().splitlines()
+    cells = lines[2].split("\t")
+    cells[column] = BIG_CELL
+    lines[2] = "\t".join(cells)
+    bad = tmp_path / f"{table}.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    tables = {"venues": pipeline["venues"], "taxonomy": pipeline["taxonomy"], table: bad}
+    res = pipeline["runner"].invoke(main, [
+        "ingest", "--records", str(pipeline["records"]),
+        "--venue-map", str(tables["venues"]), "--taxonomy", str(tables["taxonomy"]),
+        "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert (f"error: malformed {what} file: field larger than field limit "
+            f"({csv.field_size_limit()}) ({bad}:3)" in res.output)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["{bad", "[" * 100_000 + "]" * 100_000],
+                         ids=["not_json", "nested_too_deep"])
+@pytest.mark.parametrize("site, line_no", [("records", 2), ("corpus", 1), ("corpus", 2),
+                                           ("corpus", 3), ("corpus", 4)])
+def test_each_json_line_decodes_with_one_error_policy(pipeline, tmp_path, site,
+                                                      line_no, bad):
+    # a records line and each corpus line go through errors.json_value; a
+    # corpus header that is not JSON once read "invalid corpus header: ..."
+    try:
+        json.loads(bad)
+    except RecursionError:
+        why = "nesting too deep"
+    except ValueError as e:
+        why = str(e)
+    lines = pipeline[site].read_text().splitlines()
+    lines[line_no - 1] = bad
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        if site == "records":
+            resolve_corpus(path, VenueFieldMap.from_file(pipeline["venues"]),
+                           FieldTaxonomy.from_file(pipeline["taxonomy"]),
+                           EntityKind.SCIENTIST)
+        else:
+            load_corpus(path)
+    assert str(err.value) == f"invalid JSON: {why} ({path}:{line_no})"
 
 def test_verbose_logs_epoch_losses_to_stderr_only(pipeline, tmp_path):
     out = tmp_path / "out"

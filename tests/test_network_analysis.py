@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import make_taxonomy
+from conftest import make_taxonomy, same_bits
 from research_space.corpus import FieldTaxonomy, Intermediate, TaxonomyField
 from research_space.errors import ConfigError
 from research_space.freq_model import ProximityMatrix
@@ -36,11 +37,11 @@ class TestAggregation:
     def test_singleton_intermediates(self):
         taxonomy = make_taxonomy(2, fields_per_intermediate=1)
         phi = sym_phi([[1.0, 0.42], [0.42, 1.0]])
-        agg = aggregate_to_intermediate(phi, taxonomy)
-        assert agg.field_ids == ["I1", "I2"]
-        assert agg.values[0, 1] == pytest.approx(0.42)
+        ids, agg = aggregate_to_intermediate(phi.values, taxonomy)
+        assert ids == ["I1", "I2"]
+        assert agg[0, 1] == pytest.approx(0.42)
         # a singleton intermediate has no off-diagonal pair
-        assert agg.values[0, 0] == 0.0
+        assert agg[0, 0] == 0.0
 
     def test_hand_mean(self):
         # I1 = {F001}, I2 = {F002, F003}; cross values 0.2 and 0.4
@@ -52,17 +53,19 @@ class TestAggregation:
             [0.9, 1.0, 0.4],
             [0.2, 0.4, 1.0],
         ])
-        agg = aggregate_to_intermediate(sym_phi(vals), taxonomy)
-        assert agg.values[0, 1] == pytest.approx(0.3)
-        assert agg.values[0, 0] == pytest.approx(0.9)  # within-I1 pair mean
+        _, agg = aggregate_to_intermediate(sym_phi(vals).values, taxonomy)
+        assert agg[0, 1] == pytest.approx(0.3)
+        assert agg[0, 0] == pytest.approx(0.9)  # within-I1 pair mean
 
     def test_symmetric_output(self):
         taxonomy = make_taxonomy(6, fields_per_intermediate=3)
         rng = np.random.default_rng(0)
         a = rng.random((6, 6))
         phi = sym_phi((a + a.T) / 2)
-        agg = aggregate_to_intermediate(phi, taxonomy)
-        np.testing.assert_allclose(agg.values, agg.values.T)
+        _, agg = aggregate_to_intermediate(phi.values, taxonomy)
+        np.testing.assert_allclose(agg, agg.T)
+        # proximity_graph relies on exact symmetry
+        assert (agg == agg.T).all()
 
 
 def graph(edges, ids=None):
@@ -331,9 +334,22 @@ class TestClassifyEdges:
 
 def backbone_graph(phi, taxonomy, level="field"):
     """The export arguments of ``backbone`` keeping every edge."""
-    w = proximity_graph(phi)
+    w = proximity_graph(phi.values)
     return (w, greedy_communities(w, phi.field_ids)[0], phi.field_ids,
             node_styles(taxonomy, phi.field_ids, level))
+
+
+@st.composite
+def symmetric_arrays(draw):
+    """Exactly symmetric arrays of up to 9 rows, with negatives, zeros of both
+    signs and all-zero rows and columns among their entries."""
+    n = draw(st.integers(0, 9))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from(
+        [-1.5, -0.0, 0.0, 1e-300, 0.25, 0.5, 1.0])))
+    zero = draw(hnp.arrays(np.bool_, n))
+    a[zero] = a[:, zero] = draw(st.sampled_from([0.0, -0.0]))
+    # the upper triangle, diagonal included, mirrored bit for bit
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)
 
 
 class TestGraphAndExports:
@@ -344,11 +360,28 @@ class TestGraphAndExports:
             [0.5, 1.0, 0.2],
             [0.0, 0.2, 1.0],
         ]), field_ids=taxonomy.field_ids)
-        w = proximity_graph(phi)
+        w = proximity_graph(phi.values)
         assert n_edges(w) == 2
         assert not np.diag(w).any()
         assert all(color.startswith("#")
                    for _, color in node_styles(taxonomy, phi.field_ids, "field"))
+
+    @given(symmetric_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_proximity_graph_matches_the_triangle_oracle(self, values):
+        assert same_bits(proximity_graph(values), oracles.proximity_graph_triu(values))
+
+    @pytest.mark.parametrize("fields_per_intermediate", [1, 3, 4])
+    def test_node_styles_color_each_field_as_its_intermediate(self,
+                                                             fields_per_intermediate):
+        taxonomy = make_taxonomy(12, fields_per_intermediate)
+        inter_ids = sorted(taxonomy.intermediates)
+        inter_color = {iid: color for iid, (_, color) in zip(
+            inter_ids, node_styles(taxonomy, inter_ids, "intermediate"))}
+        field_color = [color for _, color in
+                       node_styles(taxonomy, taxonomy.field_ids, "field")]
+        assert field_color == [inter_color[f.intermediate_id] for f in taxonomy.fields]
+        assert len(set(field_color)) == len(taxonomy.macros)
 
     def test_edgelist_roundtrip_fields(self):
         w, ids = triangle()
@@ -372,9 +405,9 @@ class TestGraphAndExports:
 
     def test_dot_export_escapes_quotes_and_backslashes(self):
         taxonomy = FieldTaxonomy(
-            [TaxonomyField('F"1', r'Topic "A" \ B', "I1", "M1"),
-             TaxonomyField("F002", "Plain", "I1", "M1")],
-            {"I1": Intermediate("I1", "IN1", "M1")}, {"M1": "Macro"})
+            [TaxonomyField('F"1', r'Topic "A" \ B', "I1"),
+             TaxonomyField("F002", "Plain", "I1")],
+            {"I1": Intermediate("IN1", "M1")}, {"M1": "Macro"})
         phi = sym_phi([[1.0, 0.5], [0.5, 1.0]], ['F"1', "F002"])
         assert export_dot(*backbone_graph(phi, taxonomy)).splitlines()[1:4] == [
             r'  "F\"1" [label="Topic \"A\" \\ B", style=filled, fillcolor="#e41a1c"];',

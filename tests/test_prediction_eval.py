@@ -13,14 +13,12 @@ from research_space import prediction_eval
 from research_space.errors import ConfigError
 from research_space.prediction_eval import (
     auroc,
-    candidate_mask,
     ccdf,
     compare_models,
     rank_candidates,
-    realized_mask,
     summarize,
 )
-from research_space.specialization import TransitionKind
+from research_space.specialization import TransitionKind, candidate_mask, realized_mask
 
 # RCA values on and between the stage bounds 0, 0.5 and 1.
 RCA_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])

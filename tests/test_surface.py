@@ -2,7 +2,8 @@
 package names, and no defaulted parameter that no call in the package
 passes: what no command reaches is deleted, or kept in ``tests/oracles.py``
 when a suite still needs it. No module reaches into another module's
-``_``-prefixed names: what a module shares is public."""
+``_``-prefixed names: what a module shares is public. Each module imports
+exactly the package modules ``IMPORT_GRAPH`` lists for it."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,44 @@ def test_no_module_names_another_modules_private_attribute():
     private = {module: names for module, tree in _trees().items()
                if (names := _private_names(tree))}
     assert not private, f"private names used across modules: {private}"
+
+
+# The package modules each package module imports, at any depth of its code.
+# An edge not listed here fails the test below: a new dependency between
+# modules is a deliberate edit of this table.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "artifacts": {"corpus", "errors", "freq_model", "presence"},
+    "cli": {"artifacts", "corpus", "emb_model", "errors", "freq_model",
+            "network_analysis", "prediction_eval", "presence", "specialization"},
+    "corpus": {"errors"},
+    "emb_model": {"errors"},
+    "errors": set(),
+    "freq_model": {"presence"},
+    "network_analysis": {"corpus", "errors"},
+    "prediction_eval": {"errors"},
+    "presence": {"corpus", "errors"},
+    "specialization": {"errors"},
+}
+
+
+def _package_imports(tree):
+    """The package modules a module's tree imports, relatively or by the
+    package's name."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith(
+                "research_space")):
+            module = (n.module or "").removeprefix("research_space").lstrip(".")
+            found.update([module.split(".")[0]] if module else
+                         [alias.name for alias in n.names])
+        elif isinstance(n, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in n.names
+                         if alias.name.startswith("research_space."))
+    return found
+
+
+def test_package_modules_import_exactly_the_listed_modules():
+    graph = {module.removesuffix(".py"): _package_imports(tree)
+             for module, tree in _trees().items()}
+    assert graph == IMPORT_GRAPH
