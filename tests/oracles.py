@@ -316,7 +316,8 @@ def cv_windows_oracle(covariate, values, window_size):
 
 
 def rca_bruteforce(x):
-    """Balassa index cell by cell from the definition."""
+    """Balassa index cell by cell from the definition; each field's mass is
+    added up entity by entity, in row order."""
     x = np.asarray(x, dtype=float)
     total = x.sum()
     out = np.zeros_like(x)
@@ -325,7 +326,9 @@ def rca_bruteforce(x):
         if row == 0:
             continue
         for f in range(x.shape[1]):
-            col = x[:, f].sum()
+            col = 0.0
+            for t in range(x.shape[0]):
+                col += x[t, f]
             if col == 0:
                 continue
             out[s, f] = (x[s, f] / row) / (col / total)
