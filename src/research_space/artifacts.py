@@ -4,6 +4,7 @@ hash so pipeline stages can be re-run independently."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from pathlib import Path
@@ -15,13 +16,14 @@ from .errors import ConfigError, ParseError, json_value, utf8_input
 from .freq_model import ProximityMatrix
 from .presence import TimeWindow
 
-SCHEMA_CORPUS = "corpus/2"
+SCHEMA_CORPUS = "corpus/3"
 SCHEMA_PROXIMITY = "proximity/1"
 SCHEMA_EMBEDDING = "embedding/1"
 MODEL_TAGS = ("frequentist", "embedding")
 
 CORPUS_COLUMNS = ("entity", "field_set", "n_authors", "year")
-PIECE_VALUES = 8192  # column values turned into text at a time by save_corpus
+# The dtypes a corpus column may be stored in, narrowest first.
+COLUMN_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8")
 
 
 def write_atomic(path, text):
@@ -61,43 +63,44 @@ def write_manifest(manifest: dict, path) -> str:
     return mhash
 
 
+def _column(values):
+    """A record column as line 4 stores it: the narrowest dtype of
+    COLUMN_DTYPES that holds its minimum and maximum, and the base64 of its
+    bytes in that dtype."""
+    lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    dtype = next(d for d in COLUMN_DTYPES
+                 if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
+    data = base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
+    return {"dtype": dtype, "data": data}
+
+
 def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
     """Write the corpus as four JSON lines: header, entity ids, field sets,
-    and the record columns, whose text is made PIECE_VALUES values at a time."""
+    and the record columns in binary."""
     header = {
         "schema": SCHEMA_CORPUS,
         "kind": corpus.kind.value,
         "manifest_hash": mhash,
         "match_stats": vars(corpus.match_stats),
     }
-
-    def text():
-        for obj in (header, {"entity_ids": corpus.entity_ids},
-                    {"field_sets": [list(fields) for fields in corpus.field_sets]}):
-            yield json.dumps(obj, sort_keys=True) + "\n"
-        # the columns line as json.dumps(..., sort_keys=True) writes it
-        for k, name in enumerate(CORPUS_COLUMNS):  # already in sorted order
-            values = getattr(corpus, name)
-            yield ('{"' if k == 0 else '], "') + name + '": ['
-            for start in range(0, len(values), PIECE_VALUES):
-                piece = values[start:start + PIECE_VALUES].tolist()
-                yield ", " * (start > 0) + ", ".join(map(str, piece))
-        yield "]}\n"
-
-    write_atomic(path, text())
+    lines = (header, {"entity_ids": corpus.entity_ids},
+             {"field_sets": [list(fields) for fields in corpus.field_sets]},
+             {name: _column(getattr(corpus, name)) for name in CORPUS_COLUMNS})
+    write_atomic(path, (json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
 
 
-def _corpus_line(fh, path, line_no, keys):
-    """The lists under ``keys`` of the JSON object on the file's next line,
-    which must hold exactly those keys."""
+def _corpus_line(fh, path, line_no, keys, what="lists",
+                 valid=lambda v: type(v) is list):
+    """The values under ``keys`` of the JSON object on the file's next line,
+    which must hold exactly those keys, each ``valid``: one of ``what``."""
     text = fh.readline()
     if not text.strip():
         raise ParseError(f"missing the line of {', '.join(keys)}", path=path,
                          line=line_no)
     obj = json_value(text, path, line_no)
     if not (isinstance(obj, dict) and sorted(obj) == sorted(keys)
-            and all(isinstance(obj[k], list) for k in keys)):
-        raise ParseError(f"expected a JSON object of the lists {', '.join(keys)}",
+            and all(valid(obj[k]) for k in keys)):
+        raise ParseError(f"expected a JSON object of the {what} {', '.join(keys)}",
                          path=path, line=line_no)
     return [obj[k] for k in keys]
 
@@ -106,15 +109,37 @@ def _is_field_set(fields):
     return type(fields) is list and len(fields) > 0 and set(map(type, fields)) <= {str}
 
 
+def _decode_column(name, column, path):
+    """A stored column as an int64 array, or a ParseError on line 4."""
+    dtype = column["dtype"]
+    if dtype not in COLUMN_DTYPES:
+        raise ParseError(f"{name} has dtype {dtype!r}, not one of "
+                         f"{', '.join(COLUMN_DTYPES)}", path=path, line=4)
+    try:
+        data = base64.b64decode(column["data"], validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise ParseError(f"{name} is not base64: {e}", path=path, line=4) from None
+    size = np.dtype(dtype).itemsize
+    if len(data) % size:
+        raise ParseError(f"{name} holds {len(data)} bytes, not a multiple of its "
+                         f"{dtype} itemsize {size}", path=path, line=4)
+    values = np.frombuffer(data, dtype=dtype)
+    if dtype == "<u8" and (big := values > np.iinfo(np.int64).max).any():
+        i = np.argmax(big)
+        raise ParseError(f"{name} of record {i} is {values[i]}, out of int64 range",
+                         path=path, line=4)
+    return values.astype(np.int64)
+
+
 @utf8_input
 def load_corpus(path) -> ResolvedCorpus:
-    """Read a corpus/2 file, validating each table and column once; the first
+    """Read a corpus/3 file, validating each table and column once; the first
     bad entry is named by its index."""
     with open(path, encoding="utf-8") as fh:
         header = json_value(fh.readline(), path, 1)
         schema = header.get("schema") if isinstance(header, dict) else None
-        if schema == "corpus/1":
-            raise ParseError(f"this is a corpus/1 file; run ingest again to write "
+        if schema in ("corpus/1", "corpus/2"):
+            raise ParseError(f"this is a {schema} file; run ingest again to write "
                              f"{SCHEMA_CORPUS}", path=path, line=1)
         if schema != SCHEMA_CORPUS:
             raise ParseError(f"unsupported corpus schema {schema!r}", path=path, line=1)
@@ -143,20 +168,15 @@ def load_corpus(path) -> ResolvedCorpus:
             raise ParseError(f"field set {i} is {field_sets[i]!r}, not a non-empty "
                              "list of strings", path=path, line=3)
 
-        columns = dict(zip(CORPUS_COLUMNS, _corpus_line(fh, path, 4, CORPUS_COLUMNS)))
+        stored = _corpus_line(
+            fh, path, 4, CORPUS_COLUMNS, "{dtype, data} strings of",
+            lambda v: type(v) is dict and sorted(v) == ["data", "dtype"]
+            and set(map(type, v.values())) == {str})
         if fh.read().strip():
             raise ParseError("unexpected content after the columns line",
                              path=path, line=5)
-    for name, values in columns.items():
-        if set(map(type, values)) - {int}:
-            i = next(i for i, v in enumerate(values) if type(v) is not int)
-            raise ParseError(f"{name} of record {i} is {values[i]!r}, not an integer",
-                             path=path, line=4)
-        try:
-            columns[name] = np.array(values, dtype=np.int64)
-        except OverflowError:
-            i = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
-            raise ParseError(f"{name} of record {i} is out of range", path=path, line=4)
+    columns = {name: _decode_column(name, column, path)
+               for name, column in zip(CORPUS_COLUMNS, stored)}
     lengths = {name: len(values) for name, values in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ParseError(f"columns differ in length: {lengths}", path=path, line=4)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,14 +20,32 @@ entity_ids = st.text(min_size=1, max_size=8) | st.sampled_from(
     ['say "hi"', "São Paulo", "東京", "back\\slash", "new\nline"])
 field_sets = st.lists(st.sampled_from(["F001", "F002", "F010", "Fé"]),
                       min_size=1, max_size=4)
-rows = st.lists(st.tuples(entity_ids, field_sets, st.integers(1, 500),
-                          st.integers(-2**31, 2**31)), max_size=30)
+# Each column dtype's smallest and largest value, and one past each, within int64.
+EDGES = sorted({v for info in map(np.iinfo, ("i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8"))
+                for v in (info.min - 1, info.min, info.max, info.max + 1)
+                if -2**63 <= v < 2**63})
+n_authors = st.integers(1, 500) | st.integers(1, 2**63 - 1) | st.sampled_from(
+    [v for v in EDGES if v >= 1])
+years = st.integers(-2**31, 2**31) | st.integers(-2**63, 2**63 - 1) | st.sampled_from(EDGES)
+rows = st.lists(st.tuples(entity_ids, field_sets, n_authors, years), max_size=30)
 match_stats = st.builds(MatchStats, *(st.integers(0, 10**6) for _ in range(4)))
+
+
+def narrowest_itemsize(values):
+    """Bytes per value of the narrowest little-endian integer dtype holding
+    every value."""
+    return min(np.dtype(d).itemsize for d in ("i1", "u1", "i2", "u2", "i4", "u4", "i8",
+                                             "u8")
+               if all(np.iinfo(d).min <= v <= np.iinfo(d).max for v in values))
 
 
 class TestCorpusArtifact:
     @given(rows, st.sampled_from(list(EntityKind)), match_stats)
     @example([], EntityKind.SCIENTIST, MatchStats())
+    @example([("a", ["F001"], 2**63 - 1, -2**63), ("b", ["F002"], 1, 2**63 - 1)],
+             EntityKind.SCIENTIST, MatchStats())
+    @example([("a", ["F001"], 255, -129), ("b", ["F002"], 256, 127)],
+             EntityKind.STATE, MatchStats())
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, tmp_path_factory, records, kind, stats):
         corpus = make_corpus(records, kind, stats)
@@ -44,18 +62,33 @@ class TestCorpusArtifact:
         first = path.read_bytes()
         artifacts.save_corpus(loaded, path, mhash="abc")
         assert path.read_bytes() == first and first.count(b"\n") == 4
+        # each column is stored in the narrowest integer dtype that holds it
+        stored = json.loads(first.splitlines()[3])
+        assert list(stored) == sorted(COLUMNS)
+        for name in COLUMNS:
+            values = getattr(corpus, name).tolist()
+            assert np.dtype(stored[name]["dtype"]).itemsize == narrowest_itemsize(values)
 
-    @given(rows)
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_columns_line_is_json_dumps_written_in_pieces(self, tmp_path, monkeypatch,
-                                                          records):
-        monkeypatch.setattr(artifacts, "PIECE_VALUES", 3)
-        corpus = make_corpus(records)
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 255], "|u1"), ([-128, 127], "|i1"), ([0, 256], "<u2"), ([-1, 128], "<i2"),
+        ([0, 2**32 - 1], "<u4"), ([-2**31, 2**31 - 1], "<i4"), ([1, 2**63 - 1], "<u8"),
+        ([-2**63, 0], "<i8"), ([], "|u1")])
+    def test_column_dtype(self, tmp_path, values, dtype):
+        corpus = make_corpus([(f"e{i}", ["F001"], 1, v) for i, v in enumerate(values)])
         path = tmp_path / "corpus.jsonl"
         artifacts.save_corpus(corpus, path)
-        columns = {name: getattr(corpus, name).tolist() for name in COLUMNS}
-        assert path.read_text().splitlines()[3] == json.dumps(columns, sort_keys=True)
+        assert json.loads(path.read_text().splitlines()[3])["year"]["dtype"] == dtype
+        np.testing.assert_array_equal(artifacts.load_corpus(path).year, values)
+
+    def test_codes_past_one_byte(self, tmp_path):
+        corpus = make_corpus([(f"e{i}", [f"F{i % 300}"], 1, 2000) for i in range(600)])
+        path = tmp_path / "corpus.jsonl"
+        artifacts.save_corpus(corpus, path)
+        stored = json.loads(path.read_text().splitlines()[3])
+        assert (stored["entity"]["dtype"], stored["field_set"]["dtype"]) == ("<u2", "<u2")
+        loaded = artifacts.load_corpus(path)
+        np.testing.assert_array_equal(loaded.entity, np.arange(600))
+        np.testing.assert_array_equal(loaded.field_set, np.arange(600) % 300)
 
     def test_save_peak_memory_per_record_is_small(self, tmp_path):
         n = 50_000
@@ -71,13 +104,24 @@ class TestCorpusArtifact:
         finally:
             tracemalloc.stop()
         # turning the columns into lists and the file into one string took
-        # 165 B per record here; the columns line in pieces takes about 18 B
+        # 165 B per record here; the columns line in binary takes about 24 B
         assert peak / n < 40, f"{peak / n:.0f} B per record"
 
     def test_corpus_1_asks_for_ingest(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"schema": "corpus/1", "kind": "scientist"}) + "\n")
         with pytest.raises(ParseError, match="ingest") as err:
+            artifacts.load_corpus(path)
+        assert err.value.line == 1
+
+    def test_corpus_2_asks_for_ingest(self, tmp_path):
+        # a corpus/2 file held its columns as JSON lists of integers
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"schema": "corpus/2", "kind": "scientist", "manifest_hash": "",
+                  "match_stats": {}}, {"entity_ids": ["a"]}, {"field_sets": [["F001"]]},
+                 {"entity": [0], "field_set": [0], "n_authors": [1], "year": [2000]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ParseError, match="corpus/2 file; run ingest again") as err:
             artifacts.load_corpus(path)
         assert err.value.line == 1
 

@@ -1,4 +1,5 @@
 import ast
+import base64
 import contextlib
 import csv
 import io
@@ -112,26 +113,75 @@ def _first(key, value):
     return lambda obj: {**obj, key: [value, *obj[key][1:]]}
 
 
+def _stored(column):
+    """The values of a column of line 4, a dict of its dtype and base64 data."""
+    return np.frombuffer(base64.b64decode(column["data"]), column["dtype"]).tolist()
+
+
+def _store(values, dtype):
+    return {"dtype": dtype,
+            "data": base64.b64encode(np.array(values, dtype).tobytes()).decode()}
+
+
+def _column(name, change, dtype="<i8"):
+    """A change of line 4 that stores change(values) of column ``name`` in dtype."""
+    return lambda c: {**c, name: _store(change(_stored(c[name])), dtype)}
+
+
+def _set_first(name, value, dtype="<i8"):
+    return _column(name, lambda values: [value, *values[1:]], dtype)
+
+
 # Corruptions of the tables and columns of a saved corpus.jsonl: the line
-# changed (2 entity ids, 3 field sets, 4 record columns) and the change; a
-# change returning None drops the line.
+# changed (1 header, 2 entity ids, 3 field sets, 4 record columns), the
+# change, and the start of the error it must cause; a change returning None
+# drops the line.
 CORPUS_COLUMN_CORRUPTIONS = {
-    "numeric_entity_id": (2, _first("entity_ids", 7)),
+    "numeric_entity_id": (2, _first("entity_ids", 7), "entity id 0 is 7, not a string"),
     "duplicate_entity_id": (2, lambda e: {"entity_ids": e["entity_ids"][:1] * 2
-                                          + e["entity_ids"][2:]}),
-    "empty_field_ids": (3, _first("field_sets", [])),
+                                          + e["entity_ids"][2:]},
+                            "entity id 1 repeats"),
+    "empty_field_ids": (3, _first("field_sets", []), "field set 0 is []"),
     "field_ids_string": (3, lambda s: {"field_sets": [s["field_sets"][0][0],
-                                                      *s["field_sets"][1:]]}),
-    "non_string_field_id": (3, _first("field_sets", ["F001", 7])),
-    "zero_authors": (4, _first("n_authors", 0)),
-    "negative_authors": (4, _first("n_authors", -2)),
-    "boolean_authors": (4, _first("n_authors", True)),
-    "fractional_year": (4, _first("year", 2000.7)),
-    "null_year": (4, _first("year", None)),
-    "code_out_of_range": (4, lambda c: _first("entity", max(c["entity"]) + 1)(c)),
-    "unequal_lengths": (4, lambda c: {**c, "year": c["year"][:-1]}),
-    "not_an_object": (4, lambda c: [c]),
-    "missing_columns_line": (4, lambda c: None),
+                                                      *s["field_sets"][1:]]},
+                         "field set 0 is 'F"),
+    "non_string_field_id": (3, _first("field_sets", ["F001", 7]),
+                            "field set 0 is ['F001', 7]"),
+    "zero_authors": (4, _set_first("n_authors", 0, "|u1"),
+                     "n_authors of record 0 is 0, below 1"),
+    "negative_authors": (4, _set_first("n_authors", -2, "|i1"),
+                         "n_authors of record 0 is -2, below 1"),
+    "boolean_authors": (4, _set_first("n_authors", True, "|b1"),
+                        "n_authors has dtype '|b1', not one of |u1,"),
+    "fractional_year": (4, _set_first("year", 2000.7, "<f8"),
+                        "year has dtype '<f8', not one of"),
+    "big_endian_year": (4, _column("year", lambda values: values, ">u2"),
+                        "year has dtype '>u2', not one of"),
+    "null_year": (4, lambda c: {**c, "year": None}, "expected a JSON object of the"),
+    "year_as_list": (4, lambda c: {**c, "year": _stored(c["year"])},
+                     "expected a JSON object of the"),
+    "bad_base64": (4, lambda c: {**c, "year": {**c["year"], "data": "AB!="}},
+                   "year is not base64"),
+    "non_ascii_base64": (4, lambda c: {**c, "year": {**c["year"], "data": "AAé="}},
+                         "year is not base64"),
+    "bytes_not_a_multiple_of_itemsize": (
+        4, lambda c: {**c, "year": {"dtype": "<u2", "data": "AQID"}},  # 3 bytes
+        "year holds 3 bytes, not a multiple of its <u2 itemsize 2"),
+    "authors_over_int64": (4, _set_first("n_authors", 2**63, "<u8"),
+                           f"n_authors of record 0 is {2**63}, out of int64 range"),
+    "code_out_of_range": (4, lambda c: _set_first(
+        "entity", max(_stored(c["entity"])) + 1)(c), "entity of record 0 is"),
+    "field_set_code_out_of_range": (4, lambda c: _set_first(
+        "field_set", max(_stored(c["field_set"])) + 1, "<u2")(c),
+        "field_set of record 0 is"),
+    "negative_code": (4, _set_first("field_set", -1, "|i1"),
+                      "field_set of record 0 is -1, outside [0, "),
+    "unequal_lengths": (4, _column("year", lambda values: values[:-1], "<u2"),
+                        "columns differ in length"),
+    "not_an_object": (4, lambda c: [c], "expected a JSON object of the"),
+    "missing_columns_line": (4, lambda c: None, "missing the line of entity"),
+    "corpus_2_header": (1, lambda h: {**h, "schema": "corpus/2"},
+                        "this is a corpus/2 file; run ingest again"),
 }
 
 
@@ -784,7 +834,7 @@ class TestExportStats:
 
     @pytest.mark.parametrize("corruption", sorted(CORPUS_COLUMN_CORRUPTIONS))
     def test_corrupt_corpus_record_exits_1(self, pipeline, tmp_path, corruption):
-        line_no, corrupt = CORPUS_COLUMN_CORRUPTIONS[corruption]
+        line_no, corrupt, message = CORPUS_COLUMN_CORRUPTIONS[corruption]
         lines = pipeline["corpus"].read_text().splitlines()
         changed = corrupt(json.loads(lines[line_no - 1]))
         lines[line_no - 1:line_no] = [] if changed is None else [json.dumps(changed)]
@@ -796,8 +846,8 @@ class TestExportStats:
         ])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
-        assert "Traceback" not in res.output
-        assert f"({bad}:{line_no})" in res.output
+        assert res.stderr.startswith(f"error: {message}"), res.stderr
+        assert res.stderr.endswith(f" ({bad}:{line_no})\n"), res.stderr
 
 
 @pytest.mark.parametrize("command,option,value", [
