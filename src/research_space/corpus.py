@@ -19,7 +19,6 @@ from .errors import ConfigError, ParseError, json_value, utf8_input
 
 SPLIT_CHARS = ".;:/-"
 _SPLIT_RE = re.compile("[" + re.escape(SPLIT_CHARS) + "]")
-_WS_RE = re.compile(r"\s+")
 
 
 class EntityKind(enum.Enum):
@@ -124,24 +123,21 @@ class FieldTaxonomy:
 
 def normalize_venue(name: str) -> str:
     """Case-fold, trim, and collapse internal whitespace."""
-    return _WS_RE.sub(" ", name.strip()).casefold()
-
-
-def venue_substrings(name: str) -> list[str]:
-    """Full name first, then the pieces obtained by splitting at any of
-    ``. ; : / -`` in left-to-right order, trimmed, empties removed."""
-    parts = [p.strip() for p in _SPLIT_RE.split(name)]
-    return [name] + [p for p in parts if p and p != name]
+    return " ".join(name.split()).casefold()
 
 
 class VenueFieldMap:
     """Normalized venue name -> non-empty set of field ids."""
 
     def __init__(self, entries: dict[str, frozenset[str]]):
-        self.entries = {normalize_venue(k): frozenset(v) for k, v in entries.items()}
-        for k, v in self.entries.items():
-            if not v:
-                raise ConfigError(f"venue {k!r} maps to an empty field set")
+        """Map each name's normalized form to its field ids; names that
+        normalize alike pool theirs."""
+        self.entries: dict[str, frozenset[str]] = {}
+        for name, fids in entries.items():
+            if not fids:
+                raise ConfigError(f"venue {name!r} maps to an empty field set")
+            key = normalize_venue(name)
+            self.entries[key] = self.entries.get(key, frozenset()).union(fids)
 
     def validate_against(self, taxonomy: FieldTaxonomy):
         known = set(taxonomy.field_ids)
@@ -159,17 +155,20 @@ class VenueFieldMap:
         per venue-field pair)."""
         entries: dict[str, set[str]] = {}
         for _, (venue, fid) in _tsv_rows(path, "venue map", ("venue_name", "field_id")):
-            entries.setdefault(normalize_venue(venue), set()).add(fid)
-        return cls({k: frozenset(v) for k, v in entries.items()})
+            entries.setdefault(venue, set()).add(fid)
+        return cls(entries)
 
 
 def match_venue(name: str, vmap: VenueFieldMap):
-    """Exact match on the full normalized name, else the first substring with
-    an exact hit (flagged approximate), else None."""
-    for i, sub in enumerate(venue_substrings(name)):
-        hit = vmap.entries.get(normalize_venue(sub))
-        if hit is not None:
-            return hit, "approximate" if i else "exact"
+    """Exact match on the full normalized name, else the first piece of the
+    name split at any of ``. ; : / -``, left to right, with an exact hit
+    (flagged approximate), else None."""
+    hit = vmap.entries.get(normalize_venue(name))
+    if hit is not None:
+        return hit, "exact"
+    for piece in map(normalize_venue, _SPLIT_RE.split(name)):
+        if piece and (hit := vmap.entries.get(piece)) is not None:
+            return hit, "approximate"
     return None
 
 

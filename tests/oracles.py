@@ -27,6 +27,9 @@ graph ``nx_graph`` builds from that array.
 ``proximity_graph_triu`` is the ``proximity_graph`` body that added the
 positive upper triangle to its transpose, kept as the bit-for-bit reference
 of the body that zeroes the diagonal of an exactly symmetric array.
+``normalize_venue``, ``venue_substrings`` and ``match_venue`` are the venue
+matcher that split every name before it tried the whole, kept as the
+reference of the package's matcher, which splits only on a miss.
 ``midranks`` and ``auroc_midranks`` are the AUROC from row-wise midranks
 that the pair count from the positive cells replaced, and
 ``rank_candidates_lexsort`` the full-row lexsort that the top k by partition
@@ -42,6 +45,7 @@ import csv
 import enum
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +54,8 @@ import numpy as np
 
 from research_space.artifacts import SCHEMA_EMBEDDING, SCHEMA_PROXIMITY
 from research_space.corpus import (
-    _MANDATORY, FORMAT_PROFILES, YEAR_RANGE, EntityKind, FieldTaxonomy, MatchStats,
-    ResolvedCorpus, VenueFieldMap, match_venue,
+    _MANDATORY, FORMAT_PROFILES, SPLIT_CHARS, YEAR_RANGE, EntityKind, FieldTaxonomy,
+    MatchStats, ResolvedCorpus, VenueFieldMap,
 )
 from research_space.errors import ConfigError, ParseError, utf8_input
 from research_space.prediction_eval import auroc
@@ -567,6 +571,36 @@ def train_embeddings_minibatch_loop(p, config, batch):
             _project_max_norm(vectors, sorted(touched))
         epoch_losses.append(epoch_loss / len(trainable))
     return vectors, epoch_losses
+
+
+# The venue matcher that built every substring of a name before it tried the
+# full name, and normalized whitespace with a regex: the reference of
+# ``corpus.match_venue`` and ``corpus.normalize_venue``.
+
+_SPLIT_RE = re.compile("[" + re.escape(SPLIT_CHARS) + "]")
+_WS_RE = re.compile(r"\s+")
+
+
+def normalize_venue(name: str) -> str:
+    """Case-fold, trim, and collapse internal whitespace."""
+    return _WS_RE.sub(" ", name.strip()).casefold()
+
+
+def venue_substrings(name: str) -> list[str]:
+    """Full name first, then the pieces obtained by splitting at any of
+    ``. ; : / -`` in left-to-right order, trimmed, empties removed."""
+    parts = [p.strip() for p in _SPLIT_RE.split(name)]
+    return [name] + [p for p in parts if p and p != name]
+
+
+def match_venue(name: str, vmap: VenueFieldMap):
+    """Exact match on the full normalized name, else the first substring with
+    an exact hit (flagged approximate), else None."""
+    for i, sub in enumerate(venue_substrings(name)):
+        hit = vmap.entries.get(normalize_venue(sub))
+        if hit is not None:
+            return hit, "approximate" if i else "exact"
+    return None
 
 
 # The two-pass record ingest that ``corpus.resolve_corpus`` replaced: one

@@ -4,18 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import oracles
 from conftest import corpus_rows, make_taxonomy
 from research_space import corpus as corpus_mod
+from oracles import venue_substrings
 from research_space.corpus import (
+    SPLIT_CHARS,
     EntityKind,
     VenueFieldMap,
     match_venue,
     normalize_venue,
     resolve_corpus,
-    venue_substrings,
 )
 from research_space.errors import ConfigError, ParseError
 
@@ -75,6 +76,33 @@ class TestMatchVenue:
 
 def test_normalize_venue_collapses_whitespace():
     assert normalize_venue("  The   Journal  ") == "the journal"
+
+
+# Every character Python counts as whitespace (among them \x1c-\x1f, \x85,
+# \xa0, \u2028 and \u3000), the split characters, and letters whose case
+# folds differently (ß to ss, the Kelvin sign to k).
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+venue_names = st.text(st.sampled_from(WHITESPACE + SPLIT_CHARS + "aAbBßSsKk\u212aé"),
+                      max_size=12)
+
+
+@given(st.lists(venue_names | venue_names.map(
+    lambda n: n.translate(dict.fromkeys(map(ord, SPLIT_CHARS)))), min_size=1, max_size=6),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_match_venue_equals_the_substrings_first_oracle(keys, data):
+    vmap = VenueFieldMap({key: {f"F{i:03d}"} for i, key in enumerate(keys)})
+    # a name of map keys and free text, joined by split characters or
+    # whitespace, in some case
+    parts = data.draw(st.lists(st.sampled_from(keys) | venue_names, min_size=1,
+                               max_size=3))
+    sep = data.draw(st.sampled_from(SPLIT_CHARS) | st.sampled_from(WHITESPACE))
+    name = data.draw(st.sampled_from([str, str.upper, str.lower, str.swapcase]))(
+        sep.join(parts))
+    assert normalize_venue(name) == oracles.normalize_venue(name)
+    hit = match_venue(name, vmap)
+    assert hit == oracles.match_venue(name, vmap)
+    event(hit[1] if hit else "unmatched")
 
 
 def write_jsonl(path, rows):
