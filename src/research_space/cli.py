@@ -4,6 +4,8 @@ with persisted artifacts so each stage re-runs independently."""
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import logging
 import os
 import sys
@@ -401,6 +403,10 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
 
 def main(args=None, prog_name=None):
     """Build research spaces from publication records and predict field entry."""
+    if args is None:
+        # the command line's own process: at exit, freeze every object so that
+        # the interpreter's final collections skip them; the OS frees them
+        atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(prog=prog_name or "research-space",
                                      description=main.__doc__, allow_abbrev=False)
     parser.add_argument("-v", "--verbose", action="count", default=0,

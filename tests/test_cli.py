@@ -1,7 +1,9 @@
 import ast
+import atexit
 import base64
 import contextlib
 import csv
+import gc
 import io
 import json
 import logging
@@ -1534,3 +1536,42 @@ def test_closed_stdout_exits_1_without_output(pipeline):
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), stderr) == (1, b"")
+
+
+def test_in_process_main_registers_nothing_at_exit(pipeline, tmp_path):
+    # only a process of the command line's own freezes its objects at exit
+    before = (gc.get_freeze_count(), atexit._ncallbacks())
+    for args in (["export-stats", "--corpus", str(pipeline["corpus"]),
+                  "--taxonomy", str(pipeline["taxonomy"]), "--out", str(tmp_path)],
+                 ["fit", "--bogus"], ["--help"]):
+        pipeline["runner"].invoke(main, args)
+        assert (gc.get_freeze_count(), atexit._ncallbacks()) == before
+
+
+@pytest.mark.parametrize("command", ["predict", "export-stats"])
+def test_piped_output_is_flushed_at_exit(pipeline, tmp_path, command):
+    # predict's table outgrows stdout's buffer; export-stats's one line stays
+    # in it, as the child's stdout is buffered here whatever the environment
+    if command == "predict":
+        args = ["predict", "--phi", str(pipeline["phi_freq"]), "--rca-window",
+                "2002:2004", "--transition", "0A"]
+    else:
+        args = ["export-stats", "--out", str(tmp_path)]
+    args += ["--corpus", str(pipeline["corpus"]), "--taxonomy", str(pipeline["taxonomy"])]
+    expected = pipeline["runner"].invoke(main, args)
+    assert expected.exit_code == 0
+    assert (len(expected.stdout) > io.DEFAULT_BUFFER_SIZE) == (command == "predict")
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "research_space.cli", *args], env=env,
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, expected.stdout_bytes, expected.stderr.encode())
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["fit", "--bogus"], 2),
+                                        ([], 2)])
+def test_process_exit_codes(args, code):
+    proc = subprocess.run([sys.executable, "-m", "research_space.cli", *args],
+                          env=_src_env(), capture_output=True)
+    assert proc.returncode == code
+    assert proc.stdout if code == 0 else b"usage: research-space" in proc.stderr
