@@ -27,17 +27,13 @@ COLUMN_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8")
 
 
 def write_atomic(path, text):
-    """Write ``text`` (a string, or strings) to a sibling temporary file, then
-    rename it over ``path``: a failed write leaves no partial file and any
-    earlier artifact unchanged."""
+    """Write ``text`` to a sibling temporary file, then rename it over
+    ``path``: a failed write leaves no partial file and any earlier artifact
+    unchanged."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        if isinstance(text, str):
-            tmp.write_text(text, encoding="utf-8")
-        else:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -64,14 +60,13 @@ def write_manifest(manifest: dict, path) -> str:
 
 
 def _column(values):
-    """A record column as line 4 stores it: the narrowest dtype of
-    COLUMN_DTYPES that holds its minimum and maximum, and the base64 of its
-    bytes in that dtype."""
+    """A record column as line 4 stores it: the base64 of its bytes in the
+    narrowest of COLUMN_DTYPES that holds its minimum and maximum."""
     lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
-    dtype = next(d for d in COLUMN_DTYPES
-                 if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
-    data = base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
-    return {"dtype": dtype, "data": data}
+    dtype = next(d for d in COLUMN_DTYPES if np.iinfo(d).min <= lo <= hi
+                 <= np.iinfo(d).max)
+    return {"dtype": dtype,
+            "data": base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")}
 
 
 def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
@@ -86,7 +81,7 @@ def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
     lines = (header, {"entity_ids": corpus.entity_ids},
              {"field_sets": [list(fields) for fields in corpus.field_sets]},
              {name: _column(getattr(corpus, name)) for name in CORPUS_COLUMNS})
-    write_atomic(path, (json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
+    write_atomic(path, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
 
 
 def _corpus_line(fh, path, line_no, keys, what="lists",
@@ -110,25 +105,15 @@ def _is_field_set(fields):
 
 
 def _decode_column(name, column, path):
-    """A stored column as an int64 array, or a ParseError on line 4."""
+    """The values of a stored column, in its dtype, or a ParseError on line 4."""
     dtype = column["dtype"]
     if dtype not in COLUMN_DTYPES:
-        raise ParseError(f"{name} has dtype {dtype!r}, not one of "
+        raise ParseError(f"{name}: dtype {dtype!r} is not one of "
                          f"{', '.join(COLUMN_DTYPES)}", path=path, line=4)
-    try:
-        data = base64.b64decode(column["data"], validate=True)
-    except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise ParseError(f"{name} is not base64: {e}", path=path, line=4) from None
-    size = np.dtype(dtype).itemsize
-    if len(data) % size:
-        raise ParseError(f"{name} holds {len(data)} bytes, not a multiple of its "
-                         f"{dtype} itemsize {size}", path=path, line=4)
-    values = np.frombuffer(data, dtype=dtype)
-    if dtype == "<u8" and (big := values > np.iinfo(np.int64).max).any():
-        i = np.argmax(big)
-        raise ParseError(f"{name} of record {i} is {values[i]}, out of int64 range",
-                         path=path, line=4)
-    return values.astype(np.int64)
+    try:  # data not a string, not strict base64 or ASCII, or a partial value
+        return np.frombuffer(base64.b64decode(column["data"], validate=True), dtype)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{name}: {e}", path=path, line=4) from None
 
 
 @utf8_input
@@ -168,10 +153,8 @@ def load_corpus(path) -> ResolvedCorpus:
             raise ParseError(f"field set {i} is {field_sets[i]!r}, not a non-empty "
                              "list of strings", path=path, line=3)
 
-        stored = _corpus_line(
-            fh, path, 4, CORPUS_COLUMNS, "{dtype, data} strings of",
-            lambda v: type(v) is dict and sorted(v) == ["data", "dtype"]
-            and set(map(type, v.values())) == {str})
+        stored = _corpus_line(fh, path, 4, CORPUS_COLUMNS, "{dtype, data} objects",
+                              lambda v: type(v) is dict and sorted(v) == ["data", "dtype"])
         if fh.read().strip():
             raise ParseError("unexpected content after the columns line",
                              path=path, line=5)
@@ -180,15 +163,15 @@ def load_corpus(path) -> ResolvedCorpus:
     lengths = {name: len(values) for name, values in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ParseError(f"columns differ in length: {lengths}", path=path, line=4)
-    for name, lo, hi in (("entity", 0, len(entity_ids)),
-                         ("field_set", 0, len(field_sets)), ("n_authors", 1, None)):
+    for name, lo, hi in (("entity", 0, len(entity_ids)), ("field_set", 0, len(field_sets)),
+                         ("n_authors", 1, 2**63), ("year", -2**63, 2**63)):
         values = columns[name]
-        bad = values < lo if hi is None else (values < lo) | (values >= hi)
+        bad = (values < lo) | (values >= hi)  # a <u8 value may not fit int64
         if bad.any():
             i = np.argmax(bad)
-            bound = f"below {lo}" if hi is None else f"outside [{lo}, {hi})"
-            raise ParseError(f"{name} of record {i} is {values[i]}, {bound}",
+            raise ParseError(f"{name} of record {i} is {values[i]}, outside [{lo}, {hi})",
                              path=path, line=4)
+        columns[name] = values.astype(np.int64)
     return ResolvedCorpus(entity_ids, [tuple(fields) for fields in field_sets],
                           kind=kind, match_stats=stats, **columns)
 

@@ -403,10 +403,8 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
 
 def main(args=None, prog_name=None):
     """Build research spaces from publication records and predict field entry."""
-    if args is None:
-        # the command line's own process: at exit, freeze every object so that
-        # the interpreter's final collections skip them; the OS frees them
-        atexit.register(gc.freeze)
+    if args is None:  # a process of its own, whose objects the OS frees at exit:
+        atexit.register(gc.freeze)  # the final collections need not walk them
     parser = argparse.ArgumentParser(prog=prog_name or "research-space",
                                      description=main.__doc__, allow_abbrev=False)
     parser.add_argument("-v", "--verbose", action="count", default=0,

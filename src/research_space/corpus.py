@@ -127,11 +127,10 @@ def normalize_venue(name: str) -> str:
 
 
 class VenueFieldMap:
-    """Normalized venue name -> non-empty set of field ids."""
+    """Normalized venue name -> non-empty set of field ids; names that
+    normalize alike pool their field ids."""
 
     def __init__(self, entries: dict[str, frozenset[str]]):
-        """Map each name's normalized form to its field ids; names that
-        normalize alike pool theirs."""
         self.entries: dict[str, frozenset[str]] = {}
         for name, fids in entries.items():
             if not fids:

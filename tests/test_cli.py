@@ -150,27 +150,33 @@ CORPUS_COLUMN_CORRUPTIONS = {
     "non_string_field_id": (3, _first("field_sets", ["F001", 7]),
                             "field set 0 is ['F001', 7]"),
     "zero_authors": (4, _set_first("n_authors", 0, "|u1"),
-                     "n_authors of record 0 is 0, below 1"),
+                     "n_authors of record 0 is 0, outside [1, "),
     "negative_authors": (4, _set_first("n_authors", -2, "|i1"),
-                         "n_authors of record 0 is -2, below 1"),
+                         "n_authors of record 0 is -2, outside [1, "),
     "boolean_authors": (4, _set_first("n_authors", True, "|b1"),
-                        "n_authors has dtype '|b1', not one of |u1,"),
+                        "n_authors: dtype '|b1' is not one of |u1,"),
     "fractional_year": (4, _set_first("year", 2000.7, "<f8"),
-                        "year has dtype '<f8', not one of"),
+                        "year: dtype '<f8' is not one of"),
     "big_endian_year": (4, _column("year", lambda values: values, ">u2"),
-                        "year has dtype '>u2', not one of"),
+                        "year: dtype '>u2' is not one of"),
     "null_year": (4, lambda c: {**c, "year": None}, "expected a JSON object of the"),
     "year_as_list": (4, lambda c: {**c, "year": _stored(c["year"])},
                      "expected a JSON object of the"),
     "bad_base64": (4, lambda c: {**c, "year": {**c["year"], "data": "AB!="}},
-                   "year is not base64"),
+                   "year: Only base64 data is allowed"),
     "non_ascii_base64": (4, lambda c: {**c, "year": {**c["year"], "data": "AAé="}},
-                         "year is not base64"),
+                         "year: string argument should contain only ASCII"),
+    "numeric_dtype": (4, lambda c: {**c, "year": {**c["year"], "dtype": 2}},
+                      "year: dtype 2 is not one of"),
+    "numeric_data": (4, lambda c: {**c, "year": {**c["year"], "data": 7}},
+                     "year: argument should be a bytes-like object or ASCII string"),
+    "year_over_int64": (4, _set_first("year", 2**64 - 1, "<u8"),
+                        f"year of record 0 is {2**64 - 1}, outside [{-2**63}, {2**63})"),
     "bytes_not_a_multiple_of_itemsize": (
         4, lambda c: {**c, "year": {"dtype": "<u2", "data": "AQID"}},  # 3 bytes
-        "year holds 3 bytes, not a multiple of its <u2 itemsize 2"),
+        "year: buffer size must be a multiple of element size"),
     "authors_over_int64": (4, _set_first("n_authors", 2**63, "<u8"),
-                           f"n_authors of record 0 is {2**63}, out of int64 range"),
+                           f"n_authors of record 0 is {2**63}, outside [1, {2**63})"),
     "code_out_of_range": (4, lambda c: _set_first(
         "entity", max(_stored(c["entity"])) + 1)(c), "entity of record 0 is"),
     "field_set_code_out_of_range": (4, lambda c: _set_first(
