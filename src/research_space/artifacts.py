@@ -7,6 +7,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,17 @@ COLUMN_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8")
 
 
 def write_atomic(path, text):
-    """Write ``text`` to a sibling temporary file, then rename it over
-    ``path``: a failed write leaves no partial file and any earlier artifact
-    unchanged."""
+    """Write ``text`` (a string, or strings) to a sibling temporary file, then
+    rename it over ``path``: a failed write leaves no partial file and any
+    earlier artifact unchanged."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        if isinstance(text, str):
+            tmp.write_text(text, encoding="utf-8")
+        else:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -78,10 +83,12 @@ def save_corpus(corpus: ResolvedCorpus, path, mhash=""):
         "manifest_hash": mhash,
         "match_stats": vars(corpus.match_stats),
     }
-    lines = (header, {"entity_ids": corpus.entity_ids},
-             {"field_sets": [list(fields) for fields in corpus.field_sets]},
-             {name: _column(getattr(corpus, name)) for name in CORPUS_COLUMNS})
-    write_atomic(path, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
+    tables = (header, {"entity_ids": corpus.entity_ids},
+              {"field_sets": [list(fields) for fields in corpus.field_sets]})
+    columns = {name: _column(getattr(corpus, name)) for name in CORPUS_COLUMNS}
+    # line 4 as json.dumps(..., sort_keys=True) writes it, a string at a time
+    write_atomic(path, chain((json.dumps(obj, sort_keys=True) + "\n" for obj in tables),
+                             json.JSONEncoder(sort_keys=True).iterencode(columns), "\n"))
 
 
 def _corpus_line(fh, path, line_no, keys, what="lists",

@@ -62,8 +62,10 @@ class TestCorpusArtifact:
         first = path.read_bytes()
         artifacts.save_corpus(loaded, path, mhash="abc")
         assert path.read_bytes() == first and first.count(b"\n") == 4
-        # each column is stored in the narrowest integer dtype that holds it
+        # line 4 is json.dumps's text, each column stored in the narrowest
+        # integer dtype that holds it
         stored = json.loads(first.splitlines()[3])
+        assert first.splitlines()[3].decode() == json.dumps(stored, sort_keys=True)
         assert list(stored) == sorted(COLUMNS)
         for name in COLUMNS:
             values = getattr(corpus, name).tolist()
@@ -104,7 +106,8 @@ class TestCorpusArtifact:
         finally:
             tracemalloc.stop()
         # turning the columns into lists and the file into one string took
-        # 165 B per record here; the columns line in binary takes about 24 B
+        # 165 B per record here; the binary columns line, written a string at
+        # a time, takes about 14 B
         assert peak / n < 40, f"{peak / n:.0f} B per record"
 
     def test_corpus_1_asks_for_ingest(self, tmp_path):
