@@ -111,18 +111,6 @@ def _is_field_set(fields):
     return type(fields) is list and len(fields) > 0 and set(map(type, fields)) <= {str}
 
 
-def _decode_column(name, column, path):
-    """The values of a stored column, in its dtype, or a ParseError on line 4."""
-    dtype = column["dtype"]
-    if dtype not in COLUMN_DTYPES:
-        raise ParseError(f"{name}: dtype {dtype!r} is not one of "
-                         f"{', '.join(COLUMN_DTYPES)}", path=path, line=4)
-    try:  # data not a string, not strict base64 or ASCII, or a partial value
-        return np.frombuffer(base64.b64decode(column["data"], validate=True), dtype)
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"{name}: {e}", path=path, line=4) from None
-
-
 @utf8_input
 def load_corpus(path) -> ResolvedCorpus:
     """Read a corpus/3 file, validating each table and column once; the first
@@ -165,8 +153,16 @@ def load_corpus(path) -> ResolvedCorpus:
         if fh.read().strip():
             raise ParseError("unexpected content after the columns line",
                              path=path, line=5)
-    columns = {name: _decode_column(name, column, path)
-               for name, column in zip(CORPUS_COLUMNS, stored)}
+    columns = {}  # each in its stored dtype until its range is checked
+    for name, column in zip(CORPUS_COLUMNS, stored):
+        if column["dtype"] not in COLUMN_DTYPES:
+            raise ParseError(f"{name}: dtype {column['dtype']!r} is not one of "
+                             f"{', '.join(COLUMN_DTYPES)}", path=path, line=4)
+        try:  # data not a string, not strict base64 or ASCII, or a partial value
+            data = base64.b64decode(column["data"], validate=True)
+            columns[name] = np.frombuffer(data, column["dtype"])
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"{name}: {e}", path=path, line=4) from None
     lengths = {name: len(values) for name, values in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ParseError(f"columns differ in length: {lengths}", path=path, line=4)
