@@ -23,9 +23,10 @@ from .specialization import TransitionKind
 
 
 def _check_fields(phi, taxonomy):
-    """Reject a proximity matrix whose fields are not the taxonomy's."""
+    """Reject a proximity matrix whose fields are not the taxonomy's, in order."""
     if phi.field_ids != taxonomy.field_ids:
-        raise ConfigError("proximity artifact and taxonomy field sets differ")
+        raise ConfigError("proximity artifact fields differ from the taxonomy's, "
+                          "as a set or in order; run fit again with this taxonomy")
 
 
 def _contributions(resolved, taxonomy, window):
@@ -207,7 +208,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     del r
     omega = spec_mod.density(u, phi.values)
     top = min(top, len(phi.field_ids))  # before numpy sees it: --top is unbounded
-    order, n_candidates = pe.rank_candidates(omega, cand, phi.field_ids, top)
+    order, n_candidates = pe.rank_candidates(omega, cand, top)
     if entities:
         row_of = {eid: i for i, eid in enumerate(resolved.entity_ids)}
         rows = np.array([row_of.get(eid, -1) for eid in entities], dtype=np.intp)
@@ -351,7 +352,7 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
         kept = net.disparity_filter(w, alpha)
     else:
         kept = net.mst_plus_threshold(w, p_threshold)
-    labels, modularity = net.greedy_communities(kept, ids)
+    labels, modularity = net.greedy_communities(kept)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,7 +364,7 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     else:
         name, text = "backbone.dot", net.export_dot(kept, labels, ids, styles)
     artifacts.write_atomic(out / name, text)
-    rows = "".join(f"{u}\t{c}\n" for u, c in sorted(zip(ids, labels.tolist())))
+    rows = "".join(f"{u}\t{c}\n" for u, c in zip(ids, labels.tolist()))
     artifacts.write_atomic(out / "communities.tsv", "node\tcommunity\n" + rows)
     print(
         f"backbone: {len(ids)} nodes, {np.count_nonzero(kept) // 2} edges, "

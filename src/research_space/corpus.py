@@ -11,7 +11,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count, filterfalse, islice, repeat
-from operator import itemgetter, not_
+from operator import attrgetter, itemgetter, not_
 
 import numpy as np
 
@@ -63,17 +63,15 @@ def _tsv_rows(path, what, columns):
 class FieldTaxonomy:
     """3-level field hierarchy: field -> intermediate -> macro area.
 
-    Field order is fixed at load time and defines the column order of every
-    matrix downstream.
+    Fields, intermediates and macro areas are held in ascending id order,
+    whatever order they come in: the column order of every matrix downstream.
     """
 
     def __init__(self, fields, intermediates, macros):
-        self.fields = list(fields)
-        self.intermediates = dict(intermediates)  # id -> Intermediate
-        self.macros = dict(macros)  # id -> name
+        self.fields = sorted(fields, key=attrgetter("field_id"))
+        self.intermediates = dict(sorted(intermediates.items()))  # id -> Intermediate
+        self.macros = dict(sorted(macros.items()))  # id -> name
         self.field_ids = [f.field_id for f in self.fields]
-        if len(set(self.field_ids)) != len(self.field_ids):
-            raise ConfigError("duplicate field_id in taxonomy")
         self.field_index = {fid: i for i, fid in enumerate(self.field_ids)}
         for f in self.fields:
             if f.intermediate_id not in self.intermediates:
@@ -96,9 +94,9 @@ class FieldTaxonomy:
         """Load from delimited text with columns field_id, field_name,
         intermediate_id, intermediate_acronym, macro_id, macro_name. The first
         four go into TSV rows and GraphML, so a tab, LF or CR and XML 1.0's
-        forbidden characters are rejected, as is a row that contradicts an
-        earlier row on an intermediate or a macro area."""
-        fields, intermediates, macros = [], {}, {}
+        forbidden characters are rejected, as is a row that repeats a field_id
+        or contradicts an earlier row on an intermediate or a macro area."""
+        fields, intermediates, macros = {}, {}, {}
         for line, (fid, name, iid, acronym, mid, macro) in _tsv_rows(path, "taxonomy", (
                 "field_id", "field_name", "intermediate_id", "intermediate_acronym",
                 "macro_id", "macro_name")):
@@ -107,7 +105,10 @@ class FieldTaxonomy:
                 why = "a TSV cell cannot hold" if bad[0] in "\t\n\r" else "XML 1.0 forbids"
                 raise ParseError(f"taxonomy text holds {bad[0]!r}, which {why}",
                                  path=path, line=line)
-            fields.append(TaxonomyField(fid, name, iid))
+            if fid in fields:
+                raise ParseError(f"field {fid} repeats an earlier row's field_id",
+                                 path=path, line=line)
+            fields[fid] = TaxonomyField(fid, name, iid)
             im = Intermediate(acronym, mid)
             if (old := intermediates.setdefault(iid, im)) != im:
                 raise ParseError(f"intermediate {iid} is {acronym!r} in {mid}, but an "
@@ -118,7 +119,7 @@ class FieldTaxonomy:
                                  f"row names it {old!r}", path=path, line=line)
         if not fields:
             raise ParseError("taxonomy file has no rows", path=path)
-        return cls(fields, intermediates, macros)
+        return cls(fields.values(), intermediates, macros)
 
 
 def normalize_venue(name: str) -> str:

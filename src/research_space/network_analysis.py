@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import FieldTaxonomy
 from .errors import ConfigError
 
-# one color per macro area, assigned in taxonomy order
+# one color per macro area, assigned in macro id order
 MACRO_PALETTE = [
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
     "#a65628", "#f781bf", "#999999",
@@ -24,7 +24,7 @@ def node_styles(taxonomy: FieldTaxonomy, ids: list[str],
     """(label, color) of each node: its field name or intermediate acronym,
     and its macro area's color."""
     colors = {m: MACRO_PALETTE[i % len(MACRO_PALETTE)]
-              for i, m in enumerate(sorted(taxonomy.macros))}
+              for i, m in enumerate(taxonomy.macros)}
     if level == "field":
         return [(f.name, colors[taxonomy.intermediates[f.intermediate_id].macro_id])
                 for f in map(taxonomy.field, ids)]
@@ -43,7 +43,7 @@ def aggregate_to_intermediate(values: np.ndarray, taxonomy: FieldTaxonomy):
     """(intermediate ids, values): the proximity between intermediates, in
     sorted id order, as the mean of a proximity array on the taxonomy's fields
     over their cross-field pairs, excluding the diagonal f' = f."""
-    inter_ids = sorted(taxonomy.intermediates)
+    inter_ids = list(taxonomy.intermediates)
     member = np.eye(len(inter_ids))[[inter_ids.index(f.intermediate_id)
                                      for f in taxonomy.fields]]
     off_diagonal = values - np.diag(np.diag(values))
@@ -95,26 +95,24 @@ def disparity_filter(w: np.ndarray, alpha: float) -> np.ndarray:
     return np.where((w > 0) & (significant | significant.T), w, 0.0)
 
 
-def greedy_communities(w: np.ndarray, ids: list[str]) -> tuple[np.ndarray, float]:
+def greedy_communities(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Clauset-Newman-Moore greedy modularity maximization as networkx's
     ``greedy_modularity_communities`` runs it, on the dense array dq of the
-    modularity gains of merging two adjacent communities, nodes in sorted id
-    order. Each step merges the first maximum of dq in row-major order, u into
-    v, which is how networkx's heaps break ties, until no gain is >= 0. A
-    community's id is the position of its smallest node id in sorted order;
-    returns each node's community id and the partition's modularity."""
+    modularity gains of merging two adjacent communities. Each step merges
+    the first maximum of dq in row-major order, u into v, which is how
+    networkx's heaps break ties when the nodes' ids ascend along the axis,
+    until no gain is >= 0. A community's id is the axis position of its first
+    node; returns each node's community id and the partition's modularity."""
     n = len(w)
     if n == 0:
         raise ConfigError("cannot detect communities on an empty graph")
-    order = np.array(sorted(range(n), key=ids.__getitem__))
     strength = _strength(w)
     if not strength.any():
-        return np.argsort(order), 0.0  # each node its own community
+        return np.arange(n), 0.0  # each node its own community
     m = sum(strength.tolist()) / 2
     q0 = 1 / m
-    a = (strength * q0 * 0.5)[order]  # each community's share of 2m
-    ws = w[np.ix_(order, order)]
-    dq = np.where(ws > 0, q0 * ws - 2 * np.outer(a, a), -np.inf)
+    a = strength * q0 * 0.5  # each community's share of 2m
+    dq = np.where(w > 0, q0 * w - 2 * np.outer(a, a), -np.inf)
     community = np.arange(n)
     while True:
         u, v = divmod(int(np.argmax(dq)), n)
@@ -130,7 +128,7 @@ def greedy_communities(w: np.ndarray, ids: list[str]) -> tuple[np.ndarray, float
         a[v] += a[u]
         community[community == u] = v
     first, members = np.unique(community, return_index=True, return_inverse=True)[1:]
-    labels = first[members][np.argsort(order)]
+    labels = first[members]
     same = labels[:, None] == labels[None, :]
     shares = np.bincount(labels, weights=strength) / (2 * m)
     return labels, float(w[same].sum() / (2 * m) - (shares ** 2).sum())
@@ -149,7 +147,7 @@ def _groups(kept, labels, ids):
 
 def export_edgelist(kept: np.ndarray, labels: np.ndarray, ids: list[str]) -> str:
     lines = [f"{u}\t{v}\t{w:.10g}\t{group}"
-             for u, v, w, group in sorted(_groups(kept, labels, ids))]
+             for u, v, w, group in _groups(kept, labels, ids)]
     return "\n".join(lines) + "\n"
 
 
@@ -177,12 +175,12 @@ def _dot_quoted(text: str) -> str:
 def export_dot(kept: np.ndarray, labels: np.ndarray, ids: list[str],
                styles: list[tuple[str, str]]) -> str:
     """Dot-language rendering input with macro-area colors and inter-edge
-    highlighting."""
+    highlighting; nodes in axis order, then edges in row-major order."""
     lines = ["graph research_space {"]
-    for u, (label, color) in sorted(zip(ids, styles)):
+    for u, (label, color) in zip(ids, styles):
         lines.append(f'  {_dot_quoted(u)} [label={_dot_quoted(label)}, '
                      f'style=filled, fillcolor="{color}"];')
-    for u, v, w, group in sorted(_groups(kept, labels, ids)):
+    for u, v, w, group in _groups(kept, labels, ids):
         color = "red" if group == "inter" else "black"
         lines.append(f'  {_dot_quoted(u)} -- {_dot_quoted(v)} '
                      f'[weight={w:.6g}, color={color}];')

@@ -15,25 +15,24 @@ SIGN_BLOCK = 1 << 16
 AUROC_BLOCK = 1 << 14
 
 
-def rank_candidates(omega: np.ndarray, cand, field_ids, top: int):
+def rank_candidates(omega: np.ndarray, cand, top: int):
     """(order, n_candidates): row i's top candidates by descending density,
-    ties by ascending field_id, are the field indices
-    order[i, :min(top, n_candidates[i])]. cand is an entity x field mask on
-    omega's axes, from candidate_mask; field_ids, at least one, names
-    omega's columns."""
-    # ties go by field_id, whose order need not be the column order
-    by_id = np.argsort(np.array(field_ids, dtype=object))
-    key = np.where(cand, omega, -np.inf)[:, by_id]
-    k = min(top, len(field_ids))
+    ties by ascending column, hence by field_id on the taxonomy's axis, are
+    the field indices order[i, :min(top, n_candidates[i])]. cand is an
+    entity x field mask on omega's axes, from candidate_mask; omega has at
+    least one column."""
+    key = np.where(cand, omega, -np.inf)
+    n_fields = key.shape[1]
+    k = min(top, n_fields)
     kth = np.partition(key, -k, axis=1)[:, [-k]]
-    # every key above the k-th, then the first ties at it in field_id order
+    # every key above the k-th, then the first ties at it in column order
     above, ties = key > kth, key == kth
     missing = k - above.sum(axis=1, keepdims=True)
     # counted in the narrowest dtype that holds the field count, for speed
-    seen = np.cumsum(ties, axis=1, dtype=np.min_scalar_type(len(field_ids)))
+    seen = np.cumsum(ties, axis=1, dtype=np.min_scalar_type(n_fields))
     cols = np.nonzero(above | (ties & (seen <= missing)))[1].reshape(-1, k)
     ranked = np.argsort(-np.take_along_axis(key, cols, axis=1), axis=1, kind="stable")
-    return by_id[np.take_along_axis(cols, ranked, axis=1)], cand.sum(axis=1)
+    return np.take_along_axis(cols, ranked, axis=1), cand.sum(axis=1)
 
 
 def auroc(scores, cand, pos):

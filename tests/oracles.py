@@ -643,7 +643,20 @@ def _year_and_authors(raw: dict) -> tuple[int, int]:
     return year, n_authors
 
 
-def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
+def _id_text(raw: dict, key: str) -> str | None:
+    """``raw[key]`` as text, None when absent or empty; only a string or an
+    integer that is not a bool is an id."""
+    value = raw.get(key)
+    if value is None or value == "":
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{key} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
+def _validate_record(raw, line: int, year_range) -> PublicationRecord:
+    if not isinstance(raw, dict):
+        raise ValueError(f"record must be a JSON object, got {type(raw).__name__}")
     for key in _MANDATORY:
         if raw.get(key) in (None, ""):
             raise ValueError(f"missing mandatory field {key!r}")
@@ -651,15 +664,13 @@ def _validate_record(raw: dict, line: int, year_range) -> PublicationRecord:
     lo, hi = year_range
     if not lo <= year <= hi:
         raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
-    inst = raw.get("institution") or None
-    state = raw.get("state") or None
     return PublicationRecord(
-        researcher_id=str(raw["researcher_id"]),
-        venue_name=str(raw["venue"]),
+        researcher_id=_id_text(raw, "researcher_id"),
+        venue_name=_id_text(raw, "venue"),
         year=year,
         n_authors=n_authors,
-        institution=inst,
-        state=state,
+        institution=_id_text(raw, "institution"),
+        state=_id_text(raw, "state"),
     )
 
 

@@ -83,7 +83,7 @@ def shuffled_baseline(omega, r_before, entity_ids, field_ids, positives, seed=1)
     rng = np.random.default_rng(seed)
     kind = spec_mod.TransitionKind.ZERO_TO_ACTIVE
     order, n_candidates = pe.rank_candidates(
-        omega, spec_mod.candidate_mask(r_before, kind), field_ids, len(field_ids))
+        omega, spec_mod.candidate_mask(r_before, kind), len(field_ids))
     cand = np.zeros(omega.shape, dtype=bool)
     fake = np.zeros_like(cand)
     for i, eid in enumerate(entity_ids):

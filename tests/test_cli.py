@@ -798,8 +798,38 @@ class TestBackbone:
         ])
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
-        assert "proximity artifact and taxonomy field sets differ" in res.output
+        assert "proximity artifact fields differ from the taxonomy's" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "backbone"])
+    def test_phi_fields_in_another_order_exit_2(self, pipeline, tmp_path, command):
+        # the taxonomy's fields with F001 and F002 swapped in the header, the
+        # rows and the columns: the right set, not in field-id order
+        lines = pipeline["phi_emb"].read_text().splitlines()  # 4 comments, header
+        lines[5], lines[6] = lines[6], lines[5]
+        for i, cells in enumerate(line.split("\t") for line in lines[4:]):
+            cells[1:3] = cells[2], cells[1]
+            lines[4 + i] = "\t".join(cells)
+        phi = tmp_path / "phi.tsv"
+        phi.write_text("\n".join(lines) + "\n")
+        assert load_proximity(phi).field_ids[:2] == ["F002", "F001"]
+        args = {
+            "predict": ["--phi", str(phi), "--corpus", str(pipeline["corpus"]),
+                        "--rca-window", "2002:2004", "--transition", "0A"],
+            "evaluate": ["--phi-a", str(phi), "--corpus", str(pipeline["corpus"]),
+                         "--fit", "2000:2004", "--rca", "2002:2004",
+                         "--test", "2005:2007", "--transition", "0A",
+                         "--out", str(tmp_path / "out")],
+            "backbone": ["--phi", str(phi), "--out", str(tmp_path / "out")],
+        }[command]
+        res = pipeline["runner"].invoke(main, [
+            command, *args, "--taxonomy", str(pipeline["taxonomy"])])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == ("config error: proximity artifact fields differ from the "
+                              "taxonomy's, as a set or in order; run fit again with "
+                              "this taxonomy\n")
+        assert res.stdout == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestExportStats:
@@ -1195,10 +1225,12 @@ def test_taxonomy_text_breaking_tsv_rows_exits_1(pipeline, tmp_path, column, cha
 
 
 
-# A taxonomy row that disagrees with the row before it on a fact of its
-# intermediate or macro area: its cells, and the error it must give. Rows 2
-# and 3 are F001 and F002, both in intermediate I1 (acronym IN1) of M1.
+# A taxonomy row that repeats the field_id of the row before it or disagrees
+# with it on a fact of its intermediate or macro area: its cells, and the
+# error it must give. Rows 2 and 3 are F001 and F002, both in intermediate I1
+# (acronym IN1) of M1.
 TAXONOMY_CONFLICTS = {
+    "field_id": ({0: "F001"}, "field F001 repeats an earlier row's field_id"),
     "acronym": ({3: "OTHER"},
                 "intermediate I1 is 'OTHER' in M1, but an earlier row has 'IN1' in M1"),
     "macro_id": ({4: "M2", 5: "Macro Two"},
@@ -1229,6 +1261,50 @@ def test_taxonomy_row_disagreeing_with_an_earlier_row_exits_1(pipeline, tmp_path
     assert isinstance(res.exception, SystemExit)
     assert f"error: {message} ({bad}:3)" in res.output
     assert not (tmp_path / "out").exists()
+
+
+def test_outputs_do_not_depend_on_taxonomy_row_order(pipeline, tmp_path, monkeypatch):
+    # the whole pipeline, in two directories whose taxonomy.tsv holds the same
+    # rows in two orders, must print and write the same bytes
+    header, *rows = pipeline["taxonomy"].read_text().splitlines()
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    assert shuffled != rows
+    tax = ["--taxonomy", "taxonomy.tsv"]
+    corpus = ["--corpus", "corpus/corpus.jsonl", *tax]
+    commands = [
+        ["ingest", "--records", "records.jsonl", "--venue-map", "venues.tsv", *tax,
+         "--out", "corpus"],
+        *(["fit", *corpus, "--window", "2000:2004", "--model", model, "--dim", "16",
+           "--seed", "7", "--out", f"phi_{model}"] for model in ("freq", "emb")),
+        ["predict", "--phi", "phi_freq/phi.tsv", *corpus, "--rca-window", "2002:2004",
+         "--transition", "0A", "--top", "12"],
+        ["evaluate", "--phi-a", "phi_emb/phi.tsv", "--phi-b", "phi_freq/phi.tsv",
+         *corpus, "--fit", "2000:2004", "--rca", "2002:2004", "--test", "2005:2007",
+         "--transition", "0A", "--permutations", "1000", "--out", "eval"],
+        *(["backbone", "--phi", "phi_emb/phi.tsv", *tax, "--mode", "mst-threshold",
+           "--level", level, "--format", fmt, "--out", f"bb_{level}_{fmt}"]
+          for level in ("field", "intermediate")
+          for fmt in ("edgelist", "xmlgraph", "dot", "tsv")),
+        ["export-stats", *corpus, "--out", "stats"],
+    ]
+    runs = []
+    for name, taxonomy_rows in (("as_written", rows), ("shuffled", shuffled)):
+        d = tmp_path / name
+        d.mkdir()
+        shutil.copy(pipeline["records"], d / "records.jsonl")
+        shutil.copy(pipeline["venues"], d / "venues.tsv")
+        (d / "taxonomy.tsv").write_text("\n".join([header, *taxonomy_rows]) + "\n")
+        monkeypatch.chdir(d)  # the manifests name their inputs as given
+        printed = []
+        for args in commands:
+            res = pipeline["runner"].invoke(main, args)
+            assert res.exit_code == 0, (args, res.output)
+            printed.append((res.stdout, res.stderr))
+        files = {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*"))
+                 if p.is_file() and p.name != "taxonomy.tsv"}
+        runs.append((printed, files))
+    assert len(runs[0][1]) == 30  # the two inputs and 28 artifacts
+    assert runs[0] == runs[1]
 
 
 def test_taxonomy_repeating_consistent_rows_loads(tmp_path):

@@ -48,6 +48,8 @@ INVALID_ROWS = [
     {"researcher_id": "r3", "venue": "Journal F002", "year": 1850, "n_authors": 2},
     {"researcher_id": "r4", "venue": "Journal F001", "year": True, "n_authors": 1},
     {"researcher_id": "r5", "venue": "Journal F003", "year": 2004, "n_authors": 1.5},
+    [1, 2],  # valid JSON, not an object
+    {"researcher_id": ["r6"], "venue": "Journal F001", "year": 2003, "n_authors": 1},
 ]
 
 
@@ -79,7 +81,7 @@ def scenarios(draw):
             code, k = divmod(code, len(c))
             row.append(c[k])
         year, eid, name, form, n_authors, inst, as_text, invalid = row
-        rows.append(invalid if isinstance(invalid, dict) else {
+        rows.append(invalid if isinstance(invalid, (dict, list)) else {
             "researcher_id": eid, "venue": form.format(
                 name.upper() if "\t" in form else name.lower() if "/" in form else name),
             "year": str(year) if as_text else year, "n_authors": n_authors,

@@ -190,24 +190,24 @@ def nx_weights(g):
 
 class TestGreedyCommunities:
     def test_two_cliques_recovered(self):
-        labels, _ = greedy_communities(*two_cliques())
+        labels, _ = greedy_communities(two_cliques()[0])
         comms = {frozenset(np.flatnonzero(labels == cid).tolist())
                  for cid in set(labels.tolist())}
         assert comms == {frozenset(range(4)), frozenset(range(4, 8))}
-        # a community's id is the position of its smallest node in sorted order
+        # a community's id is the axis position of its first node
         assert labels.tolist() == [0] * 4 + [4] * 4
 
     def test_single_clique_one_community(self):
-        labels, _ = greedy_communities(np.ones((5, 5)) - np.eye(5), list("abcde"))
+        labels, _ = greedy_communities(np.ones((5, 5)) - np.eye(5))
         assert len(set(labels.tolist())) == 1
 
     def test_disconnected_components_stay_apart(self):
-        labels, _ = greedy_communities(*graph([("a", "b", 1.0), ("c", "d", 1.0)]))
+        labels, _ = greedy_communities(graph([("a", "b", 1.0), ("c", "d", 1.0)])[0])
         assert labels[0] != labels[2]
 
     def test_q_beats_singleton_partition(self):
-        _, q = greedy_communities(*two_cliques())
         w = two_cliques()[0]
+        _, q = greedy_communities(w)
         assert q >= oracles.modularity_pairwise(w, np.arange(len(w)))
 
     def test_near_optimal_on_small_graphs(self):
@@ -218,16 +218,16 @@ class TestGreedyCommunities:
             nx_weights(nx.cycle_graph(7)),
             nx_weights(nx.karate_club_graph().subgraph(range(8))),
         ]
-        for w, ids in graphs:
+        for w, _ in graphs:
             if not w.any():
                 continue
-            _, q = greedy_communities(w, ids)
+            _, q = greedy_communities(w)
             best = oracles.max_modularity_exhaustive(w, oracles.modularity_pairwise)
             assert q >= best - 0.05
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ConfigError):
-            greedy_communities(np.zeros((0, 0)), [])
+            greedy_communities(np.zeros((0, 0)))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
@@ -236,14 +236,14 @@ class TestGreedyCommunities:
         # nodes left without edges stay isolated
         upper = np.triu(rng.random((n, n)) < 0.4, 1) * rng.uniform(0.01, 5.0, (n, n))
         w = upper + upper.T
-        labels, q = greedy_communities(w, [f"N{i:02d}" for i in range(n)])
+        labels, q = greedy_communities(w)
         assert q == pytest.approx(
             oracles.modularity_pairwise(w, labels), abs=1e-12
         )
 
     def test_deterministic(self):
-        a, _ = greedy_communities(*two_cliques())
-        b, _ = greedy_communities(*two_cliques())
+        a, _ = greedy_communities(two_cliques()[0])
+        b, _ = greedy_communities(two_cliques()[0])
         np.testing.assert_array_equal(a, b)
 
 
@@ -290,24 +290,26 @@ class TestNetworkxParity:
     @given(weighted_graphs())
     @settings(max_examples=300, deadline=None)
     def test_greedy_communities_match_the_reference(self, graph_ids):
-        w, ids = graph_ids
+        w, _ = graph_ids
+        # node ids ascend along the axis, as the taxonomy's ids do
+        ids = [f"F{i:03d}" for i in range(len(w))]
         communities, modularity = oracles.greedy_communities_nx(oracles.nx_graph(w, ids))
-        labels, q = greedy_communities(w, ids)
+        labels, q = greedy_communities(w)
         assert dict(zip(ids, labels.tolist())) == communities
         assert q == pytest.approx(modularity, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_backbone_communities_match_the_reference(self, seed):
-        # phi-like weights on 80 nodes in shuffled id order, then each backbone
+        # phi-like weights on 80 nodes, ids ascending, then each backbone
         rng = np.random.default_rng(seed)
         a = rng.random((80, 80)) ** 4
         w = np.triu(a + a.T, 1)
         w = w + w.T
-        ids = [f"F{i:03d}" for i in rng.permutation(80)]
+        ids = [f"F{i:03d}" for i in range(80)]
         for kept in (disparity_filter(w, 0.2), mst_plus_threshold(w, 1.0)):
             communities, modularity = oracles.greedy_communities_nx(
                 oracles.nx_graph(kept, ids))
-            labels, q = greedy_communities(kept, ids)
+            labels, q = greedy_communities(kept)
             assert dict(zip(ids, labels.tolist())) == communities
             assert q == pytest.approx(modularity, abs=1e-12)
 
@@ -323,7 +325,7 @@ class TestClassifyEdges:
 
     def test_intra_and_inter(self):
         w, ids = two_cliques()
-        groups = self.groups(w, greedy_communities(w, ids)[0], ids)
+        groups = self.groups(w, greedy_communities(w)[0], ids)
         assert groups[frozenset(("N04", "N00"))] == "inter"
         assert groups[frozenset(("N00", "N01"))] == "intra"
 
@@ -335,7 +337,7 @@ class TestClassifyEdges:
 def backbone_graph(phi, taxonomy, level="field"):
     """The export arguments of ``backbone`` keeping every edge."""
     w = proximity_graph(phi.values)
-    return (w, greedy_communities(w, phi.field_ids)[0], phi.field_ids,
+    return (w, greedy_communities(w)[0], phi.field_ids,
             node_styles(taxonomy, phi.field_ids, level))
 
 
@@ -417,7 +419,7 @@ class TestGraphAndExports:
 
     def test_graphml_export(self, tmp_path):
         w, ids = triangle()
-        labels = greedy_communities(w, ids)[0]
+        labels = greedy_communities(w)[0]
         path = tmp_path / "g.graphml"
         path.write_text(export_graphml(w, labels, ids, [("A", "#e41a1c")] * 3),
                         encoding="utf-8")
