@@ -29,9 +29,11 @@ COLUMN_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8")
 
 def write_atomic(path, text):
     """Write ``text`` (a string, or strings) to a sibling temporary file, then
-    rename it over ``path``: a failed write leaves no partial file and any
-    earlier artifact unchanged."""
+    rename it over ``path``, making its missing parent directories first: a
+    failed write leaves no partial file and any earlier artifact unchanged,
+    and its OSError names ``path``, not the temporary file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         if isinstance(text, str):
@@ -40,8 +42,10 @@ def write_atomic(path, text):
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.writelines(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename is not None:  # the OS's error
+            raise type(e)(e.errno, e.strerror, str(path)) from None
         raise
 
 

@@ -99,7 +99,6 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     for line_no, msg in issues:
         print(f"warning: line {line_no}: {msg}", file=sys.stderr)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": "ingest",
         "records": str(records),
@@ -174,7 +173,6 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         values, list(taxonomy.field_ids),
         "frequentist" if model == "freq" else "embedding", window)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mhash = artifacts.write_manifest(manifest, out / "manifest.json")
     artifacts.save_proximity(phi, out / "phi.tsv", mhash=mhash)
     if model == "emb":
@@ -207,7 +205,6 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
     u, cand = spec_mod.indicator(r, kind), spec_mod.candidate_mask(r, kind)
     del r
     omega = spec_mod.density(u, phi.values)
-    top = min(top, len(phi.field_ids))  # before numpy sees it: --top is unbounded
     order, n_candidates = pe.rank_candidates(omega, cand, top)
     if entities:
         row_of = {eid: i for i, eid in enumerate(resolved.entity_ids)}
@@ -227,7 +224,7 @@ def predict(phi_path, corpus_path, taxonomy_path, rca_window, transition, top,
             print(f"note: entity {eid!r} has no candidate fields", file=sys.stderr)
     # one line per entity asked and rank shown, with its row and column
     which, rank = np.nonzero(in_window[:, None]
-                             & (n_candidates[rows, None] > np.arange(top)))
+                             & (n_candidates[rows, None] > np.arange(order.shape[1])))
     cells = rows[which]
     cols = order[cells, rank]
     labels = [f"{fid}\t{taxonomy.field(fid).name}" for fid in phi.field_ids]
@@ -315,7 +312,6 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
             if all(len(s) for s in scored) else None
         )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts.write_atomic(out / "auroc.tsv", "\n".join(lines) + "\n")
     print(artifacts.write_json(out / "summary.json", summary), end="")
 
@@ -355,7 +351,6 @@ def backbone(phi_path, taxonomy_path, mode, alpha, p_threshold, level, fmt,
     labels, modularity = net.greedy_communities(kept)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     styles = net.node_styles(taxonomy, ids, level)
     if fmt in ("edgelist", "tsv"):
         name, text = "backbone.tsv", net.export_edgelist(kept, labels, ids)
@@ -392,7 +387,6 @@ def export_stats(corpus_path, taxonomy_path, window, theta, out_dir):
     active_counts = presence_matrix(x, theta).sum(axis=1)[in_window]
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, values in (
         ("ccdf_publications.tsv", n_records[in_window]),
         ("ccdf_active_fields.tsv", active_counts.tolist()),

@@ -65,6 +65,8 @@ class FieldTaxonomy:
 
     Fields, intermediates and macro areas are held in ascending id order,
     whatever order they come in: the column order of every matrix downstream.
+    Each field's intermediate and each intermediate's macro area are among
+    them, as ``from_file`` builds all three from the same rows.
     """
 
     def __init__(self, fields, intermediates, macros):
@@ -73,14 +75,6 @@ class FieldTaxonomy:
         self.macros = dict(sorted(macros.items()))  # id -> name
         self.field_ids = [f.field_id for f in self.fields]
         self.field_index = {fid: i for i, fid in enumerate(self.field_ids)}
-        for f in self.fields:
-            if f.intermediate_id not in self.intermediates:
-                raise ConfigError(f"field {f.field_id} references unknown intermediate "
-                                  f"{f.intermediate_id}")
-        for iid, im in self.intermediates.items():
-            if im.macro_id not in self.macros:
-                raise ConfigError(f"intermediate {iid} references unknown macro "
-                                  f"{im.macro_id}")
 
     def __len__(self):
         return len(self.fields)
@@ -128,25 +122,24 @@ def normalize_venue(name: str) -> str:
 
 
 class VenueFieldMap:
-    """Normalized venue name -> non-empty set of field ids; names that
-    normalize alike pool their field ids."""
+    """Normalized venue name -> non-empty tuple of field ids in ascending
+    order; names that normalize alike pool their field ids."""
 
     def __init__(self, entries: dict[str, frozenset[str]]):
-        self.entries: dict[str, frozenset[str]] = {}
+        pooled: dict[str, set[str]] = {}
         for name, fids in entries.items():
             if not fids:
                 raise ConfigError(f"venue {name!r} maps to an empty field set")
-            key = normalize_venue(name)
-            self.entries[key] = self.entries.get(key, frozenset()).union(fids)
+            pooled.setdefault(normalize_venue(name), set()).update(fids)
+        self.entries = {key: tuple(sorted(fids)) for key, fids in pooled.items()}
 
     def validate_against(self, taxonomy: FieldTaxonomy):
         known = set(taxonomy.field_ids)
         for venue, fids in self.entries.items():
-            unknown = fids - known
+            unknown = [fid for fid in fids if fid not in known]
             if unknown:
                 raise ConfigError(
-                    f"venue {venue!r} references unknown field ids {sorted(unknown)}"
-                )
+                    f"venue {venue!r} references unknown field ids {unknown}")
 
     @classmethod
     @utf8_input
@@ -387,7 +380,7 @@ def resolve_corpus(path, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
         for venue in filterfalse(hits.__contains__, dict.fromkeys(venues)):
             hit = match_venue(venue, vmap)
             hits[venue] = (None, "unmatched") if hit is None else (
-                set_code.setdefault(tuple(sorted(hit[0])), len(set_code)), hit[1])
+                set_code.setdefault(hit[0], len(set_code)), hit[1])
         codes = [hits[venue][0] for venue in venues]
         stats.update(hits[venue][1] for venue in venues)
         eids = [e or None for e in compress(cols[key], valid)]  # "" is no entity

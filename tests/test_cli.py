@@ -1112,6 +1112,33 @@ def test_out_naming_a_file_exits_2_without_traceback(pipeline, tmp_path, command
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_out_in_missing_directories_writes_the_same_bytes(pipeline, tmp_path, command):
+    # predict's --out names a file, every other command's a directory
+    name = "pred.tsv" if command == "predict" else ""
+    existing, nested = tmp_path / "existing", tmp_path / "new" / "nested"
+    existing.mkdir()
+    written = []
+    for root in (existing, nested):
+        valid, out_args = _valid_args(pipeline, root / name)
+        res = pipeline["runner"].invoke(main, [command, *valid[command], *out_args])
+        assert res.exit_code == 0, res.output
+        written.append({path.relative_to(root): path.read_bytes()
+                        for path in root.rglob("*")})
+    assert written[0] and written[1] == written[0]
+
+
+def test_predict_out_naming_a_directory_exits_2_naming_it(pipeline, tmp_path):
+    out = tmp_path / "adir"
+    out.mkdir()
+    valid, out_args = _valid_args(pipeline, out)
+    res = pipeline["runner"].invoke(main, ["predict", *valid["predict"], *out_args])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("config error: ") and f"'{out}'" in res.stderr
+    assert ".tmp" not in res.stderr
+    assert list(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("site", ["records_line", "corpus_header", "corpus_columns"])
 def test_json_integer_over_digit_limit_exits_1(pipeline, tmp_path, site):
     # json.loads raises a plain ValueError, not JSONDecodeError, on an

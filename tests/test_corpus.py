@@ -51,14 +51,14 @@ class TestMatchVenue:
         })
 
     def test_exact(self, vmap):
-        assert match_venue("Nature", vmap) == (frozenset({"F002", "F003"}), "exact")
+        assert match_venue("Nature", vmap) == (("F002", "F003"), "exact")
 
     def test_exact_is_case_insensitive(self, vmap):
         assert match_venue("  NATURE ", vmap)[1] == "exact"
 
     def test_approximate_via_substring(self, vmap):
         fields, kind = match_venue("Example Journal: an experiment/EJ", vmap)
-        assert fields == frozenset({"F001"})
+        assert fields == ("F001",)
         assert kind == "approximate"
 
     def test_exact_wins_over_substrings(self, vmap):
@@ -68,7 +68,7 @@ class TestMatchVenue:
             "Example Journal": {"F001"},
         })
         fields, kind = match_venue("Example Journal: an experiment/EJ", vmap2)
-        assert (fields, kind) == (frozenset({"F003"}), "exact")
+        assert (fields, kind) == (("F003",), "exact")
 
     def test_unmatched(self, vmap):
         assert match_venue("Unknown Venue", vmap) is None

@@ -3,7 +3,8 @@ package names, and no defaulted parameter that no call in the package
 passes: what no command reaches is deleted, or kept in ``tests/oracles.py``
 when a suite still needs it. No module reaches into another module's
 ``_``-prefixed names: what a module shares is public. Each module imports
-exactly the package modules ``IMPORT_GRAPH`` lists for it."""
+exactly the package modules ``IMPORT_GRAPH`` lists for it. Only
+``artifacts`` makes directories or writes files."""
 
 import ast
 from pathlib import Path
@@ -154,3 +155,30 @@ def test_package_modules_import_exactly_the_listed_modules():
     graph = {module.removesuffix(".py"): _package_imports(tree)
              for module, tree in _trees().items()}
     assert graph == IMPORT_GRAPH
+
+
+def _writes(tree):
+    """Each call in the tree that makes a directory or writes a file, with its
+    line: a ``mkdir``, ``makedirs``, ``write_text`` or ``write_bytes`` call, or
+    the builtin ``open`` with a mode that is not a constant without w, a, x
+    or +. ``os.open`` is not the builtin."""
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Attribute) and n.func.attr in (
+                "mkdir", "makedirs", "write_text", "write_bytes"):
+            found.append(f"{n.func.attr}:{n.lineno}")
+        elif isinstance(n.func, ast.Name) and n.func.id == "open":
+            mode = n.args[1] if len(n.args) > 1 else next(
+                (kw.value for kw in n.keywords if kw.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set(mode.value) & set("wax+")):
+                found.append(f"open:{n.lineno}")
+    return found
+
+
+def test_only_artifacts_makes_directories_or_writes_files():
+    writes = {module: found for module, tree in _trees().items()
+              if module != "artifacts.py" and (found := _writes(tree))}
+    assert not writes, f"directories or files made outside artifacts: {writes}"
