@@ -185,10 +185,24 @@ def load_corpus(path) -> ResolvedCorpus:
 
 def _value_rows(ids, values):
     """One TSV line per id: the id, then its row of ``values``, each as
-    ``%.17g``, which reads back bit-identical; one format per row."""
-    values = np.asarray(values)
-    form = "%s\t" + "\t".join(["%.17g"] * values.shape[-1])
-    return [form % (fid, *row.tolist()) for fid, row in zip(ids, values)]
+    ``%.17g``, which reads back bit-identical. Each distinct value, told
+    apart by its bits (so 0.0 and -0.0 stay two), is formatted once."""
+    values = np.asarray(values).astype(np.float64, casting="same_kind", copy=False)
+    bits, codes = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    # one format over all distinct values; no formatted float holds a tab
+    texts = np.array(("\t".join(["%.17g"] * len(distinct)) % tuple(distinct))
+                     .split("\t"), dtype=object)
+    return [fid + "\t" + "\t".join(texts[row].tolist())
+            for fid, row in zip(ids, codes.reshape(values.shape))]
+
+
+class _Floats(dict):
+    """``float`` of each token, parsed when it is first looked up."""
+
+    def __missing__(self, token):
+        value = self[token] = float(token)
+        return value
 
 
 def save_proximity(phi: ProximityMatrix, path, mhash=""):
@@ -236,6 +250,7 @@ def load_proximity(path) -> ProximityMatrix:
         first_row = line_no + 1
         n = len(field_ids)
         values = np.zeros((n, n))
+        parse = _Floats().__getitem__  # phi holds few distinct values
         i = 0
         for line_no, row_line in lines:
             parts = row_line.rstrip("\n").split("\t")
@@ -249,7 +264,7 @@ def load_proximity(path) -> ProximityMatrix:
                 raise ParseError(f"expected {n} values, got {len(parts) - 1}",
                                  path=path, line=line_no)
             try:
-                values[i] = [float(v) for v in parts[1:]]
+                values[i] = np.fromiter(map(parse, parts[1:]), np.float64, n)
             except ValueError as e:
                 raise ParseError(f"invalid value: {e}", path=path, line=line_no)
             if not np.isfinite(values[i]).all():

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import logging
 import os
 import sys
 from pathlib import Path
@@ -415,10 +414,16 @@ def main(args=None, prog_name=None):
     del options["command"]
     verbose, run = options.pop("verbose"), options.pop("run")
 
-    logger = logging.getLogger(__package__)
-    logger.setLevel(max(logging.DEBUG, logging.WARNING - 10 * verbose))
-    # one handler on this invocation's stderr, however often main runs
-    logger.handlers = [logging.StreamHandler()]
+    # logging loads for -v, or when loaded already: an earlier run in this
+    # process may have left its level and handler. Otherwise the embedding's
+    # INFO records fall below logging's default WARNING level, unprinted.
+    if verbose or "logging" in sys.modules:
+        import logging
+
+        logger = logging.getLogger(__package__)
+        logger.setLevel(max(logging.DEBUG, logging.WARNING - 10 * verbose))
+        # one handler on this invocation's stderr, however often main runs
+        logger.handlers = [logging.StreamHandler()]
     # toolkit errors to exit codes: config or usage -> 2, runtime -> 1
     try:
         run(**options)

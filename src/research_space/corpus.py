@@ -261,10 +261,18 @@ def _chunks(path, fmt):
 
 def _plain_ints(values, lo, hi):
     """Each value as an int where it is an int (not a bool) or a short
-    ASCII-digit string, within [lo, hi]; else None."""
-    return [n if (type(v) is int or type(v) is str and v.isascii() and v.isdigit()
-                  and len(v) < 19) and lo <= (n := int(v)) <= hi else None
-            for v in values]
+    ASCII-digit string, within [lo, hi]; else None. A column of only ints,
+    strings and None is tested once per distinct value."""
+    def plain(v):
+        return n if (type(v) is int or type(v) is str and v.isascii() and v.isdigit()
+                     and len(v) < 19) and lo <= (n := int(v)) <= hi else None
+
+    # 1, True and 1.0 are one dict key, and a JSON list or object is none:
+    # a column holding any other type is tested value by value
+    if set(map(type, values)) <= {int, str, type(None)}:
+        distinct = set(values)
+        return list(map(dict(zip(distinct, map(plain, distinct))).__getitem__, values))
+    return list(map(plain, values))
 
 
 def _text(raw: dict, key: str) -> str | None:

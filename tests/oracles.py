@@ -20,6 +20,12 @@ sign-flip ``compare_models`` replaced, kept as its power reference, and
 ``save_proximity_per_value`` and ``save_embeddings_per_value`` are the
 artifact writers that formatted each value with its own f-string, kept as
 the byte reference of the writers that format a row at a time.
+``value_rows_per_row`` is that row-at-a-time body, one ``%.17g`` format per
+row, and ``load_proximity_per_token`` the proximity reader that called
+``float`` on every token: the byte and bit references of the codec that
+formats each distinct value once and parses each distinct token once.
+``plain_ints_per_value`` is the integer-cell test that ``corpus`` now runs
+once per distinct value.
 ``disparity_filter_nx``, ``mst_plus_threshold_nx`` and
 ``greedy_communities_nx`` are the networkx-graph backbone layers that the
 package replaced with layers on one weight array, kept as references on the
@@ -52,13 +58,15 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 
-from research_space.artifacts import SCHEMA_EMBEDDING, SCHEMA_PROXIMITY
+from research_space.artifacts import MODEL_TAGS, SCHEMA_EMBEDDING, SCHEMA_PROXIMITY
 from research_space.corpus import (
     _MANDATORY, FORMAT_PROFILES, SPLIT_CHARS, YEAR_RANGE, EntityKind, FieldTaxonomy,
     MatchStats, ResolvedCorpus, VenueFieldMap,
 )
 from research_space.errors import ConfigError, ParseError, utf8_input
+from research_space.freq_model import ProximityMatrix
 from research_space.prediction_eval import auroc
+from research_space.presence import TimeWindow
 from research_space.specialization import TransitionKind, indicator, stage_codes
 
 
@@ -800,6 +808,90 @@ def save_embeddings_per_value(vectors, field_ids, path, mhash=""):
     for fid, vec in zip(field_ids, vectors):
         lines.append(fid + "\t" + "\t".join(f"{v:.17g}" for v in vec))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def value_rows_per_row(ids, values):
+    """One TSV line per id: the id, then its row of ``values``, each as
+    ``%.17g``; one format per row."""
+    values = np.asarray(values)
+    form = "%s\t" + "\t".join(["%.17g"] * values.shape[-1])
+    return [form % (fid, *row.tolist()) for fid, row in zip(ids, values)]
+
+
+@utf8_input
+def load_proximity_per_token(path) -> ProximityMatrix:
+    meta, meta_line = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate(fh, start=1)
+        line_no, line = next(lines, (1, ""))
+        while line.startswith("#"):
+            key, _, val = line[1:].partition(":")
+            meta[key.strip()] = val.strip()
+            meta_line[key.strip()] = line_no
+            line_no, line = next(lines, (line_no + 1, ""))
+        if meta.get("schema") != SCHEMA_PROXIMITY:
+            raise ParseError(
+                f"unsupported proximity schema {meta.get('schema')!r}", path=path
+            )
+        missing = [key for key in ("model", "window") if key not in meta]
+        if missing:
+            raise ParseError(
+                f"missing header {', '.join(missing)}", path=path, line=line_no
+            )
+        if meta["model"] not in MODEL_TAGS:
+            raise ParseError(f"unknown model {meta['model']!r}", path=path,
+                             line=meta_line["model"])
+        try:
+            window = TimeWindow.parse(meta["window"])
+        except ConfigError as e:
+            raise ParseError(str(e), path=path, line=meta_line["window"])
+        if not line.startswith("field_id\t"):
+            raise ParseError("expected the field_id header row", path=path, line=line_no)
+        field_ids = line.rstrip("\n").split("\t")[1:]
+        first_row = line_no + 1
+        n = len(field_ids)
+        values = np.zeros((n, n))
+        i = 0
+        for line_no, row_line in lines:
+            parts = row_line.rstrip("\n").split("\t")
+            if i == n:
+                raise ParseError(f"more than {n} rows", path=path, line=line_no)
+            if parts[0] != field_ids[i]:
+                raise ParseError(
+                    f"row order mismatch at {parts[0]!r}", path=path, line=line_no
+                )
+            if len(parts) != n + 1:
+                raise ParseError(f"expected {n} values, got {len(parts) - 1}",
+                                 path=path, line=line_no)
+            try:
+                values[i] = [float(v) for v in parts[1:]]
+            except ValueError as e:
+                raise ParseError(f"invalid value: {e}", path=path, line=line_no)
+            if not np.isfinite(values[i]).all():
+                raise ParseError("non-finite value", path=path, line=line_no)
+            i += 1
+    if i < n:
+        raise ParseError(f"{n - i} of {n} rows missing", path=path, line=line_no + 1)
+    if meta["model"] == "embedding":
+        differs = (values != values.T).any(axis=1)
+        if differs.any():
+            i = int(differs.argmax())
+            raise ParseError(f"embedding row {field_ids[i]!r} differs from its column",
+                             path=path, line=first_row + i)
+    return ProximityMatrix(
+        values=values,
+        field_ids=field_ids,
+        model_tag=meta["model"],
+        window=window,
+    )
+
+
+def plain_ints_per_value(values, lo, hi):
+    """Each value as an int where it is an int (not a bool) or a short
+    ASCII-digit string, within [lo, hi]; else None."""
+    return [n if (type(v) is int or type(v) is str and v.isascii() and v.isdigit()
+                  and len(v) < 19) and lo <= (n := int(v)) <= hi else None
+            for v in values]
 
 
 def midranks(a):

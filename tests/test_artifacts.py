@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,105 @@ class TestWriterParity:
         oracles.save_embeddings_per_value(vectors, field_ids, base / "emb_oracle.tsv",
                                           mhash="abc")
         assert (base / "emb.tsv").read_bytes() == (base / "emb_oracle.tsv").read_bytes()
+
+
+# Values the codec must keep apart or write in full: signed zeros, subnormals,
+# values near +-1e308 and values that need all 17 digits.
+codec_edges = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3])
+
+
+@st.composite
+def codec_tables(draw, square):
+    """Field ids and a float64 table, square or fields x dim, each of whose
+    rows repeats a few values or holds only distinct ones."""
+    fids = draw(ids)
+    n = len(fids)
+    k = n if square else draw(st.integers(1, 7))
+    pool = draw(st.lists(codec_edges | finite, min_size=1, max_size=4))
+    repeated = st.lists(st.sampled_from(pool), min_size=k, max_size=k)
+    distinct = st.lists(codec_edges | finite, min_size=k, max_size=k,
+                        unique_by=lambda v: struct.pack("<d", v))
+    rows = draw(st.lists(repeated | distinct, min_size=n, max_size=n))
+    return fids, np.array(rows, dtype=np.float64)
+
+
+def _with_tokens(*edits):
+    """Put each (row, column, token) of ``edits`` into the lines of a saved
+    phi.tsv: row 1 is the first field's row, column 0 its id."""
+    def corrupt(lines):
+        lines = list(lines)
+        for row, col, token in edits:
+            parts = lines[4 + row].split("\t")
+            parts[col] = token
+            lines[4 + row] = "\t".join(parts)
+        return lines
+    return corrupt
+
+
+# Corruptions of values and ids of a saved 5-field phi.tsv, the line the
+# error must name (row r is on line 5 + r) and the start of its message.
+TOKEN_CORRUPTIONS = {
+    "bad_token_recurs": (_with_tokens((2, 3, "0.5x"), (4, 1, "0.5x")), 7,
+                         "invalid value"),
+    "inf_beside_bad_token": (_with_tokens((3, 1, "inf"), (3, 4, "bogus")), 8,
+                             "invalid value"),
+    "bad_token_before_order_mismatch": (_with_tokens((3, 2, "x"), (5, 0, "F999")), 8,
+                                        "invalid value"),
+    "good_token_then_inf": (_with_tokens((1, 2, "0.5"), (2, 2, "inf")), 7,
+                            "non-finite value"),
+}
+
+
+class TestCodecParity:
+    """The codec that formats each distinct value once and parses each
+    distinct token once, against the row-at-a-time writer and the per-token
+    reader kept in ``oracles``."""
+
+    @given(codec_tables(square=True))
+    @example((["F001", "F002"], np.array([[0.0, -0.0], [-0.0, 0.0]])))
+    @example((["F001", "F002", "F003"], np.array(
+        [[5e-324, -5e-324, 5e-324], [1e308, -1e308, 1e308], [0.1, 0.2, 0.30000000000000004]])))
+    @settings(max_examples=200, deadline=None)
+    def test_proximity(self, tmp_path_factory, table):
+        field_ids, values = table
+        phi = ProximityMatrix(values, field_ids, "frequentist", TimeWindow(2000, 2012))
+        path = tmp_path_factory.getbasetemp() / "codec_phi.tsv"
+        artifacts.save_proximity(phi, path, mhash="abc")
+        rows = path.read_text(encoding="utf-8").split("\n")[5:-1]
+        assert rows == oracles.value_rows_per_row(field_ids, values)
+        loaded = artifacts.load_proximity(path).values
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == oracles.load_proximity_per_token(path).values.tobytes()
+        assert loaded.tobytes() == values.tobytes()
+
+    @given(codec_tables(square=False))
+    @example((["F001"], np.array([[0.0, -0.0, 0.0, -0.0]])))
+    @settings(max_examples=200, deadline=None)
+    def test_embeddings(self, tmp_path_factory, table):
+        field_ids, vectors = table
+        path = tmp_path_factory.getbasetemp() / "codec_emb.tsv"
+        artifacts.save_embeddings(vectors, field_ids, path, mhash="abc")
+        rows = path.read_text(encoding="utf-8").split("\n")[2:-1]
+        assert rows == oracles.value_rows_per_row(field_ids, vectors)
+
+    @pytest.mark.parametrize("corruption", sorted(TOKEN_CORRUPTIONS))
+    def test_corrupt_token(self, tmp_path, corruption):
+        corrupt, line, message = TOKEN_CORRUPTIONS[corruption]
+        values = np.array([0.5, 0.25, -0.0, 0.125, 0.5])[np.arange(25).reshape(5, 5) % 5]
+        field_ids = [f"F00{i}" for i in range(1, 6)]
+        path = tmp_path / "phi.tsv"
+        artifacts.save_proximity(ProximityMatrix(values, field_ids, "frequentist",
+                                                 TimeWindow(2000, 2004)), path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ParseError) as got:
+            artifacts.load_proximity(path)
+        with pytest.raises(ParseError) as want:
+            oracles.load_proximity_per_token(path)
+        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+        assert got.value.line == line
+        assert str(got.value).startswith(message)
 
 
 def _unserializable_corpus():

@@ -1483,7 +1483,7 @@ try:
     main(sys.argv[1:])
 finally:
     print(sorted(m for m in ("click", "numpy.ma", "scipy", "research_space.emb_model",
-                             "hashlib", "networkx") if m in sys.modules),
+                             "hashlib", "networkx", "logging") if m in sys.modules),
           file=sys.stderr)
 """
 
@@ -1491,15 +1491,16 @@ finally:
 # The import budget: the watched modules each command loads. No command loads
 # click, numpy.ma or scipy; each other watched module is loaded only by the
 # commands that use it: the embedding by fit --model emb, networkx by the
-# GraphML writer, and hashlib by the manifest hash of ingest and fit, and by
+# GraphML writer, hashlib by the manifest hash of ingest and fit, and by
 # what networkx and numpy.random (the two-phi evaluate's permutation test)
-# import themselves.
+# import themselves, and logging by -v, by the embedding's progress log and
+# by networkx.
 IMPORT_BUDGET = {
     "help": [], "ingest": ["hashlib"], "fit-freq": ["hashlib"],
-    "fit-emb": ["hashlib", "research_space.emb_model"], "predict": [],
+    "fit-emb": ["hashlib", "logging", "research_space.emb_model"], "predict": [],
     "evaluate-one-phi": [], "evaluate-two-phi": ["hashlib"], "disparity-tsv": [],
-    "mst-threshold-dot": [], "disparity-xmlgraph": ["hashlib", "networkx"],
-    "export-stats": [],
+    "mst-threshold-dot": [], "disparity-xmlgraph": ["hashlib", "logging", "networkx"],
+    "export-stats": [], "verbose-export-stats": ["logging"],
 }
 
 
@@ -1531,6 +1532,8 @@ def import_probes(pipeline, tmp_path_factory):
                               "--format", "dot"],
         "disparity-xmlgraph": [*backbone, "--format", "xmlgraph"],
         "export-stats": ["export-stats", "--corpus", corpus, "--taxonomy", taxonomy],
+        "verbose-export-stats": ["-v", "export-stats", "--corpus", corpus,
+                                 "--taxonomy", taxonomy],
     }
     assert commands.keys() == IMPORT_BUDGET.keys()
     probes = {}

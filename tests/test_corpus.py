@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 import oracles
 from conftest import corpus_rows, make_taxonomy
@@ -398,6 +398,40 @@ def test_scanned_lines_equal_json_loads_oracle(tmp_path, monkeypatch, lines, chu
     taxonomy = make_taxonomy(6)
     out, issues = resolve_corpus(path, vmap, taxonomy, kind)
     assert_same_as_oracle(out, issues, path, "jsonl", vmap, taxonomy, kind)
+
+
+# Year and author cells of every kind a records file yields: ints, bools,
+# floats with 1.0 and NaN, digit strings with leading zeros, signs, spaces,
+# non-ASCII digits or 19 digits, and empty cells.
+PLAIN_CELLS = (st.integers(-2**64, 2**64) | st.sampled_from([0, 1, 1900, 2100, 2**63 - 1])
+               | st.from_regex(r"[+-]?\s?0*[0-9]{1,20}\s?", fullmatch=True)
+               | st.sampled_from(["", "2000", "02000", "٢٠٠٠", "２０００", "²", "1" * 19,
+                                  "0" * 18 + "1", "9" * 18])
+               | st.none())
+MIXED_CELLS = PLAIN_CELLS | st.booleans() | st.floats() | st.sampled_from(
+    [1.0, 2000.0, float("nan")])
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.sampled_from([PLAIN_CELLS, MIXED_CELLS]).flatmap(
+           lambda cell: st.lists(cell, min_size=1, max_size=6)).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), max_size=30)),
+       bounds=st.sampled_from([corpus_mod.YEAR_RANGE, (1, corpus_mod.AUTHORS_MAX),
+                               (0, 1)]))
+@example(cells=[1, True, 1.0, "1"], bounds=(1, corpus_mod.AUTHORS_MAX))
+@example(cells=[[2000], {"year": 2000}, 2000, "2000"], bounds=corpus_mod.YEAR_RANGE)
+def test_plain_ints_equal_per_value_oracle(cells, bounds):
+    assert _typed(corpus_mod._plain_ints(cells, *bounds)) == \
+        _typed(oracles.plain_ints_per_value(cells, *bounds))
+
+
+def test_plain_ints_tell_one_from_true_and_one_point_zero():
+    assert _typed(corpus_mod._plain_ints([1, True, 1.0, "1"], 1, 10)) == \
+        [(int, 1), (type(None), None), (type(None), None), (int, 1)]
 
 
 class TestDelimitedRows:
