@@ -68,8 +68,12 @@ def _inverse(x):
 def hinge_loss_and_grads(inputs, targets, margin):
     """Per-bag loss sum_n max(0, margin - cos(a, t_0) + cos(a, t_n)) for a
     batch of inputs a (bags x dim) and targets (bags x (1 + k) x dim) whose
-    row 0 is the positive, with its analytic gradients w.r.t. the inputs and
-    every target. A zero-norm vector has cosine 0 and passes no gradient."""
+    row 0 is the positive, with its analytic gradients w.r.t. the inputs
+    (bags x dim) and w.r.t. the targets of nonzero weight: the positive of
+    each bag with an active negative, then that bag's active negatives. These
+    terms come as their (bag, target) positions, bag after bag, and their
+    gradients (terms x dim); every other target's gradient is exactly zero.
+    A zero-norm vector has cosine 0 and passes no gradient."""
     na = np.sqrt(np.einsum("bd,bd->b", inputs, inputs))
     nt = np.sqrt(np.einsum("btd,btd->bt", targets, targets))
     inv = _inverse(na[:, None] * nt)
@@ -83,9 +87,10 @@ def hinge_loss_and_grads(inputs, targets, margin):
     # d cos(a, t) / d a = t / (|a| |t|) - cos a / |a|^2, and likewise for t
     g_in = (np.einsum("bt,btd->bd", w_inv, targets)
             - (w_cos.sum(axis=1) * _inverse(na * na))[:, None] * inputs)
-    g_t = w_inv[:, :, None] * inputs[:, None, :]
-    g_t -= targets * (w_cos * _inverse(nt * nt))[:, :, None]
-    return np.where(active, hinge, 0.0).sum(axis=1), g_in, g_t
+    terms = np.nonzero(weight)
+    g_t = w_inv[terms][:, None] * inputs[terms[0]]
+    g_t -= targets[terms] * (w_cos * _inverse(nt * nt))[terms][:, None]
+    return np.where(active, hinge, 0.0).sum(axis=1), g_in, terms, g_t
 
 
 def train_embeddings(p: np.ndarray, config: EmbeddingConfig) -> FieldEmbedding:
@@ -142,23 +147,26 @@ def train_embeddings(p: np.ndarray, config: EmbeddingConfig) -> FieldEmbedding:
             inputs = np.add.reduceat(vectors[context], first - np.arange(len(bi)),
                                      axis=0) / (n - 1)[:, None]
             targets = np.concatenate((flat[pos_at][:, None], neg), axis=1)
-            loss, g_in, g_t = hinge_loss_and_grads(inputs, vectors[targets],
-                                                   config.margin)
+            loss, g_in, terms, g_t = hinge_loss_and_grads(
+                inputs, vectors[targets], config.margin)
             epoch_loss += loss.sum()
-            # input is the context mean, so its gradient splits evenly; a row
-            # hit several times in the batch takes the sum of its gradients
-            rows = np.concatenate((context, targets.ravel()))
-            grads = np.concatenate((np.repeat(g_in / (n - 1)[:, None], n - 1, axis=0),
-                                    g_t.reshape(-1, config.dim)))
-            by_row = np.argsort(rows, kind="stable")
-            rows = rows[by_row]
-            runs = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-            touched = rows[runs]
-            vectors[touched] -= lr * np.add.reduceat(grads[by_row], runs, axis=0)
-            # max-norm projection of the touched rows
-            norms = np.linalg.norm(vectors[touched], axis=1)
-            over = norms > 1.0
-            vectors[touched[over]] /= norms[over, None]
+            # a bag with no active negative has no term and passes no
+            # gradient; input is the context mean, so its gradient splits
+            # evenly over the bag's context
+            has = np.bincount(terms[0], minlength=len(bi)) > 0
+            m = n[has] - 1
+            rows = np.concatenate((context[np.repeat(has, n - 1)], targets[terms]))
+            grads = np.concatenate((np.repeat(g_in[has] / m[:, None], m, axis=0), g_t))
+            # a row hit several times in the batch takes the sum of its
+            # gradients, added in sequence into one fields x dim step
+            cells = (rows[:, None] * config.dim + np.arange(config.dim)).ravel()
+            step = np.bincount(cells, grads.ravel(), minlength=vectors.size)
+            step = step.reshape(vectors.shape)
+            vectors -= lr * step
+            # max-norm projection of the rows with a nonzero update
+            norms = np.linalg.norm(vectors, axis=1)
+            over = (norms > 1.0) & step.any(axis=1)
+            vectors[over] /= norms[over, None]
         epoch_losses.append(epoch_loss / n_bags)
         logger.info("epoch %d/%d: mean hinge loss %.6g", len(epoch_losses),
                     config.epochs, epoch_losses[-1])

@@ -16,6 +16,16 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def dense_hinge(hinge_loss_and_grads, inputs, targets, margin):
+    """``hinge_loss_and_grads`` with the gradients of its terms put back into
+    the dense (bags, 1 + k, dim) block, zero at every other target; also the
+    terms' (bag, target) positions."""
+    loss, g_in, terms, g_terms = hinge_loss_and_grads(inputs, targets, margin)
+    g_t = np.zeros_like(targets)
+    g_t[terms] = g_terms
+    return loss, g_in, g_t, terms
+
+
 def make_taxonomy(n_fields=6, fields_per_intermediate=3):
     """Small synthetic 3-level taxonomy: F001.., I1.., two macro areas."""
     fields = []

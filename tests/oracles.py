@@ -43,6 +43,10 @@ replaced; ``rca_ix`` and ``density_ix`` are the bodies that gathered and
 scattered the nonzero rows and columns; ``predict_loop`` is the predict
 writer that took one entity at a time. All are kept as the bit-for-bit and
 byte-for-byte references of their replacements.
+``train_embeddings_dense``, with ``hinge_loss_and_grads_dense``, is the
+minibatch trainer whose backward pass covered every (bag, target) pair of a
+batch, kept as the reference, up to summation order, of the trainer that
+takes only the terms of nonzero weight.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from research_space.corpus import (
     _MANDATORY, FORMAT_PROFILES, SPLIT_CHARS, YEAR_RANGE, EntityKind, FieldTaxonomy,
     MatchStats, ResolvedCorpus, VenueFieldMap,
 )
-from research_space.errors import ConfigError, ParseError, utf8_input
+from research_space.emb_model import bags_per_batch
+from research_space.errors import ConfigError, ParseError, TrainingError, utf8_input
 from research_space.freq_model import ProximityMatrix
 from research_space.prediction_eval import auroc
 from research_space.presence import TimeWindow
@@ -580,6 +585,111 @@ def train_embeddings_minibatch_loop(p, config, batch):
         epoch_losses.append(epoch_loss / len(trainable))
     return vectors, epoch_losses
 
+
+
+# The minibatch trainer whose backward pass took the gradient of every
+# (bag, target) pair of the batch's target block and summed it per row by a
+# stable sort and ``np.add.reduceat``: the reference of the trainer that
+# takes only the terms of nonzero weight.
+
+def _inverse(x):
+    """1 / x, with 0 where x is 0."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x != 0.0)
+
+
+def hinge_loss_and_grads_dense(inputs, targets, margin):
+    """Per-bag loss sum_n max(0, margin - cos(a, t_0) + cos(a, t_n)) for a
+    batch of inputs a (bags x dim) and targets (bags x (1 + k) x dim) whose
+    row 0 is the positive, with its analytic gradients w.r.t. the inputs and
+    every target. A zero-norm vector has cosine 0 and passes no gradient."""
+    na = np.sqrt(np.einsum("bd,bd->b", inputs, inputs))
+    nt = np.sqrt(np.einsum("btd,btd->bt", targets, targets))
+    inv = _inverse(na[:, None] * nt)
+    cos = np.einsum("bd,btd->bt", inputs, targets) * inv
+    hinge = margin - cos[:, :1] + cos[:, 1:]
+    active = hinge > 0
+    # each active negative adds cos(a, t_n) - cos(a, t_0) to the loss
+    weight = np.concatenate((-active.sum(axis=1, keepdims=True), active), axis=1)
+    w_inv = weight * inv
+    w_cos = weight * cos
+    # d cos(a, t) / d a = t / (|a| |t|) - cos a / |a|^2, and likewise for t
+    g_in = (np.einsum("bt,btd->bd", w_inv, targets)
+            - (w_cos.sum(axis=1) * _inverse(na * na))[:, None] * inputs)
+    g_t = w_inv[:, :, None] * inputs[:, None, :]
+    g_t -= targets * (w_cos * _inverse(nt * nt))[:, :, None]
+    return np.where(active, hinge, 0.0).sum(axis=1), g_in, g_t
+
+
+def train_embeddings_dense(p, config):
+    """The minibatch trainer with the dense backward pass, kept verbatim
+    apart from its logging and its return value (vectors, epoch losses)."""
+    rows, flat = np.nonzero(p)  # row by row, each row's fields ascending
+    sizes = np.bincount(rows)
+    trainable = sizes >= 2
+    flat, sizes = flat[trainable[rows]], sizes[trainable]
+    n_bags = len(sizes)
+    if not n_bags:
+        raise TrainingError("no trainable bags (all bags have < 2 fields)")
+    rng = np.random.default_rng(config.seed)
+    n_fields = p.shape[1]
+    vectors = rng.uniform(-1.0 / config.dim, 1.0 / config.dim,
+                          size=(n_fields, config.dim))
+    starts = np.cumsum(sizes) - sizes
+    # the j-th field outside a sorted bag is j plus the count of bag entries
+    # b_i with b_i - i <= j; these shifts give the draws rng.choice would
+    # make from np.setdiff1d(all fields, bag)
+    shifts = flat - (np.arange(len(flat)) - np.repeat(starts, sizes))
+    batch = bags_per_batch(config)
+
+    total_bags = config.epochs * n_bags
+    done = 0
+    epoch_losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n_bags)
+        epoch_loss = 0.0
+        for lo in range(0, len(order), batch):
+            bi = order[lo:lo + batch]
+            lr = config.learning_rate * (1.0 - done / total_bags)
+            done += len(bi)
+            pos_at = starts[bi] + rng.integers(0, sizes[bi])
+            # a bag of every field has no negative and only draws its positive
+            keep = sizes[bi] < n_fields
+            bi, pos_at = bi[keep], pos_at[keep]
+            if not len(bi):
+                continue
+            n = sizes[bi]
+            j = rng.integers(0, (n_fields - n)[:, None],
+                             size=(len(bi), config.negatives_per_example))
+            # the batch's bag entries, bag after bag; offsetting each bag's
+            # shifts by its batch position keeps one searchsorted per batch
+            first = np.cumsum(n) - n
+            member = np.arange(n.sum()) - np.repeat(first - starts[bi], n)
+            offset = np.arange(len(bi))[:, None] * (n_fields + 1)
+            key = shifts[member] + np.repeat(offset, n)
+            neg = j + np.searchsorted(key, j + offset, side="right") - first[:, None]
+            context = flat[member[member != np.repeat(pos_at, n)]]
+            inputs = np.add.reduceat(vectors[context], first - np.arange(len(bi)),
+                                     axis=0) / (n - 1)[:, None]
+            targets = np.concatenate((flat[pos_at][:, None], neg), axis=1)
+            loss, g_in, g_t = hinge_loss_and_grads_dense(inputs, vectors[targets],
+                                                         config.margin)
+            epoch_loss += loss.sum()
+            # input is the context mean, so its gradient splits evenly; a row
+            # hit several times in the batch takes the sum of its gradients
+            rows = np.concatenate((context, targets.ravel()))
+            grads = np.concatenate((np.repeat(g_in / (n - 1)[:, None], n - 1, axis=0),
+                                    g_t.reshape(-1, config.dim)))
+            by_row = np.argsort(rows, kind="stable")
+            rows = rows[by_row]
+            runs = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            touched = rows[runs]
+            vectors[touched] -= lr * np.add.reduceat(grads[by_row], runs, axis=0)
+            # max-norm projection of the touched rows
+            norms = np.linalg.norm(vectors[touched], axis=1)
+            over = norms > 1.0
+            vectors[touched[over]] /= norms[over, None]
+        epoch_losses.append(epoch_loss / n_bags)
+    return vectors, epoch_losses
 
 # The venue matcher that built every substring of a name before it tried the
 # full name, and normalized whitespace with a regex: the reference of

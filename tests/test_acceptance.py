@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 import simulation
-from conftest import make_corpus, make_taxonomy
+from conftest import dense_hinge, make_corpus, make_taxonomy
 from oracles import classify_stage, cosine
 from research_space import emb_model
 from research_space.emb_model import EmbeddingConfig, train_embeddings
@@ -93,7 +93,8 @@ def test_acceptance_3_embedding_gradient_and_planted_cooccurrence():
         while checked < 50:
             a = rng.normal(size=(1, 6))
             targets = rng.normal(size=(1, 3, 6))  # the positive and 2 negatives
-            loss, g_in, g_t = emb_model.hinge_loss_and_grads(a, targets, margin)
+            loss, g_in, g_t, _ = dense_hinge(emb_model.hinge_loss_and_grads, a, targets,
+                                             margin)
             if loss[0] == 0:
                 continue
             for analytic, point, wrap in (

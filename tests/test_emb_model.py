@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import dense_hinge
 import research_space
 from oracles import cosine
 from research_space import emb_model
@@ -162,7 +163,8 @@ class TestGradients:
             # a bag with no active negative: cos 1 to its positive, -1 to each negative
             targets[3, 0] = inputs[3]
             targets[3, 1:] = -inputs[3]
-            loss, g_in, g_t = hinge_loss_and_grads(inputs, targets, margin)
+            loss, g_in, g_t, _ = dense_hinge(hinge_loss_and_grads, inputs, targets,
+                                             margin)
             assert loss[3] == 0.0
             assert not g_in[3].any() and not g_t[3].any()
             # a zero-norm vector has cosine 0 with everything and passes no
@@ -269,22 +271,30 @@ class TestAgainstLoopTrainer:
             bags, k, dim = rng.integers(1, 6), rng.integers(1, 11), rng.integers(2, 17)
             inputs = rng.normal(size=(bags, dim))
             targets = rng.normal(size=(bags, 1 + k, dim))
-            loss, g_in, g_t = hinge_loss_and_grads(inputs, targets, margin)
+            loss, g_in, g_t, terms = dense_hinge(hinge_loss_and_grads, inputs, targets,
+                                                 margin)
+            left_out = np.ones((bags, 1 + k), dtype=bool)
+            left_out[terms] = False
             for b in range(bags):
                 want = oracles.hinge_loss_and_grads_loop(
                     inputs[b], targets[b, 0], targets[b, 1:], margin)
                 got = (loss[b], g_in[b], g_t[b, 0], g_t[b, 1:])
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+                # a target that the function leaves out has no gradient at all
+                assert not np.vstack((want[2], want[3]))[left_out[b]].any()
             if margin < 0:
                 assert not loss.any()
+                assert not len(terms[0]) and not g_in.any()
+            if margin == 5.0:
+                assert not left_out.any()  # every negative, and each positive
 
     def test_zero_norm_vector_has_cosine_zero(self):
         # zero positive: every cosine with it is 0, so the hinge is
         # margin + cos(input, neg) for each negative, as with ``cosine``
         a = np.array([[1.0, 0.0]])
         targets = np.array([[[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0]]])
-        loss, _, g_t = hinge_loss_and_grads(a, targets, 0.05)
+        loss, _, g_t, _ = dense_hinge(hinge_loss_and_grads, a, targets, 0.05)
         with np.errstate(divide="ignore", invalid="ignore"):
             want, *_ = oracles.hinge_loss_and_grads_loop(a[0], targets[0, 0],
                                                          targets[0, 1:], 0.05)
@@ -304,6 +314,42 @@ class TestAgainstMinibatchLoop:
         assert bags_per_batch(config) == batch
         assert_same_training(train_embeddings(p, config),
                              *oracles.train_embeddings_minibatch_loop(p, config, batch))
+
+
+@st.composite
+def dense_training_cases(draw):
+    """A presence array of 2-40 fields holding random bags of two fields or
+    more, an empty row, a one-field row and a bag of every field, in a drawn
+    order; a config whose margin runs up to 5, where every negative is
+    active; and a BATCH_BAGS."""
+    n_fields = draw(st.integers(2, 40))
+    field_ids = st.integers(0, n_fields - 1)
+    bags = draw(st.lists(st.lists(field_ids, min_size=2, max_size=n_fields,
+                                  unique=True), min_size=1, max_size=20))
+    bags += [[], [draw(field_ids)], list(range(n_fields))]
+    order = draw(st.permutations(range(len(bags))))
+    config = EmbeddingConfig(dim=draw(st.integers(1, 16)),
+                             epochs=draw(st.integers(1, 4)),
+                             negatives_per_example=draw(st.integers(1, 10)),
+                             margin=draw(st.floats(0.01, 5.0)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.sampled_from([1, 3, 128]))
+    return presence_of([bags[i] for i in order], n_fields), config, batch
+
+
+class TestAgainstDenseTrainer:
+    """The trainer, whose backward pass takes only the terms of nonzero
+    weight, against ``oracles.train_embeddings_dense``, which took every
+    (bag, target) pair: the same updates up to float summation order."""
+
+    @given(dense_training_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_vectors_and_losses_match(self, case):
+        p, config, batch = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(emb_model, "BATCH_BAGS", batch)
+            assert_same_training(train_embeddings(p, config),
+                                 *oracles.train_embeddings_dense(p, config))
 
 
 class TestBatchSize:
@@ -378,6 +424,30 @@ def test_proximity_bytes_do_not_depend_on_blas_threads():
                "MKL_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         res = subprocess.run([sys.executable, "-c", PROXIMITY_HASH], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        hashes.add(res.stdout)
+    assert len(hashes) == 1, hashes
+
+
+# Prints the sha256 of the vectors trained on a seeded random 2,000 x 250 P.
+TRAINER_HASH = """import hashlib
+import numpy as np
+from research_space.emb_model import EmbeddingConfig, train_embeddings
+p = (np.random.default_rng(5).random((2000, 250)) < 0.02).astype(np.int8)
+emb = train_embeddings(p, EmbeddingConfig(dim=100, epochs=2, seed=7))
+print(hashlib.sha256(emb.vectors.tobytes()).hexdigest())
+"""
+
+
+def test_trainer_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(research_space.__file__).resolve().parents[1])
+    hashes = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        res = subprocess.run([sys.executable, "-c", TRAINER_HASH], env=env,
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         hashes.add(res.stdout)
