@@ -264,7 +264,7 @@ def evaluate(phi_a_path, phi_b_path, corpus_path, taxonomy_path, fit_window,
                           f"to compare two models, got {permutations}")
     phis = [artifacts.load_proximity(path) for path in (phi_a_path, phi_b_path) if path]
     for phi in phis:
-        if str(phi.window) != str(fit_window):
+        if phi.window != fit_window:
             raise ConfigError(
                 f"proximity artifact window {phi.window} differs from --fit {fit_window}")
     if len(phis) == 2 and phis[0].model_tag == phis[1].model_tag:

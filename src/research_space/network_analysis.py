@@ -1,11 +1,9 @@
 """Field networks from proximity matrices: visualization graphs (MST plus
 threshold), disparity-filter backbones, intermediate-level aggregation, and
 greedy modularity communities. A graph is one symmetric weight array on phi's
-field axis, 0 where two fields share no edge; networkx only writes GraphML."""
+field axis, 0 where two fields share no edge."""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
@@ -151,21 +149,46 @@ def export_edgelist(kept: np.ndarray, labels: np.ndarray, ids: list[str]) -> str
     return "\n".join(lines) + "\n"
 
 
+def _xml_escaped(text: str, quote: bool = False) -> str:
+    """Text as ElementTree escapes it when it holds no control character, which
+    the taxonomy rejects; in an attribute value ``"`` is escaped too."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.replace('"', "&quot;") if quote else text
+
+
+def _xml_data(key: str, text: str) -> str:
+    if not text:
+        return f'      <data key="{key}" />'
+    return f'      <data key="{key}">{_xml_escaped(text)}</data>'
+
+
 def export_graphml(kept: np.ndarray, labels: np.ndarray, ids: list[str],
                    styles: list[tuple[str, str]]) -> str:
-    """The GraphML document as ``nx.write_graphml`` writes it, with its XML
-    declaration and UTF-8 text (``nx.generate_graphml`` drops the former and
-    escapes non-ASCII labels). Edges are written in row-major order."""
-    import networkx as nx  # the only use of networkx in the package
-
-    g = nx.Graph()
-    g.add_nodes_from((u, {"label": label, "color": color})
-                     for u, (label, color) in zip(ids, styles))
-    g.add_edges_from((u, v, {"weight": w, "group": group})
-                     for u, v, w, group in _groups(kept, labels, ids))
-    buf = io.BytesIO()
-    nx.write_graphml(g, buf)
-    return buf.getvalue().decode("utf-8")
+    """The GraphML document of a graph of at least one node, byte for byte as
+    ``nx.write_graphml`` writes it: its XML declaration, UTF-8 text, the edge
+    keys (only when an edge is kept) before the node keys, nodes in axis
+    order, then edges in row-major order, each weight as ``repr`` prints it."""
+    edges = _groups(kept, labels, ids)
+    lines = ["<?xml version='1.0' encoding='utf-8'?>",
+             '<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
+             'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+             'xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns '
+             'http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">']
+    if edges:
+        lines += ['  <key id="d3" for="edge" attr.name="group" attr.type="string" />',
+                  '  <key id="d2" for="edge" attr.name="weight" attr.type="double" />']
+    lines += ['  <key id="d1" for="node" attr.name="color" attr.type="string" />',
+              '  <key id="d0" for="node" attr.name="label" attr.type="string" />',
+              '  <graph edgedefault="undirected">']
+    for u, (label, color) in zip(ids, styles):
+        lines += [f'    <node id="{_xml_escaped(u, quote=True)}">',
+                  _xml_data("d0", label), _xml_data("d1", color), "    </node>"]
+    for u, v, w, group in edges:
+        lines += [f'    <edge source="{_xml_escaped(u, quote=True)}" '
+                  f'target="{_xml_escaped(v, quote=True)}">',
+                  _xml_data("d2", repr(w)), _xml_data("d3", group), "    </edge>"]
+    lines += ["  </graph>", "</graphml>"]
+    return "\n".join(lines) + "\n"
 
 
 def _dot_quoted(text: str) -> str:

@@ -29,7 +29,9 @@ once per distinct value.
 ``disparity_filter_nx``, ``mst_plus_threshold_nx`` and
 ``greedy_communities_nx`` are the networkx-graph backbone layers that the
 package replaced with layers on one weight array, kept as references on the
-graph ``nx_graph`` builds from that array.
+graph ``nx_graph`` builds from that array. ``export_graphml_nx`` is the
+GraphML writer that went through ``nx.write_graphml``, kept as the byte
+reference of the writer that prints each line itself.
 ``proximity_graph_triu`` is the ``proximity_graph`` body that added the
 positive upper triangle to its transpose, kept as the bit-for-bit reference
 of the body that zeroes the diagonal of an exactly symmetric array.
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import itertools
 import json
 import re
@@ -70,6 +73,7 @@ from research_space.corpus import (
 from research_space.emb_model import bags_per_batch
 from research_space.errors import ConfigError, ParseError, TrainingError, utf8_input
 from research_space.freq_model import ProximityMatrix
+from research_space.network_analysis import _groups
 from research_space.prediction_eval import auroc
 from research_space.presence import TimeWindow
 from research_space.specialization import TransitionKind, indicator, stage_codes
@@ -254,6 +258,21 @@ def greedy_communities_nx(g):
     for block in blocks:
         communities.update(dict.fromkeys(block, min(index[u] for u in block)))
     return communities, nx.community.modularity(g, blocks, weight="weight")
+
+
+def export_graphml_nx(kept: np.ndarray, labels: np.ndarray, ids: list[str],
+                      styles: list[tuple[str, str]]) -> str:
+    """The GraphML document as ``nx.write_graphml`` writes it, with its XML
+    declaration and UTF-8 text (``nx.generate_graphml`` drops the former and
+    escapes non-ASCII labels). Edges are written in row-major order."""
+    g = nx.Graph()
+    g.add_nodes_from((u, {"label": label, "color": color})
+                     for u, (label, color) in zip(ids, styles))
+    g.add_edges_from((u, v, {"weight": w, "group": group})
+                     for u, v, w, group in _groups(kept, labels, ids))
+    buf = io.BytesIO()
+    nx.write_graphml(g, buf)
+    return buf.getvalue().decode("utf-8")
 
 
 def finite_difference_grad(f, x, h=1e-6):

@@ -1489,17 +1489,16 @@ finally:
 
 
 # The import budget: the watched modules each command loads. No command loads
-# click, numpy.ma or scipy; each other watched module is loaded only by the
-# commands that use it: the embedding by fit --model emb, networkx by the
-# GraphML writer, hashlib by the manifest hash of ingest and fit, and by
-# what networkx and numpy.random (the two-phi evaluate's permutation test)
-# import themselves, and logging by -v, by the embedding's progress log and
-# by networkx.
+# click, numpy.ma, scipy or networkx; each other watched module is loaded only
+# by the commands that use it: the embedding by fit --model emb, hashlib by
+# the manifest hash of ingest and fit, and by what numpy.random (the two-phi
+# evaluate's permutation test) imports itself, and logging by -v and by the
+# embedding's progress log.
 IMPORT_BUDGET = {
     "help": [], "ingest": ["hashlib"], "fit-freq": ["hashlib"],
     "fit-emb": ["hashlib", "logging", "research_space.emb_model"], "predict": [],
     "evaluate-one-phi": [], "evaluate-two-phi": ["hashlib"], "disparity-tsv": [],
-    "mst-threshold-dot": [], "disparity-xmlgraph": ["hashlib", "logging", "networkx"],
+    "mst-threshold-dot": [], "disparity-xmlgraph": [],
     "export-stats": [], "verbose-export-stats": ["logging"],
 }
 
@@ -1559,9 +1558,9 @@ def test_no_command_loads_scipy(import_probes):
         assert "scipy" not in _loaded(res), name
 
 
-def test_only_graphml_backbones_load_networkx(import_probes):
+def test_no_command_loads_networkx(import_probes):
     for name, (_, res) in import_probes.items():
-        assert ("networkx" in _loaded(res)) == (name == "disparity-xmlgraph"), name
+        assert "networkx" not in _loaded(res), name
 
 
 def test_import_budget(import_probes, pipeline):

@@ -1,7 +1,7 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -268,6 +268,28 @@ def weighted_graphs(draw):
     return upper + upper.T, ids
 
 
+# Text without the control characters the taxonomy rejects, drawing often the
+# characters XML escapes, a non-ASCII and an astral one.
+XML_TEXT = st.text(st.one_of(
+    st.sampled_from("&<>\"'é𝄞"),
+    st.characters(exclude_categories=("Cs",), min_codepoint=0x20)), max_size=6)
+SPECIAL_WEIGHTS = [5e-324, 0.1 + 0.2, 1e300]
+
+
+@st.composite
+def graphml_inputs(draw):
+    """(kept, labels, ids, styles) of 1-12 nodes with distinct ids, weights of
+    every size or 0 (no edge), and any community labels."""
+    n = draw(st.integers(1, 12))
+    weights = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_WEIGHTS),
+                        st.floats(5e-324, 1e300))
+    upper = np.triu(draw(hnp.arrays(float, (n, n), elements=weights)), 1)
+    labels = draw(hnp.arrays(int, n, elements=st.integers(0, n - 1)))
+    ids = draw(st.lists(XML_TEXT, min_size=n, max_size=n, unique=True))
+    styles = draw(st.lists(st.tuples(XML_TEXT, XML_TEXT), min_size=n, max_size=n))
+    return upper + upper.T, labels, ids, styles
+
+
 class TestNetworkxParity:
     """The array layers against the networkx-graph layers they replaced."""
 
@@ -297,6 +319,17 @@ class TestNetworkxParity:
         labels, q = greedy_communities(w)
         assert dict(zip(ids, labels.tolist())) == communities
         assert q == pytest.approx(modularity, abs=1e-12)
+
+    @given(graphml_inputs())
+    @example((np.zeros((3, 3)), np.arange(3), ["a", "b", "c"],
+              [("", "#e41a1c"), ("B", ""), ("C", "#377eb8")]))
+    @example((np.array([[0.0, *SPECIAL_WEIGHTS], [SPECIAL_WEIGHTS[0], 0, 0, 0],
+                        [SPECIAL_WEIGHTS[1], 0, 0, 0], [SPECIAL_WEIGHTS[2], 0, 0, 0]]),
+              np.array([0, 0, 2, 2]), ["&<>\"'", "é", "𝄞", ""],
+              [("\"a\" & <b>", "#e41a1c"), ("", "'"), ("𝄞é", "#fff"), ("x", "y")]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_graphml_matches_the_networkx_writer(self, graph):
+        assert export_graphml(*graph) == oracles.export_graphml_nx(*graph)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_backbone_communities_match_the_reference(self, seed):

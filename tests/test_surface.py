@@ -3,11 +3,16 @@ package names, and no defaulted parameter that no call in the package
 passes: what no command reaches is deleted, or kept in ``tests/oracles.py``
 when a suite still needs it. No module reaches into another module's
 ``_``-prefixed names: what a module shares is public. Each module imports
-exactly the package modules ``IMPORT_GRAPH`` lists for it. Only
-``artifacts`` makes directories or writes files."""
+exactly the package modules ``IMPORT_GRAPH`` lists for it, and outside the
+package only the standard library and numpy, the one runtime dependency that
+``pyproject.toml`` declares. Only ``artifacts`` makes directories or writes
+files."""
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 import research_space
 
@@ -155,6 +160,29 @@ def test_package_modules_import_exactly_the_listed_modules():
     graph = {module.removesuffix(".py"): _package_imports(tree)
              for module, tree in _trees().items()}
     assert graph == IMPORT_GRAPH
+
+
+def _outside_imports(tree):
+    """The top-level names of the modules outside the package that a tree
+    imports."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in n.names)
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            found.add(n.module.split(".")[0])
+    return found - {"research_space"}
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    foreign = {module: names for module, tree in _trees().items()
+               if (names := _outside_imports(tree) - set(sys.stdlib_module_names)
+                   - {"numpy"})}
+    assert not foreign, f"imports outside the standard library and numpy: {foreign}"
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy"]
 
 
 def _writes(tree):
