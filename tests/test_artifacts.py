@@ -343,6 +343,75 @@ class TestCodecParity:
         assert got.value.line == line
         assert str(got.value).startswith(message)
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_line_corruption(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "corrupt_phi.tsv"
+        artifacts.save_proximity(data.draw(small_phis()), path, mhash="abc")
+        path.write_text(data.draw(line_corruptions(path.read_text(encoding="utf-8"))),
+                        encoding="utf-8")
+        assert _outcome(artifacts.load_proximity, path) == _outcome(
+            oracles.load_proximity_per_token, path)
+
+
+def _outcome(load, path):
+    """What ``load`` makes of the file: the ParseError's message and line, or
+    the matrix's bytes, field ids, model tag and window."""
+    try:
+        phi = load(path)
+    except ParseError as e:
+        return str(e), e.line
+    return phi.values.tobytes(), phi.field_ids, phi.model_tag, phi.window
+
+
+@st.composite
+def small_phis(draw):
+    """A proximity matrix of either model over 1 to 4 fields."""
+    model_tag = draw(st.sampled_from(["frequentist", "embedding"]))
+    n = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 1.0]),
+                                    min_size=n * n, max_size=n * n))).reshape(n, n)
+    if model_tag == "embedding":
+        values = np.where(np.tri(n, k=-1, dtype=bool), values.T, values)
+    start = draw(st.integers(1990, 2010))
+    return ProximityMatrix(values, [f"F{i:03d}" for i in range(1, n + 1)], model_tag,
+                           TimeWindow(start, start + draw(st.integers(0, 5))))
+
+
+@st.composite
+def line_corruptions(draw, text):
+    """``text``, a saved phi.tsv, with one line-level corruption: a line
+    deleted, duplicated, blanked, swapped with the next, cut at or inside a
+    token, a token made ``x``, ``nan`` or ``inf``, a header value edited, or
+    the final newline dropped."""
+    lines = text.split("\n")[:-1]
+    kind = draw(st.sampled_from(["delete", "duplicate", "blank", "swap", "cut", "token",
+                                 "header", "final_newline"]))
+    if kind == "final_newline":
+        return "\n".join(lines)
+    i = draw(st.integers(0, len(lines) - (2 if kind == "swap" else 1)))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "blank":
+        lines[i] = ""
+    elif kind == "swap":
+        lines[i:i + 2] = lines[i + 1], lines[i]
+    elif kind == "cut":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    elif kind == "token":
+        tokens = lines[i].split("\t")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(["x", "nan", "inf"]))
+        lines[i] = "\t".join(tokens)
+    else:  # the value of one of the four "# key: value" lines
+        i = draw(st.integers(0, 3))
+        lines[i] = lines[i].partition(":")[0] + ": " + draw(st.sampled_from(
+            ["", "x", "proximity/2", "frequentist", "embedding", "2000:1999",
+             "2000:2004", " 1999 : 2001", "1:2:3"]))
+    return "\n".join(lines) + "\n"
+
 
 def _unserializable_corpus():
     corpus = make_corpus([("e", ("F001",), 1, 2000)])
