@@ -7,6 +7,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -14,17 +15,30 @@ import numpy as np
 
 from .corpus import EntityKind, MatchStats, ResolvedCorpus
 from .errors import ConfigError, ParseError, json_value, utf8_input
-from .freq_model import ProximityMatrix
 from .presence import TimeWindow
 
 SCHEMA_CORPUS = "corpus/3"
 SCHEMA_PROXIMITY = "proximity/1"
 SCHEMA_EMBEDDING = "embedding/1"
-MODEL_TAGS = ("frequentist", "embedding")
+MODEL_TAGS = {"freq": "frequentist", "emb": "embedding"}  # fit --model -> phi.tsv tag
 
 CORPUS_COLUMNS = ("entity", "field_set", "n_authors", "year")
 # The dtypes a corpus column may be stored in, narrowest first.
 COLUMN_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8")
+
+
+@dataclass
+class ProximityMatrix:
+    """Field x field relatedness weights in [0, 1].
+
+    Frequentist weights are column-conditional probabilities and generally
+    asymmetric; embedding weights are symmetric clipped cosines.
+    """
+
+    values: np.ndarray
+    field_ids: list[str]
+    model_tag: str  # a value of MODEL_TAGS
+    window: TimeWindow
 
 
 def write_atomic(path, text):
@@ -205,88 +219,78 @@ class _Floats(dict):
         return value
 
 
+def _write_table(path, header, rows):
+    """Write ``header`` as ``# key: value`` lines, then the ``rows``."""
+    lines = [f"# {key}: {value}" for key, value in header.items()]
+    write_atomic(path, "\n".join(lines + rows) + "\n")
+
+
 def save_proximity(phi: ProximityMatrix, path, mhash=""):
-    lines = [
-        f"# schema: {SCHEMA_PROXIMITY}",
-        f"# model: {phi.model_tag}",
-        f"# window: {phi.window}",
-        f"# manifest_hash: {mhash}",
-        "field_id\t" + "\t".join(phi.field_ids),
-        *_value_rows(phi.field_ids, phi.values),
-    ]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write phi as proximity/1 TSV: the header, a field_id row, one row per field."""
+    _write_table(path, {"schema": SCHEMA_PROXIMITY, "model": phi.model_tag,
+                        "window": phi.window, "manifest_hash": mhash},
+                 ["field_id\t" + "\t".join(phi.field_ids),
+                  *_value_rows(phi.field_ids, phi.values)])
 
 
 @utf8_input
 def load_proximity(path) -> ProximityMatrix:
-    meta, meta_line = {}, {}
+    """Read a proximity/1 TSV file, checking its header, rows and values."""
     with open(path, encoding="utf-8") as fh:
-        lines = enumerate(fh, start=1)
-        line_no, line = next(lines, (1, ""))
-        while line.startswith("#"):
-            key, _, val = line[1:].partition(":")
-            meta[key.strip()] = val.strip()
-            meta_line[key.strip()] = line_no
-            line_no, line = next(lines, (line_no + 1, ""))
-        if meta.get("schema") != SCHEMA_PROXIMITY:
-            raise ParseError(
-                f"unsupported proximity schema {meta.get('schema')!r}", path=path
-            )
-        missing = [key for key in ("model", "window") if key not in meta]
-        if missing:
-            raise ParseError(
-                f"missing header {', '.join(missing)}", path=path, line=line_no
-            )
-        if meta["model"] not in MODEL_TAGS:
-            raise ParseError(f"unknown model {meta['model']!r}", path=path,
-                             line=meta_line["model"])
+        lines = fh.read().split("\n")
+    if not lines[-1]:  # what follows the final newline, or an empty file
+        lines.pop()
+    header, at = {}, 0  # key -> (value, line); the index of the first other line
+    while at < len(lines) and lines[at].startswith("#"):
+        key, _, value = lines[at][1:].partition(":")
+        at += 1
+        header[key.strip()] = (value.strip(), at)
+    schema = header.get("schema", (None,))[0]
+    if schema != SCHEMA_PROXIMITY:
+        raise ParseError(f"unsupported proximity schema {schema!r}", path=path)
+    missing = [key for key in ("model", "window") if key not in header]
+    if missing:
+        raise ParseError(f"missing header {', '.join(missing)}", path=path, line=at + 1)
+    (model_tag, model_line), (window, window_line) = header["model"], header["window"]
+    if model_tag not in MODEL_TAGS.values():
+        raise ParseError(f"unknown model {model_tag!r}", path=path, line=model_line)
+    try:
+        window = TimeWindow.parse(window)
+    except ConfigError as e:
+        raise ParseError(str(e), path=path, line=window_line)
+    if at == len(lines) or not lines[at].startswith("field_id\t"):
+        raise ParseError("expected the field_id header row", path=path, line=at + 1)
+    field_ids, rows, first_row = lines[at].split("\t")[1:], lines[at + 1:], at + 2
+    n = len(field_ids)
+    values = np.zeros((n, n))
+    parse = _Floats().__getitem__  # phi holds few distinct values
+    for i, (fid, row) in enumerate(zip(field_ids, rows)):
+        parts = row.split("\t")
+        if parts[0] != fid:
+            raise ParseError(f"row order mismatch at {parts[0]!r}", path=path,
+                             line=first_row + i)
+        if len(parts) != n + 1:
+            raise ParseError(f"expected {n} values, got {len(parts) - 1}",
+                             path=path, line=first_row + i)
         try:
-            window = TimeWindow.parse(meta["window"])
-        except ConfigError as e:
-            raise ParseError(str(e), path=path, line=meta_line["window"])
-        if not line.startswith("field_id\t"):
-            raise ParseError("expected the field_id header row", path=path, line=line_no)
-        field_ids = line.rstrip("\n").split("\t")[1:]
-        first_row = line_no + 1
-        n = len(field_ids)
-        values = np.zeros((n, n))
-        parse = _Floats().__getitem__  # phi holds few distinct values
-        i = 0
-        for line_no, row_line in lines:
-            parts = row_line.rstrip("\n").split("\t")
-            if i == n:
-                raise ParseError(f"more than {n} rows", path=path, line=line_no)
-            if parts[0] != field_ids[i]:
-                raise ParseError(
-                    f"row order mismatch at {parts[0]!r}", path=path, line=line_no
-                )
-            if len(parts) != n + 1:
-                raise ParseError(f"expected {n} values, got {len(parts) - 1}",
-                                 path=path, line=line_no)
-            try:
-                values[i] = np.fromiter(map(parse, parts[1:]), np.float64, n)
-            except ValueError as e:
-                raise ParseError(f"invalid value: {e}", path=path, line=line_no)
-            if not np.isfinite(values[i]).all():
-                raise ParseError("non-finite value", path=path, line=line_no)
-            i += 1
-    if i < n:
-        raise ParseError(f"{n - i} of {n} rows missing", path=path, line=line_no + 1)
-    if meta["model"] == "embedding":
+            values[i] = np.fromiter(map(parse, parts[1:]), np.float64, n)
+        except ValueError as e:
+            raise ParseError(f"invalid value: {e}", path=path, line=first_row + i)
+        if not np.isfinite(values[i]).all():
+            raise ParseError("non-finite value", path=path, line=first_row + i)
+    if len(rows) != n:
+        raise ParseError(f"more than {n} rows" if len(rows) > n else
+                         f"{n - len(rows)} of {n} rows missing", path=path,
+                         line=first_row + min(n, len(rows)))
+    if model_tag == "embedding":
         differs = (values != values.T).any(axis=1)
         if differs.any():
             i = int(differs.argmax())
             raise ParseError(f"embedding row {field_ids[i]!r} differs from its column",
                              path=path, line=first_row + i)
-    return ProximityMatrix(
-        values=values,
-        field_ids=field_ids,
-        model_tag=meta["model"],
-        window=window,
-    )
+    return ProximityMatrix(values, field_ids, model_tag, window)
 
 
 def save_embeddings(vectors, field_ids, path, mhash=""):
-    lines = [f"# schema: {SCHEMA_EMBEDDING}", f"# manifest_hash: {mhash}",
-             *_value_rows(field_ids, vectors)]
-    write_atomic(path, "\n".join(lines) + "\n")
+    _write_table(path, {"schema": SCHEMA_EMBEDDING, "manifest_hash": mhash},
+                 _value_rows(field_ids, vectors))

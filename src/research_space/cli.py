@@ -123,7 +123,7 @@ def ingest(records, venue_map_path, taxonomy_path, kind, fmt, out_dir):
     _option("--taxonomy", dest="taxonomy_path", required=True),
     _option("--window", required=True, type=_window),
     _option("--theta", type=float, default=0.05),
-    _option("--model", required=True, choices=["freq", "emb"]),
+    _option("--model", required=True, choices=list(artifacts.MODEL_TAGS)),
     _option("--dim", type=int, default=100),
     _option("--epochs", type=int, default=10),
     _option("--lr", type=float, default=0.05),
@@ -168,9 +168,8 @@ def fit(corpus_path, taxonomy_path, window, theta, model, dim, epochs, lr,
         }
         embedding = emb_model.train_embeddings(p, config)
         values = emb_model.proximity_emb(embedding.vectors)
-    phi = freq_model.ProximityMatrix(
-        values, list(taxonomy.field_ids),
-        "frequentist" if model == "freq" else "embedding", window)
+    phi = artifacts.ProximityMatrix(values, list(taxonomy.field_ids),
+                                    artifacts.MODEL_TAGS[model], window)
     out = Path(out_dir)
     mhash = artifacts.write_manifest(manifest, out / "manifest.json")
     artifacts.save_proximity(phi, out / "phi.tsv", mhash=mhash)

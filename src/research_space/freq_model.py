@@ -3,27 +3,9 @@ co-publication probabilities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .presence import TimeWindow
-
 _BLOCK_ROWS = 4096  # rows of P per float64 block in copresence
-
-
-@dataclass
-class ProximityMatrix:
-    """Field x field relatedness weights in [0, 1].
-
-    Frequentist weights are column-conditional probabilities and generally
-    asymmetric; embedding weights are symmetric clipped cosines.
-    """
-
-    values: np.ndarray
-    field_ids: list[str]
-    model_tag: str  # "frequentist" | "embedding"
-    window: TimeWindow
 
 
 def copresence(p: np.ndarray) -> np.ndarray:

@@ -65,14 +65,15 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 
-from research_space.artifacts import MODEL_TAGS, SCHEMA_EMBEDDING, SCHEMA_PROXIMITY
+from research_space.artifacts import (
+    MODEL_TAGS, SCHEMA_EMBEDDING, SCHEMA_PROXIMITY, ProximityMatrix,
+)
 from research_space.corpus import (
     _MANDATORY, FORMAT_PROFILES, SPLIT_CHARS, YEAR_RANGE, EntityKind, FieldTaxonomy,
     MatchStats, ResolvedCorpus, VenueFieldMap,
 )
 from research_space.emb_model import bags_per_batch
 from research_space.errors import ConfigError, ParseError, TrainingError, utf8_input
-from research_space.freq_model import ProximityMatrix
 from research_space.network_analysis import _groups
 from research_space.prediction_eval import auroc
 from research_space.presence import TimeWindow
@@ -967,7 +968,7 @@ def load_proximity_per_token(path) -> ProximityMatrix:
             raise ParseError(
                 f"missing header {', '.join(missing)}", path=path, line=line_no
             )
-        if meta["model"] not in MODEL_TAGS:
+        if meta["model"] not in MODEL_TAGS.values():
             raise ParseError(f"unknown model {meta['model']!r}", path=path,
                              line=meta_line["model"])
         try:

@@ -299,9 +299,9 @@ def test_acceptance_10_backbone_edge_counts():
     from pathlib import Path
 
     from research_space import network_analysis as net
+    from research_space.artifacts import ProximityMatrix
     from research_space.corpus import EntityKind, FieldTaxonomy, VenueFieldMap, \
         resolve_corpus
-    from research_space.freq_model import ProximityMatrix
     from research_space.presence import presence_matrix
 
     with criterion(10, "backbone edge counts"):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_corpus
 from research_space import artifacts
+from research_space.artifacts import ProximityMatrix
 from research_space.corpus import EntityKind, MatchStats, ResolvedCorpus
 from research_space.errors import ParseError
-from research_space.freq_model import ProximityMatrix
 from research_space.presence import TimeWindow
 
 COLUMNS = ("entity", "field_set", "n_authors", "year")

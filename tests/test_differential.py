@@ -30,9 +30,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import corpus_rows, make_taxonomy
+from research_space.artifacts import ProximityMatrix
 from research_space.cli import main
 from research_space.corpus import EntityKind, VenueFieldMap
-from research_space.freq_model import ProximityMatrix
 from research_space.presence import TimeWindow
 from test_cli import Runner, write_taxonomy_file
 

@@ -7,9 +7,9 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import make_taxonomy, same_bits
+from research_space.artifacts import ProximityMatrix
 from research_space.corpus import FieldTaxonomy, Intermediate, TaxonomyField
 from research_space.errors import ConfigError
-from research_space.freq_model import ProximityMatrix
 from research_space.network_analysis import (
     aggregate_to_intermediate,
     disparity_filter,
