@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import EntityKind, MatchStats, ResolvedCorpus
+from .corpus import TSV_BREAK, EntityKind, MatchStats, ResolvedCorpus
 from .errors import ConfigError, ParseError, json_value, utf8_input
 from .presence import TimeWindow
 
@@ -154,6 +154,11 @@ def load_corpus(path) -> ResolvedCorpus:
             i = next(i for i, e in enumerate(entity_ids) if type(e) is not str)
             raise ParseError(f"entity id {i} is {entity_ids[i]!r}, not a string",
                              path=path, line=2)
+        if bad := TSV_BREAK.search("".join(entity_ids)):
+            ends = np.cumsum(list(map(len, entity_ids)))
+            i = np.searchsorted(ends, bad.start(), "right")
+            raise ParseError(f"entity id {i} holds {bad[0]!r}, which a TSV cell cannot "
+                             "hold", path=path, line=2)
         if len(set(entity_ids)) < len(entity_ids):
             _, first = np.unique(entity_ids, return_index=True)
             i = np.setdiff1d(np.arange(len(entity_ids)), first)[0]
@@ -237,9 +242,7 @@ def save_proximity(phi: ProximityMatrix, path, mhash=""):
 def load_proximity(path) -> ProximityMatrix:
     """Read a proximity/1 TSV file, checking its header, rows and values."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines[-1]:  # what follows the final newline, or an empty file
-        lines.pop()
+        lines = fh.readlines()
     header, at = {}, 0  # key -> (value, line); the index of the first other line
     while at < len(lines) and lines[at].startswith("#"):
         key, _, value = lines[at][1:].partition(":")
@@ -260,24 +263,24 @@ def load_proximity(path) -> ProximityMatrix:
         raise ParseError(str(e), path=path, line=window_line)
     if at == len(lines) or not lines[at].startswith("field_id\t"):
         raise ParseError("expected the field_id header row", path=path, line=at + 1)
-    field_ids, rows, first_row = lines[at].split("\t")[1:], lines[at + 1:], at + 2
-    n = len(field_ids)
+    field_ids = lines[at].rstrip("\n").split("\t")[1:]
+    rows, first_row, n = lines[at + 1:], at + 2, len(field_ids)
     values = np.zeros((n, n))
     parse = _Floats().__getitem__  # phi holds few distinct values
     for i, (fid, row) in enumerate(zip(field_ids, rows)):
-        parts = row.split("\t")
+        line_no, parts = first_row + i, row.rstrip("\n").split("\t")
         if parts[0] != fid:
             raise ParseError(f"row order mismatch at {parts[0]!r}", path=path,
-                             line=first_row + i)
+                             line=line_no)
         if len(parts) != n + 1:
             raise ParseError(f"expected {n} values, got {len(parts) - 1}",
-                             path=path, line=first_row + i)
+                             path=path, line=line_no)
         try:
             values[i] = np.fromiter(map(parse, parts[1:]), np.float64, n)
         except ValueError as e:
-            raise ParseError(f"invalid value: {e}", path=path, line=first_row + i)
+            raise ParseError(f"invalid value: {e}", path=path, line=line_no)
         if not np.isfinite(values[i]).all():
-            raise ParseError("non-finite value", path=path, line=first_row + i)
+            raise ParseError("non-finite value", path=path, line=line_no)
     if len(rows) != n:
         raise ParseError(f"more than {n} rows" if len(rows) > n else
                          f"{n - len(rows)} of {n} rows missing", path=path,

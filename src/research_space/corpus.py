@@ -19,6 +19,7 @@ from .errors import ConfigError, ParseError, json_value, utf8_input
 
 SPLIT_CHARS = ".;:/-"
 _SPLIT_RE = re.compile("[" + re.escape(SPLIT_CHARS) + "]")
+TSV_BREAK = re.compile("[\t\n\r]")  # what an id written into a TSV row cannot hold
 
 
 class EntityKind(enum.Enum):
@@ -40,10 +41,22 @@ class Intermediate:
     macro_id: str
 
 
+def _open_text(path, newline=None):
+    """The UTF-8 text file, opened past one leading byte order mark."""
+    fh = open(path, newline=newline, encoding="utf-8")
+    try:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
 def _tsv_rows(path, what, columns):
     """(line, cells) of each row of the tab-separated ``what`` file: its line
     number and its cells under ``columns``, which the header must name."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
         try:
             if not set(columns).issubset(reader.fieldnames or ()):
@@ -204,10 +217,11 @@ FORMAT_PROFILES = {
 
 def _chunks(path, fmt):
     """Yield the file's records in chunks of at most CHUNK_ROWS: the physical
-    lines they start on, a list of values per key of ``_KEYS``, and a function
-    giving record i as ``_validate_record`` takes it."""
+    lines they start on, a list of values per key of ``_KEYS``, a function
+    giving record i as ``_validate_record`` takes it, and whether a value may
+    hold a tab, LF or CR."""
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             numbered = enumerate(map(str.strip, fh), start=1)
             while block := list(islice(numbered, CHUNK_ROWS)):
                 lines = [line_no for line_no, text in block if text]
@@ -225,12 +239,13 @@ def _chunks(path, fmt):
                 else:
                     rows = list(map(json_value, texts, repeat(path), lines))
                 dicts = [row if type(row) is dict else {} for row in rows]
-                yield lines, {key: list(map(dict.get, dicts, repeat(key)))
-                              for key in _KEYS}, rows.__getitem__
+                cols = {key: list(map(dict.get, dicts, repeat(key))) for key in _KEYS}
+                # JSON writes a tab, LF or CR in a string only as an escape
+                yield lines, cols, rows.__getitem__, "\\" in "".join(texts)
         return
 
     profile = FORMAT_PROFILES[fmt]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=profile["delimiter"])
         try:
             header = next(reader, None)
@@ -253,7 +268,8 @@ def _chunks(path, fmt):
                         for _, row in block if row]
                 cols = {key: list(map(itemgetter(i), rows)) if i is not None
                         else [None] * len(rows) for key, i in index.items()}
-                yield lines, cols, lambda i, cols=cols: {k: c[i] for k, c in cols.items()}
+                yield (lines, cols, lambda i, cols=cols: {k: c[i] for k, c in cols.items()},
+                       True)
         except csv.Error as e:  # caught once per file, not per row
             raise ParseError(f"malformed records file: {e}", path=path,
                              line=reader.line_num) from None
@@ -312,7 +328,11 @@ def _validate_record(raw) -> tuple[dict[str, str | None], int, int]:
     lo, hi = YEAR_RANGE
     if not lo <= year <= hi:
         raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
-    return {key: _text(raw, key) for key in _TEXT_KEYS}, year, n_authors
+    text = {key: _text(raw, key) for key in _TEXT_KEYS}
+    for key in _ENTITY_KEY.values():  # every kind's, as predict and evaluate write them
+        if text[key] and (bad := TSV_BREAK.search(text[key])):
+            raise ValueError(f"{key} holds {bad[0]!r}, which a TSV cell cannot hold")
+    return text, year, n_authors
 
 
 @dataclass
@@ -368,13 +388,19 @@ def resolve_corpus(path, vmap: VenueFieldMap, taxonomy: FieldTaxonomy,
     set_code: dict[tuple[str, ...], int] = {}
     hits = {}  # raw venue name -> (field-set code or None, MatchStats field)
     columns = entity, field_set, n_authors, year = [array("q") for _ in range(4)]
-    for lines, cols, raw in _chunks(path, fmt):
+    for lines, cols, raw, may_break in _chunks(path, fmt):
         years = _plain_ints(cols["year"], *YEAR_RANGE)
         authors = _plain_ints(cols["n_authors"], 1, AUTHORS_MAX)
         valid = [type(r) is str and type(v) is str and r != "" and v != ""
                  and y is not None and a is not None
                  and (i is None or type(i) is str) and (s is None or type(s) is str)
                  for r, v, _, _, i, s, y, a in zip(*cols.values(), years, authors)]
+        if may_break:  # a scan per column, and per record only when one hits
+            for ids in map(cols.get, _ENTITY_KEY.values()):
+                if any(map("".join(filter(None, compress(ids, valid))).__contains__,
+                           "\t\n\r")):
+                    valid = [ok and not (type(e) is str and TSV_BREAK.search(e))
+                             for ok, e in zip(valid, ids)]
         # _validate_record converts the other records or says why they are invalid
         for i in compress(count(), map(not_, valid)):
             try:

@@ -802,7 +802,7 @@ def _validate_record(raw, line: int, year_range) -> PublicationRecord:
     lo, hi = year_range
     if not lo <= year <= hi:
         raise ValueError(f"year {year} outside sane range [{lo}, {hi}]")
-    return PublicationRecord(
+    record = PublicationRecord(
         researcher_id=_id_text(raw, "researcher_id"),
         venue_name=_id_text(raw, "venue"),
         year=year,
@@ -810,6 +810,11 @@ def _validate_record(raw, line: int, year_range) -> PublicationRecord:
         institution=_id_text(raw, "institution"),
         state=_id_text(raw, "state"),
     )
+    for key in ("researcher_id", "institution", "state"):  # ids that TSV rows hold
+        bad = re.search("[\t\n\r]", getattr(record, key) or "")
+        if bad:
+            raise ValueError(f"{key} holds {bad[0]!r}, which a TSV cell cannot hold")
+    return record
 
 
 @utf8_input

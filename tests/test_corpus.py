@@ -11,8 +11,10 @@ from conftest import corpus_rows, make_taxonomy
 from research_space import corpus as corpus_mod
 from oracles import venue_substrings
 from research_space.corpus import (
+    FORMAT_PROFILES,
     SPLIT_CHARS,
     EntityKind,
+    FieldTaxonomy,
     VenueFieldMap,
     match_venue,
     normalize_venue,
@@ -293,7 +295,7 @@ def _maybe(key, values):
 # reads as absent.
 ROW = st.builds(
     lambda *parts: {k: v for part in parts for k, v in part.items()},
-    _maybe("researcher_id", st.sampled_from(["r1", "r2", "r3", "", " r1", 7, 0])),
+    _maybe("researcher_id", st.sampled_from(["r1", "r2", "r3", "", " r1", 7, 0, "r\t1"])),
     _maybe("venue", st.sampled_from(["Nature", "nature ", "Cell Reports-Cell",
                                      "Cell", "Unknown", ""])),
     _maybe("year", st.one_of(st.integers(1890, 2110),
@@ -304,7 +306,7 @@ ROW = st.builds(
                                   st.sampled_from([2.0, 2.5, False, True, "3",
                                                    None, 10**29]))),
     _maybe("institution", st.sampled_from([None, "", "UFMG", "USP", 5])),
-    _maybe("state", st.sampled_from([None, "", "MG", "SP", 31])),
+    _maybe("state", st.sampled_from([None, "", "MG", "SP", 31, "S\nP"])),
 )
 # JSON values that are not objects, and where among the rows they go.
 NON_OBJECTS = st.lists(st.tuples(st.integers(0, 30),
@@ -493,6 +495,80 @@ class TestDelimitedRows:
         _, issues = self.resolve(tmp_path, self.HEADER + "\n\n\n" + "r1,Nature,2010,"
                                  "2,MG\n\n" * 3 + "r2,Nature,1800,2,MG\n")
         assert issues == [(11, "year 1800 outside sane range [1900, 2100]")]
+
+
+# A taxonomy, a venue map and records in each format, whose second record is
+# invalid, so that the warning's line number is compared too.
+BOM_INPUTS = {
+    "taxonomy": "field_id\tfield_name\tintermediate_id\tintermediate_acronym\tmacro_id"
+                "\tmacro_name\nF001\tOne\tI1\tIN1\tM1\tMacro\n"
+                "F002\tTwo\tI1\tIN1\tM1\tMacro\n",
+    "venues": "venue_name\tfield_id\nNature\tF001\nCell\tF002\nCell\tF001\n",
+    "records": [("researcher_id", "venue", "year", "n_authors", "institution", "state"),
+                ("r1", "Nature", "2010", "2", "UFMG", "MG"),
+                ("r2", "Cell", "1800", "1", "USP", "SP"),
+                ("r3", "Cell", "2011", "1", "USP", "SP")],
+}
+
+
+def _write_bom_inputs(tmp_path, fmt, bom):
+    """Write BOM_INPUTS, the records in ``fmt``, with U+FEFF opening the file
+    named ``bom``; return the corpus, match stats, warnings and taxonomy read."""
+    header, *rows = BOM_INPUTS["records"]
+    texts = {
+        "taxonomy": BOM_INPUTS["taxonomy"], "venues": BOM_INPUTS["venues"],
+        "records": "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
+        if fmt == "jsonl" else "".join(("\t" if fmt == "tsv" else ",").join(row) + "\n"
+                                       for row in (header, *rows)),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(("\ufeff" if name == bom else "") + text,
+                                     encoding="utf-8")
+    taxonomy = FieldTaxonomy.from_file(tmp_path / "taxonomy")
+    out, issues = resolve_corpus(tmp_path / "records",
+                                 VenueFieldMap.from_file(tmp_path / "venues"), taxonomy,
+                                 EntityKind.INSTITUTION, fmt=fmt)
+    return corpus_rows(out), out.match_stats, issues, taxonomy.fields
+
+
+@pytest.mark.parametrize("bom, fmt", [("records", fmt) for fmt in sorted(FORMAT_PROFILES)]
+                         + [("venues", "csv"), ("taxonomy", "jsonl")])
+def test_leading_byte_order_mark_is_read_past(tmp_path, bom, fmt):
+    expected = _write_bom_inputs(tmp_path, fmt, None)
+    assert expected[0] == [("UFMG", ("F001",), 2, 2010),
+                           ("USP", ("F001", "F002"), 1, 2011)]
+    assert expected[2] == [(2 if fmt == "jsonl" else 3,
+                            "year 1800 outside sane range [1900, 2100]")]
+    assert _write_bom_inputs(tmp_path, fmt, bom) == expected
+
+
+@pytest.mark.parametrize("text, line", [("\ufeff\ufeff{row}\n", 1),
+                                        ("\ufeff{row}\n\ufeff{row}\n", 2)])
+def test_byte_order_mark_past_the_first_character_is_an_error(tmp_path, text, line):
+    row = json.dumps({"researcher_id": "r1", "venue": "V", "year": 2001, "n_authors": 1})
+    path = tmp_path / "records.jsonl"
+    path.write_text(text.format(row=row), encoding="utf-8")
+    with pytest.raises(ParseError, match="invalid JSON: Unexpected UTF-8 BOM") as err:
+        resolve_corpus(path, VenueFieldMap({}), make_taxonomy(6), EntityKind.SCIENTIST)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("fmt, lines", [("jsonl", [1, 2, 3]), ("csv", [2, 4, 6])])
+@pytest.mark.parametrize("kind", list(EntityKind))
+def test_id_that_breaks_a_tsv_row_is_an_invalid_row(tmp_path, kind, fmt, lines):
+    row = {"researcher_id": "R1", "venue": "Nature", "year": 2010, "n_authors": 1,
+           "institution": "UFMG", "state": "MG"}
+    rows = [{**row, "researcher_id": "R0\t1\nX"}, {**row, "institution": "U\rFMG"},
+            {**row, "state": "M\nG"}, row]
+    write = write_jsonl if fmt == "jsonl" else write_csv  # a quoted cell spans lines
+    out, issues = resolve_corpus(write(tmp_path / "records", rows),
+                                 VenueFieldMap({"Nature": {"F001"}}), make_taxonomy(6),
+                                 kind, fmt=fmt)
+    assert issues == list(zip(lines, [
+        "researcher_id holds '\\t', which a TSV cell cannot hold",
+        "institution holds '\\r', which a TSV cell cannot hold",
+        "state holds '\\n', which a TSV cell cannot hold"]))
+    assert out.entity_ids == [row[corpus_mod._ENTITY_KEY[kind]]] and len(out) == 1
 
 
 def test_jsonl_lines_are_decoded_one_by_one(tmp_path):
